@@ -93,21 +93,21 @@ def build_system(spec: DSystemSpec, samples: Sequence[SampleRow]):
     size = spec.N + 1
     if len(samples) != size:
         raise ValueError("expected %d sample rows, got %d" % (size, len(samples)))
-    matrix = np.zeros((size, size), dtype=_WIDE)
-    rhs = np.zeros(size, dtype=_WIDE)
-    for row, sample in enumerate(samples):
-        if len(sample.derivs) < spec.m:
-            raise ValueError("sample rows must carry m derivative values")
-        matrix[row, 0] = 1.0
-        x = _WIDE(sample.x)
-        col = 1
-        for k in range(1, spec.m + 1):
-            base = _WIDE(sample.derivs[k - 1])
-            e = spec.exponents[k - 1]
-            for i in range(spec.n[k - 1]):
-                matrix[row, col] = x ** (e - i) * base
-                col += 1
-        rhs[row] = sample.F
+    if any(len(sample.derivs) < spec.m for sample in samples):
+        raise ValueError("sample rows must carry m derivative values")
+    # Column (k, i) holds x**(e_k - i) * f^(k-1)(x) in _WIDE, the same
+    # power and product as element by element; columns of different k
+    # share their powers, so each distinct power is taken once.
+    k_of_column = np.repeat(np.arange(spec.m), spec.n)
+    powers, power_of_column = np.unique(
+        np.array([e - i for e, n in zip(spec.exponents, spec.n) for i in range(n)],
+                 dtype=np.int64), return_inverse=True)
+    x = np.array([sample.x for sample in samples], dtype=_WIDE)
+    derivs = np.array([sample.derivs[:spec.m] for sample in samples], dtype=_WIDE)
+    matrix = np.empty((size, size), dtype=_WIDE)
+    matrix[:, 0] = 1.0
+    matrix[:, 1:] = (x[:, None] ** powers)[:, power_of_column] * derivs[:, k_of_column]
+    rhs = np.array([sample.F for sample in samples], dtype=_WIDE)
     return matrix, rhs
 
 

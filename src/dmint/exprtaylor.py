@@ -19,6 +19,13 @@ function at an expansion point; the k-th derivative is k! * c_k.  Jet
 arithmetic is exact truncated-series arithmetic in double precision, so
 evaluating an expression on the jet (x0, 1, 0, ...) yields the first m
 derivatives at x0 to roundoff.
+
+Plain values come from the same walk on order-1 jets whose coefficient
+is a numpy array of points: :func:`evaluate` takes a whole array of nodes
+in one call.  An order-1 jet holds no sums, so each element goes through
+exactly the operations of a scalar evaluation, and the elementary
+functions are the math module's, applied element by element; an array
+evaluation is therefore bit-identical to evaluating each point alone.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 
 class ExprSyntaxError(ValueError):
@@ -38,7 +47,8 @@ class ExprSyntaxError(ValueError):
 
 
 class ExprDomainError(ValueError):
-    """Evaluation left the domain of a sub-expression (log/sqrt/division)."""
+    """Evaluation left the domain of a sub-expression (log/sqrt/division)
+    or overflowed it (exp)."""
 
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "sinc")
@@ -286,9 +296,9 @@ def to_text(node: Expr) -> str:
 class Jet:
     """Truncated Taylor coefficients c_0..c_{m-1} at an expansion point.
 
-    Coefficients are doubles.  Every operation funnels through this class,
-    so an extended-precision evaluation mode would be a drop-in
-    replacement of the coefficient type; nothing downstream requires it.
+    Coefficients are doubles.  An order-1 jet may instead hold one numpy
+    array, the values at many points; higher orders need scalar
+    coefficients, since their products are exact sums (``math.fsum``).
     """
 
     __slots__ = ("coeffs",)
@@ -325,6 +335,9 @@ class Jet:
 
     def __mul__(self, other: "Jet") -> "Jet":
         a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            # The fsum of the single product, which turns -0.0 into 0.0.
+            return Jet((a[0] * b[0] + 0.0,))
         return Jet(math.fsum(a[i] * b[k - i] for i in range(k + 1))
                    for k in range(len(a)))
 
@@ -332,8 +345,25 @@ class Jet:
         return "Jet(%r)" % (self.coeffs,)
 
 
+def _anywhere(mask) -> bool:
+    """Whether a test on a coefficient holds at any of its points."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
+
+
+def _apply(fn, value):
+    """A math-module function of a coefficient, element by element.
+
+    numpy's own exp and log differ from the C library's in the last bit
+    on a few percent of inputs; calling the math function on each element
+    keeps array and scalar evaluations identical.  Its errors propagate.
+    """
+    if isinstance(value, np.ndarray):
+        return np.fromiter(map(fn, value.tolist()), float, value.size)
+    return fn(value)
+
+
 def _jet_div(a: Jet, b: Jet) -> Jet:
-    if b.coeffs[0] == 0.0:
+    if _anywhere(b.coeffs[0] == 0.0):
         raise ZeroDivisionError("division by zero")
     out = [0.0] * a.order
     for k in range(a.order):
@@ -353,17 +383,20 @@ def _jet_ipow(u: Jet, k: int) -> Jet:
 
 def _jet_exp(u: Jet) -> Jet:
     out = [0.0] * u.order
-    out[0] = math.exp(u.coeffs[0])
+    try:
+        out[0] = _apply(math.exp, u.coeffs[0])
+    except OverflowError:
+        raise ValueError("exp overflow") from None
     for k in range(1, u.order):
         out[k] = math.fsum(j * u.coeffs[j] * out[k - j] for j in range(1, k + 1)) / k
     return Jet(out)
 
 
 def _jet_log(u: Jet) -> Jet:
-    if u.coeffs[0] <= 0.0:
+    if _anywhere(u.coeffs[0] <= 0.0):
         raise ValueError("log of a non-positive value")
     out = [0.0] * u.order
-    out[0] = math.log(u.coeffs[0])
+    out[0] = _apply(math.log, u.coeffs[0])
     for k in range(1, u.order):
         acc = k * u.coeffs[k] - math.fsum(
             j * out[j] * u.coeffs[k - j] for j in range(1, k))
@@ -374,8 +407,8 @@ def _jet_log(u: Jet) -> Jet:
 def _jet_sin_cos(u: Jet) -> tuple[Jet, Jet]:
     s = [0.0] * u.order
     c = [0.0] * u.order
-    s[0] = math.sin(u.coeffs[0])
-    c[0] = math.cos(u.coeffs[0])
+    s[0] = _apply(math.sin, u.coeffs[0])
+    c[0] = _apply(math.cos, u.coeffs[0])
     for k in range(1, u.order):
         s[k] = math.fsum(j * u.coeffs[j] * c[k - j] for j in range(1, k + 1)) / k
         c[k] = -math.fsum(j * u.coeffs[j] * s[k - j] for j in range(1, k + 1)) / k
@@ -383,10 +416,10 @@ def _jet_sin_cos(u: Jet) -> tuple[Jet, Jet]:
 
 
 def _jet_sqrt(u: Jet) -> Jet:
-    if u.coeffs[0] < 0.0:
+    if _anywhere(u.coeffs[0] < 0.0):
         raise ValueError("sqrt of a negative value")
     out = [0.0] * u.order
-    out[0] = math.sqrt(u.coeffs[0])
+    out[0] = _apply(math.sqrt, u.coeffs[0])
     if u.order > 1 and out[0] == 0.0:
         raise ValueError("sqrt is not differentiable at 0")
     for k in range(1, u.order):
@@ -402,9 +435,23 @@ _SINC_TERMS = [(-1.0) ** n / math.factorial(2 * n + 1) for n in range(12)]
 
 
 def _jet_sinc(u: Jet) -> Jet:
-    if abs(u.coeffs[0]) >= 0.5:
-        s, _ = _jet_sin_cos(u)
-        return _jet_div(s, u)
+    big = abs(u.coeffs[0]) >= 0.5
+    if not isinstance(big, np.ndarray):
+        return _sinc_quotient(u) if big else _sinc_series(u)
+    # An array of points: each element takes its own branch.
+    z = u.coeffs[0]
+    out = np.empty_like(z)
+    out[big] = _sinc_quotient(Jet((z[big],))).coeffs[0]
+    out[~big] = _sinc_series(Jet((z[~big],))).coeffs[0]
+    return Jet((out,))
+
+
+def _sinc_quotient(u: Jet) -> Jet:
+    s, _ = _jet_sin_cos(u)
+    return _jet_div(s, u)
+
+
+def _sinc_series(u: Jet) -> Jet:
     square = u * u
     acc = Jet.constant(_SINC_TERMS[-1], u.order)
     for coeff in reversed(_SINC_TERMS[:-1]):
@@ -454,10 +501,14 @@ def _jet_eval(node: Expr, x: Jet) -> Jet:
             except ZeroDivisionError as exc:
                 raise ExprDomainError(
                     "zero raised to a negative power in '%s'" % to_text(node)) from exc
-        if base.coeffs[0] <= 0.0:
+        if _anywhere(base.coeffs[0] <= 0.0):
             raise ExprDomainError(
                 "fractional power of a non-positive value in '%s'" % to_text(node))
-        return _jet_exp(Jet.constant(float(e), base.order) * _jet_log(base))
+        scaled_log = Jet.constant(float(e), base.order) * _jet_log(base)
+        try:
+            return _jet_exp(scaled_log)
+        except ValueError as exc:
+            raise ExprDomainError("overflow in '%s'" % to_text(node)) from exc
     if isinstance(node, Call):
         arg = _jet_eval(node.arg, x)
         try:
@@ -481,6 +532,19 @@ def derivatives(ast: Expr, x0: float, count: int) -> list[float]:
     return out
 
 
-def evaluate(ast: Expr, x0: float) -> float:
-    """Plain evaluation; identical to the first entry of :func:`derivatives`."""
-    return _jet_eval(ast, Jet.variable(x0, 1)).coeffs[0]
+def evaluate(ast: Expr, x0):
+    """Plain evaluation at a point or at every element of an array.
+
+    An array gives an array of the same shape and a float gives a float.
+    Either way the values are bit-identical to the first entry of
+    :func:`derivatives` at each point: the points ride through one walk
+    of the tree as an order-1 jet, which holds no sums.  If any point
+    leaves the domain, :class:`ExprDomainError` names the failing
+    sub-expression; overflow elsewhere gives inf or nan, as in scalar
+    float arithmetic.
+    """
+    points = np.asarray(x0, dtype=float)
+    with np.errstate(all="ignore"):
+        value = _jet_eval(ast, Jet((points.ravel(),))).coeffs[0]
+    values = np.broadcast_to(value, (points.size,)).reshape(points.shape)
+    return float(values) if points.ndim == 0 else values.copy()

@@ -168,6 +168,20 @@ class TestAccelerate:
         assert code == 4 and out == ""
         assert "nu=1" in err
 
+    @pytest.mark.parametrize("argv, detail", [
+        (("--integrand", "exp(x^2)*exp(-x^2)", "--m", "1", "--grid", "linear:10",
+          "--nu-max", "3"),
+         "panel 2: integrand failed at node x=27.290083888286137 in panel "
+         "[20.0, 30.0]: exp overflow in 'exp(x^2)'"),
+        (("--integrand", "exp(x)", "--m", "3", "--grid", "linear:400"),
+         "panel 1: integrand failed at node x=723.5752488805288 in panel "
+         "[400.0, 800.0]: exp overflow in 'exp(x)'"),
+    ])
+    def test_overflow_exit_3(self, capsys, argv, detail):
+        code, out, err = run(capsys, "accelerate", *argv)
+        assert code == 3 and out == ""
+        assert err == "invalid input: %s\n" % detail
+
     def test_syntax_error_exit_2(self, capsys):
         code, out, err = run(capsys, "accelerate", "--integrand", "sin(x",
                              "--grid", "linear:1.0")

@@ -1,7 +1,9 @@
 import csv
 import io
 import math
+import random
 
+import numpy as np
 import pytest
 
 from dmint.dtransform import (
@@ -15,8 +17,29 @@ from dmint.dtransform import (
     solve_vector,
 )
 
+from dmint.dtransform import _WIDE
+
 PI_HALF = math.pi / 2
 PHI_REF = 2 * math.sqrt(math.pi) / 3
+
+
+def element_loop_system(spec, samples):
+    """Reference assembly: every entry on its own, x**(e_k-i) * f^(k-1)(x)."""
+    size = spec.N + 1
+    matrix = np.zeros((size, size), dtype=_WIDE)
+    rhs = np.zeros(size, dtype=_WIDE)
+    for row, sample in enumerate(samples):
+        matrix[row, 0] = 1.0
+        x = _WIDE(sample.x)
+        col = 1
+        for k in range(1, spec.m + 1):
+            base = _WIDE(sample.derivs[k - 1])
+            e = spec.exponents[k - 1]
+            for i in range(spec.n[k - 1]):
+                matrix[row, col] = x ** (e - i) * base
+                col += 1
+        rhs[row] = sample.F
+    return matrix, rhs
 
 
 def demo_table(**kwargs):
@@ -59,6 +82,24 @@ class TestBuildAndSolve:
             assert abs(d - 1.0) <= 1e-13
             solution, _ = solve_vector(matrix, rhs)
             assert solution[1] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_build_matches_element_loop(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            m = rng.randint(1, 4)
+            n = tuple(rng.choice((0, 0, 1, 2, 5, 9)) for _ in range(m))
+            exponents = tuple(rng.randint(-3, 4) for _ in range(m))
+            spec = DSystemSpec(m, 0, n, exponents)
+            rows = [SampleRow(rng.uniform(0.1, 60.0), rng.uniform(-2.0, 2.0),
+                              tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-9, 3)
+                                    for _ in range(m + rng.randint(0, 1))))
+                    for _ in range(spec.N + 1)]
+            matrix, rhs = build_system(spec, rows)
+            ref_matrix, ref_rhs = element_loop_system(spec, rows)
+            assert matrix.dtype == rhs.dtype == _WIDE
+            # Values, not bytes: the padding of 80-bit longdouble is arbitrary.
+            assert np.array_equal(matrix, ref_matrix)
+            assert np.array_equal(rhs, ref_rhs)
 
     def test_sample_count_mismatch(self):
         rows = [SampleRow(1.0, 0.5, (0.1,))]

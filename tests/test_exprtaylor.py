@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dmint.bell import bell_eval
@@ -185,6 +186,43 @@ class TestEvaluate:
             assert a == pytest.approx(b, rel=1e-11)
 
 
+class TestArrayEvaluate:
+    SOURCES = ("sinc(x)^2", "sinc(x^2)^2", "exp(-x)*cos(x)", "x^(1/2)+log(x)",
+               "1/(1+x)^2", "x*sin(x)/(1+x^2)", "sqrt(x)^(-3)*exp(-x/4)")
+
+    def test_matches_point_by_point(self):
+        rng = random.Random(8)
+        points = [rng.uniform(0.01, 60.0) for _ in range(300)] + [0.25, 0.5, 0.7071]
+        for source in self.SOURCES:
+            node = parse(source)
+            values = evaluate(node, np.array(points))
+            assert isinstance(values, np.ndarray) and values.shape == (len(points),)
+            assert values.tolist() == [evaluate(node, x) for x in points]
+            assert all(evaluate(node, x) == derivatives(node, x, 3)[0]
+                       for x in points[:20])
+
+    def test_sinc_branch_per_element(self):
+        # Points on both sides of |z| = 0.5, where sinc switches from its
+        # series to the quotient form.
+        points = [0.0, 0.3, 0.4999, 0.5, 0.5001, 2.0, -0.2, -0.75]
+        node = parse("sinc(x)")
+        assert evaluate(node, np.array(points)).tolist() == [
+            evaluate(node, x) for x in points]
+
+    def test_shapes(self):
+        node = parse("x^2+1")
+        grid = np.arange(6.0).reshape(2, 3)
+        assert evaluate(node, grid).tolist() == [[1.0, 2.0, 5.0], [10.0, 17.0, 26.0]]
+        assert isinstance(evaluate(node, 2.0), float)
+        constant = evaluate(parse("2*pi"), np.ones(4))
+        assert constant.shape == (4,) and constant.tolist() == [2 * math.pi] * 4
+
+    def test_domain_error_on_any_element(self):
+        with pytest.raises(ExprDomainError) as info:
+            evaluate(parse("log(x-2)"), np.array([3.0, 2.5, 1.0]))
+        assert "log(x-2)" in str(info.value)
+
+
 class TestDomainErrors:
     def test_log_and_sqrt(self):
         with pytest.raises(ExprDomainError) as info:
@@ -203,6 +241,19 @@ class TestDomainErrors:
     def test_fractional_power_domain(self):
         with pytest.raises(ExprDomainError):
             evaluate(parse("(x-5)^(1/2)"), 1.0)
+
+    def test_exp_overflow_names_subexpression(self):
+        node = parse("exp(x^2)*exp(-x^2)")
+        for x in (30.0, np.array([1.0, 30.0])):
+            with pytest.raises(ExprDomainError) as info:
+                evaluate(node, x)
+            assert str(info.value) == "exp overflow in 'exp(x^2)'"
+        with pytest.raises(ExprDomainError) as info:
+            derivatives(parse("exp(x)"), 800.0, 3)
+        assert str(info.value) == "exp overflow in 'exp(x)'"
+        with pytest.raises(ExprDomainError) as info:
+            evaluate(parse("x^(3/2)"), 1e300)
+        assert str(info.value) == "overflow in 'x^(3/2)'"
 
     def test_sqrt_at_zero_value_only(self):
         assert evaluate(parse("sqrt(x)"), 0.0) == 0.0

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dmint.exprtaylor import evaluate, parse
@@ -19,6 +20,35 @@ from support import adaptive_simpson
 def make_eval(source):
     node = parse(source)
     return lambda t: evaluate(node, t)
+
+
+def scalar_panel(node, a, b, q):
+    """One panel, node by node: fsum of w*f(x) over the q-point rule."""
+    nodes, weights = gauss_nodes(q)
+    mid, halfwidth = 0.5 * (a + b), 0.5 * (b - a)
+    return halfwidth * math.fsum(w * evaluate(node, float(mid + halfwidth * xi))
+                                 for xi, w in zip(nodes, weights))
+
+
+def scalar_cumulative(node, grid, q):
+    """Reference for cumulative(): panel after panel, one point per call,
+    with the same doubling test and one-level bisection.  Returns chi, F
+    and the number of bisected panels."""
+    chi, F, bisected = [], [], 0
+    previous, total = 0.0, 0.0
+    for point in grid.points:
+        coarse = scalar_panel(node, previous, point, q)
+        value = scalar_panel(node, previous, point, 2 * q)
+        if abs(value - coarse) > 1e-12 * max(abs(coarse), abs(value), 1e-30):
+            mid = 0.5 * (previous + point)
+            value = (scalar_panel(node, previous, mid, 2 * q)
+                     + scalar_panel(node, mid, point, 2 * q))
+            bisected += 1
+        chi.append(value)
+        total = total + value
+        F.append(total)
+        previous = point
+    return tuple(chi), tuple(F), bisected
 
 
 class TestGaussNodes:
@@ -67,7 +97,7 @@ class TestPanels:
         assert panel_integrate(lambda t: t, 0.0, 1.0, 2) == 0.5
 
     def test_sine_over_half_period(self):
-        assert panel_integrate(math.sin, 0.0, math.pi, 16) == pytest.approx(
+        assert panel_integrate(np.sin, 0.0, math.pi, 16) == pytest.approx(
             2.0, rel=1e-14)
 
     def test_against_adaptive_oracle(self):
@@ -139,7 +169,7 @@ class TestGrids:
 class TestCumulative:
     def test_zero_integrand(self):
         grid = grid_from_descriptor("linear:1.0", 5)
-        result = cumulative(lambda t: 0.0, grid, 8)
+        result = cumulative(lambda t: np.zeros_like(t), grid, 8)
         assert result.chi == (0.0,) * 5
         assert result.F == (0.0,) * 5
 
@@ -162,6 +192,68 @@ class TestCumulative:
         grid2 = grid_from_descriptor("sqrtlinear:1.6", 31)
         err2 = abs(cumulative(phi, grid2, 16).F[30] - 2 * math.sqrt(math.pi) / 3)
         assert err2 == pytest.approx(4.70e-4, rel=5e-3)
+
+    def test_bit_identical_to_node_by_node_loop(self):
+        for source, desc, count in (("sinc(x)^2", "linear:1.6", 31),
+                                    ("sinc(x^2)^2", "sqrtlinear:1.6", 31),
+                                    ("x^(1/2)*exp(-x)", "linear:1.0", 8)):
+            node = parse(source)
+            grid = grid_from_descriptor(desc, count)
+            chi, F, bisected = scalar_cumulative(node, grid, 16)
+            result = cumulative(lambda t: evaluate(node, t), grid, 16)
+            assert result.chi == chi
+            assert result.F == F
+            if source.startswith("x^(1/2)"):
+                assert bisected > 0  # the halves stage is covered too
+
+    def test_one_integrand_call_per_rule(self):
+        calls = []
+        node = parse("sinc(x)^2")
+
+        def f(t):
+            calls.append(t.size)
+            return evaluate(node, t)
+
+        cumulative(f, grid_from_descriptor("linear:1.6", 31), 16)
+        assert calls == [31 * 16, 31 * 32]
+
+    @pytest.mark.parametrize("source, message", [
+        ("log(3-x)",
+         "panel 3: integrand failed at node x=3.019855071751232 in panel "
+         "[3.0, 4.0]: log of a non-positive value in 'log(3-x)'"),
+        # Only the doubled rule of panel 2 fails, while every coarse node
+        # of panel 3 does: the error must still name panel 2.
+        ("log(2.9875-x)",
+         "panel 2: integrand failed at node x=2.994700467495825 in panel "
+         "[2.0, 3.0]: log of a non-positive value in 'log(2.9875-x)'"),
+        # The right-hand log fails first at the first node, the left-hand
+        # one only from the second node on.
+        ("log(0.05-x)+log(x-0.03)",
+         "panel 0: integrand failed at node x=0.019855071751231856 in panel "
+         "[0.0, 1.0]: log of a non-positive value in 'log(x-0.03)'"),
+        # Only a node of the bisected halves of panel 1 fails.
+        ("sqrt((x-1.00265)^2-0.000001)",
+         "panel 1: integrand failed at node x=1.0026497662520875 in panel "
+         "[1.0, 1.5]: sqrt of a negative value in 'sqrt((x-1.00265)^2-0.000001)'"),
+    ])
+    def test_error_names_first_failing_node(self, source, message):
+        grid = grid_from_descriptor("linear:1.0", 4)
+        with pytest.raises(QuadratureError) as info:
+            cumulative(make_eval(source), grid, 8)
+        assert str(info.value) == message
+
+    def test_non_finite_value_is_an_error(self):
+        grid = grid_from_descriptor("linear:1.0", 4)
+        with pytest.raises(QuadratureError) as info:
+            cumulative(lambda t: np.where(t > 2.5, np.inf, t), grid, 8)
+        assert str(info.value) == (
+            "panel 2: integrand failed at node x=2.591717321247825 in panel "
+            "[2.0, 3.0]: non-finite value inf")
+
+    def test_integrand_must_return_an_array(self):
+        grid = grid_from_descriptor("linear:1.0", 2)
+        with pytest.raises(TypeError):
+            cumulative(lambda t: 1.0, grid, 8)
 
     def test_panel_error_names_panel(self):
         grid = grid_from_descriptor("linear:1.0", 4)

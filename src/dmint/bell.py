@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .symseries import GeneralizedPolynomial, GeneralizedRational
+from .symseries import GeneralizedPolynomial, GeneralizedRational, substitution_polynomial
 
 
 @dataclass(frozen=True)
@@ -78,19 +78,12 @@ def bell_eval(n: int, k: int, y):
 def l_matrix(g: GeneralizedPolynomial, m: int) -> dict[tuple[int, int], GeneralizedRational]:
     """Table L[n,k] = B_{n,k}(g', g'', ..., g^(n-k+1)) for 1 <= k <= n <= m.
 
-    g must be an integer-exponent polynomial of degree >= 1 with positive
-    leading coefficient.  The diagonal satisfies L[k,k] = (g')**k.
+    g must pass :func:`dmint.symseries.substitution_polynomial` and have
+    degree >= 1.  The diagonal satisfies L[k,k] = (g')**k.
     """
-    if isinstance(g, GeneralizedRational):
-        if g.denominator != GeneralizedPolynomial.one():
-            raise ValueError("g must be a polynomial")
-        g = g.numerator
-    if g.is_zero or g.step_denominator != 1 or min(g.terms) < 0:
-        raise ValueError("g must have non-negative integer exponents")
+    g = substitution_polynomial(g)
     if g.lead_exponent < 1:
         raise ValueError("g must have degree at least 1")
-    if g.lead_coefficient <= 0:
-        raise ValueError("g must have a positive leading coefficient")
     if m < 1:
         raise ValueError("m must be at least 1")
     derivs = []

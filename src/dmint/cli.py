@@ -50,6 +50,10 @@ BUILTIN_INTEGRANDS = {
 }
 
 
+RATIONAL_TEXT_HELP = ("rational text; fractional exponents go in parentheses, "
+                      "x^(1/2); x^3/2 means (x^3)/2")
+
+
 class ToleranceFailure(Exception):
     pass
 
@@ -159,15 +163,8 @@ def _cmd_reproduce_table(args) -> int:
     return 0
 
 
-def _parse_ode_coefficient(text: str):
-    text = text.strip()
-    if text == "0":
-        return None
-    return symseries.parse_rational(text)
-
-
 def _cmd_compose(args) -> int:
-    coefficients = [_parse_ode_coefficient(p) for p in args.p]
+    coefficients = [symseries.parse_rational(p) for p in args.p]
     g_value = symseries.parse_rational(args.g)
     ode = compose_mod.OdeCoefficients(coefficients)
     result = compose_mod.compose_ode(ode, g_value)
@@ -206,22 +203,7 @@ def _cmd_check_b1(args) -> int:
 
 def _parse_reference(text: str) -> float:
     ast = exprtaylor.parse(text)
-
-    def has_var(node) -> bool:
-        if isinstance(node, exprtaylor.Var):
-            return True
-        children = []
-        if isinstance(node, exprtaylor.Neg):
-            children = [node.operand]
-        elif isinstance(node, exprtaylor.BinOp):
-            children = [node.left, node.right]
-        elif isinstance(node, exprtaylor.Pow):
-            children = [node.base]
-        elif isinstance(node, exprtaylor.Call):
-            children = [node.arg]
-        return any(has_var(c) for c in children)
-
-    if has_var(ast):
+    if exprtaylor.has_variable(ast):
         raise exprtaylor.ExprSyntaxError("reference value must not contain x", 0)
     return exprtaylor.evaluate(ast, 1.0)
 
@@ -300,21 +282,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose",
                        help="transform ODE coefficients under x -> g(x)")
     p.add_argument("--p", action="append", required=True,
-                   help="coefficient p_k in order k=1..m; use 0 for absent")
-    p.add_argument("--g", required=True, help="integer-exponent polynomial")
+                   help="coefficient p_k in order k=1..m; use 0 for absent; "
+                        + RATIONAL_TEXT_HELP)
+    p.add_argument("--g", required=True,
+                   help="integer-exponent polynomial; " + RATIONAL_TEXT_HELP)
     p.add_argument("--output", default=None)
     p.set_defaults(handler=_cmd_compose)
 
     p = sub.add_parser("check-b1",
                        help="test f = p_1 f' membership for a rational function")
-    p.add_argument("--f", required=True)
+    p.add_argument("--f", required=True, help=RATIONAL_TEXT_HELP)
     p.add_argument("--output", default=None)
     p.set_defaults(handler=_cmd_check_b1)
 
     p = sub.add_parser("accelerate",
                        help="extrapolate the integral of an integrand over [0, inf)")
     p.add_argument("--integrand", required=True,
-                   help="expression text or builtin name (f, phi)")
+                   help="expression text or builtin name (f, phi); "
+                        "x^1/2 reads as x^(1/2)")
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--grid", default=None,
                    help="grid descriptor, e.g. linear:1.6 or sqrtlinear:1.6")

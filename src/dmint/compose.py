@@ -22,10 +22,10 @@ from fractions import Fraction
 
 from .bell import l_matrix
 from .symseries import (
-    GeneralizedPolynomial,
     GeneralizedRational,
     compose_poly,
     profile,
+    substitution_polynomial,
 )
 
 
@@ -109,22 +109,6 @@ class CompositionResult:
         return len(self.pi)
 
 
-def _validate_g(g) -> GeneralizedPolynomial:
-    if isinstance(g, GeneralizedRational):
-        if g.denominator != GeneralizedPolynomial.one():
-            raise ValueError("g must be a polynomial")
-        g = g.numerator
-    if not isinstance(g, GeneralizedPolynomial):
-        raise TypeError("g must be a generalized polynomial")
-    if g.is_zero or g.step_denominator != 1 or min(g.terms) < 0:
-        raise ValueError("g must have non-negative integer exponents")
-    if g.lead_exponent < 1:
-        raise ValueError("g must have degree at least 1")
-    if g.lead_coefficient <= 0:
-        raise ValueError("g must tend to +infinity (positive leading coefficient)")
-    return g
-
-
 def compose_ode(ode: OdeCoefficients, g) -> CompositionResult:
     """Solve the triangular system for the coefficients of f(g(x)).
 
@@ -135,7 +119,7 @@ def compose_ode(ode: OdeCoefficients, g) -> CompositionResult:
 
     with every step exact over generalized rationals.
     """
-    g = _validate_g(g)
+    g = substitution_polynomial(g)
     m = ode.m
     s = int(g.lead_exponent)
     table = l_matrix(g, m)

@@ -9,10 +9,14 @@ The grammar::
     atom    := NUMBER | "pi" | "x" | NAME "(" expr ")" | "(" expr ")"
 
 NUMBER is a decimal literal, NAME is one of sin, cos, exp, log, sqrt,
-sinc, and exponent is a rational literal (``2``, ``-3``, ``1/2`` or
-``(1/2)``); lexing is longest-match, so ``x^1/2`` reads the exponent 1/2
-while ``x^2/x`` is an ordinary division.  Power binds tighter than unary
-minus, which binds tighter than * and /.
+sinc, and exponent is a rational literal (``2``, ``-3``, ``(1/2)``).  Power
+binds tighter than unary minus, which binds tighter than * and /.  This
+is the package's only grammar; its entry points differ in one rule:
+
+* integrand text, :func:`parse`: an exponent also takes a bare ``/digits``
+  (longest match), so ``x^1/2`` is x^(1/2) while ``x^2/x`` is a division;
+* rational text, :func:`dmint.symseries.parse_rational`: ``x^3/2`` is
+  (x^3)/2, as :func:`dmint.symseries.to_text` writes it.
 
 A jet of order m carries the Taylor coefficients c_0..c_{m-1} of a
 function at an expansion point; the k-th derivative is k! * c_k.  Jet
@@ -118,9 +122,11 @@ def _tokenize(source: str):
 
 
 class _Parser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, bare_fraction_exponents: bool = True):
         self.tokens = _tokenize(source)
         self.index = 0
+        # x^1/2 is x^(1/2) in integrand text, (x^1)/2 in rational text.
+        self.bare_fraction_exponents = bare_fraction_exponents
 
     def peek(self):
         return self.tokens[self.index]
@@ -181,10 +187,13 @@ class _Parser:
         if kind != "num":
             raise ExprSyntaxError("expected a rational exponent", pos)
         result = Fraction(value)
-        # Longest match: consume "/digits" as part of the exponent literal.
-        if self.peek()[1] == "/" and self.tokens[self.index + 1][0] == "num":
+        if ((wrapped or self.bare_fraction_exponents) and self.peek()[1] == "/"
+                and self.tokens[self.index + 1][0] == "num"):
             self.advance()
-            result /= Fraction(self.advance()[1])
+            kind, value, pos = self.advance()
+            if Fraction(value) == 0:
+                raise ExprSyntaxError("zero exponent denominator", pos)
+            result /= Fraction(value)
         if wrapped:
             self.expect(")")
         return sign * result
@@ -212,8 +221,15 @@ class _Parser:
 
 
 def parse(source: str) -> Expr:
-    """Parse an integrand expression into its AST."""
+    """Parse an integrand expression into its AST; ``x^1/2`` is x^(1/2)."""
     return _Parser(source).parse()
+
+
+def has_variable(node: Expr) -> bool:
+    """Whether x occurs anywhere in the expression."""
+    return isinstance(node, Var) or any(
+        isinstance(child, Expr) and has_variable(child)
+        for child in vars(node).values())
 
 
 # -- printing ----------------------------------------------------------------

@@ -17,10 +17,11 @@ structural and lets tests assert exact identities.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
+
+from . import exprtaylor
 
 
 class RationalParseError(ValueError):
@@ -177,11 +178,9 @@ class GeneralizedPolynomial:
         return GeneralizedPolynomial(out, d)
 
     def substitute(self, g: "GeneralizedPolynomial") -> "GeneralizedPolynomial":
-        """Evaluate self at ``x = g(x)``; both must have integer exponents."""
+        """Evaluate self at ``x = g(x)``; self must have non-negative integer exponents."""
         if self.step_denominator != 1 or (not self.is_zero and min(self.terms) < 0):
             raise ValueError("substitution target must have non-negative integer exponents")
-        if g.step_denominator != 1 or (not g.is_zero and min(g.terms) < 0):
-            raise ValueError("substituted polynomial must have non-negative integer exponents")
         result = GeneralizedPolynomial.zero()
         power = GeneralizedPolynomial.one()
         current = 0
@@ -468,6 +467,25 @@ def derivative(a: GeneralizedRational) -> GeneralizedRational:
     return a.derivative()
 
 
+def substitution_polynomial(g) -> GeneralizedPolynomial:
+    """The polynomial g after checking that it may replace x in a composition.
+
+    g (a polynomial, or a rational with denominator 1) must have
+    non-negative integer exponents and a positive leading coefficient.
+    """
+    if isinstance(g, GeneralizedRational):
+        if g.denominator != GeneralizedPolynomial.one():
+            raise ValueError("g must be a polynomial")
+        g = g.numerator
+    if not isinstance(g, GeneralizedPolynomial):
+        raise TypeError("g must be a generalized polynomial")
+    if g.is_zero or g.step_denominator != 1 or min(g.terms) < 0:
+        raise ValueError("g must have non-negative integer exponents")
+    if g.lead_coefficient <= 0:
+        raise ValueError("g must tend to +infinity (positive leading coefficient)")
+    return g
+
+
 def compose_poly(a: GeneralizedRational, g: GeneralizedPolynomial) -> GeneralizedRational:
     """Exact substitution a(g(x)) for an integer-exponent polynomial g.
 
@@ -475,16 +493,7 @@ def compose_poly(a: GeneralizedRational, g: GeneralizedPolynomial) -> Generalize
     grid; g must additionally have a positive leading coefficient, i.e.
     tend to +infinity.  Composition with fractional powers is rejected.
     """
-    if a.numerator.step_denominator != 1 or a.denominator.step_denominator != 1:
-        raise ValueError("composition requires integer-step exponents in the composed function")
-    if isinstance(g, GeneralizedRational):
-        if not (g.denominator == GeneralizedPolynomial.one()):
-            raise ValueError("substituted function must be a polynomial")
-        g = g.numerator
-    if g.is_zero or g.step_denominator != 1 or min(g.terms) < 0:
-        raise ValueError("substituted polynomial must have non-negative integer exponents")
-    if g.lead_coefficient <= 0:
-        raise ValueError("substituted polynomial must have a positive leading coefficient")
+    g = substitution_polynomial(g)
     return GeneralizedRational(a.numerator.substitute(g), a.denominator.substitute(g))
 
 
@@ -615,35 +624,24 @@ def to_text(r: GeneralizedRational) -> str:
     return "%s%s/%s" % (sign, num_str, den_str)
 
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+(?:\.\d*)?|\.\d+)|(?P<name>[A-Za-z_]\w*)"
-                       r"|(?P<op>[-+*/^()])|(?P<space>\s+)")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise RationalParseError(
-                "unexpected character %r at position %d" % (text[pos], pos))
-        if m.lastgroup != "space":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
 def _integer_root(value: int, degree: int) -> int:
     if value < 0:
         if degree % 2 == 0:
             raise RationalParseError("even root of a negative coefficient")
         return -_integer_root(-value, degree)
-    root = round(value ** (1.0 / degree)) if value else 0
-    for candidate in (root - 1, root, root + 1):
-        if candidate >= 0 and candidate ** degree == value:
-            return candidate
-    raise RationalParseError("coefficient %d has no exact %d-th root" % (value, degree))
+    if degree == 2:
+        root = math.isqrt(value)
+    else:
+        # Integer Newton from above converges down to the floor of the root.
+        root = 1 << -(-value.bit_length() // degree)
+        while root:
+            step = ((degree - 1) * root + value // root ** (degree - 1)) // degree
+            if step >= root:
+                break
+            root = step
+    if root ** degree != value:
+        raise RationalParseError("coefficient %d has no exact %d-th root" % (value, degree))
+    return root
 
 
 def _monomial_power(base: GeneralizedRational, exponent: Fraction) -> GeneralizedRational:
@@ -664,127 +662,60 @@ def _monomial_power(base: GeneralizedRational, exponent: Fraction) -> Generalize
         GeneralizedPolynomial.monomial(coeff, e.numerator, e.denominator))
 
 
-class _RationalParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def next(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, text, pos = self.next()
-        if text != value:
+def _lower(node: exprtaylor.Expr) -> GeneralizedRational:
+    # The operations, and their order, are those of reading the text left
+    # to right.  A left-nested chain such as a long sum is walked in a
+    # loop, so its length is not bounded by the recursion limit.
+    chain = []
+    while isinstance(node, exprtaylor.BinOp):
+        chain.append(node)
+        node = node.left
+    if isinstance(node, exprtaylor.Num):
+        value = GeneralizedRational(GeneralizedPolynomial.constant(node.value))
+    elif isinstance(node, exprtaylor.Var):
+        value = GeneralizedRational.variable()
+    elif isinstance(node, exprtaylor.Neg):
+        value = -_lower(node.operand)
+    elif isinstance(node, exprtaylor.Pow):
+        value = _lower(node.base)
+        if node.exponent.denominator != 1:
+            value = _monomial_power(value, node.exponent)
+        elif node.exponent < 0 and value.is_zero:
             raise RationalParseError(
-                "expected %r at position %d, found %r" % (value, pos, text or "end"))
-
-    def parse(self) -> GeneralizedRational:
-        value = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise RationalParseError("unexpected %r at position %d" % (text, pos))
-        return value
-
-    def expr(self) -> GeneralizedRational:
-        value = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> GeneralizedRational:
-        value = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            pos = self.peek()[2]
-            rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs.is_zero:
-                    raise RationalParseError("division by zero at position %d" % pos)
-                value = value / rhs
-        return value
-
-    def factor(self) -> GeneralizedRational:
-        if self.peek()[1] == "-":
-            self.next()
-            return -self.factor()
-        return self.power()
-
-    def power(self) -> GeneralizedRational:
-        base = self.atom()
-        if self.peek()[1] != "^":
-            return base
-        self.next()
-        exponent = self.exponent()
-        if exponent.denominator == 1:
-            k = exponent.numerator
-            if k < 0 and base.is_zero:
-                raise RationalParseError("negative power of zero")
-            return base ** k
-        return _monomial_power(base, exponent)
-
-    def exponent(self) -> Fraction:
-        # Fractional exponents must be parenthesized, x^(1/2); a bare
-        # x^2/8 stays an ordinary division (x^2)/8 as rendering emits it.
-        wrapped = self.peek()[1] == "("
-        if wrapped:
-            self.next()
-        sign = 1
-        if self.peek()[1] == "-":
-            self.next()
-            sign = -1
-        kind, text, pos = self.next()
-        if kind != "num":
-            raise RationalParseError("expected a rational exponent at position %d" % pos)
-        value = Fraction(text)
-        if wrapped and self.peek()[1] == "/":
-            self.next()
-            kind, text, pos = self.next()
-            if kind != "num":
-                raise RationalParseError(
-                    "expected an exponent denominator at position %d" % pos)
-            value /= Fraction(text)
-        if wrapped:
-            self.expect(")")
-        return sign * value
-
-    def atom(self) -> GeneralizedRational:
-        kind, text, pos = self.next()
-        if kind == "num":
-            return GeneralizedRational(GeneralizedPolynomial.constant(Fraction(text)))
-        if kind == "name":
-            if text == "x":
-                return GeneralizedRational.variable()
-            if text == "sqrt":
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return _monomial_power(inner, Fraction(1, 2))
-            raise RationalParseError("unknown name %r at position %d" % (text, pos))
-        if text == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        raise RationalParseError("unexpected %r at position %d" % (text or "end", pos))
+                "negative power of zero in '%s'" % exprtaylor.to_text(node))
+        else:
+            value = value ** node.exponent.numerator
+    elif isinstance(node, exprtaylor.Call) and node.func == "sqrt":
+        value = _monomial_power(_lower(node.arg), Fraction(1, 2))
+    else:
+        raise RationalParseError(
+            "'%s' is not a rational function of x" % exprtaylor.to_text(node))
+    for op in reversed(chain):
+        rhs = _lower(op.right)
+        if op.op == "+":
+            value = value + rhs
+        elif op.op == "-":
+            value = value - rhs
+        elif op.op == "*":
+            value = value * rhs
+        elif rhs.is_zero:
+            raise RationalParseError("division by zero in '%s'" % exprtaylor.to_text(op))
+        else:
+            value = value / rhs
+    return value
 
 
 def parse_rational(text: str) -> GeneralizedRational:
     """Parse the text format produced by :func:`to_text`.
 
-    Accepts +, -, *, /, integer powers of arbitrary subexpressions,
-    fractional powers of monomials (``x^(1/2)``, ``x^(3/2)``), ``sqrt``
-    of monomials, and integer or decimal literals.
+    The grammar is :mod:`dmint.exprtaylor`'s with its rational exponent
+    rule: fractional exponents go in parentheses, ``x^(1/2)``, and
+    ``x^3/2`` means (x^3)/2.  Accepts +, -, *, /, integer powers of
+    arbitrary subexpressions, fractional powers and ``sqrt`` of monomials,
+    and integer or decimal literals.
     """
     try:
-        return _RationalParser(text).parse()
-    except ZeroDivisionError as exc:
+        ast = exprtaylor._Parser(text, bare_fraction_exponents=False).parse()
+    except exprtaylor.ExprSyntaxError as exc:
         raise RationalParseError(str(exc)) from exc
+    return _lower(ast)

@@ -90,6 +90,21 @@ class TestCompose:
         code, out, err = run(capsys, "compose", "--p=x", "--g=2")
         assert code == 3 and out == ""
 
+    def test_transcendental_coefficient_exit_2(self, capsys):
+        code, out, err = run(capsys, "compose", "--p=sin(x)", "--g=x")
+        assert code == 2 and out == ""
+        assert err == "parse error: 'sin(x)' is not a rational function of x\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("accelerate", "--integrand", "x^(1/0)*exp(-x)", "--grid", "linear:1", "--m", "1"),
+    ("compose", "--p=x^(1/0)", "--g=x"),
+])
+def test_zero_exponent_denominator_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "parse error: zero exponent denominator (position 5)\n"
+
 
 class TestCheckB1:
     def test_member(self, capsys):
@@ -113,6 +128,11 @@ class TestCheckB1:
     def test_parse_error(self, capsys):
         code, out, err = run(capsys, "check-b1", "--f=1//x")
         assert code == 2 and out == ""
+
+    def test_coefficient_beyond_float_range(self, capsys):
+        code, out, err = run(capsys, "check-b1", "--f=sqrt(1%s*x)" % ("0" * 400))
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "p_1 = 2*x"
 
 
 class TestAccelerate:

@@ -220,3 +220,33 @@ class TestRandomProperties:
             assert ode.is_class_b
             bounds = rho_bounds(ode)
             assert all(bounds[k] <= k + 1 for k in range(m))
+
+
+BAD_G = {
+    "zero": (R("0"), ValueError),
+    "rational": (R("x^2/(x+1)"), ValueError),
+    "half grid": (R("x+sqrt(x)"), ValueError),
+    "negative lead": (R("-x^2+1"), ValueError),
+    "not a polynomial": ("x^2", TypeError),
+}
+
+G_ENTRY_POINTS = {
+    "compose_poly": lambda g: compose_poly(R("x"), g),
+    "l_matrix": lambda g: l_matrix(g, 2),
+    "compose_ode": lambda g: compose_ode(demo_ode(), g),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(G_ENTRY_POINTS))
+@pytest.mark.parametrize("case", sorted(BAD_G))
+def test_bad_g_rejected_alike(entry, case):
+    g, error = BAD_G[case]
+    with pytest.raises(error):
+        G_ENTRY_POINTS[entry](g)
+
+
+def test_constant_g_only_for_compose_poly():
+    assert compose_poly(R("x^2+1"), R("2")) == R("5")
+    for entry in ("l_matrix", "compose_ode"):
+        with pytest.raises(ValueError, match="degree at least 1"):
+            G_ENTRY_POINTS[entry](R("2"))

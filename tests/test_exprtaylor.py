@@ -70,6 +70,12 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse("")
 
+    def test_zero_exponent_denominator(self):
+        for source, position in (("x^(1/0)", 5), ("x^1/0", 4), ("x^(2/0.0)", 5)):
+            with pytest.raises(ExprSyntaxError) as info:
+                parse(source)
+            assert info.value.position == position
+
 
 def random_expr(rng, depth):
     choices = ["num", "x", "pi"] if depth == 0 else [

@@ -1,8 +1,10 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from dmint.exprtaylor import Pow, Var, parse
 from dmint.symseries import (
     GeneralizedPolynomial,
     GeneralizedRational,
@@ -274,8 +276,49 @@ class TestTextFormat:
         with pytest.raises(ZeroDivisionError):
             div(ONE, ZERO)
 
+    def test_zero_exponent_denominator(self):
+        with pytest.raises(RationalParseError, match=r"\(position 5\)"):
+            parse_rational("x^(1/0)")
+
+    def test_long_sum(self):
+        assert parse_rational("+".join(["1"] * 1500)) == R("1500")
+
+    def test_exact_integer_roots(self):
+        square = (10 ** 16 + 7) ** 2
+        assert parse_rational("sqrt(%d*x^2)" % square) == R("%d*x" % (10 ** 16 + 7))
+        cube = (2 ** 53 + 1) ** 3
+        assert parse_rational("(%d*x^3)^(1/3)" % cube) == R("%d*x" % (2 ** 53 + 1))
+        assert parse_rational("(-%d*x^3)^(1/3)" % cube) == R("-%d*x" % (2 ** 53 + 1))
+        assert parse_rational("sqrt(1%s*x)" % ("0" * 400)) == \
+            R("1%s*x^(1/2)" % ("0" * 200))
+        for bad in ("sqrt(%d*x^2)" % (square + 1), "(%d*x^3)^(1/3)" % (cube - 1)):
+            with pytest.raises(RationalParseError, match="exact"):
+                parse_rational(bad)
+
     def test_fractional_power_requires_monomial(self):
         assert parse_rational("x^(3/2)") == R("x") * R("sqrt(x)")
         assert parse_rational("sqrt(4*x^2)") == R("2*x")
         with pytest.raises(RationalParseError):
             parse_rational("(x+1)^(1/2)")
+
+
+# The two entry points share one grammar and differ only in how a bare
+# slash after an exponent reads.
+@pytest.mark.parametrize("text, integrand, rational", [
+    ("x^3/2", Pow(Var(), Fraction(3, 2)), "x^3*(1/2)"),
+    ("x^1/2", Pow(Var(), Fraction(1, 2)), "x*(1/2)"),
+    ("x^(1/2)", Pow(Var(), Fraction(1, 2)), "sqrt(x)"),
+])
+def test_exponent_rule_by_entry_point(text, integrand, rational):
+    assert parse(text) == integrand
+    assert parse_rational(text) == R(rational)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("sin(x)", "sin(x)"), ("cos(x)", "cos(x)"), ("exp(x)", "exp(x)"),
+    ("log(x)", "log(x)"), ("sinc(x)", "sinc(x)"), ("pi*x", "pi"),
+])
+def test_transcendental_text_rejected(text, named):
+    with pytest.raises(RationalParseError,
+                       match="'%s' is not a rational function of x" % re.escape(named)):
+        parse_rational(text)

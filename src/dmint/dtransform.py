@@ -10,7 +10,13 @@ as the approximation to the integral over [0, inf).  The exponents e_k
 default to k (the user-friendly variant); callers who know the integrand's
 tail-expansion exponents may supply them instead.  Each window gives one
 dense linear system, solved by column-equilibrated Gaussian elimination
-with partial pivoting.
+with partial pivoting on the augmented matrix.
+
+The windows of one sequence are nested: window nu holds the leading
+m*nu+1 rows of the nu_max window and, of each block of nu_max columns
+belonging to one k, the first nu.  :func:`d_sequence` therefore assembles
+the nu_max system once and slices every window out of it; the slices are
+element for element what :func:`build_system` gives for that window.
 """
 
 from __future__ import annotations
@@ -118,7 +124,8 @@ def solve_vector(matrix, rhs):
     """Solve the system, returning the full unknown vector and the residual.
 
     Columns are scaled to unit max-norm before Gaussian elimination with
-    partial pivoting; a vanishing column or pivot raises
+    partial pivoting on the augmented matrix [A | b]; a vanishing column
+    or pivot raises
     :class:`SingularSystemError` instead of returning garbage.  The residual
     is the max-norm of A*solution - rhs.
     """
@@ -130,8 +137,11 @@ def solve_vector(matrix, rhs):
     scale = np.max(np.abs(a), axis=0)
     if np.any(scale == 0.0) or not np.all(np.isfinite(scale)):
         raise SingularSystemError("matrix has a zero or non-finite column")
-    work = a / scale
-    y = b.copy()
+    # Eliminate on the augmented matrix [A/scale | b]: each element gets
+    # the same multiply and subtract as on A and b apart, in fewer calls.
+    work = np.empty((n, n + 1), dtype=_WIDE)
+    work[:, :n] = a / scale
+    work[:, n] = b
     for col in range(n):
         pivot_row = col + int(np.argmax(np.abs(work[col:, col])))
         pivot = work[pivot_row, col]
@@ -139,14 +149,14 @@ def solve_vector(matrix, rhs):
             raise SingularSystemError("pivot %g below threshold in column %d"
                                       % (pivot, col))
         if pivot_row != col:
-            work[[col, pivot_row]] = work[[pivot_row, col]]
-            y[[col, pivot_row]] = y[[pivot_row, col]]
+            # Left of col the rows hold spent entries that are never read.
+            work[[col, pivot_row], col:] = work[[pivot_row, col], col:]
         factors = work[col + 1:, col] / pivot
-        work[col + 1:, col + 1:] -= np.outer(factors, work[col, col + 1:])
-        y[col + 1:] -= factors * y[col]
+        work[col + 1:, col + 1:] -= factors[:, None] * work[col, col + 1:]
+    y = work[:, n]
     solution = np.zeros(n, dtype=_WIDE)
     for col in range(n - 1, -1, -1):
-        solution[col] = (y[col] - work[col, col + 1:] @ solution[col + 1:]) / work[col, col]
+        solution[col] = (y[col] - work[col, col + 1:n] @ solution[col + 1:]) / work[col, col]
     solution /= scale
     if not np.all(np.isfinite(solution)):
         raise SingularSystemError("elimination produced non-finite values")
@@ -251,8 +261,12 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     SampleGrid or a descriptor string, and must provide j + m*nu_max + 1
     points.  One sampling pass (quadrature prefix sums plus jet
     derivatives) feeds every window; each window nu uses samples
-    l = j..j+m*nu with tail lengths n = (nu, ..., nu).
+    l = j..j+m*nu with tail lengths n = (nu, ..., nu).  The nu_max system
+    is assembled once; window nu is its leading m*nu+1 rows and the first
+    nu columns of each k-block, solved by :func:`solve`.
     """
+    if m < 1:
+        raise ValueError("m must be at least 1")
     if isinstance(integrand, str):
         ast = parse(integrand)
     elif isinstance(integrand, Expr):
@@ -275,11 +289,14 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     rows = [SampleRow(x, F, tuple(derivatives(ast, x, m)))
             for x, F in zip(grid.points, cum.F)]
 
+    spec = DSystemSpec(m, j, (nu_max,) * m, exps)
+    full_matrix, full_rhs = build_system(spec, rows[j: j + spec.N + 1])
     entries = []
     for nu in range(nu_max + 1):
-        spec = DSystemSpec(m, j, (nu,) * m, exps)
-        window = rows[j: j + spec.N + 1]
-        matrix, rhs = build_system(spec, window)
+        size = m * nu + 1
+        cols = [0] + [1 + k * nu_max + i for k in range(m) for i in range(nu)]
+        matrix = full_matrix[:size][:, cols]
+        rhs = full_rhs[:size]
         try:
             d_value, residual = solve(matrix, rhs)
         except SingularSystemError as exc:

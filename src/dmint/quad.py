@@ -86,6 +86,8 @@ def grid_from_descriptor(descriptor: str, count: int) -> SampleGrid:
         if len(values) != 1:
             raise ValueError("sqrtlinear grids take one parameter")
         a = values[0]
+        if a <= 0.0:
+            raise ValueError("sqrtlinear parameter a must be positive, got %r" % a)
         points = tuple(math.sqrt(a * (l + 1)) for l in range(count))
     return SampleGrid(points, descriptor)
 

@@ -161,10 +161,7 @@ class GeneralizedPolynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = GeneralizedPolynomial.one()
-        for _ in range(k):
-            result = result * self
-        return result
+        return _power(self, k, GeneralizedPolynomial.one())
 
     def scaled(self, factor) -> "GeneralizedPolynomial":
         f = _as_fraction(factor)
@@ -215,6 +212,18 @@ class GeneralizedPolynomial:
 
 def _lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b
+
+
+def _power(base, k: int, one):
+    # Square and multiply: about 2*log2(k) products instead of k.
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 # -- dense helpers for gcd over Fraction coefficient lists ------------------
@@ -372,10 +381,7 @@ class GeneralizedRational:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of the zero function")
             return GeneralizedRational(self.denominator, self.numerator) ** (-k)
-        result = GeneralizedRational.one()
-        for _ in range(k):
-            result = result * self
-        return result
+        return _power(self, k, GeneralizedRational.one())
 
     def derivative(self) -> "GeneralizedRational":
         num, den = self.numerator, self.denominator
@@ -431,17 +437,23 @@ def _canonical_pair(num: GeneralizedPolynomial, den: GeneralizedPolynomial):
     if lo != 0:
         nt = {n - lo: c for n, c in nt.items()}
         dt = {n - lo: c for n, c in dt.items()}
-    a, b = _dense(nt), _dense(dt)
-    g = _poly_gcd(a, b)
-    if len(g) > 1:
-        a = _poly_div_exact(a, g)
-        b = _poly_div_exact(b, g)
-    lead = b[-1]
+    # When one side is a single term c*t**n the gcd is 1: after the shift
+    # either n == 0 or the other side has a non-zero constant term, which
+    # t**n does not divide.  The dense lists, as long as the degree, are
+    # then skipped.
+    if len(nt) > 1 and len(dt) > 1:
+        a, b = _dense(nt), _dense(dt)
+        g = _poly_gcd(a, b)
+        if len(g) > 1:
+            a = _poly_div_exact(a, g)
+            b = _poly_div_exact(b, g)
+        nt = {n: c for n, c in enumerate(a) if c != 0}
+        dt = {n: c for n, c in enumerate(b) if c != 0}
+    lead = dt[max(dt)]
     if lead != 1:
-        a = [c / lead for c in a]
-        b = [c / lead for c in b]
-    return (GeneralizedPolynomial({n: c for n, c in enumerate(a) if c != 0}, d),
-            GeneralizedPolynomial({n: c for n, c in enumerate(b) if c != 0}, d))
+        nt = {n: c / lead for n, c in nt.items()}
+        dt = {n: c / lead for n, c in dt.items()}
+    return GeneralizedPolynomial(nt, d), GeneralizedPolynomial(dt, d)
 
 
 # -- the operation surface ---------------------------------------------------

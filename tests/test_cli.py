@@ -134,6 +134,11 @@ class TestCheckB1:
         assert code == 0 and err == ""
         assert out.splitlines()[0] == "p_1 = 2*x"
 
+    def test_huge_integer_power(self, capsys):
+        code, out, err = run(capsys, "check-b1", "--f=x^1000000000")
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "p_1 = x/1000000000"
+
 
 class TestAccelerate:
     def test_demo_column(self, capsys):
@@ -198,6 +203,17 @@ class TestAccelerate:
          "[400.0, 800.0]: exp overflow in 'exp(x)'"),
     ])
     def test_overflow_exit_3(self, capsys, argv, detail):
+        code, out, err = run(capsys, "accelerate", *argv)
+        assert code == 3 and out == ""
+        assert err == "invalid input: %s\n" % detail
+
+    @pytest.mark.parametrize("argv, detail", [
+        (("--integrand", "exp(-x)", "--m", "0", "--grid", "linear:1.0"),
+         "m must be at least 1"),
+        (("--integrand", "exp(-x)", "--m", "1", "--grid", "sqrtlinear:-1"),
+         "sqrtlinear parameter a must be positive, got -1.0"),
+    ])
+    def test_precondition_messages(self, capsys, argv, detail):
         code, out, err = run(capsys, "accelerate", *argv)
         assert code == 3 and out == ""
         assert err == "invalid input: %s\n" % detail

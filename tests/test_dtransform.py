@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from dmint import dtransform
 from dmint.dtransform import (
     DSystemSpec,
     SampleRow,
@@ -17,7 +18,7 @@ from dmint.dtransform import (
     solve_vector,
 )
 
-from dmint.dtransform import _WIDE
+from dmint.dtransform import _PIVOT_FLOOR, _WIDE
 
 PI_HALF = math.pi / 2
 PHI_REF = 2 * math.sqrt(math.pi) / 3
@@ -40,6 +41,68 @@ def element_loop_system(spec, samples):
                 col += 1
         rhs[row] = sample.F
     return matrix, rhs
+
+
+def two_array_elimination(matrix, rhs):
+    """Reference solve: A and b eliminated apart, whole-row swaps, np.outer."""
+    a = np.array(matrix, dtype=_WIDE)
+    b = np.array(rhs, dtype=_WIDE)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
+        raise ValueError("need a square system with matching right-hand side")
+    n = a.shape[0]
+    scale = np.max(np.abs(a), axis=0)
+    if np.any(scale == 0.0) or not np.all(np.isfinite(scale)):
+        raise SingularSystemError("matrix has a zero or non-finite column")
+    work = a / scale
+    y = b.copy()
+    for col in range(n):
+        pivot_row = col + int(np.argmax(np.abs(work[col:, col])))
+        pivot = work[pivot_row, col]
+        if abs(pivot) < _PIVOT_FLOOR:
+            raise SingularSystemError("pivot %g below threshold in column %d"
+                                      % (pivot, col))
+        if pivot_row != col:
+            work[[col, pivot_row]] = work[[pivot_row, col]]
+            y[[col, pivot_row]] = y[[pivot_row, col]]
+        factors = work[col + 1:, col] / pivot
+        work[col + 1:, col + 1:] -= np.outer(factors, work[col, col + 1:])
+        y[col + 1:] -= factors * y[col]
+    solution = np.zeros(n, dtype=_WIDE)
+    for col in range(n - 1, -1, -1):
+        solution[col] = (y[col] - work[col, col + 1:] @ solution[col + 1:]) / work[col, col]
+    solution /= scale
+    if not np.all(np.isfinite(solution)):
+        raise SingularSystemError("elimination produced non-finite values")
+    residual = float(np.max(np.abs(a @ solution - b))) if n else 0.0
+    return solution.astype(float), residual
+
+
+def assert_same_solve(matrix, rhs):
+    """solve_vector gives the reference's exact bits, or its exact error."""
+    try:
+        expected = two_array_elimination(matrix, rhs)
+    except SingularSystemError as exc:
+        with pytest.raises(SingularSystemError) as info:
+            solve_vector(matrix, rhs)
+        assert str(info.value) == str(exc)
+        return
+    solution, residual = solve_vector(matrix, rhs)
+    assert np.array_equal(solution, expected[0])
+    assert residual == expected[1]
+
+
+def captured_windows(monkeypatch, *args, **kwargs):
+    """Run d_sequence and return the (matrix, rhs) pairs it hands to solve."""
+    windows = []
+
+    def recording_solve(matrix, rhs):
+        windows.append((np.array(matrix), np.array(rhs)))
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(dtransform, "solve", recording_solve)
+    table = d_sequence(*args, **kwargs)
+    monkeypatch.undo()
+    return table, windows
 
 
 def demo_table(**kwargs):
@@ -106,6 +169,43 @@ class TestBuildAndSolve:
         with pytest.raises(ValueError):
             build_system(DSystemSpec(1, 0, (1,), (1,)), rows)
 
+    def test_solve_matches_two_array_elimination(self):
+        rng = np.random.default_rng(5)
+        swaps = 0
+        for trial in range(200):
+            n = int(rng.integers(1, 40))
+            matrix = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8, n)
+            if trial % 2:
+                # Permuted rows of a diagonally dominant matrix: partial
+                # pivoting undoes the permutation by row swaps.
+                matrix = (matrix + np.diag(10.0 ** rng.uniform(9, 12, n)))[rng.permutation(n)]
+            rhs = rng.standard_normal(n)
+            if n > 1 and np.argmax(np.abs(matrix[:, 0])) != 0:
+                swaps += 1
+            assert_same_solve(matrix, rhs)
+        assert swaps > 100
+
+    def test_singular_messages_match_two_array_elimination(self):
+        for matrix in ([[1.0, 1.0], [1.0, 1.0]],          # pivot exactly 0
+                       [[1.0, 1.0], [0.0, 1e-305]],       # non-zero, below the floor
+                       [[2.0, 1.0, 0.5], [4.0, 2.0, 1.0], [1.0, 3.0, 0.0]],
+                       [[1.0, 0.0], [1.0, 0.0]],          # zero column
+                       [[1.0, np.inf], [1.0, 2.0]]):      # non-finite column
+            with pytest.raises(SingularSystemError):
+                two_array_elimination(matrix, [1.0] * len(matrix))
+            assert_same_solve(matrix, [1.0] * len(matrix))
+        with pytest.raises(SingularSystemError, match="pivot 1e-305 below threshold in column 1"):
+            solve_vector([[1.0, 1.0], [0.0, 1e-305]], [1.0, 2.0])
+
+    def test_demo_windows_match_two_array_elimination(self, monkeypatch):
+        for source, grid, ref in (("sinc(x)^2", "linear:1.6", PI_HALF),
+                                  ("sinc(x^2)^2", "sqrtlinear:1.6", PHI_REF)):
+            _, windows = captured_windows(monkeypatch, source, grid, 3, 10,
+                                          reference=ref)
+            assert len(windows) == 11
+            for matrix, rhs in windows:
+                assert_same_solve(matrix, rhs)
+
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularSystemError):
             solve([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0])
@@ -155,6 +255,57 @@ class TestDSequence:
         with pytest.raises(SingularSystemError) as info:
             d_sequence("0", "linear:1.0", 2, 3)
         assert info.value.nu == 1
+
+    @pytest.mark.parametrize("source, grid, m, nu_max, exponents, j", [
+        ("sinc(x)^2", "linear:1.6", 3, 10, None, 0),
+        ("sinc(x^2)^2", "sqrtlinear:1.6", 3, 10, (1, 0, 1), 2),
+        ("exp(-x)", "linear:1.0", 1, 12, None, 0),
+        ("cos(x)/(1+x^2)", "linear:1.6", 2, 7, (2, -1), 1),
+    ])
+    def test_windows_are_those_of_build_system(self, monkeypatch, source, grid,
+                                               m, nu_max, exponents, j):
+        table, windows = captured_windows(monkeypatch, source, grid, m, nu_max,
+                                          exponents=exponents, j=j)
+        exps = table.exponents
+        from dmint.exprtaylor import derivatives, parse
+        node = parse(source)
+        rows = [SampleRow(x, F, tuple(derivatives(node, x, m)))
+                for x, F in zip(table.grid.points, dtransform.cumulative(
+                    lambda t: dtransform.evaluate(node, t), table.grid, 16).F)]
+        assert len(windows) == nu_max + 1
+        for nu, (matrix, rhs) in enumerate(windows):
+            spec = DSystemSpec(m, j, (nu,) * m, exps)
+            ref_matrix, ref_rhs = build_system(spec, rows[j: j + spec.N + 1])
+            assert matrix.dtype == rhs.dtype == _WIDE
+            assert np.array_equal(matrix, ref_matrix)
+            assert np.array_equal(rhs, ref_rhs)
+
+    def test_one_assembly_per_sequence(self, monkeypatch):
+        specs = []
+        real_build = dtransform.build_system
+
+        def recording_build(spec, samples):
+            specs.append(spec)
+            return real_build(spec, samples)
+
+        monkeypatch.setattr(dtransform, "build_system", recording_build)
+        d_sequence("sinc(x)^2", "linear:1.6", 3, 10)
+        assert specs == [DSystemSpec(3, 0, (10, 10, 10), (1, 2, 3))]
+
+    def test_singular_window_keeps_its_number_and_text(self):
+        with pytest.raises(SingularSystemError) as info:
+            d_sequence("exp(-x)*cos(x)", "linear:1.0", 3, 25)
+        assert info.value.nu == 20
+        assert str(info.value) == "window nu=20: pivot 0 below threshold in column 58"
+
+    def test_m_checked_before_sampling(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(dtransform, "cumulative", no_quadrature)
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="^m must be at least 1$"):
+                d_sequence("exp(-x)", "linear:1.0", m, 3)
 
     def test_grid_length_guard(self):
         from dmint.quad import grid_from_descriptor

@@ -154,6 +154,9 @@ class TestGrids:
         for bad in ("cubic:1", "linear:", "linear:1,2,3", "sqrtlinear:1,2", "linear:abc"):
             with pytest.raises(ValueError):
                 grid_from_descriptor(bad, 4)
+        for bad in ("sqrtlinear:-1", "sqrtlinear:0", "sqrtlinear:-0.0"):
+            with pytest.raises(ValueError, match="^sqrtlinear parameter a must be positive"):
+                grid_from_descriptor(bad, 4)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dmint import symseries
 from dmint.exprtaylor import Pow, Var, parse
 from dmint.symseries import (
     GeneralizedPolynomial,
@@ -57,6 +58,92 @@ class TestArithmeticExamples:
         assert pow(R("x+1"), -2) == R("1/(x+1)^2")
         with pytest.raises(ZeroDivisionError):
             pow(ZERO, -1)
+
+
+def count_products(monkeypatch, cls, limit=64):
+    """Count calls of ``cls.__mul__`` from now on; fail past ``limit``."""
+    calls = []
+    real = cls.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        if len(calls) > limit:
+            raise AssertionError("more than %d products" % limit)
+        return real(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    return calls
+
+
+def dense_canonical_pair(num, den):
+    """Reference canonical form through the dense gcd on every input."""
+    d = num.step_denominator * den.step_denominator
+    nt, dt = num.rescaled_terms(d), den.rescaled_terms(d)
+    lo = min(min(nt), min(dt))
+    a = symseries._dense({n - lo: c for n, c in nt.items()})
+    b = symseries._dense({n - lo: c for n, c in dt.items()})
+    g = symseries._poly_gcd(a, b)
+    a, b = symseries._poly_div_exact(a, g), symseries._poly_div_exact(b, g)
+    lead = b[-1]
+    return (GeneralizedPolynomial({n: c / lead for n, c in enumerate(a)}, d),
+            GeneralizedPolynomial({n: c / lead for n, c in enumerate(b)}, d))
+
+
+class TestPowers:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 4000, 10 ** 9])
+    def test_polynomial_square_and_multiply(self, monkeypatch, k):
+        calls = count_products(monkeypatch, GeneralizedPolynomial)
+        assert GeneralizedPolynomial.variable() ** k == GeneralizedPolynomial({k: 1})
+        assert len(calls) <= 2 * k.bit_length()
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 4000, -4000, 10 ** 9])
+    def test_rational_square_and_multiply(self, monkeypatch, k):
+        calls = count_products(monkeypatch, GeneralizedRational)
+        power = X ** k
+        assert len(calls) <= 2 * abs(k).bit_length()
+        if k >= 0:
+            assert power.numerator == GeneralizedPolynomial({k: 1})
+        else:
+            assert power.denominator == GeneralizedPolynomial({-k: 1})
+
+    def test_powers_match_repeated_products(self):
+        for base in (R("x+1"), R("(2*x-3)/(x^2+1)"), R("x^(1/2)-1/x"), R("-3/x")):
+            product = ONE
+            for k in range(12):
+                assert base ** k == product
+                assert base ** -k == ONE / product
+                product = product * base
+
+    def test_monomial_sides_skip_the_dense_gcd(self, monkeypatch):
+        real_dense = symseries._dense
+
+        def guarded_dense(terms):
+            if len(terms) == 1:
+                raise AssertionError("one-term side densified")
+            return real_dense(terms)
+
+        monkeypatch.setattr(symseries, "_dense", guarded_dense)
+        assert to_text(R("x^4000")) == "x^4000"
+        assert to_text(R("x^-1000000000")) == "1/x^1000000000"
+        assert to_text(R("(x^3+2)/(4*x^2000)")) == "(x^3+2)/(4*x^2000)"
+        assert to_text(R("3*x^(1/2)/(x+1)^2")) == "3*x^(1/2)/(x^2+2*x+1)"
+
+    def test_canonical_pair_matches_dense_gcd(self):
+        from support import random_int_poly
+        rng = random.Random(17)
+        for _ in range(300):
+            sides = []
+            for _side in range(2):
+                if rng.random() < 0.5:
+                    d = rng.choice((1, 2, 3))
+                    sides.append(GeneralizedPolynomial(
+                        {rng.randint(-6, 9): Fraction(rng.choice((-5, -1, 1, 2, 7)),
+                                                      rng.randint(1, 4))}, d))
+                else:
+                    sides.append(random_int_poly(rng, rng.randint(0, 4)))
+            r = GeneralizedRational(*sides)
+            num, den = dense_canonical_pair(*sides)
+            assert (r.numerator, r.denominator) == (num, den)
 
 
 class TestDerivative:

@@ -333,6 +333,12 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         print("invalid input: %s" % exc, file=sys.stderr)
         return 3
+    except RecursionError:
+        print("invalid input: expression nested too deeply", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print("cannot write output: %s" % exc, file=sys.stderr)
+        return 3
 
 
 def entry():

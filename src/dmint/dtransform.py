@@ -259,8 +259,8 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
 
     ``integrand`` is an expression AST or source text; ``grid`` is a
     SampleGrid or a descriptor string, and must provide j + m*nu_max + 1
-    points.  One sampling pass (quadrature prefix sums plus jet
-    derivatives) feeds every window; each window nu uses samples
+    points.  One sampling pass (quadrature prefix sums, derivative rows
+    from one jet walk) feeds every window; each window nu uses samples
     l = j..j+m*nu with tail lengths n = (nu, ..., nu).  The nu_max system
     is assembled once; window nu is its leading m*nu+1 rows and the first
     nu columns of each k-block, solved by :func:`solve`.
@@ -275,22 +275,29 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
         raise TypeError("integrand must be expression text or a parsed AST")
     if nu_max < 0:
         raise ValueError("nu_max must be non-negative")
-    needed = j + m * nu_max + 1
+    exps = friendly_exponents(m) if exponents is None else tuple(exponents)
+    if len(exps) != m:
+        raise ValueError("need %d exponents, got %d" % (m, len(exps)))
+    spec = DSystemSpec(m, j, (nu_max,) * m, exps)
+    needed = j + spec.N + 1
     if isinstance(grid, str):
         grid = grid_from_descriptor(grid, needed)
     elif len(grid.points) < needed:
         raise ValueError("grid too short: need %d points, have %d"
                          % (needed, len(grid.points)))
-    exps = friendly_exponents(m) if exponents is None else tuple(exponents)
-    if len(exps) != m:
-        raise ValueError("need %d exponents, got %d" % (m, len(exps)))
 
     cum = cumulative(lambda t: evaluate(ast, t), grid, node_count)
-    rows = [SampleRow(x, F, tuple(derivatives(ast, x, m)))
-            for x, F in zip(grid.points, cum.F)]
+    try:
+        derivs = derivatives(ast, np.array(grid.points), m)
+    except (ValueError, ArithmeticError):
+        # Name the sub-expression that fails at the first failing point.
+        for x in grid.points:
+            derivatives(ast, x, m)
+        raise
+    rows = [SampleRow(x, F, tuple(d))
+            for x, F, d in zip(grid.points, cum.F, derivs.T.tolist())]
 
-    spec = DSystemSpec(m, j, (nu_max,) * m, exps)
-    full_matrix, full_rhs = build_system(spec, rows[j: j + spec.N + 1])
+    full_matrix, full_rhs = build_system(spec, rows[j: needed])
     entries = []
     for nu in range(nu_max + 1):
         size = m * nu + 1

@@ -19,17 +19,16 @@ is the package's only grammar; its entry points differ in one rule:
   (x^3)/2, as :func:`dmint.symseries.to_text` writes it.
 
 A jet of order m carries the Taylor coefficients c_0..c_{m-1} of a
-function at an expansion point; the k-th derivative is k! * c_k.  Jet
+function at many expansion points at once, each coefficient an array
+with one element per point; the k-th derivative is k! * c_k.  Jet
 arithmetic is exact truncated-series arithmetic in double precision, so
-evaluating an expression on the jet (x0, 1, 0, ...) yields the first m
-derivatives at x0 to roundoff.
-
-Plain values come from the same walk on order-1 jets whose coefficient
-is a numpy array of points: :func:`evaluate` takes a whole array of nodes
-in one call.  An order-1 jet holds no sums, so each element goes through
-exactly the operations of a scalar evaluation, and the elementary
-functions are the math module's, applied element by element; an array
-evaluation is therefore bit-identical to evaluating each point alone.
+one walk of the tree on the jet (x0, 1, 0, ...) yields the first m
+derivatives at every point to roundoff; :func:`evaluate` is that walk
+at order 1.  Each element goes through exactly the operations of a
+one-point jet: a sum of products is ``math.fsum`` at each point, and
+the elementary functions are the math module's, applied element by
+element.  An array of points therefore gives, bit for bit, what each
+point gives alone.
 """
 
 from __future__ import annotations
@@ -310,11 +309,10 @@ def to_text(node: Expr) -> str:
 
 
 class Jet:
-    """Truncated Taylor coefficients c_0..c_{m-1} at an expansion point.
+    """Truncated Taylor coefficients c_0..c_{m-1} at many expansion points.
 
-    Coefficients are doubles.  An order-1 jet may instead hold one numpy
-    array, the values at many points; higher orders need scalar
-    coefficients, since their products are exact sums (``math.fsum``).
+    Every coefficient is a 1-D float array with one element per point, and
+    every element goes through exactly the operations of a scalar jet.
     """
 
     __slots__ = ("coeffs",)
@@ -323,22 +321,22 @@ class Jet:
         self.coeffs = list(coeffs)
 
     @classmethod
-    def variable(cls, x0: float, order: int) -> "Jet":
-        coeffs = [0.0] * order
-        coeffs[0] = float(x0)
-        if order > 1:
-            coeffs[1] = 1.0
-        return cls(coeffs)
+    def variable(cls, x0, order: int) -> "Jet":
+        """The jet (x0, 1, 0, ...) at a point or at every element of an array."""
+        x = np.asarray(x0, dtype=float).ravel()
+        return cls([x, np.ones_like(x)][:order] + [np.zeros_like(x)] * (order - 2))
 
     @classmethod
-    def constant(cls, value: float, order: int) -> "Jet":
-        coeffs = [0.0] * order
-        coeffs[0] = float(value)
-        return cls(coeffs)
+    def constant(cls, value: float, order: int, size: int) -> "Jet":
+        return cls([np.full(size, float(value))] + [np.zeros(size)] * (order - 1))
 
     @property
     def order(self) -> int:
         return len(self.coeffs)
+
+    @property
+    def size(self) -> int:
+        return len(self.coeffs[0])
 
     def __add__(self, other: "Jet") -> "Jet":
         return Jet(a + b for a, b in zip(self.coeffs, other.coeffs))
@@ -351,19 +349,23 @@ class Jet:
 
     def __mul__(self, other: "Jet") -> "Jet":
         a, b = self.coeffs, other.coeffs
-        if len(a) == 1:
-            # The fsum of the single product, which turns -0.0 into 0.0.
-            return Jet((a[0] * b[0] + 0.0,))
-        return Jet(math.fsum(a[i] * b[k - i] for i in range(k + 1))
+        return Jet(_fsum([a[i] * b[k - i] for i in range(k + 1)])
                    for k in range(len(a)))
 
     def __repr__(self):
         return "Jet(%r)" % (self.coeffs,)
 
 
-def _anywhere(mask) -> bool:
-    """Whether a test on a coefficient holds at any of its points."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
+def _fsum(terms):
+    """``math.fsum`` at each point over a list of coefficient arrays.
+
+    One term gives ``term + 0.0``, which is what fsum gives (it maps -0.0
+    to 0.0); no terms give 0.0.
+    """
+    if len(terms) < 2:
+        return terms[0] + 0.0 if terms else 0.0
+    columns = zip(*[term.tolist() for term in terms])
+    return np.fromiter(map(math.fsum, columns), float, len(terms[0]))
 
 
 def _apply(fn, value):
@@ -373,74 +375,66 @@ def _apply(fn, value):
     on a few percent of inputs; calling the math function on each element
     keeps array and scalar evaluations identical.  Its errors propagate.
     """
-    if isinstance(value, np.ndarray):
-        return np.fromiter(map(fn, value.tolist()), float, value.size)
-    return fn(value)
+    return np.fromiter(map(fn, value.tolist()), float, value.size)
 
 
 def _jet_div(a: Jet, b: Jet) -> Jet:
-    if _anywhere(b.coeffs[0] == 0.0):
+    if (b.coeffs[0] == 0.0).any():
         raise ZeroDivisionError("division by zero")
-    out = [0.0] * a.order
+    out = []
     for k in range(a.order):
-        acc = a.coeffs[k] - math.fsum(out[i] * b.coeffs[k - i] for i in range(k))
-        out[k] = acc / b.coeffs[0]
+        acc = a.coeffs[k] - _fsum([out[i] * b.coeffs[k - i] for i in range(k)])
+        out.append(acc / b.coeffs[0])
     return Jet(out)
 
 
 def _jet_ipow(u: Jet, k: int) -> Jet:
     if k < 0:
-        return _jet_div(Jet.constant(1.0, u.order), _jet_ipow(u, -k))
-    result = Jet.constant(1.0, u.order)
+        return _jet_div(Jet.constant(1.0, u.order, u.size), _jet_ipow(u, -k))
+    result = Jet.constant(1.0, u.order, u.size)
     for _ in range(k):
         result = result * u
     return result
 
 
 def _jet_exp(u: Jet) -> Jet:
-    out = [0.0] * u.order
     try:
-        out[0] = _apply(math.exp, u.coeffs[0])
+        out = [_apply(math.exp, u.coeffs[0])]
     except OverflowError:
         raise ValueError("exp overflow") from None
     for k in range(1, u.order):
-        out[k] = math.fsum(j * u.coeffs[j] * out[k - j] for j in range(1, k + 1)) / k
+        out.append(_fsum([j * u.coeffs[j] * out[k - j] for j in range(1, k + 1)]) / k)
     return Jet(out)
 
 
 def _jet_log(u: Jet) -> Jet:
-    if _anywhere(u.coeffs[0] <= 0.0):
+    if (u.coeffs[0] <= 0.0).any():
         raise ValueError("log of a non-positive value")
-    out = [0.0] * u.order
-    out[0] = _apply(math.log, u.coeffs[0])
+    out = [_apply(math.log, u.coeffs[0])]
     for k in range(1, u.order):
-        acc = k * u.coeffs[k] - math.fsum(
-            j * out[j] * u.coeffs[k - j] for j in range(1, k))
-        out[k] = acc / (k * u.coeffs[0])
+        acc = k * u.coeffs[k] - _fsum([j * out[j] * u.coeffs[k - j] for j in range(1, k)])
+        out.append(acc / (k * u.coeffs[0]))
     return Jet(out)
 
 
 def _jet_sin_cos(u: Jet) -> tuple[Jet, Jet]:
-    s = [0.0] * u.order
-    c = [0.0] * u.order
-    s[0] = _apply(math.sin, u.coeffs[0])
-    c[0] = _apply(math.cos, u.coeffs[0])
+    s = [_apply(math.sin, u.coeffs[0])]
+    c = [_apply(math.cos, u.coeffs[0])]
     for k in range(1, u.order):
-        s[k] = math.fsum(j * u.coeffs[j] * c[k - j] for j in range(1, k + 1)) / k
-        c[k] = -math.fsum(j * u.coeffs[j] * s[k - j] for j in range(1, k + 1)) / k
+        s.append(_fsum([j * u.coeffs[j] * c[k - j] for j in range(1, k + 1)]) / k)
+        c.append(-_fsum([j * u.coeffs[j] * s[k - j] for j in range(1, k + 1)]) / k)
     return Jet(s), Jet(c)
 
 
 def _jet_sqrt(u: Jet) -> Jet:
-    if _anywhere(u.coeffs[0] < 0.0):
+    if (u.coeffs[0] < 0.0).any():
         raise ValueError("sqrt of a negative value")
-    out = [0.0] * u.order
-    out[0] = _apply(math.sqrt, u.coeffs[0])
-    if u.order > 1 and out[0] == 0.0:
+    out = [_apply(math.sqrt, u.coeffs[0])]
+    if u.order > 1 and (out[0] == 0.0).any():
         raise ValueError("sqrt is not differentiable at 0")
     for k in range(1, u.order):
-        acc = u.coeffs[k] - math.fsum(out[i] * out[k - i] for i in range(1, k))
-        out[k] = acc / (2.0 * out[0])
+        acc = u.coeffs[k] - _fsum([out[i] * out[k - i] for i in range(1, k)])
+        out.append(acc / (2.0 * out[0]))
     return Jet(out)
 
 
@@ -451,15 +445,16 @@ _SINC_TERMS = [(-1.0) ** n / math.factorial(2 * n + 1) for n in range(12)]
 
 
 def _jet_sinc(u: Jet) -> Jet:
+    # Each point takes its own branch; grid points often all take the quotient.
     big = abs(u.coeffs[0]) >= 0.5
-    if not isinstance(big, np.ndarray):
-        return _sinc_quotient(u) if big else _sinc_series(u)
-    # An array of points: each element takes its own branch.
-    z = u.coeffs[0]
-    out = np.empty_like(z)
-    out[big] = _sinc_quotient(Jet((z[big],))).coeffs[0]
-    out[~big] = _sinc_series(Jet((z[~big],))).coeffs[0]
-    return Jet((out,))
+    if big.all():
+        return _sinc_quotient(u)
+    quotient = _sinc_quotient(Jet(c[big] for c in u.coeffs))
+    series = _sinc_series(Jet(c[~big] for c in u.coeffs))
+    out = [np.empty(u.size) for _ in range(u.order)]
+    for c, q, s in zip(out, quotient.coeffs, series.coeffs):
+        c[big], c[~big] = q, s
+    return Jet(out)
 
 
 def _sinc_quotient(u: Jet) -> Jet:
@@ -469,9 +464,9 @@ def _sinc_quotient(u: Jet) -> Jet:
 
 def _sinc_series(u: Jet) -> Jet:
     square = u * u
-    acc = Jet.constant(_SINC_TERMS[-1], u.order)
+    acc = Jet.constant(_SINC_TERMS[-1], u.order, u.size)
     for coeff in reversed(_SINC_TERMS[:-1]):
-        acc = acc * square + Jet.constant(coeff, u.order)
+        acc = acc * square + Jet.constant(coeff, u.order, u.size)
     return acc
 
 
@@ -486,11 +481,10 @@ _JET_FUNCTIONS = {
 
 
 def _jet_eval(node: Expr, x: Jet) -> Jet:
-    order = x.order
     if isinstance(node, Num):
-        return Jet.constant(float(node.value), order)
+        return Jet.constant(float(node.value), x.order, x.size)
     if isinstance(node, PiConst):
-        return Jet.constant(math.pi, order)
+        return Jet.constant(math.pi, x.order, x.size)
     if isinstance(node, Var):
         return x
     if isinstance(node, Neg):
@@ -517,10 +511,10 @@ def _jet_eval(node: Expr, x: Jet) -> Jet:
             except ZeroDivisionError as exc:
                 raise ExprDomainError(
                     "zero raised to a negative power in '%s'" % to_text(node)) from exc
-        if _anywhere(base.coeffs[0] <= 0.0):
+        if (base.coeffs[0] <= 0.0).any():
             raise ExprDomainError(
                 "fractional power of a non-positive value in '%s'" % to_text(node))
-        scaled_log = Jet.constant(float(e), base.order) * _jet_log(base)
+        scaled_log = Jet.constant(float(e), base.order, base.size) * _jet_log(base)
         try:
             return _jet_exp(scaled_log)
         except ValueError as exc:
@@ -534,33 +528,32 @@ def _jet_eval(node: Expr, x: Jet) -> Jet:
     raise TypeError("unknown node %r" % (node,))
 
 
-def derivatives(ast: Expr, x0: float, count: int) -> list[float]:
-    """Values f(x0), f'(x0), ..., f^(count-1)(x0) from one jet evaluation."""
+def derivatives(ast: Expr, x0, count: int):
+    """Values f(x0), f'(x0), ..., f^(count-1)(x0) from one jet evaluation.
+
+    A float gives a list of ``count`` floats.  An array of n points gives
+    an array of shape (count, n) whose column l is what the float x0[l]
+    gives, bit for bit: every point goes through the same operations, and
+    overflow gives inf or nan as in scalar float arithmetic.  If any point
+    leaves the domain, :class:`ExprDomainError` names the first failing
+    sub-expression of the walk, which need not be the one a point-by-point
+    loop meets first.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
-    result = _jet_eval(ast, Jet.variable(x0, count))
-    out = []
-    fact = 1
-    for k, c in enumerate(result.coeffs):
-        if k:
-            fact *= k
-        out.append(fact * c)
-    return out
+    with np.errstate(all="ignore"):
+        coeffs = _jet_eval(ast, Jet.variable(x0, count)).coeffs
+    # k! * c_k, with k! rounded to a float as int * float rounds it.
+    rows = np.array([float(math.factorial(k)) * c for k, c in enumerate(coeffs)])
+    return rows[:, 0].tolist() if np.ndim(x0) == 0 else rows
 
 
 def evaluate(ast: Expr, x0):
     """Plain evaluation at a point or at every element of an array.
 
-    An array gives an array of the same shape and a float gives a float.
-    Either way the values are bit-identical to the first entry of
-    :func:`derivatives` at each point: the points ride through one walk
-    of the tree as an order-1 jet, which holds no sums.  If any point
-    leaves the domain, :class:`ExprDomainError` names the failing
-    sub-expression; overflow elsewhere gives inf or nan, as in scalar
-    float arithmetic.
+    An array gives an array of the same shape and a float gives a float:
+    row 0 of :func:`derivatives` at ``count`` 1.
     """
     points = np.asarray(x0, dtype=float)
-    with np.errstate(all="ignore"):
-        value = _jet_eval(ast, Jet((points.ravel(),))).coeffs[0]
-    values = np.broadcast_to(value, (points.size,)).reshape(points.shape)
-    return float(values) if points.ndim == 0 else values.copy()
+    values = derivatives(ast, points, 1)[0]
+    return values if points.ndim == 0 else values.reshape(points.shape)

@@ -272,9 +272,8 @@ def cumulative(f, grid: SampleGrid, q: int = 16) -> CumulativeIntegrals:
     are formed in index order, so F[l] equals the plain left-to-right sum
     of chi[0..l].  Batching changes no bits: each panel keeps its own
     ``math.fsum``, and :func:`dmint.exprtaylor.evaluate` computes each
-    element as it would a single point (order-1 jets hold no sums).  If f
-    fails, the error names the node at which a panel-by-panel integration
-    would first have failed.
+    element as it would a single point.  If f fails, the error names the
+    node at which a panel-by-panel integration would first have failed.
     """
     edges = np.array((0.0,) + grid.points)
     count, failure = len(grid.points), None

@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dmint
 from dmint.cli import main
 
 DEMO_P = ("--p=-(2*x^2+3)/(4*x)", "--p=-3/4", "--p=-x/8")
@@ -40,6 +44,14 @@ class TestReproduceTable:
         assert len(rows) == 5
         err4 = float(rows[4]["D_error"])
         assert err4 == pytest.approx(5.70e-7, rel=0.05)
+
+    def test_unwritable_output_exit_3(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "table.txt"
+        code, out, err = run(capsys, "reproduce-table", "--nu-max", "1",
+                             "--output", str(target))
+        assert code == 3 and out == ""
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
+        assert str(target) in err and not target.exists()
 
     def test_csv_and_json_agree(self, capsys):
         code, csv_out, _ = run(capsys, "reproduce-table", "--format", "csv")
@@ -218,6 +230,14 @@ class TestAccelerate:
         assert code == 3 and out == ""
         assert err == "invalid input: %s\n" % detail
 
+    def test_first_failing_grid_point_named(self, capsys):
+        # x = 1.6 is the first grid point to fail; one walk over all the
+        # points would meet 1/(x-3.2) first.
+        code, out, err = run(capsys, "accelerate", "--integrand", "1/(x-3.2)+1/(x-1.6)",
+                             "--grid", "linear:1.6", "--m", "2", "--nu-max", "2")
+        assert code == 3 and out == ""
+        assert err == "invalid input: division by zero in '1/(x-1.6)'\n"
+
     def test_syntax_error_exit_2(self, capsys):
         code, out, err = run(capsys, "accelerate", "--integrand", "sin(x",
                              "--grid", "linear:1.0")
@@ -240,3 +260,17 @@ class TestAccelerate:
                              "--output", str(target))
         assert code == 0 and out == ""
         assert target.read_text().startswith("nu,")
+
+
+@pytest.mark.parametrize("argv", [
+    ("accelerate", "--integrand=" + "+".join(["exp(-x)"] * 1500),
+     "--grid", "linear:1", "--m", "1"),
+    ("compose", "--p=" + "(" * 1200 + "x" + ")" * 1200, "--g=x"),
+])
+def test_deep_input_exit_3(argv):
+    # A fresh interpreter, so a traceback on stderr cannot go unseen.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dmint.__file__)))
+    result = subprocess.run([sys.executable, "-m", "dmint.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr == "invalid input: expression nested too deeply\n"

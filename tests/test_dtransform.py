@@ -19,6 +19,7 @@ from dmint.dtransform import (
 )
 
 from dmint.dtransform import _PIVOT_FLOOR, _WIDE
+from dmint.exprtaylor import ExprDomainError, derivatives
 
 PI_HALF = math.pi / 2
 PHI_REF = 2 * math.sqrt(math.pi) / 3
@@ -306,6 +307,30 @@ class TestDSequence:
         for m in (0, -1):
             with pytest.raises(ValueError, match="^m must be at least 1$"):
                 d_sequence("exp(-x)", "linear:1.0", m, 3)
+        with pytest.raises(ValueError, match="^the start index j must be non-negative$"):
+            d_sequence("exp(-x)", "linear:1.0", 1, 3, j=-1)
+
+    @pytest.mark.parametrize("source, grid, m, j", [
+        ("sinc(x)^2", "linear:1.6", 3, 0),
+        ("x^(1/2)*exp(-x)", "sqrtlinear:2", 2, 2),
+        ("exp(-x)", "linear:1.0", 1, 0),
+    ])
+    def test_one_derivatives_call_per_sequence(self, monkeypatch, source, grid, m, j):
+        calls = []
+
+        def counting(ast, x0, count):
+            calls.append((np.shape(x0), count))
+            return derivatives(ast, x0, count)
+
+        monkeypatch.setattr(dtransform, "derivatives", counting)
+        table = d_sequence(source, grid, m, 4, j=j)
+        assert calls == [((len(table.grid.points),), m)]
+
+    def test_failing_sample_point_named_as_point_by_point(self):
+        # The array walk fails first in 1/(x-3.2); the first grid point
+        # to fail is x = 1.6, in 1/(x-1.6).
+        with pytest.raises(ExprDomainError, match="^division by zero in '1/\\(x-1.6\\)'$"):
+            d_sequence("1/(x-3.2)+1/(x-1.6)", "linear:1.6", 2, 2)
 
     def test_grid_length_guard(self):
         from dmint.quad import grid_from_descriptor

@@ -229,6 +229,58 @@ class TestArrayEvaluate:
         assert "log(x-2)" in str(info.value)
 
 
+class TestArrayDerivatives:
+    # Points on both sides of |z| = 0.5 for sinc(x) and sinc(x-1); from
+    # the third on, every sinc(x) takes the quotient form.
+    POINTS = [0.25, 0.4999, 0.5, 0.5001, 1.4999, 1.5001, 2.0, 7.3, 31.0]
+    SOURCES = ("sinc(x)", "sinc(x-1)^3", "sinc(x^2)^2", "x^(-3/2)*sin(x)",
+               "x^(1/3)*cos(x)", "exp(-x)/x^2", "log(x)*sqrt(x)", "(1+x)^(-5/2)")
+
+    @staticmethod
+    def assert_columns_match(node, points, count):
+        rows = derivatives(node, np.array(points), count)
+        assert isinstance(rows, np.ndarray) and rows.shape == (count, len(points))
+        for x, column in zip(points, rows.T.tolist()):
+            assert [v.hex() for v in column] == [
+                v.hex() for v in derivatives(node, x, count)]
+
+    def test_fixed_expressions(self):
+        for source in self.SOURCES:
+            for count in (1, 2, 3, 5):
+                self.assert_columns_match(parse(source), self.POINTS, count)
+                self.assert_columns_match(parse(source), self.POINTS[2:], count)
+
+    def test_elementary_functions_are_the_math_modules(self):
+        # numpy's exp and log differ from the C library's in the last bit
+        # on some inputs; the jets must give the math module's values.
+        rng = random.Random(12)
+        points = [rng.uniform(0.01, 50.0) for _ in range(2000)]
+        for name in ("exp", "log", "sin", "cos", "sqrt"):
+            values = derivatives(parse("%s(x)" % name), np.array(points), 1)[0]
+            assert values.tolist() == [getattr(math, name)(x) for x in points]
+
+    def test_random_expressions(self):
+        rng = random.Random(11)
+        points = [rng.uniform(-4.0, 9.0) for _ in range(30)] + [
+            0.4999, 0.5001, -0.4999, -0.5001, 0.0]
+        compared = failed = 0
+        for _ in range(300):
+            node = random_expr(rng, rng.randint(1, 4))
+            count = rng.choice((1, 2, 3, 5))
+            try:
+                derivatives(node, np.array(points), count)
+            except ExprDomainError:
+                # Some point fails alone too.
+                with pytest.raises(ExprDomainError):
+                    for x in points:
+                        derivatives(node, x, count)
+                failed += 1
+                continue
+            self.assert_columns_match(node, points, count)
+            compared += 1
+        assert compared > 100 and failed > 20
+
+
 class TestDomainErrors:
     def test_log_and_sqrt(self):
         with pytest.raises(ExprDomainError) as info:

@@ -17,6 +17,7 @@ stdout; a single diagnostic line goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=16)
     p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
     p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_reproduce_table)
+    p.set_defaults(handler="_cmd_reproduce_table")
 
     p = sub.add_parser("compose",
                        help="transform ODE coefficients under x -> g(x)")
@@ -287,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True,
                    help="integer-exponent polynomial; " + RATIONAL_TEXT_HELP)
     p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_compose)
+    p.set_defaults(handler="_cmd_compose")
 
     p = sub.add_parser("check-b1",
                        help="test f = p_1 f' membership for a rational function")
     p.add_argument("--f", required=True, help=RATIONAL_TEXT_HELP)
     p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_check_b1)
+    p.set_defaults(handler="_cmd_check_b1")
 
     p = sub.add_parser("accelerate",
                        help="extrapolate the integral of an integrand over [0, inf)")
@@ -312,15 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'friendly' or 'rho:e0,e1,...' with m entries")
     p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
     p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_accelerate)
+    p.set_defaults(handler="_cmd_accelerate")
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # The handler is looked up by name on each call, so a function
+        # replaced on this module after the parser was built is the one run.
+        return globals()[args.handler](args)
     except ToleranceFailure as exc:
         print("tolerance failure: %s" % exc, file=sys.stderr)
         return 1

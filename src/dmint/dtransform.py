@@ -143,14 +143,16 @@ def solve_vector(matrix, rhs):
     work[:, :n] = a / scale
     work[:, n] = b
     for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(work[col:, col])))
+        pivot_row = col + int(np.abs(work[col:, col]).argmax())
         pivot = work[pivot_row, col]
         if abs(pivot) < _PIVOT_FLOOR:
             raise SingularSystemError("pivot %g below threshold in column %d"
                                       % (pivot, col))
         if pivot_row != col:
             # Left of col the rows hold spent entries that are never read.
-            work[[col, pivot_row], col:] = work[[pivot_row, col], col:]
+            spent = work[col, col:].copy()
+            work[col, col:] = work[pivot_row, col:]
+            work[pivot_row, col:] = spent
         factors = work[col + 1:, col] / pivot
         work[col + 1:, col + 1:] -= factors[:, None] * work[col, col + 1:]
     y = work[:, n]

@@ -328,7 +328,10 @@ class Jet:
 
     @classmethod
     def constant(cls, value: float, order: int, size: int) -> "Jet":
-        return cls([np.full(size, float(value))] + [np.zeros(size)] * (order - 1))
+        coeffs = [np.full(size, float(value))]
+        if order > 1:
+            coeffs += [np.zeros(size)] * (order - 1)
+        return cls(coeffs)
 
     @property
     def order(self) -> int:
@@ -389,12 +392,26 @@ def _jet_div(a: Jet, b: Jet) -> Jet:
 
 
 def _jet_ipow(u: Jet, k: int) -> Jet:
+    """u**k by square and multiply, about 2*log2(k) jet products.
+
+    Up to k = 3 the products are those of multiplying k times, regrouped:
+    each is a sum of the same rounded terms, and fsum is exact.  From k = 4
+    the grouping can change the last bits of a coefficient.
+    """
+    one = Jet.constant(1.0, u.order, u.size)
     if k < 0:
-        return _jet_div(Jet.constant(1.0, u.order, u.size), _jet_ipow(u, -k))
-    result = Jet.constant(1.0, u.order, u.size)
-    for _ in range(k):
-        result = result * u
-    return result
+        return _jet_div(one, _jet_ipow(u, -k))
+    if k == 0:
+        return one
+    # The factor is 1 * u, the first product of multiplying k times onto 1.
+    power, result = one * u, None
+    while True:
+        if k & 1:
+            result = power if result is None else result * power
+        k >>= 1
+        if not k:
+            return result
+        power = power * power
 
 
 def _jet_exp(u: Jet) -> Jet:
@@ -417,12 +434,19 @@ def _jet_log(u: Jet) -> Jet:
     return Jet(out)
 
 
-def _jet_sin_cos(u: Jet) -> tuple[Jet, Jet]:
-    s = [_apply(math.sin, u.coeffs[0])]
-    c = [_apply(math.cos, u.coeffs[0])]
-    for k in range(1, u.order):
-        s.append(_fsum([j * u.coeffs[j] * c[k - j] for j in range(1, k + 1)]) / k)
-        c.append(-_fsum([j * u.coeffs[j] * s[k - j] for j in range(1, k + 1)]) / k)
+def _jet_sin_cos(u: Jet, sin_order: int, cos_order: int) -> tuple[Jet, Jet]:
+    """sin(u) to ``sin_order`` coefficients and cos(u) to ``cos_order``.
+
+    Coefficient k of either reads the other only below k, so a caller that
+    needs one of them to order K asks for the other to order K - 1.
+    """
+    s = [_apply(math.sin, u.coeffs[0])] if sin_order else []
+    c = [_apply(math.cos, u.coeffs[0])] if cos_order else []
+    for k in range(1, max(sin_order, cos_order)):
+        if k < sin_order:
+            s.append(_fsum([j * u.coeffs[j] * c[k - j] for j in range(1, k + 1)]) / k)
+        if k < cos_order:
+            c.append(-_fsum([j * u.coeffs[j] * s[k - j] for j in range(1, k + 1)]) / k)
     return Jet(s), Jet(c)
 
 
@@ -458,7 +482,7 @@ def _jet_sinc(u: Jet) -> Jet:
 
 
 def _sinc_quotient(u: Jet) -> Jet:
-    s, _ = _jet_sin_cos(u)
+    s, _ = _jet_sin_cos(u, u.order, u.order - 1)
     return _jet_div(s, u)
 
 
@@ -466,13 +490,16 @@ def _sinc_series(u: Jet) -> Jet:
     square = u * u
     acc = Jet.constant(_SINC_TERMS[-1], u.order, u.size)
     for coeff in reversed(_SINC_TERMS[:-1]):
-        acc = acc * square + Jet.constant(coeff, u.order, u.size)
+        # acc * square plus the constant jet (coeff, 0, 0, ...); "+ 0.0"
+        # maps -0.0 to 0.0 as adding its zero coefficients does.
+        c0, *rest = (acc * square).coeffs
+        acc = Jet([c0 + coeff] + [ck + 0.0 for ck in rest])
     return acc
 
 
 _JET_FUNCTIONS = {
-    "sin": lambda u: _jet_sin_cos(u)[0],
-    "cos": lambda u: _jet_sin_cos(u)[1],
+    "sin": lambda u: _jet_sin_cos(u, u.order, u.order - 1)[0],
+    "cos": lambda u: _jet_sin_cos(u, u.order - 1, u.order)[1],
     "exp": _jet_exp,
     "log": _jet_log,
     "sqrt": _jet_sqrt,

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import dmint
+from dmint import cli
 from dmint.cli import main
 
 DEMO_P = ("--p=-(2*x^2+3)/(4*x)", "--p=-3/4", "--p=-x/8")
@@ -262,15 +263,57 @@ class TestAccelerate:
         assert target.read_text().startswith("nu,")
 
 
+def run_fresh(*argv):
+    """The CLI in a fresh interpreter, so a traceback on stderr cannot go
+    unseen, and a timeout turns a hang into a failure."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dmint.__file__)))
+    return subprocess.run([sys.executable, "-m", "dmint.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("argv", [
     ("accelerate", "--integrand=" + "+".join(["exp(-x)"] * 1500),
      "--grid", "linear:1", "--m", "1"),
     ("compose", "--p=" + "(" * 1200 + "x" + ")" * 1200, "--g=x"),
 ])
 def test_deep_input_exit_3(argv):
-    # A fresh interpreter, so a traceback on stderr cannot go unseen.
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dmint.__file__)))
-    result = subprocess.run([sys.executable, "-m", "dmint.cli", *argv],
-                            capture_output=True, text=True, env=env, timeout=60)
+    result = run_fresh(*argv)
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr == "invalid input: expression nested too deeply\n"
+
+
+def test_huge_integer_power_integrand_exit_3():
+    # x^1000000000 by square and multiply overflows in a few dozen jet
+    # products; multiplied out one factor at a time it would run for hours.
+    result = run_fresh("accelerate", "--integrand", "x^1000000000*exp(-x)",
+                       "--grid", "linear:1", "--m", "1", "--nu-max", "1")
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr.startswith("invalid input: ")
+    assert result.stderr.endswith("non-finite value inf\n")
+
+
+class TestSharedParser:
+    """main() builds its parser once; no state may carry between calls."""
+
+    def test_repeated_append_options(self, capsys):
+        first = run(capsys, "compose", *DEMO_P, "--g=x^2")
+        second = run(capsys, "compose", *DEMO_P, "--g=x^2")
+        assert first[0] == 0 and first == second
+
+    def test_defaults_restored_after_an_option(self, capsys):
+        code, out, err = run(capsys, "reproduce-table", "--nu-max", "2", "--format", "csv")
+        assert code == 0 and out.startswith("integrand,nu,")
+        code, out, err = run(capsys, "reproduce-table")
+        assert code == 0 and out.startswith("D^(3) transformation")
+        assert len([line for line in out.splitlines() if line[:3].strip().isdigit()]) == 11
+
+    def test_handler_looked_up_at_call_time(self, capsys, monkeypatch):
+        assert run(capsys, "reproduce-table", "--nu-max", "1")[0] == 0
+        calls = []
+        monkeypatch.setattr(cli, "_cmd_reproduce_table",
+                            lambda args: calls.append(args.nu_max) or 0)
+        assert run(capsys, "reproduce-table", "--nu-max", "3") == (0, "", "")
+        assert calls == [3]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

@@ -186,6 +186,16 @@ class TestBuildAndSolve:
             assert_same_solve(matrix, rhs)
         assert swaps > 100
 
+    def test_pivot_off_the_diagonal_in_every_column(self):
+        # Row c+1 carries the dominant entry of column c, and row 0 that of
+        # the last column; elimination keeps the dominance, so every column
+        # but the last takes its pivot from the row below and swaps.
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 17, 40):
+            dominant = rng.standard_normal((n, n)) + np.diag(10.0 ** rng.uniform(9, 12, n))
+            matrix = dominant[np.roll(np.arange(n), 1)]
+            assert_same_solve(matrix, rng.standard_normal(n))
+
     def test_singular_messages_match_two_array_elimination(self):
         for matrix in ([[1.0, 1.0], [1.0, 1.0]],          # pivot exactly 0
                        [[1.0, 1.0], [0.0, 1e-305]],       # non-zero, below the floor

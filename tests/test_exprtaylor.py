@@ -162,6 +162,35 @@ class TestDerivatives:
                     assert composed_vals[n] == pytest.approx(assembled, rel=1e-10)
 
 
+class TestRowsIndependentOfCount:
+    # sin and cos jets are carried only to the orders a caller reads; a
+    # row must not change when more rows are asked for.  Points lie on both
+    # sides of |z| = 0.5, where sinc switches between series and quotient.
+    POINTS = np.array([0.1, 0.4999, 0.5, 0.5001, -0.5001, 0.7, 2.3, -9.1])
+
+    @pytest.mark.parametrize("source", ["sin(x)", "cos(x)", "sin(x)*cos(x)",
+                                        "sinc(x)", "sinc(x^2)^2"])
+    def test_rows_match_a_longer_jet(self, source):
+        node = parse(source)
+        for count in range(1, 6):
+            short = derivatives(node, self.POINTS, count)
+            longer = derivatives(node, self.POINTS, count + 2)[:count]
+            assert [v.hex() for v in short.ravel()] == [v.hex() for v in longer.ravel()]
+
+
+class TestIntegerPowers:
+    def test_huge_exponents(self):
+        # Exact integers at x = 1: n, n(n-1) and -n, n(n+1).
+        assert derivatives(parse("x^100000"), 1.0, 3) == [1.0, 1e5, 9999900000.0]
+        assert derivatives(parse("x^(-100000)"), 1.0, 3) == [1.0, -1e5, 10000100000.0]
+
+    def test_cube_is_three_products(self):
+        points = np.array([0.3, 0.4999, 0.5001, 1.7, 6.2, -3.3])
+        cube = derivatives(parse("sinc(x)^3"), points, 4)
+        product = derivatives(parse("sinc(x)*sinc(x)*sinc(x)"), points, 4)
+        assert [v.hex() for v in cube.ravel()] == [v.hex() for v in product.ravel()]
+
+
 class TestEvaluate:
     def test_sinc_at_zero(self):
         assert evaluate(parse("sinc(x)"), 0.0) == 1.0

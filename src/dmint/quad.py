@@ -10,11 +10,15 @@ nodes of the q-point rule, then those of the doubled rule, then the
 halves of any panel the doubling flags.  Each panel is still summed on its
 own with ``math.fsum``, so for an integrand that acts element by element
 (as :func:`dmint.exprtaylor.evaluate` does, bit for bit) the results are
-exactly those of integrating panel after panel, node by node.
+exactly those of integrating panel after panel, node by node.  A failed
+rule raises :class:`QuadratureError` naming its first failing node, and a
+failed batch is replayed panel by panel to find the first failing panel.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -24,14 +28,6 @@ import numpy as np
 
 class QuadratureError(ValueError):
     """Evaluator failure inside a panel; carries the offending node."""
-
-
-class _PanelFailure(Exception):
-    """The integrand failed at a node of panel ``panel`` of a batch."""
-
-    def __init__(self, panel: int, message: str):
-        super().__init__(message)
-        self.panel = panel
 
 
 @dataclass(frozen=True)
@@ -48,13 +44,13 @@ class SampleGrid:
     def __post_init__(self):
         if not self.points:
             raise ValueError("a sample grid needs at least one point")
+        if not all(math.isfinite(p) for p in self.points):
+            raise ValueError("grid points must be finite")
         if self.points[0] <= 0.0:
             raise ValueError("the first grid point must be positive")
         for a, b in zip(self.points, self.points[1:]):
             if not b > a:
                 raise ValueError("grid points must be strictly increasing")
-        if not all(math.isfinite(p) for p in self.points):
-            raise ValueError("grid points must be finite")
 
     def __len__(self):
         return len(self.points)
@@ -102,9 +98,9 @@ class CumulativeIntegrals:
 
 
 _MAX_NODES = 64
-_gauss_cache: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
 
 
+@functools.cache
 def gauss_nodes(q: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Nodes and weights of the q-point Gauss-Legendre rule on [-1, 1].
 
@@ -114,14 +110,9 @@ def gauss_nodes(q: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """
     if not (isinstance(q, int) and 1 <= q <= _MAX_NODES):
         raise ValueError("node count must be an integer in [1, %d]" % _MAX_NODES)
-    cached = _gauss_cache.get(q)
-    if cached is not None:
-        return cached
     if q == 2:
         s = 1.0 / math.sqrt(3.0)
-        result = ((-s, s), (1.0, 1.0))
-        _gauss_cache[q] = result
-        return result
+        return (-s, s), (1.0, 1.0)
     half: list[tuple[float, float]] = []
     for i in range(1, q // 2 + 1):
         x = math.cos(math.pi * (i - 0.25) / (q + 0.5))
@@ -155,9 +146,7 @@ def gauss_nodes(q: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     for x, w in reversed(half):
         nodes.append(x)
         weights.append(w)
-    result = (tuple(nodes), tuple(weights))
-    _gauss_cache[q] = result
-    return result
+    return tuple(nodes), tuple(weights)
 
 
 def _values(f, x):
@@ -202,7 +191,7 @@ def _rule(f, lefts, rights, q: int) -> list[float]:
     """q-point Gauss-Legendre values of the panels [lefts[i], rights[i]].
 
     The nodes of all panels go to f in one array, panel after panel.  A
-    failure raises :class:`_PanelFailure` for the first failing node in
+    failure raises :class:`QuadratureError` for the first failing node in
     that order.
     """
     nodes, weights = gauss_nodes(q)
@@ -213,9 +202,9 @@ def _rule(f, lefts, rights, q: int) -> list[float]:
     if error is not None:
         index, error = _first_failure(f, x, error)
         panel = index // q
-        raise _PanelFailure(panel, "integrand failed at node x=%r in panel [%r, %r]: %s"
-                            % (float(x[index]), float(lefts[panel]),
-                               float(rights[panel]), error)) from error
+        raise QuadratureError("integrand failed at node x=%r in panel [%r, %r]: %s"
+                              % (float(x[index]), float(lefts[panel]),
+                                 float(rights[panel]), error)) from error
     rows = (np.array(weights) * values.reshape(-1, q)).tolist()
     return [h * math.fsum(row) for h, row in zip(halfwidth.tolist(), rows)]
 
@@ -231,10 +220,7 @@ def panel_integrate(f, a: float, b: float, q: int = 16) -> float:
     """
     if not b > a:
         raise ValueError("need a < b, got [%r, %r]" % (a, b))
-    try:
-        return _rule(f, np.array([a], dtype=float), np.array([b], dtype=float), q)[0]
-    except _PanelFailure as exc:
-        raise QuadratureError(str(exc)) from exc.__cause__
+    return _rule(f, np.array([a], dtype=float), np.array([b], dtype=float), q)[0]
 
 
 def _panels(f, lefts, rights, q: int) -> list[float]:
@@ -252,11 +238,8 @@ def _panels(f, lefts, rights, q: int) -> list[float]:
     if flagged:
         a, b = lefts[flagged], rights[flagged]
         mid = 0.5 * (a + b)
-        try:
-            halves = _rule(f, np.column_stack((a, mid)).ravel(),
-                           np.column_stack((mid, b)).ravel(), refined)
-        except _PanelFailure as exc:
-            raise _PanelFailure(flagged[exc.panel // 2], str(exc)) from exc.__cause__
+        halves = _rule(f, np.column_stack((a, mid)).ravel(),
+                       np.column_stack((mid, b)).ravel(), refined)
         for n, i in enumerate(flagged):
             chi[i] = halves[2 * n] + halves[2 * n + 1]
     return chi
@@ -272,24 +255,20 @@ def cumulative(f, grid: SampleGrid, q: int = 16) -> CumulativeIntegrals:
     are formed in index order, so F[l] equals the plain left-to-right sum
     of chi[0..l].  Batching changes no bits: each panel keeps its own
     ``math.fsum``, and :func:`dmint.exprtaylor.evaluate` computes each
-    element as it would a single point.  If f fails, the error names the
-    node at which a panel-by-panel integration would first have failed.
+    element as it would a single point.  If the batch fails, the panels
+    are replayed one at a time (one call of f per stage) and the first
+    failure is raised as ``panel i: ...``, the error a panel-by-panel
+    integration hits first; if none fails alone, the batch's error stands.
     """
     edges = np.array((0.0,) + grid.points)
-    count, failure = len(grid.points), None
-    while count:
-        try:
-            chi = _panels(f, edges[:count], edges[1:count + 1], q)
-        except _PanelFailure as exc:
-            # A panel before this one may still fail at a later stage.
-            failure, count = exc, exc.panel
-        else:
-            break
-    if failure is not None:
-        raise QuadratureError("panel %d: %s" % (failure.panel, failure)) from failure.__cause__
-    F = []
-    total = 0.0
-    for value in chi:
-        total = total + value
-        F.append(total)
-    return CumulativeIntegrals(tuple(chi), tuple(F), q)
+    try:
+        chi = _panels(f, edges[:-1], edges[1:], q)
+    except QuadratureError:
+        for i in range(len(grid.points)):
+            try:
+                _panels(f, edges[i:i + 1], edges[i + 1:i + 2], q)
+            except QuadratureError as exc:
+                raise QuadratureError("panel %d: %s" % (i, exc)) from exc.__cause__
+        raise
+    F = tuple(itertools.accumulate(chi, initial=0.0))[1:]
+    return CumulativeIntegrals(tuple(chi), F, q)

@@ -182,9 +182,10 @@ class GeneralizedPolynomial:
         power = GeneralizedPolynomial.one()
         current = 0
         for n in sorted(self.terms):
-            while current < n:
-                power = power * g
-                current += 1
+            if n > current:
+                # A gap of 1, the only one in a dense input, costs one product.
+                power = power * (g if n - current == 1 else g ** (n - current))
+                current = n
             result = result + power.scaled(self.terms[n])
         return result
 

@@ -292,6 +292,14 @@ def test_huge_integer_power_integrand_exit_3():
     assert result.stderr.endswith("non-finite value inf\n")
 
 
+def test_huge_integer_power_compose():
+    # Substituting g into x^1000000000 jumps the exponent gap by square and
+    # multiply; one product per unit of exponent would run for hours.
+    result = run_fresh("compose", "--p=x^1000000000", "--g=x^2")
+    assert result.returncode == 0 and result.stderr == ""
+    assert result.stdout.splitlines()[:2] == ["pi_1 = x^1999999999/2", "r = (1999999999)"]
+
+
 class TestSharedParser:
     """main() builds its parser once; no state may carry between calls."""
 

@@ -77,7 +77,8 @@ class TestGaussNodes:
             assert all(a < b for a, b in zip(nodes, nodes[1:]))
 
     def test_unsupported_order(self):
-        for q in (0, -1, 65, 2.5):
+        gauss_nodes(2)  # a cached rule for 2 must not admit 2.0
+        for q in (0, -1, 65, 2.5, 2.0):
             with pytest.raises(ValueError):
                 gauss_nodes(q)
 
@@ -134,7 +135,10 @@ class TestPanels:
         f = make_eval("log(x-2)")
         with pytest.raises(QuadratureError) as info:
             panel_integrate(f, 0.0, 1.0, 4)
-        assert "node" in str(info.value)
+        assert str(info.value) == (
+            "integrand failed at node x=0.06943184420297371 in panel [0.0, 1.0]: "
+            "log of a non-positive value in 'log(x-2)'")
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 class TestGrids:
@@ -167,6 +171,12 @@ class TestGrids:
             SampleGrid((1.0, 1.0))
         with pytest.raises(ValueError):
             SampleGrid(())
+
+    @pytest.mark.parametrize("descriptor", ["linear:1e999", "linear:1e308"])
+    def test_non_finite_points_named_before_ordering(self, descriptor):
+        # inf and nan also fail the ordering test; the message names the cause.
+        with pytest.raises(ValueError, match="^grid points must be finite$"):
+            grid_from_descriptor(descriptor, 4)
 
 
 class TestCumulative:
@@ -252,6 +262,38 @@ class TestCumulative:
         assert str(info.value) == (
             "panel 2: integrand failed at node x=2.591717321247825 in panel "
             "[2.0, 3.0]: non-finite value inf")
+
+    def test_batch_error_stands_when_no_panel_fails_alone(self):
+        # An integrand that fails on long arrays only: the batch fails,
+        # the panel-by-panel replay does not, so the batch's error is raised.
+        def f(t):
+            if t.size > 16:
+                raise ValueError("too many nodes")
+            return np.exp(-t)
+
+        grid = grid_from_descriptor("linear:1.0", 4)
+        with pytest.raises(QuadratureError) as info:
+            cumulative(f, grid, 8)
+        assert str(info.value) == (
+            "integrand failed at node x=2.019855071751232 in panel [2.0, 3.0]: "
+            "too many nodes")
+
+    def test_replay_stops_at_the_first_failing_panel(self):
+        calls = []
+        node = parse("log(2.5-x)")
+
+        def f(t):
+            calls.append(t.size)
+            return evaluate(node, t)
+
+        with pytest.raises(QuadratureError, match="^panel 2: "):
+            cumulative(f, grid_from_descriptor("linear:1.0", 6), 8)
+        # The batch's first rule and the bisection to its first failing
+        # node; panel 0 (two rules), panel 1 (two rules and its halves);
+        # panel 2, whose first rule fails, and its bisection.  Panels 3
+        # to 5 are not replayed.
+        assert calls == [48, 24, 12, 18, 21, 19, 20,
+                         8, 16, 8, 16, 32, 8, 4, 6, 5]
 
     def test_integrand_must_return_an_array(self):
         grid = grid_from_descriptor("linear:1.0", 2)

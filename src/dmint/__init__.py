@@ -1,54 +1,77 @@
-"""Exact ODE-coefficient composition and D-transformation integral acceleration."""
+"""Exact ODE-coefficient composition and D-transformation integral acceleration.
 
-from .symseries import (
-    AsymptoticProfile,
-    GeneralizedPolynomial,
-    GeneralizedRational,
-    RationalParseError,
-    compose_poly,
-    parse_rational,
-    profile,
-    to_text,
-)
-from .bell import PartitionIndex, bell_eval, enumerate_indices, l_matrix
-from .compose import (
-    B1Report,
-    CompositionResult,
-    OdeCoefficients,
-    OrderBounds,
-    compose_ode,
-    order_bounds,
-    rho_bounds,
-    verify_b1_membership,
-)
-from .exprtaylor import (
-    ExprDomainError,
-    ExprSyntaxError,
-    Jet,
-    derivatives,
-    evaluate,
-    parse,
-)
-from .quad import (
-    CumulativeIntegrals,
-    QuadratureError,
-    SampleGrid,
-    cumulative,
-    gauss_nodes,
-    grid_from_descriptor,
-    panel_integrate,
-)
-from .dtransform import (
-    DSystemSpec,
-    ExtrapolationTable,
-    SampleRow,
-    SingularSystemError,
-    TableEntry,
-    build_system,
-    d_sequence,
-    friendly_exponents,
-    solve,
-    solve_vector,
-)
+The package namespace is lazy (PEP 562): ``import dmint`` loads no
+submodule, and each name below loads its own module on first use.  The
+exact half (``symseries``, ``bell``, ``compose``) and the parser (``expr``)
+do not load numpy; the numeric names (jets, quadrature, the D^(m)
+transformation) do.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "symseries": (
+        "AsymptoticProfile",
+        "GeneralizedPolynomial",
+        "GeneralizedRational",
+        "RationalParseError",
+        "compose_poly",
+        "parse_rational",
+        "profile",
+        "to_text",
+    ),
+    "bell": ("PartitionIndex", "bell_eval", "enumerate_indices", "l_matrix"),
+    "compose": (
+        "B1Report",
+        "CompositionResult",
+        "OdeCoefficients",
+        "OrderBounds",
+        "compose_ode",
+        "order_bounds",
+        "rho_bounds",
+        "verify_b1_membership",
+    ),
+    "expr": ("ExprSyntaxError", "SingularSystemError", "parse"),
+    "exprtaylor": ("ExprDomainError", "Jet", "derivatives", "evaluate"),
+    "quad": (
+        "CumulativeIntegrals",
+        "QuadratureError",
+        "SampleGrid",
+        "cumulative",
+        "gauss_nodes",
+        "grid_from_descriptor",
+        "panel_integrate",
+    ),
+    "dtransform": (
+        "DSystemSpec",
+        "ExtrapolationTable",
+        "SampleRow",
+        "TableEntry",
+        "build_system",
+        "d_sequence",
+        "friendly_exponents",
+        "solve",
+        "solve_vector",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF) + sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        # A submodule; importing it also binds it on the package.
+        return import_module("." + name, __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

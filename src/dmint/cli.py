@@ -22,7 +22,10 @@ import math
 import sys
 
 from . import compose as compose_mod
-from . import dtransform, exprtaylor, symseries
+from . import expr, symseries
+
+# dtransform and exprtaylor load numpy, so only the numeric handlers import
+# them; the exact commands (compose, check-b1) start without numpy.
 
 
 # Reference error decay for the two demo integrals on their standard
@@ -73,6 +76,7 @@ def _d_notation(value) -> str:
 
 
 def _run_demo_tables(nu_max: int, node_count: int = 16):
+    from . import dtransform
     tables = {}
     for name in ("f", "phi"):
         source, grid, reference = BUILTIN_INTEGRANDS[name]
@@ -203,9 +207,10 @@ def _cmd_check_b1(args) -> int:
 
 
 def _parse_reference(text: str) -> float:
-    ast = exprtaylor.parse(text)
-    if exprtaylor.has_variable(ast):
-        raise exprtaylor.ExprSyntaxError("reference value must not contain x", 0)
+    from . import exprtaylor
+    ast = expr.parse(text)
+    if expr.has_variable(ast):
+        raise expr.ExprSyntaxError("reference value must not contain x", 0)
     return exprtaylor.evaluate(ast, 1.0)
 
 
@@ -225,6 +230,7 @@ def _parse_exponents(text: str, m: int):
 
 
 def _cmd_accelerate(args) -> int:
+    from . import dtransform
     if args.integrand in BUILTIN_INTEGRANDS:
         source, default_grid, default_reference = BUILTIN_INTEGRANDS[args.integrand]
         grid = args.grid or default_grid
@@ -238,7 +244,7 @@ def _cmd_accelerate(args) -> int:
     if args.reference is not None:
         reference = _parse_reference(args.reference)
     exponents = _parse_exponents(args.exponents, args.m)
-    ast = exprtaylor.parse(source)
+    ast = expr.parse(source)
     table = dtransform.d_sequence(ast, grid, args.m, args.nu_max,
                                   exponents=exponents, j=args.j,
                                   reference=reference, node_count=args.nodes)
@@ -331,10 +337,10 @@ def main(argv=None) -> int:
     except ToleranceFailure as exc:
         print("tolerance failure: %s" % exc, file=sys.stderr)
         return 1
-    except (symseries.RationalParseError, exprtaylor.ExprSyntaxError) as exc:
+    except (symseries.RationalParseError, expr.ExprSyntaxError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except dtransform.SingularSystemError as exc:
+    except expr.SingularSystemError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 4
     except (ValueError, TypeError, ZeroDivisionError) as exc:

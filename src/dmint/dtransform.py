@@ -27,16 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .exprtaylor import Expr, derivatives, evaluate, parse, to_text
+from .expr import Expr, SingularSystemError, parse, to_text
+from .exprtaylor import derivatives, evaluate
 from .quad import SampleGrid, cumulative, grid_from_descriptor
-
-
-class SingularSystemError(ArithmeticError):
-    """The extrapolation system is numerically singular; no value is returned."""
-
-    def __init__(self, message: str, nu: int | None = None):
-        super().__init__(message)
-        self.nu = nu
 
 
 @dataclass(frozen=True)

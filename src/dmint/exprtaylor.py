@@ -1,22 +1,4 @@
-"""Expression parsing and truncated-Taylor (jet) differentiation.
-
-The grammar::
-
-    expr    := term (("+"|"-") term)*
-    term    := factor (("*"|"/") factor)*
-    factor  := ("-")? power
-    power   := atom ("^" exponent)?
-    atom    := NUMBER | "pi" | "x" | NAME "(" expr ")" | "(" expr ")"
-
-NUMBER is a decimal literal, NAME is one of sin, cos, exp, log, sqrt,
-sinc, and exponent is a rational literal (``2``, ``-3``, ``(1/2)``).  Power
-binds tighter than unary minus, which binds tighter than * and /.  This
-is the package's only grammar; its entry points differ in one rule:
-
-* integrand text, :func:`parse`: an exponent also takes a bare ``/digits``
-  (longest match), so ``x^1/2`` is x^(1/2) while ``x^2/x`` is a division;
-* rational text, :func:`dmint.symseries.parse_rational`: ``x^3/2`` is
-  (x^3)/2, as :func:`dmint.symseries.to_text` writes it.
+"""Truncated-Taylor (jet) evaluation and differentiation of expressions.
 
 A jet of order m carries the Taylor coefficients c_0..c_{m-1} of a
 function at many expansion points at once, each coefficient an array
@@ -29,280 +11,48 @@ one-point jet: a sum of products is ``math.fsum`` at each point, and
 the elementary functions are the math module's, applied element by
 element.  An array of points therefore gives, bit for bit, what each
 point gives alone.
+
+The trees come from :mod:`dmint.expr`, the package's one grammar; its
+names are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-
-class ExprSyntaxError(ValueError):
-    """Syntax error with the offending source position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__("%s (position %d)" % (message, position))
-        self.position = position
+# The parser's names, re-exported so that imports from this module keep working.
+from .expr import (
+    FUNCTIONS,
+    BinOp,
+    Call,
+    Expr,
+    ExprSyntaxError,
+    Neg,
+    Num,
+    PiConst,
+    Pow,
+    Var,
+    has_variable,
+    parse,
+    to_text,
+    _ATOM,
+    _BARE_EXPONENT_SUFFIX,
+    _POWER,
+    _PRECEDENCE,
+    _TOKEN_RE,
+    _UNARY,
+    _Parser,
+    _render,
+    _render_number,
+    _tokenize,
+)
 
 
 class ExprDomainError(ValueError):
     """Evaluation left the domain of a sub-expression (log/sqrt/division)
     or overflowed it (exp)."""
-
-
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "sinc")
-
-
-class Expr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Num(Expr):
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class PiConst(Expr):
-    pass
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    pass
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    operand: Expr
-
-
-@dataclass(frozen=True)
-class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: Fraction
-
-
-@dataclass(frozen=True)
-class Call(Expr):
-    func: str
-    arg: Expr
-
-
-# -- parsing -----------------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"(?P<num>\d+(?:\.\d*)?|\.\d+)|(?P<name>[A-Za-z_]\w*)"
-                       r"|(?P<op>[-+*/^()])|(?P<space>\s+)")
-
-
-def _tokenize(source: str):
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ExprSyntaxError("unexpected character %r" % source[pos], pos)
-        if m.lastgroup != "space":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(source)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, source: str, bare_fraction_exponents: bool = True):
-        self.tokens = _tokenize(source)
-        self.index = 0
-        # x^1/2 is x^(1/2) in integrand text, (x^1)/2 in rational text.
-        self.bare_fraction_exponents = bare_fraction_exponents
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def advance(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect(self, text: str):
-        kind, value, pos = self.advance()
-        if value != text:
-            raise ExprSyntaxError("expected %r, found %r" % (text, value or "end"), pos)
-
-    def parse(self) -> Expr:
-        node = self.expr()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError("unexpected %r" % value, pos)
-        return node
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> Expr:
-        if self.peek()[1] == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek()[1] != "^":
-            return base
-        self.advance()
-        return Pow(base, self.exponent())
-
-    def exponent(self) -> Fraction:
-        wrapped = self.peek()[1] == "("
-        if wrapped:
-            self.advance()
-        sign = 1
-        if self.peek()[1] == "-":
-            self.advance()
-            sign = -1
-        kind, value, pos = self.advance()
-        if kind != "num":
-            raise ExprSyntaxError("expected a rational exponent", pos)
-        result = Fraction(value)
-        if ((wrapped or self.bare_fraction_exponents) and self.peek()[1] == "/"
-                and self.tokens[self.index + 1][0] == "num"):
-            self.advance()
-            kind, value, pos = self.advance()
-            if Fraction(value) == 0:
-                raise ExprSyntaxError("zero exponent denominator", pos)
-            result /= Fraction(value)
-        if wrapped:
-            self.expect(")")
-        return sign * result
-
-    def atom(self) -> Expr:
-        kind, value, pos = self.advance()
-        if kind == "num":
-            return Num(Fraction(value))
-        if kind == "name":
-            if value == "x":
-                return Var()
-            if value == "pi":
-                return PiConst()
-            if value in FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return Call(value, arg)
-            raise ExprSyntaxError("unknown identifier %r" % value, pos)
-        if value == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ExprSyntaxError("unexpected %r" % (value or "end"), pos)
-
-
-def parse(source: str) -> Expr:
-    """Parse an integrand expression into its AST; ``x^1/2`` is x^(1/2)."""
-    return _Parser(source).parse()
-
-
-def has_variable(node: Expr) -> bool:
-    """Whether x occurs anywhere in the expression."""
-    return isinstance(node, Var) or any(
-        isinstance(child, Expr) and has_variable(child)
-        for child in vars(node).values())
-
-
-# -- printing ----------------------------------------------------------------
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-_UNARY = 3
-_POWER = 4
-_ATOM = 5
-_BARE_EXPONENT_SUFFIX = re.compile(r"\^\d+$")
-
-
-def _render(node: Expr, context: int) -> str:
-    if isinstance(node, Num):
-        text, prec = _render_number(node.value)
-    elif isinstance(node, PiConst):
-        text, prec = "pi", _ATOM
-    elif isinstance(node, Var):
-        text, prec = "x", _ATOM
-    elif isinstance(node, Call):
-        text, prec = "%s(%s)" % (node.func, _render(node.arg, 0)), _ATOM
-    elif isinstance(node, Neg):
-        text, prec = "-" + _render(node.operand, _UNARY), _UNARY
-    elif isinstance(node, Pow):
-        e = node.exponent
-        if e.denominator == 1 and e >= 0:
-            suffix = "^%d" % e
-        elif e.denominator == 1:
-            suffix = "^(%d)" % e
-        else:
-            suffix = "^(%d/%d)" % (e.numerator, e.denominator)
-        text, prec = _render(node.base, _ATOM) + suffix, _POWER
-    elif isinstance(node, BinOp):
-        prec = _PRECEDENCE[node.op]
-        left = _render(node.left, prec)
-        right = _render(node.right, prec + 1)
-        if node.op == "/" and _BARE_EXPONENT_SUFFIX.search(left) \
-                and right[:1] in "0123456789.":
-            # "x^2/3" would re-lex as the exponent 2/3; keep the division.
-            right = "(%s)" % right
-        text = "%s%s%s" % (left, node.op, right)
-    else:
-        raise TypeError("unknown node %r" % (node,))
-    if prec < context:
-        return "(%s)" % text
-    return text
-
-
-def _render_number(value: Fraction) -> tuple[str, int]:
-    if value.denominator == 1:
-        return str(value.numerator), _ATOM if value >= 0 else _UNARY
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den == 1:
-        digits = max(twos, fives)
-        scaled = value.numerator * 10 ** digits // value.denominator
-        text = str(abs(scaled)).rjust(digits + 1, "0")
-        text = text[:-digits] + "." + text[-digits:]
-        if scaled < 0:
-            text = "-" + text
-        return text, _ATOM if value >= 0 else _UNARY
-    # Not exactly representable as a decimal literal; fall back to a
-    # quotient, which round-trips by value rather than structure.
-    return "(%d/%d)" % (value.numerator, value.denominator), _ATOM
-
-
-def to_text(node: Expr) -> str:
-    """Render the AST in the input grammar; parses back to an equal tree."""
-    return _render(node, 0)
 
 
 # -- jets --------------------------------------------------------------------

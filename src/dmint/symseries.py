@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import exprtaylor
+from . import expr
 
 
 class RationalParseError(ValueError):
@@ -161,7 +161,7 @@ class GeneralizedPolynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        return _power(self, k, GeneralizedPolynomial.one())
+        return _power(self, k, GeneralizedPolynomial.one)
 
     def scaled(self, factor) -> "GeneralizedPolynomial":
         f = _as_fraction(factor)
@@ -216,15 +216,18 @@ def _lcm(a: int, b: int) -> int:
 
 
 def _power(base, k: int, one):
-    # Square and multiply: about 2*log2(k) products instead of k.
-    result = one
-    while k:
+    # Square and multiply: about 2*log2(k) products instead of k, none of
+    # them by 1.  ``one`` makes the identity, which only k = 0 returns.
+    if k == 0:
+        return one()
+    result = None
+    while True:
         if k & 1:
-            result = result * base
+            result = base if result is None else result * base
         k >>= 1
-        if k:
-            base = base * base
-    return result
+        if not k:
+            return result
+        base = base * base
 
 
 # -- dense helpers for gcd over Fraction coefficient lists ------------------
@@ -337,7 +340,12 @@ class GeneralizedRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return GeneralizedRational(-self.numerator, self.denominator)
+        # Negating the numerator keeps the pair canonical (same gcd, same
+        # monic denominator), so the result is built without reducing it.
+        result = object.__new__(GeneralizedRational)
+        result.numerator = -self.numerator
+        result.denominator = self.denominator
+        return result
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -382,7 +390,7 @@ class GeneralizedRational:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of the zero function")
             return GeneralizedRational(self.denominator, self.numerator) ** (-k)
-        return _power(self, k, GeneralizedRational.one())
+        return _power(self, k, GeneralizedRational.one)
 
     def derivative(self) -> "GeneralizedRational":
         num, den = self.numerator, self.denominator
@@ -675,34 +683,34 @@ def _monomial_power(base: GeneralizedRational, exponent: Fraction) -> Generalize
         GeneralizedPolynomial.monomial(coeff, e.numerator, e.denominator))
 
 
-def _lower(node: exprtaylor.Expr) -> GeneralizedRational:
+def _lower(node: expr.Expr) -> GeneralizedRational:
     # The operations, and their order, are those of reading the text left
     # to right.  A left-nested chain such as a long sum is walked in a
     # loop, so its length is not bounded by the recursion limit.
     chain = []
-    while isinstance(node, exprtaylor.BinOp):
+    while isinstance(node, expr.BinOp):
         chain.append(node)
         node = node.left
-    if isinstance(node, exprtaylor.Num):
+    if isinstance(node, expr.Num):
         value = GeneralizedRational(GeneralizedPolynomial.constant(node.value))
-    elif isinstance(node, exprtaylor.Var):
+    elif isinstance(node, expr.Var):
         value = GeneralizedRational.variable()
-    elif isinstance(node, exprtaylor.Neg):
+    elif isinstance(node, expr.Neg):
         value = -_lower(node.operand)
-    elif isinstance(node, exprtaylor.Pow):
+    elif isinstance(node, expr.Pow):
         value = _lower(node.base)
         if node.exponent.denominator != 1:
             value = _monomial_power(value, node.exponent)
         elif node.exponent < 0 and value.is_zero:
             raise RationalParseError(
-                "negative power of zero in '%s'" % exprtaylor.to_text(node))
+                "negative power of zero in '%s'" % expr.to_text(node))
         else:
             value = value ** node.exponent.numerator
-    elif isinstance(node, exprtaylor.Call) and node.func == "sqrt":
+    elif isinstance(node, expr.Call) and node.func == "sqrt":
         value = _monomial_power(_lower(node.arg), Fraction(1, 2))
     else:
         raise RationalParseError(
-            "'%s' is not a rational function of x" % exprtaylor.to_text(node))
+            "'%s' is not a rational function of x" % expr.to_text(node))
     for op in reversed(chain):
         rhs = _lower(op.right)
         if op.op == "+":
@@ -712,7 +720,7 @@ def _lower(node: exprtaylor.Expr) -> GeneralizedRational:
         elif op.op == "*":
             value = value * rhs
         elif rhs.is_zero:
-            raise RationalParseError("division by zero in '%s'" % exprtaylor.to_text(op))
+            raise RationalParseError("division by zero in '%s'" % expr.to_text(op))
         else:
             value = value / rhs
     return value
@@ -721,14 +729,14 @@ def _lower(node: exprtaylor.Expr) -> GeneralizedRational:
 def parse_rational(text: str) -> GeneralizedRational:
     """Parse the text format produced by :func:`to_text`.
 
-    The grammar is :mod:`dmint.exprtaylor`'s with its rational exponent
+    The grammar is :mod:`dmint.expr`'s with its rational exponent
     rule: fractional exponents go in parentheses, ``x^(1/2)``, and
     ``x^3/2`` means (x^3)/2.  Accepts +, -, *, /, integer powers of
     arbitrary subexpressions, fractional powers and ``sqrt`` of monomials,
     and integer or decimal literals.
     """
     try:
-        ast = exprtaylor._Parser(text, bare_fraction_exponents=False).parse()
-    except exprtaylor.ExprSyntaxError as exc:
+        ast = expr._Parser(text, bare_fraction_exponents=False).parse()
+    except expr.ExprSyntaxError as exc:
         raise RationalParseError(str(exc)) from exc
     return _lower(ast)

@@ -106,6 +106,20 @@ class TestPowers:
         else:
             assert power.denominator == GeneralizedPolynomial({-k: 1})
 
+    @pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (5, 3)])
+    @pytest.mark.parametrize("cls, base", [
+        (GeneralizedPolynomial, GeneralizedPolynomial({0: 1, 1: 1})),
+        (GeneralizedRational, GeneralizedRational(GeneralizedPolynomial({0: 1, 1: 1}),
+                                                  GeneralizedPolynomial({2: 1, 0: 3}))),
+    ], ids=["polynomial", "rational"])
+    def test_no_product_by_one(self, monkeypatch, cls, base, k, products):
+        expected = cls.one()
+        for _ in range(k):
+            expected = expected * base
+        calls = count_products(monkeypatch, cls)
+        assert base ** k == expected
+        assert len(calls) == products
+
     def test_powers_match_repeated_products(self):
         for base in (R("x+1"), R("(2*x-3)/(x^2+1)"), R("x^(1/2)-1/x"), R("-3/x")):
             product = ONE
@@ -240,6 +254,19 @@ class TestCanonicalForm:
             b = GeneralizedRational(num * scale, den * scale)
             assert a == b
             assert a.numerator * b.denominator == b.numerator * a.denominator
+
+    def test_negation_keeps_the_pair_without_reducing(self, monkeypatch):
+        values = _random_rationals(40, 7) + _random_rationals(20, 8, half_grid=True)
+        expected = [GeneralizedRational(-r.numerator, r.denominator) for r in values]
+
+        def no_reduction(num, den):
+            raise AssertionError("negation re-canonicalized its pair")
+
+        monkeypatch.setattr(symseries, "_canonical_pair", no_reduction)
+        for r, e in zip(values + [ZERO], expected + [ZERO]):
+            negated = -r
+            assert type(negated) is GeneralizedRational
+            assert (negated.numerator, negated.denominator) == (e.numerator, e.denominator)
 
     def test_denominator_is_monic(self):
         for r in _random_rationals(40, 3):

@@ -80,7 +80,7 @@ class OdeCoefficients:
         return "OdeCoefficients(m=%d, i=%r)" % (self.m, self.i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderBounds:
     """Exact top order plus the two bound families for the composed system."""
 
@@ -89,7 +89,7 @@ class OrderBounds:
     closed: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompositionResult:
     """Composed coefficients pi_1..pi_m with exact orders and bounds.
 
@@ -197,7 +197,7 @@ def rho_bounds(ode: OdeCoefficients) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class B1Report:
     """Outcome of the first-order membership test for a rational function."""
 

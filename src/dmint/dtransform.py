@@ -17,6 +17,11 @@ m*nu+1 rows of the nu_max window and, of each block of nu_max columns
 belonging to one k, the first nu.  :func:`d_sequence` therefore assembles
 the nu_max system once and slices every window out of it; the slices are
 element for element what :func:`build_system` gives for that window.
+It then eliminates all windows together, each aligned at the bottom-right
+corner of the largest, so one column step serves every window that has
+joined; each element gets the same arithmetic as when the windows are
+solved one by one, so every D and residual is the same to the bit.
+:func:`solve_vector` is the one-window case of that elimination.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .exprtaylor import derivatives, evaluate
 from .quad import SampleGrid, cumulative, grid_from_descriptor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DSystemSpec:
     """Shape of one extrapolation system.
 
@@ -61,7 +66,7 @@ class DSystemSpec:
         return sum(self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleRow:
     """One sample: abscissa, finite-range integral, integrand derivatives."""
 
@@ -113,12 +118,98 @@ def build_system(spec: DSystemSpec, samples: Sequence[SampleRow]):
 _PIVOT_FLOOR = 1e-300
 
 
+def _eliminate(sizes, block):
+    """Gaussian elimination with partial pivoting on nested windows at once.
+
+    ``sizes`` are the window dimensions, largest first, and ``block(k)``
+    returns window k's scaled augmented matrix [A/scale | b], of shape
+    n x (n+1).  Window k is aligned at the bottom-right corner of the
+    largest: it joins the stack at column step sizes[0] - n, where every
+    window in the stack has its trailing (sizes[0]-c) x (sizes[0]-c+1) block
+    still to eliminate, so one step serves them all.  Each element gets
+    the same multiply and subtract as in a window-by-window elimination:
+    the pivot is the first maximal |.| of the column, and a swap moves the
+    columns from the current one on.  Blocks are built as their windows
+    join; only the active block and the pivot rows that back substitution
+    reads are held.
+
+    Returns ``(solutions, failure)``.  ``failure`` is None or ``(k, text)``
+    for the smallest window whose pivot fell below the floor; its text
+    names the window's own column.  Windows up to k are dropped when it
+    fails, since a larger window's result is not needed once a smaller
+    one has failed.  ``solutions[k]`` is the solution of window k's scaled
+    system, or None for a dropped window.
+    """
+    top = sizes[0]
+    work = np.empty((0, top, top + 1), dtype=_WIDE)
+    u_rows, firsts = [], []
+    joined = first = 0
+    failure = None
+    for c in range(top):
+        width = top - c
+        while joined < len(sizes) and sizes[joined] == width:
+            grown = np.empty((joined - first + 1, width, width + 1), dtype=_WIDE)
+            grown[:-1] = work
+            grown[-1] = block(joined)
+            work = grown
+            joined += 1
+        stack = np.arange(len(work))
+        pivot_rows = np.abs(work[:, :, 0]).argmax(axis=1)
+        pivots = work[stack, pivot_rows, 0]
+        small = np.flatnonzero(np.abs(pivots) < _PIVOT_FLOOR)
+        if len(small):
+            k = small[-1]
+            failure = (first + k, "pivot %g below threshold in column %d"
+                       % (pivots[k], c - top + sizes[first + k]))
+            first += k + 1
+            work, stack, pivot_rows = work[k + 1:], stack[:-k - 1], pivot_rows[k + 1:]
+        # The pivot row is kept for back substitution and row 0 takes its
+        # place; left of the current column the rows hold spent entries.
+        pivot = work[stack, pivot_rows]
+        work[stack, pivot_rows] = work[:, 0]
+        factors = work[:, 1:, 0] / pivot[:, :1]
+        work[:, 1:, 1:] -= factors[:, :, None] * pivot[:, None, 1:]
+        u_rows.append(pivot)
+        firsts.append(first)
+        work = work[:, 1:, 1:]
+    solutions = np.zeros((len(sizes) - first, top), dtype=_WIDE)
+    for c in range(top - 1, -1, -1):
+        pivot = u_rows[c][first - firsts[c]:]
+        active = solutions[:len(pivot)]
+        dots = np.matmul(pivot[:, None, 1:-1], active[:, c + 1:, None])[:, 0, 0]
+        active[:, c] = (pivot[:, -1] - dots) / pivot[:, 0]
+    return [None] * first + [x[top - n:] for x, n in zip(solutions, sizes[first:])], failure
+
+
+def _scaled(a, b, scale):
+    """The augmented matrix [A/scale | b] the elimination works on."""
+    work = np.empty((len(b), len(b) + 1), dtype=_WIDE)
+    work[:, :-1] = a / scale
+    work[:, -1] = b
+    return work
+
+
+def _vanishing(scale) -> bool:
+    """True when a column scale is zero or non-finite: no solve is tried."""
+    return bool(np.any(scale == 0.0) or not np.all(np.isfinite(scale)))
+
+
+def _unscale(a, b, solution, scale):
+    """The solution of A x = b from that of the scaled system, and the residual."""
+    solution /= scale
+    if not np.all(np.isfinite(solution)):
+        raise SingularSystemError("elimination produced non-finite values")
+    residual = float(np.max(np.abs(a @ solution - b)))
+    return solution.astype(float), residual
+
+
 def solve_vector(matrix, rhs):
     """Solve the system, returning the full unknown vector and the residual.
 
     Columns are scaled to unit max-norm before Gaussian elimination with
-    partial pivoting on the augmented matrix [A | b]; a vanishing column
-    or pivot raises
+    partial pivoting on the augmented matrix [A | b], the one-window case
+    of the elimination :func:`d_sequence` runs on all its windows at once;
+    a vanishing column or pivot raises
     :class:`SingularSystemError` instead of returning garbage.  The residual
     is the max-norm of A*solution - rhs.
     """
@@ -126,37 +217,13 @@ def solve_vector(matrix, rhs):
     b = np.array(rhs, dtype=_WIDE)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
         raise ValueError("need a square system with matching right-hand side")
-    n = a.shape[0]
     scale = np.max(np.abs(a), axis=0)
-    if np.any(scale == 0.0) or not np.all(np.isfinite(scale)):
+    if _vanishing(scale):
         raise SingularSystemError("matrix has a zero or non-finite column")
-    # Eliminate on the augmented matrix [A/scale | b]: each element gets
-    # the same multiply and subtract as on A and b apart, in fewer calls.
-    work = np.empty((n, n + 1), dtype=_WIDE)
-    work[:, :n] = a / scale
-    work[:, n] = b
-    for col in range(n):
-        pivot_row = col + int(np.abs(work[col:, col]).argmax())
-        pivot = work[pivot_row, col]
-        if abs(pivot) < _PIVOT_FLOOR:
-            raise SingularSystemError("pivot %g below threshold in column %d"
-                                      % (pivot, col))
-        if pivot_row != col:
-            # Left of col the rows hold spent entries that are never read.
-            spent = work[col, col:].copy()
-            work[col, col:] = work[pivot_row, col:]
-            work[pivot_row, col:] = spent
-        factors = work[col + 1:, col] / pivot
-        work[col + 1:, col + 1:] -= factors[:, None] * work[col, col + 1:]
-    y = work[:, n]
-    solution = np.zeros(n, dtype=_WIDE)
-    for col in range(n - 1, -1, -1):
-        solution[col] = (y[col] - work[col, col + 1:n] @ solution[col + 1:]) / work[col, col]
-    solution /= scale
-    if not np.all(np.isfinite(solution)):
-        raise SingularSystemError("elimination produced non-finite values")
-    residual = float(np.max(np.abs(a @ solution - b))) if n else 0.0
-    return solution.astype(float), residual
+    solutions, failure = _eliminate([len(b)], lambda k: _scaled(a, b, scale))
+    if failure is not None:
+        raise SingularSystemError(failure[1])
+    return _unscale(a, b, solutions[0], scale)
 
 
 def solve(matrix, rhs):
@@ -168,7 +235,7 @@ def solve(matrix, rhs):
 _RELIABLE_FACTOR = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableEntry:
     """One extrapolation step: the window nu, its value, and diagnostics.
 
@@ -187,7 +254,7 @@ class TableEntry:
     reliable: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtrapolationTable:
     """Extrapolations D for nu = 0..nu_max plus grid and integrand context."""
 
@@ -258,7 +325,10 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     from one jet walk) feeds every window; each window nu uses samples
     l = j..j+m*nu with tail lengths n = (nu, ..., nu).  The nu_max system
     is assembled once; window nu is its leading m*nu+1 rows and the first
-    nu columns of each k-block, solved by :func:`solve`.
+    nu columns of each k-block.  The windows are eliminated together, and
+    each gives the bits :func:`solve` gives it alone.  A failing window
+    raises :class:`SingularSystemError` carrying its ``nu``, the smallest
+    that fails, with the text :func:`solve` raises for it.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -293,16 +363,39 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
             for x, F, d in zip(grid.points, cum.F, derivs.T.tolist())]
 
     full_matrix, full_rhs = build_system(spec, rows[j: needed])
+    windows = [(m * nu + 1, [0] + [1 + k * nu_max + i for k in range(m) for i in range(nu)])
+               for nu in range(nu_max + 1)]
+    # Window nu's column scales are the maxima over its rows, read off one
+    # running maximum down the columns of the nu_max system.
+    peaks = np.maximum.accumulate(np.abs(full_matrix), axis=0)
+    scales = [peaks[size - 1, cols] for size, cols in windows]
+    # Windows from the first one with a vanishing column on are not solved:
+    # the sequence stops there at the latest.
+    solvable = next((nu for nu, scale in enumerate(scales) if _vanishing(scale)),
+                    nu_max + 1)
+    largest_first = range(solvable - 1, -1, -1)
+
+    def block(k):
+        size, cols = windows[largest_first[k]]
+        return _scaled(full_matrix[:size, cols], full_rhs[:size], scales[largest_first[k]])
+
+    solutions, failure = _eliminate([windows[nu][0] for nu in largest_first], block)
+    solutions.reverse()
+    stop, reason = solvable, "matrix has a zero or non-finite column"
+    if failure is not None:
+        stop, reason = largest_first[failure[0]], failure[1]
     entries = []
     for nu in range(nu_max + 1):
-        size = m * nu + 1
-        cols = [0] + [1 + k * nu_max + i for k in range(m) for i in range(nu)]
-        matrix = full_matrix[:size][:, cols]
+        size, cols = windows[nu]
         rhs = full_rhs[:size]
         try:
-            d_value, residual = solve(matrix, rhs)
+            if nu == stop:
+                raise SingularSystemError(reason)
+            solution, residual = _unscale(full_matrix[:size, cols], rhs,
+                                          solutions[nu], scales[nu])
         except SingularSystemError as exc:
             raise SingularSystemError("window nu=%d: %s" % (nu, exc), nu) from exc
+        d_value = float(solution[0])
         f_value = cum.F[j + m * nu]
         d_error = abs(d_value - reference) if reference is not None else None
         f_error = abs(f_value - reference) if reference is not None else None

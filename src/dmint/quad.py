@@ -11,8 +11,8 @@ halves of any panel the doubling flags.  Each panel is still summed on its
 own with ``math.fsum``, so for an integrand that acts element by element
 (as :func:`dmint.exprtaylor.evaluate` does, bit for bit) the results are
 exactly those of integrating panel after panel, node by node.  A failed
-rule raises :class:`QuadratureError` naming its first failing node, and a
-failed batch is replayed panel by panel to find the first failing panel.
+batch is replayed panel by panel to find the first failing panel, and the
+error raised names its first failing node.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class QuadratureError(ValueError):
     """Evaluator failure inside a panel; carries the offending node."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleGrid:
     """Strictly increasing sample points x_0 < x_1 < ... with x_0 > 0.
 
@@ -88,7 +88,7 @@ def grid_from_descriptor(descriptor: str, count: int) -> SampleGrid:
     return SampleGrid(points, descriptor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CumulativeIntegrals:
     """Panel integrals chi_0..chi_L and their prefix sums F(x_0)..F(x_L)."""
 
@@ -187,12 +187,29 @@ def _first_failure(f, x, error):
     return hi - 1, error
 
 
+class _RuleFailure(Exception):
+    """A rule's call of f failed: args are (f, nodes, error, lefts, rights, q).
+
+    Naming the failing node costs a bisection, so it is left to
+    :func:`_locate` for the failures whose message is read.
+    """
+
+
+def _locate(failure: _RuleFailure):
+    """The message naming the first failing node of a failed rule, and
+    f's error at that node."""
+    f, x, error, lefts, rights, q = failure.args
+    index, error = _first_failure(f, x, error)
+    panel = index // q
+    return ("integrand failed at node x=%r in panel [%r, %r]: %s"
+            % (float(x[index]), float(lefts[panel]), float(rights[panel]), error)), error
+
+
 def _rule(f, lefts, rights, q: int) -> list[float]:
     """q-point Gauss-Legendre values of the panels [lefts[i], rights[i]].
 
     The nodes of all panels go to f in one array, panel after panel.  A
-    failure raises :class:`QuadratureError` for the first failing node in
-    that order.
+    failure raises :class:`_RuleFailure`.
     """
     nodes, weights = gauss_nodes(q)
     mid = 0.5 * (lefts + rights)
@@ -200,11 +217,7 @@ def _rule(f, lefts, rights, q: int) -> list[float]:
     x = (mid[:, None] + halfwidth[:, None] * np.array(nodes)).ravel()
     values, error = _values(f, x)
     if error is not None:
-        index, error = _first_failure(f, x, error)
-        panel = index // q
-        raise QuadratureError("integrand failed at node x=%r in panel [%r, %r]: %s"
-                              % (float(x[index]), float(lefts[panel]),
-                                 float(rights[panel]), error)) from error
+        raise _RuleFailure(f, x, error, lefts, rights, q)
     rows = (np.array(weights) * values.reshape(-1, q)).tolist()
     return [h * math.fsum(row) for h, row in zip(halfwidth.tolist(), rows)]
 
@@ -220,7 +233,11 @@ def panel_integrate(f, a: float, b: float, q: int = 16) -> float:
     """
     if not b > a:
         raise ValueError("need a < b, got [%r, %r]" % (a, b))
-    return _rule(f, np.array([a], dtype=float), np.array([b], dtype=float), q)[0]
+    try:
+        return _rule(f, np.array([a], dtype=float), np.array([b], dtype=float), q)[0]
+    except _RuleFailure as failure:
+        message, error = _locate(failure)
+        raise QuadratureError(message) from error
 
 
 def _panels(f, lefts, rights, q: int) -> list[float]:
@@ -259,16 +276,19 @@ def cumulative(f, grid: SampleGrid, q: int = 16) -> CumulativeIntegrals:
     are replayed one at a time (one call of f per stage) and the first
     failure is raised as ``panel i: ...``, the error a panel-by-panel
     integration hits first; if none fails alone, the batch's error stands.
+    Only the error raised is bisected to its first failing node.
     """
     edges = np.array((0.0,) + grid.points)
     try:
         chi = _panels(f, edges[:-1], edges[1:], q)
-    except QuadratureError:
+    except _RuleFailure as batch:
         for i in range(len(grid.points)):
             try:
                 _panels(f, edges[i:i + 1], edges[i + 1:i + 2], q)
-            except QuadratureError as exc:
-                raise QuadratureError("panel %d: %s" % (i, exc)) from exc.__cause__
-        raise
+            except _RuleFailure as failure:
+                message, error = _locate(failure)
+                raise QuadratureError("panel %d: %s" % (i, message)) from error
+        message, error = _locate(batch)
+        raise QuadratureError(message) from error
     F = tuple(itertools.accumulate(chi, initial=0.0))[1:]
     return CumulativeIntegrals(tuple(chi), F, q)

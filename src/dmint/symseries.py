@@ -518,7 +518,7 @@ def compose_poly(a: GeneralizedRational, g: GeneralizedPolynomial) -> Generalize
     return GeneralizedRational(a.numerator.substitute(g), a.denominator.substitute(g))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AsymptoticProfile:
     """Leading behaviour and truncated expansion of a function at infinity.
 

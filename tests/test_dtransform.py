@@ -19,7 +19,8 @@ from dmint.dtransform import (
 )
 
 from dmint.dtransform import _PIVOT_FLOOR, _WIDE
-from dmint.exprtaylor import ExprDomainError, derivatives
+from dmint.exprtaylor import ExprDomainError, derivatives, evaluate, parse
+from dmint.quad import cumulative, grid_from_descriptor
 
 PI_HALF = math.pi / 2
 PHI_REF = 2 * math.sqrt(math.pi) / 3
@@ -92,18 +93,18 @@ def assert_same_solve(matrix, rhs):
     assert residual == expected[1]
 
 
-def captured_windows(monkeypatch, *args, **kwargs):
-    """Run d_sequence and return the (matrix, rhs) pairs it hands to solve."""
-    windows = []
+def sample_rows(source, grid, m):
+    """The SampleRows d_sequence builds its systems from, made on their own."""
+    node = parse(source)
+    cum = cumulative(lambda t: evaluate(node, t), grid, 16)
+    return [SampleRow(x, F, tuple(derivatives(node, x, m)))
+            for x, F in zip(grid.points, cum.F)]
 
-    def recording_solve(matrix, rhs):
-        windows.append((np.array(matrix), np.array(rhs)))
-        return solve(matrix, rhs)
 
-    monkeypatch.setattr(dtransform, "solve", recording_solve)
-    table = d_sequence(*args, **kwargs)
-    monkeypatch.undo()
-    return table, windows
+def scaled_block(matrix, rhs):
+    """[A/scale | b] as solve_vector hands it to the elimination."""
+    scale = np.max(np.abs(matrix), axis=0)
+    return dtransform._scaled(matrix, rhs, scale), scale
 
 
 def demo_table(**kwargs):
@@ -208,14 +209,72 @@ class TestBuildAndSolve:
         with pytest.raises(SingularSystemError, match="pivot 1e-305 below threshold in column 1"):
             solve_vector([[1.0, 1.0], [0.0, 1e-305]], [1.0, 2.0])
 
-    def test_demo_windows_match_two_array_elimination(self, monkeypatch):
+    def test_demo_windows_match_two_array_elimination(self):
+        # The demo windows, assembled by build_system on their own: solve
+        # gives the reference's bits, and so does d_sequence's batched pass.
         for source, grid, ref in (("sinc(x)^2", "linear:1.6", PI_HALF),
                                   ("sinc(x^2)^2", "sqrtlinear:1.6", PHI_REF)):
-            _, windows = captured_windows(monkeypatch, source, grid, 3, 10,
-                                          reference=ref)
-            assert len(windows) == 11
-            for matrix, rhs in windows:
+            table = d_sequence(source, grid, 3, 10, reference=ref)
+            rows = sample_rows(source, table.grid, 3)
+            assert len(table.entries) == 11
+            for nu, entry in enumerate(table.entries):
+                spec = DSystemSpec(3, 0, (nu,) * 3, table.exponents)
+                matrix, rhs = build_system(spec, rows[:spec.N + 1])
                 assert_same_solve(matrix, rhs)
+                solution, residual = two_array_elimination(matrix, rhs)
+                assert entry.d_value.hex() == float(solution[0]).hex()
+                assert entry.residual.hex() == residual.hex()
+
+    def test_batched_core_matches_window_by_window(self):
+        # Stacks of windows, largest first: half nested in one system as
+        # d_sequence's are (leading rows, leading columns), half drawn on
+        # their own.  Permuted diagonally dominant rows force swaps; a
+        # window made block triangular with a zero column in the lower
+        # block has pivot exactly 0 in that column.
+        rng = np.random.default_rng(17)
+        failures = swaps = 0
+        for trial in range(120):
+            sizes = sorted({int(n) for n in rng.integers(1, 36, rng.integers(1, 7))},
+                           reverse=True)
+            full = rng.standard_normal((sizes[0], sizes[0] + 1))
+            systems = []
+            for n in sizes:
+                if trial % 2:
+                    a, b = full[:n, :n], full[:n, n]
+                else:
+                    a, b = rng.standard_normal((n, n)), rng.standard_normal(n)
+                a = a * 10.0 ** rng.uniform(-6, 6, n)
+                if trial % 3 == 1:
+                    a = (a + np.diag(10.0 ** rng.uniform(8, 11, n)))[rng.permutation(n)]
+                elif trial % 3 == 2 and n > 1 and rng.random() < 0.5:
+                    p = int(rng.integers(1, n))
+                    a = a.copy()
+                    a[p:, :p + 1] = 0.0
+                    a[rng.permutation(n)] = a.copy()
+                swaps += n > 1 and np.argmax(np.abs(a[:, 0])) != 0
+                systems.append((np.array(a, dtype=_WIDE), np.array(b, dtype=_WIDE)))
+            blocks = [scaled_block(a, b) for a, b in systems]
+            solutions, failure = dtransform._eliminate(sizes, lambda k: blocks[k][0])
+            expected = []
+            for a, b in systems:
+                try:
+                    expected.append(two_array_elimination(a, b))
+                except SingularSystemError as exc:
+                    expected.append(str(exc))
+            failing = [k for k, e in enumerate(expected) if isinstance(e, str)]
+            if failing:
+                failures += 1
+                assert failure == (failing[-1], expected[failing[-1]])
+            else:
+                assert failure is None
+            first = failing[-1] + 1 if failing else 0
+            assert solutions[:first] == [None] * first
+            for k in range(first, len(sizes)):
+                a, b = systems[k]
+                got, residual = dtransform._unscale(a, b, solutions[k], blocks[k][1])
+                assert np.array_equal(got, expected[k][0])
+                assert residual == expected[k][1]
+        assert failures > 10 and swaps > 100
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularSystemError):
@@ -272,24 +331,39 @@ class TestDSequence:
         ("sinc(x^2)^2", "sqrtlinear:1.6", 3, 10, (1, 0, 1), 2),
         ("exp(-x)", "linear:1.0", 1, 12, None, 0),
         ("cos(x)/(1+x^2)", "linear:1.6", 2, 7, (2, -1), 1),
+        ("sinc(x^2)^2", "sqrtlinear:1.6", 3, 10, None, 0),
     ])
-    def test_windows_are_those_of_build_system(self, monkeypatch, source, grid,
-                                               m, nu_max, exponents, j):
-        table, windows = captured_windows(monkeypatch, source, grid, m, nu_max,
-                                          exponents=exponents, j=j)
-        exps = table.exponents
-        from dmint.exprtaylor import derivatives, parse
-        node = parse(source)
-        rows = [SampleRow(x, F, tuple(derivatives(node, x, m)))
-                for x, F in zip(table.grid.points, dtransform.cumulative(
-                    lambda t: dtransform.evaluate(node, t), table.grid, 16).F)]
-        assert len(windows) == nu_max + 1
-        for nu, (matrix, rhs) in enumerate(windows):
-            spec = DSystemSpec(m, j, (nu,) * m, exps)
-            ref_matrix, ref_rhs = build_system(spec, rows[j: j + spec.N + 1])
-            assert matrix.dtype == rhs.dtype == _WIDE
-            assert np.array_equal(matrix, ref_matrix)
-            assert np.array_equal(rhs, ref_rhs)
+    def test_windows_are_those_of_build_system(self, source, grid, m, nu_max,
+                                               exponents, j):
+        # Every window on its own: assembled by build_system, solved by
+        # the reference elimination, to the bit.
+        table = d_sequence(source, grid, m, nu_max, exponents=exponents, j=j)
+        rows = sample_rows(source, table.grid, m)
+        assert len(table.entries) == nu_max + 1
+        for nu, entry in enumerate(table.entries):
+            spec = DSystemSpec(m, j, (nu,) * m, table.exponents)
+            solution, residual = two_array_elimination(
+                *build_system(spec, rows[j: j + spec.N + 1]))
+            assert entry.d_value.hex() == float(solution[0]).hex()
+            assert entry.residual.hex() == residual.hex()
+
+    @pytest.mark.parametrize("source, grid, m, nu_max, nu, text", [
+        ("0", "linear:1.0", 2, 3, 1, "matrix has a zero or non-finite column"),
+        ("exp(-x)*cos(x)", "linear:1.0", 2, 30, 27, "pivot 0 below threshold in column 53"),
+        ("exp(-x)*cos(x)", "linear:1.0", 3, 30, 20, "pivot 0 below threshold in column 58"),
+        ("exp(-x)*cos(x)", "linear:1.0", 4, 30, 15, "pivot 0 below threshold in column 59"),
+    ])
+    def test_smallest_singular_window_raises(self, source, grid, m, nu_max, nu, text):
+        # Larger windows are eliminated alongside; the error is still that
+        # of the first window that fails on its own.
+        with pytest.raises(SingularSystemError) as info:
+            d_sequence(source, grid, m, nu_max)
+        assert info.value.nu == nu
+        assert str(info.value) == "window nu=%d: %s" % (nu, text)
+        rows = sample_rows(source, grid_from_descriptor(grid, m * nu_max + 1), m)
+        spec = DSystemSpec(m, 0, (nu,) * m, friendly_exponents(m))
+        with pytest.raises(SingularSystemError, match="^%s$" % text):
+            two_array_elimination(*build_system(spec, rows[:spec.N + 1]))
 
     def test_one_assembly_per_sequence(self, monkeypatch):
         specs = []

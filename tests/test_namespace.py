@@ -58,6 +58,17 @@ class TestPublicApi:
         with pytest.raises(AttributeError, match="no_such_name"):
             dmint.no_such_name
 
+    @pytest.mark.parametrize("name", [
+        "TableEntry", "ExtrapolationTable", "SampleRow", "DSystemSpec",
+        "SampleGrid", "CumulativeIntegrals",
+        "CompositionResult", "OrderBounds", "B1Report", "AsymptoticProfile",
+    ])
+    def test_result_classes_carry_no_instance_dict(self, name):
+        # Results are kept by the thousand; slots keep each one small.
+        cls = getattr(dmint, name)
+        assert "__slots__" in vars(cls)
+        assert all("__dict__" not in vars(klass) for klass in cls.__mro__)
+
 
 def test_import_loads_no_submodule():
     result = run_python("""

@@ -214,18 +214,15 @@ def _parse_reference(text: str) -> float:
     return exprtaylor.evaluate(ast, 1.0)
 
 
-def _parse_exponents(text: str, m: int):
+def _parse_exponents(text: str):
     text = text.strip()
     if text == "friendly":
         return None
     if text.startswith("rho:"):
         try:
-            values = tuple(int(v) for v in text[4:].split(","))
+            return tuple(int(v) for v in text[4:].split(","))
         except ValueError as exc:
             raise ValueError("bad exponent list %r" % text) from exc
-        if len(values) != m:
-            raise ValueError("expected %d exponents, got %d" % (m, len(values)))
-        return values
     raise ValueError("exponent mode must be 'friendly' or 'rho:e0,e1,...'")
 
 
@@ -243,7 +240,7 @@ def _cmd_accelerate(args) -> int:
             raise ValueError("--grid is required for non-builtin integrands")
     if args.reference is not None:
         reference = _parse_reference(args.reference)
-    exponents = _parse_exponents(args.exponents, args.m)
+    exponents = _parse_exponents(args.exponents)
     ast = expr.parse(source)
     table = dtransform.d_sequence(ast, grid, args.m, args.nu_max,
                                   exponents=exponents, j=args.j,

@@ -15,13 +15,16 @@ with partial pivoting on the augmented matrix.
 The windows of one sequence are nested: window nu holds the leading
 m*nu+1 rows of the nu_max window and, of each block of nu_max columns
 belonging to one k, the first nu.  :func:`d_sequence` therefore assembles
-the nu_max system once and slices every window out of it; the slices are
-element for element what :func:`build_system` gives for that window.
-It then eliminates all windows together, each aligned at the bottom-right
-corner of the largest, so one column step serves every window that has
-joined; each element gets the same arithmetic as when the windows are
-solved one by one, so every D and residual is the same to the bit.
-:func:`solve_vector` is the one-window case of that elimination.
+the nu_max system once; window nu is element for element what
+:func:`build_system` gives for it alone.  One private solver,
+:func:`_solve_windows`, takes nested windows of one system and owns the
+whole pipeline: column scales, the elimination of all windows together
+(each aligned at the bottom-right corner of the largest, so one column
+step serves every window that has joined), back substitution, unscaling,
+the residuals, and which failure wins.  Each element gets the arithmetic
+it gets when the window is solved alone, so every D and residual is the
+same to the bit.  :func:`d_sequence` and :func:`solve_vector` (one
+window) each call it once.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class DSystemSpec:
         if len(self.n) != self.m or any(v < 0 for v in self.n):
             raise ValueError("n must hold m non-negative integers")
         if len(self.exponents) != self.m:
-            raise ValueError("exponents must hold m integers")
+            raise ValueError("need %d exponents, got %d" % (self.m, len(self.exponents)))
 
     @property
     def N(self) -> int:
@@ -118,51 +121,59 @@ def build_system(spec: DSystemSpec, samples: Sequence[SampleRow]):
 _PIVOT_FLOOR = 1e-300
 
 
-def _eliminate(sizes, block):
-    """Gaussian elimination with partial pivoting on nested windows at once.
+def _solve_windows(matrix, rhs, windows):
+    """Solve the nested windows of one system together.
 
-    ``sizes`` are the window dimensions, largest first, and ``block(k)``
-    returns window k's scaled augmented matrix [A/scale | b], of shape
-    n x (n+1).  Window k is aligned at the bottom-right corner of the
-    largest: it joins the stack at column step sizes[0] - n, where every
-    window in the stack has its trailing (sizes[0]-c) x (sizes[0]-c+1) block
-    still to eliminate, so one step serves them all.  Each element gets
-    the same multiply and subtract as in a window-by-window elimination:
-    the pivot is the first maximal |.| of the column, and a swap moves the
-    columns from the current one on.  Blocks are built as their windows
-    join; only the active block and the pivot rows that back substitution
-    reads are held.
+    ``windows[i] = (size, cols)`` is the system matrix[:size, cols] x =
+    rhs[:size], with sizes growing in i.  A window's column scales are
+    the max-norms over its rows, read off one running maximum down the
+    columns.  [A/scale | b] is eliminated with partial pivoting: the pivot
+    is the first maximal |.| of the column, and a swap moves the columns
+    from the current one on.  Window i joins the stack, and has its block
+    built, at the column step where the largest window has size_i columns
+    left; from there one step serves every window in the stack, each
+    element with the multiply and subtract it gets in a window on its own.
 
-    Returns ``(solutions, failure)``.  ``failure`` is None or ``(k, text)``
-    for the smallest window whose pivot fell below the floor; its text
-    names the window's own column.  Windows up to k are dropped when it
-    fails, since a larger window's result is not needed once a smaller
-    one has failed.  ``solutions[k]`` is the solution of window k's scaled
-    system, or None for a dropped window.
+    Returns ``(results, failure)``.  ``failure`` is None or ``(i, text)``
+    for the smallest failing window: a zero or non-finite column scale, a
+    pivot below the floor (the text names the window's own column) or a
+    non-finite solution.  Larger windows are dropped as soon as it fails.
+    ``results[i]``, for every window below it, is the solution of A x = b
+    as floats and the max-norm residual of A x - b.
     """
-    top = sizes[0]
+    peaks = np.maximum.accumulate(np.abs(matrix), axis=0)
+    scales = [peaks[size - 1, cols] for size, cols in windows]
+    count, failure = len(windows), None
+    for i, scale in enumerate(scales):
+        if np.any(scale == 0.0) or not np.all(np.isfinite(scale)):
+            count, failure = i, (i, "matrix has a zero or non-finite column")
+            break
+    # Stack position p holds window last - p: the largest window still
+    # alive comes first, and windows join below it as they fit.
+    top = windows[count - 1][0] if count else 0
     work = np.empty((0, top, top + 1), dtype=_WIDE)
-    u_rows, firsts = [], []
-    joined = first = 0
-    failure = None
+    u_rows, lasts = [], []
+    joining = last = count - 1
     for c in range(top):
         width = top - c
-        while joined < len(sizes) and sizes[joined] == width:
-            grown = np.empty((joined - first + 1, width, width + 1), dtype=_WIDE)
+        while joining >= 0 and windows[joining][0] == width:
+            size, cols = windows[joining]
+            grown = np.empty((last - joining + 1, width, width + 1), dtype=_WIDE)
             grown[:-1] = work
-            grown[-1] = block(joined)
+            grown[-1, :, :-1] = matrix[:size, cols] / scales[joining]
+            grown[-1, :, -1] = rhs[:size]
             work = grown
-            joined += 1
+            joining -= 1
         stack = np.arange(len(work))
         pivot_rows = np.abs(work[:, :, 0]).argmax(axis=1)
         pivots = work[stack, pivot_rows, 0]
         small = np.flatnonzero(np.abs(pivots) < _PIVOT_FLOOR)
         if len(small):
-            k = small[-1]
-            failure = (first + k, "pivot %g below threshold in column %d"
-                       % (pivots[k], c - top + sizes[first + k]))
-            first += k + 1
-            work, stack, pivot_rows = work[k + 1:], stack[:-k - 1], pivot_rows[k + 1:]
+            p = int(small[-1])
+            failure = (last - p, "pivot %g below threshold in column %d"
+                       % (pivots[p], c - top + windows[last - p][0]))
+            last -= p + 1
+            work, stack, pivot_rows = work[p + 1:], stack[:-p - 1], pivot_rows[p + 1:]
         # The pivot row is kept for back substitution and row 0 takes its
         # place; left of the current column the rows hold spent entries.
         pivot = work[stack, pivot_rows]
@@ -170,60 +181,42 @@ def _eliminate(sizes, block):
         factors = work[:, 1:, 0] / pivot[:, :1]
         work[:, 1:, 1:] -= factors[:, :, None] * pivot[:, None, 1:]
         u_rows.append(pivot)
-        firsts.append(first)
+        lasts.append(last)
         work = work[:, 1:, 1:]
-    solutions = np.zeros((len(sizes) - first, top), dtype=_WIDE)
+    solutions = np.zeros((last + 1, top), dtype=_WIDE)
     for c in range(top - 1, -1, -1):
-        pivot = u_rows[c][first - firsts[c]:]
+        pivot = u_rows[c][lasts[c] - last:]
         active = solutions[:len(pivot)]
         dots = np.matmul(pivot[:, None, 1:-1], active[:, c + 1:, None])[:, 0, 0]
         active[:, c] = (pivot[:, -1] - dots) / pivot[:, 0]
-    return [None] * first + [x[top - n:] for x, n in zip(solutions, sizes[first:])], failure
-
-
-def _scaled(a, b, scale):
-    """The augmented matrix [A/scale | b] the elimination works on."""
-    work = np.empty((len(b), len(b) + 1), dtype=_WIDE)
-    work[:, :-1] = a / scale
-    work[:, -1] = b
-    return work
-
-
-def _vanishing(scale) -> bool:
-    """True when a column scale is zero or non-finite: no solve is tried."""
-    return bool(np.any(scale == 0.0) or not np.all(np.isfinite(scale)))
-
-
-def _unscale(a, b, solution, scale):
-    """The solution of A x = b from that of the scaled system, and the residual."""
-    solution /= scale
-    if not np.all(np.isfinite(solution)):
-        raise SingularSystemError("elimination produced non-finite values")
-    residual = float(np.max(np.abs(a @ solution - b)))
-    return solution.astype(float), residual
+    results = []
+    for i in range(last + 1):
+        size, cols = windows[i]
+        solution = solutions[last - i, top - size:] / scales[i]
+        if not np.all(np.isfinite(solution)):
+            return results, (i, "elimination produced non-finite values")
+        residual = float(np.max(np.abs(matrix[:size, cols] @ solution - rhs[:size])))
+        results.append((solution.astype(float), residual))
+    return results, failure
 
 
 def solve_vector(matrix, rhs):
     """Solve the system, returning the full unknown vector and the residual.
 
-    Columns are scaled to unit max-norm before Gaussian elimination with
-    partial pivoting on the augmented matrix [A | b], the one-window case
-    of the elimination :func:`d_sequence` runs on all its windows at once;
-    a vanishing column or pivot raises
-    :class:`SingularSystemError` instead of returning garbage.  The residual
-    is the max-norm of A*solution - rhs.
+    The one-window case of :func:`_solve_windows`: column-equilibrated
+    Gaussian elimination with partial pivoting on [A | b].  A vanishing
+    column or pivot, or a non-finite solution, raises
+    :class:`SingularSystemError` instead of returning garbage.  The
+    residual is the max-norm of A*solution - rhs.
     """
     a = np.array(matrix, dtype=_WIDE)
     b = np.array(rhs, dtype=_WIDE)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
-        raise ValueError("need a square system with matching right-hand side")
-    scale = np.max(np.abs(a), axis=0)
-    if _vanishing(scale):
-        raise SingularSystemError("matrix has a zero or non-finite column")
-    solutions, failure = _eliminate([len(b)], lambda k: _scaled(a, b, scale))
+    if a.ndim != 2 or b.ndim != 1 or not 0 < len(b) == a.shape[0] == a.shape[1]:
+        raise ValueError("need a non-empty square system with matching right-hand side")
+    results, failure = _solve_windows(a, b, [(len(b), slice(None))])
     if failure is not None:
         raise SingularSystemError(failure[1])
-    return _unscale(a, b, solutions[0], scale)
+    return results[0]
 
 
 def solve(matrix, rhs):
@@ -325,25 +318,21 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     from one jet walk) feeds every window; each window nu uses samples
     l = j..j+m*nu with tail lengths n = (nu, ..., nu).  The nu_max system
     is assembled once; window nu is its leading m*nu+1 rows and the first
-    nu columns of each k-block.  The windows are eliminated together, and
-    each gives the bits :func:`solve` gives it alone.  A failing window
-    raises :class:`SingularSystemError` carrying its ``nu``, the smallest
-    that fails, with the text :func:`solve` raises for it.
+    nu columns of each k-block, and :func:`_solve_windows` solves them all
+    in one pass, each to the bits :func:`solve` gives it alone.  A failing
+    window raises :class:`SingularSystemError` carrying its ``nu``, the
+    smallest that fails, with the text :func:`solve` raises for it.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    if nu_max < 0:
+        raise ValueError("nu_max must be non-negative")
+    exps = friendly_exponents(m) if exponents is None else tuple(exponents)
+    spec = DSystemSpec(m, j, (nu_max,) * m, exps)
     if isinstance(integrand, str):
         ast = parse(integrand)
     elif isinstance(integrand, Expr):
         ast = integrand
     else:
         raise TypeError("integrand must be expression text or a parsed AST")
-    if nu_max < 0:
-        raise ValueError("nu_max must be non-negative")
-    exps = friendly_exponents(m) if exponents is None else tuple(exponents)
-    if len(exps) != m:
-        raise ValueError("need %d exponents, got %d" % (m, len(exps)))
-    spec = DSystemSpec(m, j, (nu_max,) * m, exps)
     needed = j + spec.N + 1
     if isinstance(grid, str):
         grid = grid_from_descriptor(grid, needed)
@@ -365,41 +354,17 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     full_matrix, full_rhs = build_system(spec, rows[j: needed])
     windows = [(m * nu + 1, [0] + [1 + k * nu_max + i for k in range(m) for i in range(nu)])
                for nu in range(nu_max + 1)]
-    # Window nu's column scales are the maxima over its rows, read off one
-    # running maximum down the columns of the nu_max system.
-    peaks = np.maximum.accumulate(np.abs(full_matrix), axis=0)
-    scales = [peaks[size - 1, cols] for size, cols in windows]
-    # Windows from the first one with a vanishing column on are not solved:
-    # the sequence stops there at the latest.
-    solvable = next((nu for nu, scale in enumerate(scales) if _vanishing(scale)),
-                    nu_max + 1)
-    largest_first = range(solvable - 1, -1, -1)
-
-    def block(k):
-        size, cols = windows[largest_first[k]]
-        return _scaled(full_matrix[:size, cols], full_rhs[:size], scales[largest_first[k]])
-
-    solutions, failure = _eliminate([windows[nu][0] for nu in largest_first], block)
-    solutions.reverse()
-    stop, reason = solvable, "matrix has a zero or non-finite column"
+    results, failure = _solve_windows(full_matrix, full_rhs, windows)
     if failure is not None:
-        stop, reason = largest_first[failure[0]], failure[1]
+        nu, text = failure
+        raise SingularSystemError("window nu=%d: %s" % (nu, text), nu)
     entries = []
-    for nu in range(nu_max + 1):
-        size, cols = windows[nu]
-        rhs = full_rhs[:size]
-        try:
-            if nu == stop:
-                raise SingularSystemError(reason)
-            solution, residual = _unscale(full_matrix[:size, cols], rhs,
-                                          solutions[nu], scales[nu])
-        except SingularSystemError as exc:
-            raise SingularSystemError("window nu=%d: %s" % (nu, exc), nu) from exc
+    for nu, (solution, residual) in enumerate(results):
         d_value = float(solution[0])
         f_value = cum.F[j + m * nu]
         d_error = abs(d_value - reference) if reference is not None else None
         f_error = abs(f_value - reference) if reference is not None else None
-        rhs_norm = float(np.max(np.abs(rhs))) if len(rhs) else 0.0
+        rhs_norm = float(np.max(np.abs(full_rhs[:m * nu + 1])))
         reliable = residual <= _RELIABLE_FACTOR * max(rhs_norm, 1e-300)
         entries.append(TableEntry(nu, d_value, residual, f_value,
                                   d_error, f_error, reliable))

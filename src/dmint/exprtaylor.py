@@ -37,16 +37,6 @@ from .expr import (
     has_variable,
     parse,
     to_text,
-    _ATOM,
-    _BARE_EXPONENT_SUFFIX,
-    _POWER,
-    _PRECEDENCE,
-    _TOKEN_RE,
-    _UNARY,
-    _Parser,
-    _render,
-    _render_number,
-    _tokenize,
 )
 
 

@@ -107,12 +107,6 @@ class GeneralizedPolynomial:
         return Fraction(max(self.terms), self.step_denominator)
 
     @property
-    def min_exponent(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no minimal exponent")
-        return Fraction(min(self.terms), self.step_denominator)
-
-    @property
     def lead_coefficient(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
@@ -541,10 +535,12 @@ def profile(a: GeneralizedRational, depth: int = 8) -> AsymptoticProfile:
     """Expand ``a`` at x -> infinity down to x**(gamma - depth).
 
     The expansion is computed by exact long division in descending powers
-    of x**(1/d).  ``integer_step`` reports whether every non-zero term in
-    the examined window sits an integer number of steps below gamma; only
-    then does the function fit an integer-step expansion with the returned
-    integer-grid coefficient list.
+    of x**(1/d).  ``integer_step`` reports whether every term of the whole
+    expansion sits an integer number of steps below gamma; only then does
+    the function fit an integer-step expansion with the returned
+    integer-grid coefficient list.  It is decided exactly from the
+    canonical pair: every numerator exponent differs from the leading one
+    by an integer, and so does every denominator exponent.
     """
     if depth < 0:
         raise ValueError("expansion depth must be non-negative")
@@ -568,7 +564,8 @@ def profile(a: GeneralizedRational, depth: int = 8) -> AsymptoticProfile:
             if off <= j:
                 val -= bc * c[j - off]
         c.append(val)
-    integer_step = all(c[j] == 0 for j in range(fine_depth + 1) if j % d)
+    integer_step = (all((n - top_n) % d == 0 for n in nt)
+                    and all((n - top_d) % d == 0 for n in dt))
     if integer_step:
         coeffs = tuple(c[i * d] for i in range(depth + 1))
         step = Fraction(1)

@@ -112,6 +112,21 @@ class TestLMatrix:
                     if n - k + 1 <= s:
                         assert gamma == s * k - n
 
+    def test_matches_bell_eval_at_the_derivatives(self):
+        rng = random.Random(4)
+        for s in (1, 2, 3):
+            for trial in range(4):
+                g = GeneralizedPolynomial({s: 1}) if trial == 0 else random_int_poly(rng, s)
+                if g.lead_coefficient < 0:
+                    g = g.scaled(-1)
+                derivs = [GeneralizedRational(g).derivative()]
+                while len(derivs) < 8:
+                    derivs.append(derivs[-1].derivative())
+                table = l_matrix(g, 8)
+                assert sorted(table) == [(n, k) for n in range(1, 9) for k in range(1, n + 1)]
+                for (n, k), value in table.items():
+                    assert value == bell_eval(n, k, derivs[: n - k + 1])
+
     def test_rejects_bad_g(self):
         with pytest.raises(ValueError):
             l_matrix(GeneralizedPolynomial({0: 1}), 2)  # constant

@@ -103,6 +103,12 @@ class TestCompose:
         code, out, err = run(capsys, "compose", "--p=x", "--g=2")
         assert code == 3 and out == ""
 
+    def test_off_grid_coefficient_rejected_by_name(self, capsys):
+        code, out, err = run(capsys, "compose", "--p=x+x^(-15/2)", "--g=x^2")
+        assert code == 3 and out == ""
+        assert err == ("invalid input: p_1 must have an integer-step expansion with "
+                       "integer leading exponent, got leading exponent 1\n")
+
     def test_transcendental_coefficient_exit_2(self, capsys):
         code, out, err = run(capsys, "compose", "--p=sin(x)", "--g=x")
         assert code == 2 and out == ""
@@ -129,6 +135,14 @@ class TestCheckB1:
     def test_non_member_half_grid(self, capsys):
         code, out, err = run(capsys, "check-b1", "--f=1/(sqrt(x)+1)^3")
         assert code == 0
+        assert "integer_step: no" in out
+        assert "member: no" in out
+
+    def test_off_grid_term_past_the_expansion_depth(self, capsys):
+        # p_1 = x + (21/2)*x^(-19/2) + ...: off the integer grid 21/2 below
+        # its leading term.
+        code, out, err = run(capsys, "check-b1", "--f=x^(-19/2)+x")
+        assert code == 0 and err == ""
         assert "integer_step: no" in out
         assert "member: no" in out
 
@@ -199,6 +213,12 @@ class TestAccelerate:
         payload = json.loads(out)
         assert payload["exponents"] == [1, 0, 1]
         assert payload["entries"][5]["D_error"] < 1e-6
+
+    def test_exponent_count_checked_once(self, capsys):
+        code, out, err = run(capsys, "accelerate", "--integrand", "f",
+                             "--exponents", "rho:1,2")
+        assert code == 3 and out == ""
+        assert err == "invalid input: need 3 exponents, got 2\n"
 
     def test_singular_exit_4(self, capsys):
         code, out, err = run(capsys, "accelerate", "--integrand", "0",

@@ -101,12 +101,6 @@ def sample_rows(source, grid, m):
             for x, F in zip(grid.points, cum.F)]
 
 
-def scaled_block(matrix, rhs):
-    """[A/scale | b] as solve_vector hands it to the elimination."""
-    scale = np.max(np.abs(matrix), axis=0)
-    return dtransform._scaled(matrix, rhs, scale), scale
-
-
 def demo_table(**kwargs):
     return d_sequence("sinc(x)^2", "linear:1.6", 3, 10, reference=PI_HALF, **kwargs)
 
@@ -121,6 +115,8 @@ class TestSpecValidation:
             DSystemSpec(3, 0, (2, 2, -1), (1, 2, 3))
         with pytest.raises(ValueError):
             DSystemSpec(0, 0, (), ())
+        with pytest.raises(ValueError, match="^need 3 exponents, got 2$"):
+            DSystemSpec(3, 0, (2, 2, 2), (1, 2))
         assert friendly_exponents(4) == (1, 2, 3, 4)
 
 
@@ -225,56 +221,57 @@ class TestBuildAndSolve:
                 assert entry.d_value.hex() == float(solution[0]).hex()
                 assert entry.residual.hex() == residual.hex()
 
-    def test_batched_core_matches_window_by_window(self):
-        # Stacks of windows, largest first: half nested in one system as
-        # d_sequence's are (leading rows, leading columns), half drawn on
-        # their own.  Permuted diagonally dominant rows force swaps; a
-        # window made block triangular with a zero column in the lower
-        # block has pivot exactly 0 in that column.
+    def test_solve_windows_matches_window_by_window(self):
+        # Nested windows of one system, as d_sequence's are: leading rows,
+        # and column lists that grow by appending (in the system's column
+        # order or a drawn one).  Permuted diagonally dominant rows force
+        # swaps.  A zero block in rows R and the window's leading p+1
+        # columns, |R| = size - p, gives that window pivot exactly 0 in
+        # column p; zeroed leading rows of a column make windows whose
+        # rows lie inside them vanish.
         rng = np.random.default_rng(17)
         failures = swaps = 0
         for trial in range(120):
-            sizes = sorted({int(n) for n in rng.integers(1, 36, rng.integers(1, 7))},
-                           reverse=True)
-            full = rng.standard_normal((sizes[0], sizes[0] + 1))
-            systems = []
-            for n in sizes:
-                if trial % 2:
-                    a, b = full[:n, :n], full[:n, n]
-                else:
-                    a, b = rng.standard_normal((n, n)), rng.standard_normal(n)
-                a = a * 10.0 ** rng.uniform(-6, 6, n)
-                if trial % 3 == 1:
-                    a = (a + np.diag(10.0 ** rng.uniform(8, 11, n)))[rng.permutation(n)]
-                elif trial % 3 == 2 and n > 1 and rng.random() < 0.5:
-                    p = int(rng.integers(1, n))
-                    a = a.copy()
-                    a[p:, :p + 1] = 0.0
-                    a[rng.permutation(n)] = a.copy()
-                swaps += n > 1 and np.argmax(np.abs(a[:, 0])) != 0
-                systems.append((np.array(a, dtype=_WIDE), np.array(b, dtype=_WIDE)))
-            blocks = [scaled_block(a, b) for a, b in systems]
-            solutions, failure = dtransform._eliminate(sizes, lambda k: blocks[k][0])
+            sizes = sorted({int(n) for n in rng.integers(1, 36, rng.integers(1, 7))})
+            top = sizes[-1]
+            a = rng.standard_normal((top, top)) * 10.0 ** rng.uniform(-6, 6, top)
+            if trial % 3 == 1:
+                a = (a + np.diag(10.0 ** rng.uniform(8, 11, top)))[rng.permutation(top)]
+            order = rng.permutation(top) if trial % 2 else np.arange(top)
+            if trial % 3 == 2:
+                size = sizes[int(rng.integers(len(sizes)))]
+                if size > 1:
+                    p = int(rng.integers(1, size))
+                    rows = rng.permutation(size)[:size - p]
+                    a[np.ix_(rows, order[:p + 1])] = 0.0
+                if rng.random() < 0.3:
+                    a[:int(rng.integers(1, top + 1)), order[int(rng.integers(top))]] = 0.0
+            matrix = np.array(a, dtype=_WIDE)
+            rhs = np.array(rng.standard_normal(top), dtype=_WIDE)
+            windows = [(n, list(order[:n])) for n in sizes]
+            results, failure = dtransform._solve_windows(matrix, rhs, windows)
             expected = []
-            for a, b in systems:
+            for n, cols in windows:
+                swaps += n > 1 and np.argmax(np.abs(a[:n, cols[0]])) != 0
                 try:
-                    expected.append(two_array_elimination(a, b))
+                    expected.append(two_array_elimination(matrix[:n, cols], rhs[:n]))
                 except SingularSystemError as exc:
                     expected.append(str(exc))
-            failing = [k for k, e in enumerate(expected) if isinstance(e, str)]
+            failing = [i for i, e in enumerate(expected) if isinstance(e, str)]
             if failing:
                 failures += 1
-                assert failure == (failing[-1], expected[failing[-1]])
+                assert failure == (failing[0], expected[failing[0]])
             else:
                 assert failure is None
-            first = failing[-1] + 1 if failing else 0
-            assert solutions[:first] == [None] * first
-            for k in range(first, len(sizes)):
-                a, b = systems[k]
-                got, residual = dtransform._unscale(a, b, solutions[k], blocks[k][1])
-                assert np.array_equal(got, expected[k][0])
-                assert residual == expected[k][1]
+            assert len(results) == (failing[0] if failing else len(windows))
+            for (got, residual), (solution, want) in zip(results, expected):
+                assert np.array_equal(got, solution)
+                assert residual.hex() == want.hex()
         assert failures > 10 and swaps > 100
+
+    def test_empty_system_rejected(self):
+        with pytest.raises(ValueError):
+            solve_vector(np.zeros((0, 0)), np.zeros(0))
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularSystemError):
@@ -393,6 +390,16 @@ class TestDSequence:
                 d_sequence("exp(-x)", "linear:1.0", m, 3)
         with pytest.raises(ValueError, match="^the start index j must be non-negative$"):
             d_sequence("exp(-x)", "linear:1.0", 1, 3, j=-1)
+
+    def test_exponent_count_checked_before_sampling(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(dtransform, "cumulative", no_quadrature)
+        with pytest.raises(ValueError, match="^need 2 exponents, got 3$"):
+            d_sequence("exp(-x)", "linear:1.0", 2, 3, exponents=(1, 2, 3))
+        with pytest.raises(ValueError, match="^nu_max must be non-negative$"):
+            d_sequence("exp(-x)", "linear:1.0", 2, -1)
 
     @pytest.mark.parametrize("source, grid, m, j", [
         ("sinc(x)^2", "linear:1.6", 3, 0),

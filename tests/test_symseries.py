@@ -229,6 +229,41 @@ class TestProfile:
         assert p.integer_step
         assert p.coefficients == (1, 1, 0, 0)
 
+    def test_integer_step_beyond_the_expansion_depth(self):
+        # f/f' for f = x^(-19/2) + x: the first off-grid term sits 21/2
+        # below gamma = 1, past the default depth of 8.
+        f = R("x^(-19/2)+x")
+        p = profile(f / f.derivative())
+        assert p.gamma == 1
+        assert not p.integer_step
+        assert p.step == Fraction(1, 2)
+
+    def test_integer_step_agrees_with_a_long_scan(self):
+        values = _random_rationals(300, 21) + _random_rationals(300, 22, half_grid=True)
+        verdicts = []
+        for a in values:
+            verdicts.append(profile(a).integer_step)
+            assert verdicts[-1] == _scan_integer_step(a, 120)
+        assert 10 < verdicts.count(False) < 300 < verdicts.count(True)
+
+
+def _scan_integer_step(a, steps):
+    """Whether the first ``steps`` fine-grid terms of a's expansion at
+    infinity all sit an integer number of steps below the leading one,
+    by long division in x**(-1/d)."""
+    d = a.numerator.step_denominator * a.denominator.step_denominator
+    nt = a.numerator.rescaled_terms(d)
+    dt = a.denominator.rescaled_terms(d)
+    top_n, top_d = max(nt), max(dt)
+    c = []
+    for j in range(steps + 1):
+        val = nt.get(top_n - j, Fraction(0))
+        for n, b in dt.items():
+            if 0 < top_d - n <= j:
+                val -= b * c[j - (top_d - n)]
+        c.append(val / dt[top_d])
+    return all(value == 0 for j, value in enumerate(c) if j % d)
+
 
 def _random_rationals(count, seed, **kwargs):
     from support import random_rational

@@ -260,8 +260,6 @@ def _cmd_accelerate(args) -> int:
             row = " %2d   %-20.17g   %-20.17g" % (e.nu, e.d_value, e.f_value)
             if reference is not None:
                 row += "  %s  %s" % (_d_notation(e.d_error), _d_notation(e.f_error))
-            if not e.reliable:
-                row += "  [unreliable]"
             lines.append(row)
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)

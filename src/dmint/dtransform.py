@@ -8,28 +8,31 @@ m-1 derivatives of the integrand at the x_l, the transformation fits
 over a window of N+1 = 1 + sum(n_k) consecutive samples and reads off D
 as the approximation to the integral over [0, inf).  The exponents e_k
 default to k (the user-friendly variant); callers who know the integrand's
-tail-expansion exponents may supply them instead.  Each window gives one
-dense linear system, solved by column-equilibrated Gaussian elimination
-with partial pivoting on the augmented matrix.
+tail-expansion exponents may supply them instead.
 
 The windows of one sequence are nested: window nu holds the leading
 m*nu+1 rows of the nu_max window and, of each block of nu_max columns
 belonging to one k, the first nu.  :func:`d_sequence` therefore assembles
-the nu_max system once; window nu is element for element what
-:func:`build_system` gives for it alone.  One private solver,
-:func:`_solve_windows`, takes nested windows of one system and owns the
-whole pipeline: column scales, the elimination of all windows together
-(each aligned at the bottom-right corner of the largest, so one column
-step serves every window that has joined), back substitution, unscaling,
-the residuals, and which failure wins.  Each element gets the arithmetic
-it gets when the window is solved alone, so every D and residual is the
-same to the bit.  :func:`d_sequence` and :func:`solve_vector` (one
-window) each call it once.
+the nu_max system once, in float64.  Taken in the i-major order (beta_ki
+with k inside i), the unknowns of window nu are the first m*nu of the
+largest, so one sweep of the FS-algorithm (Ford & Sidi, SIAM J. Numer.
+Anal. 24, 1987) gives every window's D, without pivoting, in O(N^3).  The
+sweep runs in double-double arithmetic (Dekker, Numer. Math. 18, 1971),
+about 106 bits: on every window the tests check against exact rational
+elimination, D is the exact solution of its float64 system, rounded.  The
+sweep uses only IEEE additions, multiplications and divisions, so it gives
+the same bits on every platform.  Where the recursion divides by zero (a
+sample where the integrand vanishes, say), the windows from that step on
+are solved by exact fraction-free elimination (Bareiss, Math. Comp. 22,
+1968) of the same entries, which also decides whether a window is
+singular.  :func:`solve` and :func:`solve_vector` solve one window with
+``np.linalg.solve``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,11 +86,12 @@ def friendly_exponents(m: int) -> tuple[int, ...]:
     return tuple(range(1, m + 1))
 
 
-# The sample data is double precision, but the systems become very
-# ill-conditioned as the windows grow; carrying the elimination in the
-# platform's extended precision keeps the solver's own noise well below
-# the noise floor of the samples.
-_WIDE = np.longdouble
+def _power(x: float, p: int) -> float:
+    """math.pow, or inf where the power leaves the float range (as numpy's)."""
+    try:
+        return math.pow(x, p)
+    except (OverflowError, ValueError):
+        return math.inf
 
 
 def build_system(spec: DSystemSpec, samples: Sequence[SampleRow]):
@@ -102,121 +106,153 @@ def build_system(spec: DSystemSpec, samples: Sequence[SampleRow]):
         raise ValueError("expected %d sample rows, got %d" % (size, len(samples)))
     if any(len(sample.derivs) < spec.m for sample in samples):
         raise ValueError("sample rows must carry m derivative values")
-    # Column (k, i) holds x**(e_k - i) * f^(k-1)(x) in _WIDE, the same
-    # power and product as element by element; columns of different k
+    # Column (k, i) holds x**(e_k - i) * f^(k-1)(x): the math module's
+    # power, as element by element (numpy's own pow differs from it in the
+    # last bit on some machines), and one product.  Columns of different k
     # share their powers, so each distinct power is taken once.
     k_of_column = np.repeat(np.arange(spec.m), spec.n)
     powers, power_of_column = np.unique(
         np.array([e - i for e, n in zip(spec.exponents, spec.n) for i in range(n)],
                  dtype=np.int64), return_inverse=True)
-    x = np.array([sample.x for sample in samples], dtype=_WIDE)
-    derivs = np.array([sample.derivs[:spec.m] for sample in samples], dtype=_WIDE)
-    matrix = np.empty((size, size), dtype=_WIDE)
+    table = list(map(_power, np.repeat([sample.x for sample in samples], len(powers)).tolist(),
+                     powers.tolist() * size))
+    derivs = np.array([sample.derivs[:spec.m] for sample in samples], dtype=float)
+    matrix = np.empty((size, size))
     matrix[:, 0] = 1.0
-    matrix[:, 1:] = (x[:, None] ** powers)[:, power_of_column] * derivs[:, k_of_column]
-    rhs = np.array([sample.F for sample in samples], dtype=_WIDE)
+    matrix[:, 1:] = (np.reshape(table, (size, len(powers)))[:, power_of_column]
+                     * derivs[:, k_of_column])
+    rhs = np.array([sample.F for sample in samples], dtype=float)
     return matrix, rhs
 
 
-_PIVOT_FLOOR = 1e-300
+# Double-double arithmetic (Dekker 1971) on float64 arrays: a value is a
+# pair (hi, lo) with |lo| <= ulp(hi)/2.  numpy fuses no multiply-add, so
+# every platform with IEEE doubles gives the same bits.
+_SPLITTER = 134217729.0  # 2**27 + 1
 
 
-def _solve_windows(matrix, rhs, windows):
-    """Solve the nested windows of one system together.
+def _split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
 
-    ``windows[i] = (size, cols)`` is the system matrix[:size, cols] x =
-    rhs[:size], with sizes growing in i.  A window's column scales are
-    the max-norms over its rows, read off one running maximum down the
-    columns.  [A/scale | b] is eliminated with partial pivoting: the pivot
-    is the first maximal |.| of the column, and a swap moves the columns
-    from the current one on.  Window i joins the stack, and has its block
-    built, at the column step where the largest window has size_i columns
-    left; from there one step serves every window in the stack, each
-    element with the multiply and subtract it gets in a window on its own.
 
-    Returns ``(results, failure)``.  ``failure`` is None or ``(i, text)``
-    for the smallest failing window: a zero or non-finite column scale, a
-    pivot below the floor (the text names the window's own column) or a
-    non-finite solution.  Larger windows are dropped as soon as it fails.
-    ``results[i]``, for every window below it, is the solution of A x = b
-    as floats and the max-norm residual of A x - b.
+def _dd_sub(a_hi, a_lo, b_hi, b_lo):
+    """a - b: the two-sum of the heads, the tails added once."""
+    s = a_hi - b_hi
+    v = s - a_hi
+    e = (a_hi - (s - v)) - (b_hi + v) + (a_lo - b_lo)
+    hi = s + e
+    return hi, e - (hi - s)
+
+
+def _dd_div(a_hi, a_lo, b_hi, b_lo):
+    """a / b: the quotient of the heads and one correction from the remainder."""
+    q = a_hi / b_hi
+    p = q * b_hi
+    q_hi, q_lo = _split(q)
+    b_hh, b_hl = _split(b_hi)
+    err = ((q_hi * b_hh - p) + q_hi * b_hl + q_lo * b_hh) + q_lo * b_hl
+    c = (((a_hi - p) - err + a_lo) - q * b_lo) / b_hi
+    hi = q + c
+    return hi, c - (hi - q)
+
+
+def _fs_sweep(g, rhs, m):
+    """D for the windows nu = 0, 1, ... by the FS-algorithm, until it breaks down.
+
+    ``g[p]`` holds the unknown g_{p+1} at every sample, in the i-major
+    order, so window nu is A_{m nu}^{(0)} of the recursion
+    psi_p^{(j)}(u) = (psi_{p-1}^{(j+1)}(u) - psi_{p-1}^{(j)}(u))
+    / (psi_{p-1}^{(j+1)}(g_{p+1}) - psi_{p-1}^{(j)}(g_{p+1})), with
+    psi_0^{(j)}(u) = u_j / g_1(x_j).  D_nu = psi(F) / psi(1), in which the
+    step's divisor cancels, so it is read off the differences at step m nu.
+    The rows carried are [F, 1, g_N, ..., g_1]: each step's divisor is the
+    last row, and a step drops it.  The sweep stops at the first zero or
+    non-finite divisor and at the first non-finite D; the windows returned
+    are those before it.
     """
-    peaks = np.maximum.accumulate(np.abs(matrix), axis=0)
-    scales = [peaks[size - 1, cols] for size, cols in windows]
-    count, failure = len(windows), None
-    for i, scale in enumerate(scales):
-        if np.any(scale == 0.0) or not np.all(np.isfinite(scale)):
-            count, failure = i, (i, "matrix has a zero or non-finite column")
+    hi = np.vstack((rhs, np.ones_like(rhs), g[::-1]))
+    lo = np.zeros_like(hi)
+    heads = []
+    for p in range(len(g) + 1):
+        if p:
+            hi, lo = _dd_sub(hi[:, 1:], lo[:, 1:], hi[:, :-1], lo[:, :-1])
+        if p % m == 0:
+            heads.append((hi[0, 0], lo[0, 0], hi[1, 0], lo[1, 0]))
+        div = hi[-1]
+        if p == len(g) or not (div.all() and np.isfinite(div).all()):
             break
-    # Stack position p holds window last - p: the largest window still
-    # alive comes first, and windows join below it as they fit.
-    top = windows[count - 1][0] if count else 0
-    work = np.empty((0, top, top + 1), dtype=_WIDE)
-    u_rows, lasts = [], []
-    joining = last = count - 1
-    for c in range(top):
-        width = top - c
-        while joining >= 0 and windows[joining][0] == width:
-            size, cols = windows[joining]
-            grown = np.empty((last - joining + 1, width, width + 1), dtype=_WIDE)
-            grown[:-1] = work
-            grown[-1, :, :-1] = matrix[:size, cols] / scales[joining]
-            grown[-1, :, -1] = rhs[:size]
-            work = grown
-            joining -= 1
-        stack = np.arange(len(work))
-        pivot_rows = np.abs(work[:, :, 0]).argmax(axis=1)
-        pivots = work[stack, pivot_rows, 0]
-        small = np.flatnonzero(np.abs(pivots) < _PIVOT_FLOOR)
-        if len(small):
-            p = int(small[-1])
-            failure = (last - p, "pivot %g below threshold in column %d"
-                       % (pivots[p], c - top + windows[last - p][0]))
-            last -= p + 1
-            work, stack, pivot_rows = work[p + 1:], stack[:-p - 1], pivot_rows[p + 1:]
-        # The pivot row is kept for back substitution and row 0 takes its
-        # place; left of the current column the rows hold spent entries.
-        pivot = work[stack, pivot_rows]
-        work[stack, pivot_rows] = work[:, 0]
-        factors = work[:, 1:, 0] / pivot[:, :1]
-        work[:, 1:, 1:] -= factors[:, :, None] * pivot[:, None, 1:]
-        u_rows.append(pivot)
-        lasts.append(last)
-        work = work[:, 1:, 1:]
-    solutions = np.zeros((last + 1, top), dtype=_WIDE)
-    for c in range(top - 1, -1, -1):
-        pivot = u_rows[c][lasts[c] - last:]
-        active = solutions[:len(pivot)]
-        dots = np.matmul(pivot[:, None, 1:-1], active[:, c + 1:, None])[:, 0, 0]
-        active[:, c] = (pivot[:, -1] - dots) / pivot[:, 0]
-    results = []
-    for i in range(last + 1):
-        size, cols = windows[i]
-        solution = solutions[last - i, top - size:] / scales[i]
-        if not np.all(np.isfinite(solution)):
-            return results, (i, "elimination produced non-finite values")
-        residual = float(np.max(np.abs(matrix[:size, cols] @ solution - rhs[:size])))
-        results.append((solution.astype(float), residual))
-    return results, failure
+        hi, lo = _dd_div(hi[:-1], lo[:-1], div, lo[-1])
+    values = _dd_div(*np.array(heads).T)[0]
+    finite = np.isfinite(values)
+    return values[:len(values) if finite.all() else finite.argmin()].tolist()
+
+
+def _column_scales(matrix):
+    """The max-norm of each column; a zero or non-finite one is singular."""
+    scale = np.max(np.abs(matrix), axis=0)
+    if np.any(scale == 0.0) or not np.all(np.isfinite(scale)):
+        raise SingularSystemError("matrix has a zero or non-finite column")
+    return scale
+
+
+def _exact_d(matrix, rhs) -> float:
+    """D, the first unknown of matrix x = rhs, in exact arithmetic, rounded.
+
+    Fraction-free elimination (Bareiss 1968) on the float64 entries, each
+    column scaled by a power of two to integers, with D's column last so
+    that its value is the quotient of the last row.  Raises
+    :class:`SingularSystemError` when the exact matrix is singular.
+    """
+    _column_scales(matrix)
+    if not np.all(np.isfinite(rhs)):
+        raise SingularSystemError("right-hand side is not finite")
+    columns, denominators = [], []
+    for column in (*matrix.T[1:], matrix.T[0], rhs):
+        ratios = [v.as_integer_ratio() for v in column.tolist()]
+        den = max(d for _, d in ratios)
+        columns.append([num * (den // d) for num, d in ratios])
+        denominators.append(den)
+    rows = [list(row) for row in zip(*columns)]
+    n, previous = len(rows), 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot is None:
+            raise SingularSystemError("matrix is singular")
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top, a = rows[k], rows[k][k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(v * a - f * t) // previous
+                           for v, t in zip(row[k + 1:], top[k + 1:])]
+        previous = a
+    a, b = rows[-1][-2], rows[-1][-1]
+    if not a:
+        raise SingularSystemError("matrix is singular")
+    return b * denominators[-2] / (a * denominators[-1])
 
 
 def solve_vector(matrix, rhs):
     """Solve the system, returning the full unknown vector and the residual.
 
-    The one-window case of :func:`_solve_windows`: column-equilibrated
-    Gaussian elimination with partial pivoting on [A | b].  A vanishing
-    column or pivot, or a non-finite solution, raises
+    ``np.linalg.solve`` on the column-equilibrated float64 system.  A
+    vanishing column, a singular matrix or a non-finite solution raises
     :class:`SingularSystemError` instead of returning garbage.  The
     residual is the max-norm of A*solution - rhs.
     """
-    a = np.array(matrix, dtype=_WIDE)
-    b = np.array(rhs, dtype=_WIDE)
+    a = np.array(matrix, dtype=float)
+    b = np.array(rhs, dtype=float)
     if a.ndim != 2 or b.ndim != 1 or not 0 < len(b) == a.shape[0] == a.shape[1]:
         raise ValueError("need a non-empty square system with matching right-hand side")
-    results, failure = _solve_windows(a, b, [(len(b), slice(None))])
-    if failure is not None:
-        raise SingularSystemError(failure[1])
-    return results[0]
+    scale = _column_scales(a)
+    try:
+        solution = np.linalg.solve(a / scale, b) / scale
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError("matrix is singular") from exc
+    if not np.all(np.isfinite(solution)):
+        raise SingularSystemError("elimination produced non-finite values")
+    return solution, float(np.max(np.abs(a @ solution - b)))
 
 
 def solve(matrix, rhs):
@@ -225,26 +261,19 @@ def solve(matrix, rhs):
     return float(solution[0]), residual
 
 
-_RELIABLE_FACTOR = 1e-8
-
-
 @dataclass(frozen=True, slots=True)
 class TableEntry:
-    """One extrapolation step: the window nu, its value, and diagnostics.
+    """One extrapolation step: the window nu and its value.
 
     ``f_value`` is the plain finite-range integral F(x_{j+m*nu}) over the
     same window, the natural yardstick for the extrapolated value.
-    ``reliable`` is cleared when the linear-system residual exceeds 1e-8
-    times the right-hand side norm.
     """
 
     nu: int
     d_value: float
-    residual: float
     f_value: float
     d_error: float | None
     f_error: float | None
-    reliable: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,16 +289,14 @@ class ExtrapolationTable:
     reference: float | None
 
     def to_csv(self) -> str:
-        lines = ["nu,F_error,D_error,residual,D_value,F_value,reliable"]
+        lines = ["nu,F_error,D_error,D_value,F_value"]
         for e in self.entries:
-            lines.append("%d,%s,%s,%s,%r,%r,%s" % (
+            lines.append("%d,%s,%s,%r,%r" % (
                 e.nu,
                 _sci3(e.f_error) if e.f_error is not None else "",
                 _sci3(e.d_error) if e.d_error is not None else "",
-                _sci3(e.residual),
                 e.d_value,
                 e.f_value,
-                "yes" if e.reliable else "no",
             ))
         return "\n".join(lines) + "\n"
 
@@ -280,10 +307,8 @@ class ExtrapolationTable:
                 "nu": e.nu,
                 "F_error": _round3(e.f_error) if e.f_error is not None else None,
                 "D_error": _round3(e.d_error) if e.d_error is not None else None,
-                "residual": _round3(e.residual),
                 "D_value": e.d_value,
                 "F_value": e.f_value,
-                "reliable": e.reliable,
             })
         return {
             "integrand": self.integrand,
@@ -317,11 +342,12 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     points.  One sampling pass (quadrature prefix sums, derivative rows
     from one jet walk) feeds every window; each window nu uses samples
     l = j..j+m*nu with tail lengths n = (nu, ..., nu).  The nu_max system
-    is assembled once; window nu is its leading m*nu+1 rows and the first
-    nu columns of each k-block, and :func:`_solve_windows` solves them all
-    in one pass, each to the bits :func:`solve` gives it alone.  A failing
-    window raises :class:`SingularSystemError` carrying its ``nu``, the
-    smallest that fails, with the text :func:`solve` raises for it.
+    is assembled once, and one double-double FS sweep over its columns in
+    the i-major order gives D for every window.  If the sweep divides by
+    zero, the windows from that step on are solved by exact elimination
+    instead.  A window whose exact matrix is singular raises
+    :class:`SingularSystemError` carrying its ``nu``, the smallest that
+    fails.
     """
     if nu_max < 0:
         raise ValueError("nu_max must be non-negative")
@@ -351,22 +377,22 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     rows = [SampleRow(x, F, tuple(d))
             for x, F, d in zip(grid.points, cum.F, derivs.T.tolist())]
 
-    full_matrix, full_rhs = build_system(spec, rows[j: needed])
-    windows = [(m * nu + 1, [0] + [1 + k * nu_max + i for k in range(m) for i in range(nu)])
-               for nu in range(nu_max + 1)]
-    results, failure = _solve_windows(full_matrix, full_rhs, windows)
-    if failure is not None:
-        nu, text = failure
-        raise SingularSystemError("window nu=%d: %s" % (nu, text), nu)
+    matrix, rhs = build_system(spec, rows[j: needed])
+    # The unknowns g_1..g_N in the i-major order: beta_{k,i}, k inside i.
+    order = [1 + k * nu_max + i for i in range(nu_max) for k in range(m)]
+    with np.errstate(all="ignore"):
+        values = _fs_sweep(matrix[:, order].T, rhs, m)
+    for nu in range(len(values), nu_max + 1):
+        cols = [0] + order[:m * nu]
+        try:
+            values.append(_exact_d(matrix[:m * nu + 1, cols], rhs[:m * nu + 1]))
+        except SingularSystemError as exc:
+            raise SingularSystemError("window nu=%d: %s" % (nu, exc), nu) from None
     entries = []
-    for nu, (solution, residual) in enumerate(results):
-        d_value = float(solution[0])
+    for nu, d_value in enumerate(values):
         f_value = cum.F[j + m * nu]
         d_error = abs(d_value - reference) if reference is not None else None
         f_error = abs(f_value - reference) if reference is not None else None
-        rhs_norm = float(np.max(np.abs(full_rhs[:m * nu + 1])))
-        reliable = residual <= _RELIABLE_FACTOR * max(rhs_norm, 1e-300)
-        entries.append(TableEntry(nu, d_value, residual, f_value,
-                                  d_error, f_error, reliable))
+        entries.append(TableEntry(nu, d_value, f_value, d_error, f_error))
     return ExtrapolationTable(tuple(entries), m, j, grid, to_text(ast),
                               exps, reference)

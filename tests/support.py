@@ -122,3 +122,31 @@ def exact_poly_derivatives(coeffs: list[Fraction], x0: Fraction, count: int) -> 
             total += c * falling * x0 ** (i - k)
         out.append(total)
     return out
+
+
+def exact_first_unknown(matrix, rhs) -> Fraction | None:
+    """The first unknown of matrix x = rhs in exact rational arithmetic.
+
+    Each float entry is taken at its exact binary value; Gauss elimination
+    over Fractions, pivoting on the first non-zero entry of each column,
+    then back substitution.  None when the matrix is exactly singular.
+    """
+    rows = [[Fraction(float(v)) for v in row] + [Fraction(float(b))]
+            for row, b in zip(matrix, rhs)]
+    n = len(rows)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        for row in rows[col + 1:]:
+            factor = row[col] / top[col]
+            if factor:
+                for k in range(col, n + 1):
+                    row[k] -= factor * top[k]
+    x = [Fraction(0)] * n
+    for col in range(n - 1, -1, -1):
+        tail = sum((rows[col][k] * x[k] for k in range(col + 1, n)), Fraction(0))
+        x[col] = (rows[col][n] - tail) / rows[col][col]
+    return x[0]

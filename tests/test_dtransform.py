@@ -18,9 +18,10 @@ from dmint.dtransform import (
     solve_vector,
 )
 
-from dmint.dtransform import _PIVOT_FLOOR, _WIDE
 from dmint.exprtaylor import ExprDomainError, derivatives, evaluate, parse
 from dmint.quad import cumulative, grid_from_descriptor
+
+from support import exact_first_unknown
 
 PI_HALF = math.pi / 2
 PHI_REF = 2 * math.sqrt(math.pi) / 3
@@ -29,14 +30,14 @@ PHI_REF = 2 * math.sqrt(math.pi) / 3
 def element_loop_system(spec, samples):
     """Reference assembly: every entry on its own, x**(e_k-i) * f^(k-1)(x)."""
     size = spec.N + 1
-    matrix = np.zeros((size, size), dtype=_WIDE)
-    rhs = np.zeros(size, dtype=_WIDE)
+    matrix = np.zeros((size, size))
+    rhs = np.zeros(size)
     for row, sample in enumerate(samples):
         matrix[row, 0] = 1.0
-        x = _WIDE(sample.x)
+        x = float(sample.x)
         col = 1
         for k in range(1, spec.m + 1):
-            base = _WIDE(sample.derivs[k - 1])
+            base = float(sample.derivs[k - 1])
             e = spec.exponents[k - 1]
             for i in range(spec.n[k - 1]):
                 matrix[row, col] = x ** (e - i) * base
@@ -45,52 +46,11 @@ def element_loop_system(spec, samples):
     return matrix, rhs
 
 
-def two_array_elimination(matrix, rhs):
-    """Reference solve: A and b eliminated apart, whole-row swaps, np.outer."""
-    a = np.array(matrix, dtype=_WIDE)
-    b = np.array(rhs, dtype=_WIDE)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
-        raise ValueError("need a square system with matching right-hand side")
-    n = a.shape[0]
-    scale = np.max(np.abs(a), axis=0)
-    if np.any(scale == 0.0) or not np.all(np.isfinite(scale)):
-        raise SingularSystemError("matrix has a zero or non-finite column")
-    work = a / scale
-    y = b.copy()
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(work[col:, col])))
-        pivot = work[pivot_row, col]
-        if abs(pivot) < _PIVOT_FLOOR:
-            raise SingularSystemError("pivot %g below threshold in column %d"
-                                      % (pivot, col))
-        if pivot_row != col:
-            work[[col, pivot_row]] = work[[pivot_row, col]]
-            y[[col, pivot_row]] = y[[pivot_row, col]]
-        factors = work[col + 1:, col] / pivot
-        work[col + 1:, col + 1:] -= np.outer(factors, work[col, col + 1:])
-        y[col + 1:] -= factors * y[col]
-    solution = np.zeros(n, dtype=_WIDE)
-    for col in range(n - 1, -1, -1):
-        solution[col] = (y[col] - work[col, col + 1:] @ solution[col + 1:]) / work[col, col]
-    solution /= scale
-    if not np.all(np.isfinite(solution)):
-        raise SingularSystemError("elimination produced non-finite values")
-    residual = float(np.max(np.abs(a @ solution - b))) if n else 0.0
-    return solution.astype(float), residual
-
-
-def assert_same_solve(matrix, rhs):
-    """solve_vector gives the reference's exact bits, or its exact error."""
-    try:
-        expected = two_array_elimination(matrix, rhs)
-    except SingularSystemError as exc:
-        with pytest.raises(SingularSystemError) as info:
-            solve_vector(matrix, rhs)
-        assert str(info.value) == str(exc)
-        return
-    solution, residual = solve_vector(matrix, rhs)
-    assert np.array_equal(solution, expected[0])
-    assert residual == expected[1]
+def assert_exactly_rounded(d, matrix, rhs):
+    """d is within one ulp of the exact first unknown of the float system."""
+    exact = exact_first_unknown(matrix, rhs)
+    assert exact is not None
+    assert abs(d - float(exact)) <= math.ulp(float(exact))
 
 
 def sample_rows(source, grid, m):
@@ -157,8 +117,7 @@ class TestBuildAndSolve:
                     for _ in range(spec.N + 1)]
             matrix, rhs = build_system(spec, rows)
             ref_matrix, ref_rhs = element_loop_system(spec, rows)
-            assert matrix.dtype == rhs.dtype == _WIDE
-            # Values, not bytes: the padding of 80-bit longdouble is arbitrary.
+            assert matrix.dtype == rhs.dtype == np.float64
             assert np.array_equal(matrix, ref_matrix)
             assert np.array_equal(rhs, ref_rhs)
 
@@ -167,107 +126,104 @@ class TestBuildAndSolve:
         with pytest.raises(ValueError):
             build_system(DSystemSpec(1, 0, (1,), (1,)), rows)
 
-    def test_solve_matches_two_array_elimination(self):
+    def test_power_beyond_the_float_range_is_inf(self):
+        # 1e-12**-30 overflows: the entry is inf, and the window singular.
+        rows = [SampleRow(1e-12 * (l + 1), 0.5, (1.0,)) for l in range(32)]
+        matrix, _ = build_system(DSystemSpec(1, 0, (31,), (1,)), rows)
+        assert np.isinf(matrix[0, -1]) and np.isfinite(matrix[-1, -2])
+        with pytest.raises(SingularSystemError, match="^matrix has a zero or non-finite column$"):
+            solve(matrix, [0.5] * 32)
+
+    def test_solve_matches_exact_elimination(self):
+        # Column scales spread over 16 decades and permuted dominant rows:
+        # the equilibrated float64 solve stays within 8 cond ulps of the
+        # exact solution of the same system.
         rng = np.random.default_rng(5)
-        swaps = 0
-        for trial in range(200):
-            n = int(rng.integers(1, 40))
+        for trial in range(60):
+            n = int(rng.integers(1, 9))
             matrix = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8, n)
             if trial % 2:
-                # Permuted rows of a diagonally dominant matrix: partial
-                # pivoting undoes the permutation by row swaps.
                 matrix = (matrix + np.diag(10.0 ** rng.uniform(9, 12, n)))[rng.permutation(n)]
             rhs = rng.standard_normal(n)
-            if n > 1 and np.argmax(np.abs(matrix[:, 0])) != 0:
-                swaps += 1
-            assert_same_solve(matrix, rhs)
-        assert swaps > 100
+            exact = float(exact_first_unknown(matrix, rhs))
+            d, _ = solve(matrix, rhs)
+            cond = np.linalg.cond(matrix / np.max(np.abs(matrix), axis=0))
+            assert abs(d - exact) <= 8 * cond * math.ulp(max(abs(exact), 1.0))
 
     def test_pivot_off_the_diagonal_in_every_column(self):
         # Row c+1 carries the dominant entry of column c, and row 0 that of
-        # the last column; elimination keeps the dominance, so every column
-        # but the last takes its pivot from the row below and swaps.
+        # the last column, so every column but the last pivots on the row
+        # below; the solve still recovers the planted unknowns.
         rng = np.random.default_rng(8)
         for n in (2, 3, 17, 40):
             dominant = rng.standard_normal((n, n)) + np.diag(10.0 ** rng.uniform(9, 12, n))
             matrix = dominant[np.roll(np.arange(n), 1)]
-            assert_same_solve(matrix, rng.standard_normal(n))
+            planted = rng.standard_normal(n)
+            solution, residual = solve_vector(matrix, matrix @ planted)
+            assert np.allclose(solution, planted, rtol=1e-12, atol=1e-12)
+            assert residual <= 1e-3 * np.max(np.abs(matrix @ planted))
 
-    def test_singular_messages_match_two_array_elimination(self):
-        for matrix in ([[1.0, 1.0], [1.0, 1.0]],          # pivot exactly 0
-                       [[1.0, 1.0], [0.0, 1e-305]],       # non-zero, below the floor
-                       [[2.0, 1.0, 0.5], [4.0, 2.0, 1.0], [1.0, 3.0, 0.0]],
-                       [[1.0, 0.0], [1.0, 0.0]],          # zero column
-                       [[1.0, np.inf], [1.0, 2.0]]):      # non-finite column
-            with pytest.raises(SingularSystemError):
-                two_array_elimination(matrix, [1.0] * len(matrix))
-            assert_same_solve(matrix, [1.0] * len(matrix))
-        with pytest.raises(SingularSystemError, match="pivot 1e-305 below threshold in column 1"):
-            solve_vector([[1.0, 1.0], [0.0, 1e-305]], [1.0, 2.0])
+    def test_singular_messages(self):
+        for matrix, text in (([[1.0, 1.0], [1.0, 1.0]], "matrix is singular"),
+                             ([[2.0, 1.0, 0.5], [4.0, 2.0, 1.0], [1.0, 3.0, 0.0]],
+                              "matrix is singular"),
+                             ([[1.0, 0.0], [1.0, 0.0]], "matrix has a zero or non-finite column"),
+                             ([[1.0, np.inf], [1.0, 2.0]], "matrix has a zero or non-finite column")):
+            with pytest.raises(SingularSystemError, match="^%s$" % text):
+                solve_vector(matrix, [1.0] * len(matrix))
+            with pytest.raises(SingularSystemError, match="^%s$" % text):
+                dtransform._exact_d(np.array(matrix), np.ones(len(matrix)))
+        # A tiny pivot is solved, not reported as singular.
+        d, _ = solve([[1.0, 1.0], [0.0, 1e-305]], [1.0, 2.0])
+        assert d == 1.0 - 2e305
 
-    def test_demo_windows_match_two_array_elimination(self):
-        # The demo windows, assembled by build_system on their own: solve
-        # gives the reference's bits, and so does d_sequence's batched pass.
-        for source, grid, ref in (("sinc(x)^2", "linear:1.6", PI_HALF),
-                                  ("sinc(x^2)^2", "sqrtlinear:1.6", PHI_REF)):
-            table = d_sequence(source, grid, 3, 10, reference=ref)
-            rows = sample_rows(source, table.grid, 3)
-            assert len(table.entries) == 11
-            for nu, entry in enumerate(table.entries):
-                spec = DSystemSpec(3, 0, (nu,) * 3, table.exponents)
-                matrix, rhs = build_system(spec, rows[:spec.N + 1])
-                assert_same_solve(matrix, rhs)
-                solution, residual = two_array_elimination(matrix, rhs)
-                assert entry.d_value.hex() == float(solution[0]).hex()
-                assert entry.residual.hex() == residual.hex()
+    def test_exact_fallback_is_exactly_rounded(self):
+        # Bareiss elimination on the float entries gives the exact D,
+        # rounded: the same float as the rational oracle, every time.
+        rng = np.random.default_rng(13)
+        singular = 0
+        for trial in range(80):
+            n = int(rng.integers(1, 8))
+            matrix = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-30, 30, n)
+            if trial % 4 == 3 and n > 1:
+                # A repeated row: exactly singular.
+                matrix[int(rng.integers(1, n))] = matrix[0]
+            rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+            exact = exact_first_unknown(matrix, rhs)
+            if exact is None:
+                singular += 1
+                with pytest.raises(SingularSystemError, match="^matrix is singular$"):
+                    dtransform._exact_d(matrix, rhs)
+            else:
+                assert dtransform._exact_d(matrix, rhs) == float(exact)
+        assert singular >= 15
 
     def test_solve_windows_matches_window_by_window(self):
-        # Nested windows of one system, as d_sequence's are: leading rows,
-        # and column lists that grow by appending (in the system's column
-        # order or a drawn one).  Permuted diagonally dominant rows force
-        # swaps.  A zero block in rows R and the window's leading p+1
-        # columns, |R| = size - p, gives that window pivot exactly 0 in
-        # column p; zeroed leading rows of a column make windows whose
-        # rows lie inside them vanish.
+        # The sweep gives every nested window of one system at once; each
+        # is within one ulp of that window solved exactly on its own.  A
+        # zero planted in a divisor stops the sweep before the windows
+        # that read it.
         rng = np.random.default_rng(17)
-        failures = swaps = 0
-        for trial in range(120):
-            sizes = sorted({int(n) for n in rng.integers(1, 36, rng.integers(1, 7))})
-            top = sizes[-1]
-            a = rng.standard_normal((top, top)) * 10.0 ** rng.uniform(-6, 6, top)
-            if trial % 3 == 1:
-                a = (a + np.diag(10.0 ** rng.uniform(8, 11, top)))[rng.permutation(top)]
-            order = rng.permutation(top) if trial % 2 else np.arange(top)
-            if trial % 3 == 2:
-                size = sizes[int(rng.integers(len(sizes)))]
-                if size > 1:
-                    p = int(rng.integers(1, size))
-                    rows = rng.permutation(size)[:size - p]
-                    a[np.ix_(rows, order[:p + 1])] = 0.0
-                if rng.random() < 0.3:
-                    a[:int(rng.integers(1, top + 1)), order[int(rng.integers(top))]] = 0.0
-            matrix = np.array(a, dtype=_WIDE)
-            rhs = np.array(rng.standard_normal(top), dtype=_WIDE)
-            windows = [(n, list(order[:n])) for n in sizes]
-            results, failure = dtransform._solve_windows(matrix, rhs, windows)
-            expected = []
-            for n, cols in windows:
-                swaps += n > 1 and np.argmax(np.abs(a[:n, cols[0]])) != 0
-                try:
-                    expected.append(two_array_elimination(matrix[:n, cols], rhs[:n]))
-                except SingularSystemError as exc:
-                    expected.append(str(exc))
-            failing = [i for i, e in enumerate(expected) if isinstance(e, str)]
-            if failing:
-                failures += 1
-                assert failure == (failing[0], expected[failing[0]])
-            else:
-                assert failure is None
-            assert len(results) == (failing[0] if failing else len(windows))
-            for (got, residual), (solution, want) in zip(results, expected):
-                assert np.array_equal(got, solution)
-                assert residual.hex() == want.hex()
-        assert failures > 10 and swaps > 100
+        exact_hits = total = 0
+        for trial in range(40):
+            m = int(rng.integers(1, 4))
+            n = m * int(rng.integers(1, 5))
+            x = np.sort(rng.uniform(1.0, 30.0, n + 1))
+            g = np.array([x ** (1 - p // m) * rng.uniform(0.5, 2.0, n + 1) for p in range(n)])
+            rhs = rng.standard_normal(n + 1)
+            values = dtransform._fs_sweep(g, rhs, m)
+            assert len(values) == n // m + 1
+            for nu, d in enumerate(values):
+                size = m * nu + 1
+                matrix = np.column_stack([np.ones(size)] + [row[:size] for row in g[:m * nu]])
+                exact = float(exact_first_unknown(matrix, rhs[:size]))
+                assert abs(d - exact) <= math.ulp(exact)
+                exact_hits += d == exact
+                total += 1
+            # g_1 vanishing at sample 0 breaks step 0: only window 0 is left.
+            g[0, 0] = 0.0
+            assert dtransform._fs_sweep(g, rhs, m) == [rhs[0]]
+        assert exact_hits >= 0.9 * total
 
     def test_empty_system_rejected(self):
         with pytest.raises(ValueError):
@@ -302,14 +258,6 @@ class TestDSequence:
             for entry in table.entries[2:]:
                 assert entry.d_error < entry.f_error
 
-    def test_residuals_small_and_reliable(self):
-        for source, grid, ref in (("sinc(x)^2", "linear:1.6", PI_HALF),
-                                  ("sinc(x^2)^2", "sqrtlinear:1.6", PHI_REF)):
-            table = d_sequence(source, grid, 3, 10, reference=ref)
-            for entry in table.entries:
-                assert entry.residual <= 1e-8 * ref
-                assert entry.reliable
-
     def test_exponent_modes_agree(self):
         friendly = demo_table()
         rho = demo_table(exponents=(1, 0, 1))
@@ -332,27 +280,35 @@ class TestDSequence:
     ])
     def test_windows_are_those_of_build_system(self, source, grid, m, nu_max,
                                                exponents, j):
-        # Every window on its own: assembled by build_system, solved by
-        # the reference elimination, to the bit.
+        # Every window on its own, assembled by build_system: the sweep's D
+        # is its exact solution, rounded (the demo windows of f and phi
+        # among them).
         table = d_sequence(source, grid, m, nu_max, exponents=exponents, j=j)
         rows = sample_rows(source, table.grid, m)
         assert len(table.entries) == nu_max + 1
         for nu, entry in enumerate(table.entries):
             spec = DSystemSpec(m, j, (nu,) * m, table.exponents)
-            solution, residual = two_array_elimination(
-                *build_system(spec, rows[j: j + spec.N + 1]))
-            assert entry.d_value.hex() == float(solution[0]).hex()
-            assert entry.residual.hex() == residual.hex()
+            assert_exactly_rounded(entry.d_value, *build_system(spec, rows[j: j + spec.N + 1]))
+
+    @pytest.mark.parametrize("source, grid, nu_max, nu", [
+        ("exp(-x)*cos(x)", "linear:1.0", 20, 8),
+        ("1/(1+x^2)", "linear:1.6", 24, 12),
+        ("cos(x^2)", "sqrtlinear:1.6", 30, 10),
+        ("sinc(x)^3", "linear:1.6", 22, 9),
+    ])
+    def test_accel_deep_windows_are_exactly_rounded(self, source, grid, nu_max, nu):
+        # A sample of the m=3 windows of long sequences.
+        table = d_sequence(source, grid, 3, nu_max)
+        rows = sample_rows(source, table.grid, 3)
+        spec = DSystemSpec(3, 0, (nu,) * 3, table.exponents)
+        assert_exactly_rounded(table.entries[nu].d_value,
+                               *build_system(spec, rows[:spec.N + 1]))
 
     @pytest.mark.parametrize("source, grid, m, nu_max, nu, text", [
         ("0", "linear:1.0", 2, 3, 1, "matrix has a zero or non-finite column"),
-        ("exp(-x)*cos(x)", "linear:1.0", 2, 30, 27, "pivot 0 below threshold in column 53"),
-        ("exp(-x)*cos(x)", "linear:1.0", 3, 30, 20, "pivot 0 below threshold in column 58"),
-        ("exp(-x)*cos(x)", "linear:1.0", 4, 30, 15, "pivot 0 below threshold in column 59"),
     ])
     def test_smallest_singular_window_raises(self, source, grid, m, nu_max, nu, text):
-        # Larger windows are eliminated alongside; the error is still that
-        # of the first window that fails on its own.
+        # The error is that of the first window that fails on its own.
         with pytest.raises(SingularSystemError) as info:
             d_sequence(source, grid, m, nu_max)
         assert info.value.nu == nu
@@ -360,7 +316,46 @@ class TestDSequence:
         rows = sample_rows(source, grid_from_descriptor(grid, m * nu_max + 1), m)
         spec = DSystemSpec(m, 0, (nu,) * m, friendly_exponents(m))
         with pytest.raises(SingularSystemError, match="^%s$" % text):
-            two_array_elimination(*build_system(spec, rows[:spec.N + 1]))
+            solve(*build_system(spec, rows[:spec.N + 1]))
+
+    @pytest.mark.parametrize("m, nu_max, nu", [(2, 30, 27), (3, 30, 20), (4, 30, 15), (3, 25, 20)])
+    def test_exp_cos_windows_are_regular(self, m, nu_max, nu):
+        # Exact elimination finds these windows regular, with exact D
+        # 0.5 + 2.2e-16; every window of the sequence is solved.
+        table = d_sequence("exp(-x)*cos(x)", "linear:1.0", m, nu_max)
+        assert len(table.entries) == nu_max + 1
+        assert abs(table.entries[nu].d_value - 0.5) <= 1e-12
+
+    def test_vanishing_sample_takes_the_exact_path(self, monkeypatch):
+        # (x-2)*exp(-x) vanishes at the grid point x=2, so g_1 has a zero
+        # and the sweep stops before its first division: every window
+        # from nu=1 on is solved by exact elimination.
+        exact_calls = []
+        real_exact = dtransform._exact_d
+
+        def recording_exact(matrix, rhs):
+            exact_calls.append(len(rhs))
+            return real_exact(matrix, rhs)
+
+        monkeypatch.setattr(dtransform, "_exact_d", recording_exact)
+        grid = grid_from_descriptor("linear:1.0", 13)
+        assert grid.points[1] == 2.0
+        for m in (1, 2):
+            exact_calls.clear()
+            table = d_sequence("(x-2)*exp(-x)", grid, m, 6)
+            assert exact_calls == [m * nu + 1 for nu in range(1, 7)]
+            rows = sample_rows("(x-2)*exp(-x)", grid, m)
+            for nu, entry in enumerate(table.entries[1:], 1):
+                spec = DSystemSpec(m, 0, (nu,) * m, friendly_exponents(m))
+                exact = exact_first_unknown(*build_system(spec, rows[:spec.N + 1]))
+                assert entry.d_value == float(exact)
+                if m == 1:
+                    # The row at x=2 reads F(2) = D.
+                    assert entry.d_value == rows[1].F
+                elif nu >= 2:
+                    # The model is exact from nu=2: D is the integral, -1.
+                    assert abs(entry.d_value + 1.0) <= 2 * math.ulp(1.0)
+        assert table.entries[5].d_value == -1.0
 
     def test_one_assembly_per_sequence(self, monkeypatch):
         specs = []
@@ -375,10 +370,12 @@ class TestDSequence:
         assert specs == [DSystemSpec(3, 0, (10, 10, 10), (1, 2, 3))]
 
     def test_singular_window_keeps_its_number_and_text(self):
+        # The integrand vanishes at x=2 and x=3, so from nu=2 two rows read
+        # D = F(2) and D = F(3): the exact elimination finds it singular.
         with pytest.raises(SingularSystemError) as info:
-            d_sequence("exp(-x)*cos(x)", "linear:1.0", 3, 25)
-        assert info.value.nu == 20
-        assert str(info.value) == "window nu=20: pivot 0 below threshold in column 58"
+            d_sequence("(x-2)*(x-3)*exp(-x)", "linear:1.0", 1, 5)
+        assert info.value.nu == 2
+        assert str(info.value) == "window nu=2: matrix is singular"
 
     def test_m_checked_before_sampling(self, monkeypatch):
         def no_quadrature(*args, **kwargs):
@@ -444,10 +441,10 @@ class TestOutputFormats:
             assert int(row["nu"]) == record["nu"]
             assert float(row["F_error"]) == record["F_error"]
             assert float(row["D_error"]) == record["D_error"]
-            assert float(row["residual"]) == record["residual"]
             assert float(row["D_value"]) == record["D_value"]
             assert float(row["F_value"]) == record["F_value"]
-            assert (row["reliable"] == "yes") == record["reliable"]
+        assert table.to_csv().startswith("nu,F_error,D_error,D_value,F_value\n")
+        assert list(records[0]) == ["nu", "F_error", "D_error", "D_value", "F_value"]
 
     def test_errors_blank_without_reference(self):
         table = d_sequence("sinc(x)^2", "linear:1.6", 3, 2)

@@ -51,6 +51,7 @@ _EXPORTS = {
         "TableEntry",
         "build_system",
         "d_sequence",
+        "d_sequences",
         "friendly_exponents",
         "solve",
         "solve_vector",

@@ -77,13 +77,10 @@ def _d_notation(value) -> str:
 
 def _run_demo_tables(nu_max: int, node_count: int = 16):
     from . import dtransform
-    tables = {}
-    for name in ("f", "phi"):
-        source, grid, reference = BUILTIN_INTEGRANDS[name]
-        tables[name] = dtransform.d_sequence(source, grid, 3, nu_max,
-                                             reference=reference,
-                                             node_count=node_count)
-    return tables
+    names = ("f", "phi")
+    tables = dtransform.d_sequences([BUILTIN_INTEGRANDS[name] for name in names],
+                                    3, nu_max, node_count=node_count)
+    return dict(zip(names, tables))
 
 
 def _check_demo_tolerances(tables):

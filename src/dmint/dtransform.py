@@ -20,8 +20,11 @@ Anal. 24, 1987) gives every window's D, without pivoting, in O(N^3).  The
 sweep runs in double-double arithmetic (Dekker, Numer. Math. 18, 1971),
 about 106 bits: on every window the tests check against exact rational
 elimination, D is the exact solution of its float64 system, rounded.  The
-sweep uses only IEEE additions, multiplications and divisions, so it gives
-the same bits on every platform.  Where the recursion divides by zero (a
+sweep uses only IEEE additions, multiplications and divisions, so a given
+float64 system gives the same bits on every platform (the system itself
+takes its powers from the platform's ``math.pow``).  :func:`d_sequences`
+sweeps the systems of several integrands as one batch, with the same
+operations on every element.  Where the recursion divides by zero (a
 sample where the integrand vanishes, say), the windows from that step on
 are solved by exact fraction-free elimination (Bareiss, Math. Comp. 22,
 1968) of the same entries, which also decides whether a window is
@@ -161,32 +164,64 @@ def _dd_div(a_hi, a_lo, b_hi, b_lo):
 def _fs_sweep(g, rhs, m):
     """D for the windows nu = 0, 1, ... by the FS-algorithm, until it breaks down.
 
-    ``g[p]`` holds the unknown g_{p+1} at every sample, in the i-major
-    order, so window nu is A_{m nu}^{(0)} of the recursion
+    ``g[..., p, :]`` holds the unknown g_{p+1} at every sample, in the
+    i-major order, and ``rhs[..., :]`` the samples F; leading axes, if any,
+    are a batch of systems of one shape, swept together with the same
+    operations on every element as one system alone.  Window nu is
+    A_{m nu}^{(0)} of the recursion
     psi_p^{(j)}(u) = (psi_{p-1}^{(j+1)}(u) - psi_{p-1}^{(j)}(u))
     / (psi_{p-1}^{(j+1)}(g_{p+1}) - psi_{p-1}^{(j)}(g_{p+1})), with
     psi_0^{(j)}(u) = u_j / g_1(x_j).  D_nu = psi(F) / psi(1), in which the
     step's divisor cancels, so it is read off the differences at step m nu.
     The rows carried are [F, 1, g_N, ..., g_1]: each step's divisor is the
-    last row, and a step drops it.  The sweep stops at the first zero or
-    non-finite divisor and at the first non-finite D; the windows returned
-    are those before it.
+    last row, and a step drops it.  A system leaves the sweep at its first
+    zero or non-finite divisor, and its D list stops at its first
+    non-finite D; the windows returned are those before it.  Returns one D
+    list per system, in the C order of the batch axes, or the list itself
+    when there are none.
     """
-    hi = np.vstack((rhs, np.ones_like(rhs), g[::-1]))
+    g = np.asarray(g, dtype=float)
+    batch, (n, size) = g.shape[:-2], g.shape[-2:]
+    count = math.prod(batch)
+    # One system stays two-dimensional; a batch is flattened to one axis.
+    # ``last`` and ``upper`` index the divisor row and the rows above it.
+    lead = (count,) if batch else ()
+    last, upper = (np.s_[:, -1:], np.s_[:, :-1]) if batch else (-1, np.s_[:-1])
+    rhs = np.reshape(rhs, lead + (1, size))
+    hi = np.concatenate((rhs, np.ones_like(rhs), g.reshape(lead + (n, size))[..., ::-1, :]), axis=-2)
     lo = np.zeros_like(hi)
-    heads = []
-    for p in range(len(g) + 1):
+    alive = np.arange(count)  # the systems still in the sweep
+    heads = []  # rows F and 1 of column 0, (hi, lo), at every m-th step
+    values = [None] * count
+
+    def finish(leaving):
+        # D of the windows swept so far, for the systems flagged in ``leaving``.
+        h = np.array(heads)
+        d = _dd_div(h[:, 0, ..., 0], h[:, 1, ..., 0], h[:, 0, ..., 1], h[:, 1, ..., 1])[0]
+        for system, column in zip(alive[leaving].tolist(), d.reshape(len(h), -1).T[leaving]):
+            finite = np.isfinite(column)
+            values[system] = column[:len(column) if finite.all() else finite.argmin()].tolist()
+
+    for p in range(n + 1):
         if p:
-            hi, lo = _dd_sub(hi[:, 1:], lo[:, 1:], hi[:, :-1], lo[:, :-1])
+            hi, lo = _dd_sub(hi[..., 1:], lo[..., 1:], hi[..., :-1], lo[..., :-1])
         if p % m == 0:
-            heads.append((hi[0, 0], lo[0, 0], hi[1, 0], lo[1, 0]))
-        div = hi[-1]
-        if p == len(g) or not (div.all() and np.isfinite(div).all()):
+            heads.append((hi[..., :2, 0].copy(), lo[..., :2, 0].copy()))
+        if p == n:
             break
-        hi, lo = _dd_div(hi[:-1], lo[:-1], div, lo[-1])
-    values = _dd_div(*np.array(heads).T)[0]
-    finite = np.isfinite(values)
-    return values[:len(values) if finite.all() else finite.argmin()].tolist()
+        div = hi[last]
+        if not (div.all() and np.isfinite(div).all()):
+            # A system whose divisor has a zero or non-finite entry leaves.
+            rows = div.reshape(len(alive), -1)
+            good = rows.all(axis=1) & np.isfinite(rows).all(axis=1)
+            finish(~good)
+            if not good.any():
+                return values if batch else values[0]
+            alive, hi, lo, div = alive[good], hi[good], lo[good], div[good]
+            heads = [(h[good], l[good]) for h, l in heads]
+        hi, lo = _dd_div(hi[upper], lo[upper], div, lo[last])
+    finish(np.ones(len(alive), dtype=bool))
+    return values if batch else values[0]
 
 
 def _column_scales(matrix):
@@ -347,52 +382,75 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     zero, the windows from that step on are solved by exact elimination
     instead.  A window whose exact matrix is singular raises
     :class:`SingularSystemError` carrying its ``nu``, the smallest that
-    fails.
+    fails.  This is :func:`d_sequences` with one member.
+    """
+    return d_sequences([(integrand, grid, reference)], m, nu_max, exponents,
+                       j, node_count)[0]
+
+
+def d_sequences(members, m: int, nu_max: int, exponents=None, j: int = 0,
+                node_count: int = 16) -> list[ExtrapolationTable]:
+    """:func:`d_sequence` for several integrands, with one sweep for all.
+
+    ``members`` lists ``(integrand, grid, reference)`` triples; the other
+    parameters are shared, so every member's nu_max system has one shape
+    and a single FS sweep serves them all.  Each table is the one
+    :func:`d_sequence` gives for its member alone, bit for bit.  Every
+    member is parsed and sampled before any window is solved; after the
+    sweep, the first member with a singular window raises its error.
     """
     if nu_max < 0:
         raise ValueError("nu_max must be non-negative")
     exps = friendly_exponents(m) if exponents is None else tuple(exponents)
     spec = DSystemSpec(m, j, (nu_max,) * m, exps)
-    if isinstance(integrand, str):
-        ast = parse(integrand)
-    elif isinstance(integrand, Expr):
-        ast = integrand
-    else:
-        raise TypeError("integrand must be expression text or a parsed AST")
     needed = j + spec.N + 1
-    if isinstance(grid, str):
-        grid = grid_from_descriptor(grid, needed)
-    elif len(grid.points) < needed:
-        raise ValueError("grid too short: need %d points, have %d"
-                         % (needed, len(grid.points)))
+    sampled, systems = [], []
+    for integrand, grid, reference in members:
+        if isinstance(integrand, str):
+            ast = parse(integrand)
+        elif isinstance(integrand, Expr):
+            ast = integrand
+        else:
+            raise TypeError("integrand must be expression text or a parsed AST")
+        if isinstance(grid, str):
+            grid = grid_from_descriptor(grid, needed)
+        elif len(grid.points) < needed:
+            raise ValueError("grid too short: need %d points, have %d"
+                             % (needed, len(grid.points)))
+        cum = cumulative(lambda t: evaluate(ast, t), grid, node_count)
+        try:
+            derivs = derivatives(ast, np.array(grid.points), m)
+        except (ValueError, ArithmeticError):
+            # Name the sub-expression that fails at the first failing point.
+            for x in grid.points:
+                derivatives(ast, x, m)
+            raise
+        rows = [SampleRow(x, F, tuple(d))
+                for x, F, d in zip(grid.points, cum.F, derivs.T.tolist())]
+        sampled.append((ast, grid, reference, cum.F))
+        systems.append(build_system(spec, rows[j: needed]))
+    if not systems:
+        return []
 
-    cum = cumulative(lambda t: evaluate(ast, t), grid, node_count)
-    try:
-        derivs = derivatives(ast, np.array(grid.points), m)
-    except (ValueError, ArithmeticError):
-        # Name the sub-expression that fails at the first failing point.
-        for x in grid.points:
-            derivatives(ast, x, m)
-        raise
-    rows = [SampleRow(x, F, tuple(d))
-            for x, F, d in zip(grid.points, cum.F, derivs.T.tolist())]
-
-    matrix, rhs = build_system(spec, rows[j: needed])
     # The unknowns g_1..g_N in the i-major order: beta_{k,i}, k inside i.
     order = [1 + k * nu_max + i for i in range(nu_max) for k in range(m)]
+    matrices, rhss = (np.array(parts) for parts in zip(*systems))
     with np.errstate(all="ignore"):
-        values = _fs_sweep(matrix[:, order].T, rhs, m)
-    for nu in range(len(values), nu_max + 1):
-        cols = [0] + order[:m * nu]
-        try:
-            values.append(_exact_d(matrix[:m * nu + 1, cols], rhs[:m * nu + 1]))
-        except SingularSystemError as exc:
-            raise SingularSystemError("window nu=%d: %s" % (nu, exc), nu) from None
-    entries = []
-    for nu, d_value in enumerate(values):
-        f_value = cum.F[j + m * nu]
-        d_error = abs(d_value - reference) if reference is not None else None
-        f_error = abs(f_value - reference) if reference is not None else None
-        entries.append(TableEntry(nu, d_value, f_value, d_error, f_error))
-    return ExtrapolationTable(tuple(entries), m, j, grid, to_text(ast),
-                              exps, reference)
+        swept = _fs_sweep(matrices[:, :, order].swapaxes(1, 2), rhss, m)
+    tables = []
+    for (ast, grid, reference, F), (matrix, rhs), values in zip(sampled, systems, swept):
+        for nu in range(len(values), nu_max + 1):
+            cols = [0] + order[:m * nu]
+            try:
+                values.append(_exact_d(matrix[:m * nu + 1, cols], rhs[:m * nu + 1]))
+            except SingularSystemError as exc:
+                raise SingularSystemError("window nu=%d: %s" % (nu, exc), nu) from None
+        entries = []
+        for nu, d_value in enumerate(values):
+            f_value = F[j + m * nu]
+            d_error = abs(d_value - reference) if reference is not None else None
+            f_error = abs(f_value - reference) if reference is not None else None
+            entries.append(TableEntry(nu, d_value, f_value, d_error, f_error))
+        tables.append(ExtrapolationTable(tuple(entries), m, j, grid, to_text(ast),
+                                         exps, reference))
+    return tables

@@ -46,6 +46,20 @@ class TestReproduceTable:
         err4 = float(rows[4]["D_error"])
         assert err4 == pytest.approx(5.70e-7, rel=0.05)
 
+    def test_one_sweep_for_both_integrands(self, capsys, monkeypatch):
+        from dmint import dtransform
+        calls = {"_fs_sweep": 0, "build_system": 0, "derivatives": 0}
+        for name in calls:
+            real = getattr(dtransform, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(dtransform, name, counting)
+        assert run(capsys, "reproduce-table")[0] == 0
+        assert calls == {"_fs_sweep": 1, "build_system": 2, "derivatives": 2}
+
     def test_unwritable_output_exit_3(self, capsys, tmp_path):
         target = tmp_path / "missing" / "table.txt"
         code, out, err = run(capsys, "reproduce-table", "--nu-max", "1",

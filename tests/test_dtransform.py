@@ -13,6 +13,7 @@ from dmint.dtransform import (
     SingularSystemError,
     build_system,
     d_sequence,
+    d_sequences,
     friendly_exponents,
     solve,
     solve_vector,
@@ -225,6 +226,31 @@ class TestBuildAndSolve:
             assert dtransform._fs_sweep(g, rhs, m) == [rhs[0]]
         assert exact_hits >= 0.9 * total
 
+    def test_batched_sweep_matches_one_system_at_a_time(self):
+        # A batch gives every system the D list it gets alone, also when
+        # a zero or an infinity planted in g_{p+1} makes systems leave at
+        # different steps while the others go on.
+        rng = np.random.default_rng(5)
+        lengths = set()
+        for trial in range(30):
+            m = int(rng.integers(1, 4))
+            n = m * int(rng.integers(1, 5))
+            count = int(rng.integers(2, 6))
+            x = np.sort(rng.uniform(1.0, 30.0, (count, 1, n + 1)), axis=-1)
+            g = x ** (1 - np.arange(n)[:, None] // m) * rng.uniform(0.5, 2.0, (count, n, n + 1))
+            rhs = rng.standard_normal((count, n + 1))
+            for system in rng.choice(count, int(rng.integers(0, count + 1)), replace=False):
+                g[system, rng.integers(0, n), rng.integers(0, n + 1)] = rng.choice([0.0, np.inf])
+            with np.errstate(all="ignore"):
+                alone = [dtransform._fs_sweep(g[i], rhs[i], m) for i in range(count)]
+                assert dtransform._fs_sweep(g, rhs, m) == alone
+                assert dtransform._fs_sweep(g.reshape(1, count, n, n + 1),
+                                            rhs.reshape(1, count, n + 1), m) == alone
+            lengths.update((len(values), n // m + 1) for values in alone)
+        # Systems left at step 0, at later steps, and some ran to the end.
+        assert {1, 2} < {done for done, full in lengths if done < full}
+        assert any(done == full for done, full in lengths)
+
     def test_empty_system_rejected(self):
         with pytest.raises(ValueError):
             solve_vector(np.zeros((0, 0)), np.zeros(0))
@@ -368,6 +394,30 @@ class TestDSequence:
         monkeypatch.setattr(dtransform, "build_system", recording_build)
         d_sequence("sinc(x)^2", "linear:1.6", 3, 10)
         assert specs == [DSystemSpec(3, 0, (10, 10, 10), (1, 2, 3))]
+
+    def test_mixed_batch_matches_one_member_at_a_time(self):
+        # f, phi and an integrand whose sweep breaks at step 0, in one call.
+        members = [("sinc(x)^2", "linear:1.6", PI_HALF),
+                   ("sinc(x^2)^2", "sqrtlinear:1.6", PHI_REF),
+                   ("(x-2)*exp(-x)", "linear:1.0", None)]
+        tables = d_sequences(members, 3, 10)
+        assert len(tables) == len(members)
+        for (source, grid, reference), table in zip(members, tables):
+            alone = d_sequence(source, grid, 3, 10, reference=reference)
+            assert [(e.d_value.hex(), e.f_value.hex()) for e in table.entries] == \
+                [(e.d_value.hex(), e.f_value.hex()) for e in alone.entries]
+            assert table == alone
+
+    def test_batch_raises_the_single_members_error(self):
+        with pytest.raises(SingularSystemError) as alone:
+            d_sequence("0", "linear:1.0", 3, 10)
+        with pytest.raises(SingularSystemError) as batched:
+            d_sequences([("sinc(x)^2", "linear:1.6", PI_HALF), ("0", "linear:1.0", None)], 3, 10)
+        assert str(batched.value) == str(alone.value)
+        assert batched.value.nu == alone.value.nu == 1
+
+    def test_empty_batch(self):
+        assert d_sequences([], 3, 10) == []
 
     def test_singular_window_keeps_its_number_and_text(self):
         # The integrand vanishes at x=2 and x=3, so from nu=2 two rows read

@@ -21,8 +21,8 @@ PUBLIC_NAMES = (
     "CumulativeIntegrals", "QuadratureError", "SampleGrid", "cumulative",
     "gauss_nodes", "grid_from_descriptor", "panel_integrate",
     "DSystemSpec", "ExtrapolationTable", "SampleRow", "SingularSystemError",
-    "TableEntry", "build_system", "d_sequence", "friendly_exponents", "solve",
-    "solve_vector",
+    "TableEntry", "build_system", "d_sequence", "d_sequences", "friendly_exponents",
+    "solve", "solve_vector",
 )
 SUBMODULES = ("bell", "compose", "dtransform", "exprtaylor", "quad", "symseries")
 

@@ -45,16 +45,11 @@ _EXPORTS = {
         "panel_integrate",
     ),
     "dtransform": (
-        "DSystemSpec",
         "ExtrapolationTable",
-        "SampleRow",
         "TableEntry",
-        "build_system",
         "d_sequence",
         "d_sequences",
         "friendly_exponents",
-        "solve",
-        "solve_vector",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

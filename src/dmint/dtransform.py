@@ -11,77 +11,39 @@ default to k (the user-friendly variant); callers who know the integrand's
 tail-expansion exponents may supply them instead.
 
 The windows of one sequence are nested: window nu holds the leading
-m*nu+1 rows of the nu_max window and, of each block of nu_max columns
-belonging to one k, the first nu.  :func:`d_sequence` therefore assembles
-the nu_max system once, in float64.  Taken in the i-major order (beta_ki
-with k inside i), the unknowns of window nu are the first m*nu of the
-largest, so one sweep of the FS-algorithm (Ford & Sidi, SIAM J. Numer.
-Anal. 24, 1987) gives every window's D, without pivoting, in O(N^3).  The
-sweep runs in double-double arithmetic (Dekker, Numer. Math. 18, 1971),
-about 106 bits: on every window the tests check against exact rational
-elimination, D is the exact solution of its float64 system, rounded.  The
-sweep uses only IEEE additions, multiplications and divisions, so a given
-float64 system gives the same bits on every platform (the system itself
-takes its powers from the platform's ``math.pow``).  :func:`d_sequences`
-sweeps the systems of several integrands as one batch, with the same
+m*nu+1 samples and, for each k, the terms i < nu.  :func:`d_sequences`
+therefore assembles the rows of the nu_max system once per integrand, in
+float64, straight from the samples and in the i-major order (beta_ki with
+k inside i): row p = i*m + k - 1 holds x_l**(e_k - i) * f^(k-1)(x_l) at
+every sample l, the power taken by the platform's ``math.pow``, each
+distinct power once.  Window nu then reads the first m*nu rows at the first
+m*nu+1 samples, so one sweep of the FS-algorithm (Ford & Sidi, SIAM J.
+Numer. Anal. 24, 1987) gives every window's D, without pivoting, in
+O(N^3).  The sweep runs in double-double arithmetic (Dekker, Numer. Math.
+18, 1971), about 106 bits: on every window the tests check against exact
+rational elimination, D is the exact solution of its float64 system,
+rounded.  The sweep uses only IEEE additions, multiplications and
+divisions, so given rows give the same bits on every platform.  The
+systems of several integrands are swept as one batch, with the same
 operations on every element.  Where the recursion divides by zero (a
 sample where the integrand vanishes, say), the windows from that step on
 are solved by exact fraction-free elimination (Bareiss, Math. Comp. 22,
 1968) of the same entries, which also decides whether a window is
-singular.  :func:`solve` and :func:`solve_vector` solve one window with
-``np.linalg.solve``.
+singular.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .expr import Expr, SingularSystemError, parse, to_text
 from .exprtaylor import derivatives, evaluate
 from .quad import SampleGrid, cumulative, grid_from_descriptor
-
-
-@dataclass(frozen=True, slots=True)
-class DSystemSpec:
-    """Shape of one extrapolation system.
-
-    ``n`` lists the tail lengths n_1..n_m, ``exponents`` the e_k applied to
-    x_l in front of f^(k-1)(x_l); the system has dimension N+1 with
-    N = sum(n) and uses samples l = j..j+N.
-    """
-
-    m: int
-    j: int
-    n: tuple[int, ...]
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
-        if self.j < 0:
-            raise ValueError("the start index j must be non-negative")
-        if len(self.n) != self.m or any(v < 0 for v in self.n):
-            raise ValueError("n must hold m non-negative integers")
-        if len(self.exponents) != self.m:
-            raise ValueError("need %d exponents, got %d" % (self.m, len(self.exponents)))
-
-    @property
-    def N(self) -> int:
-        return sum(self.n)
-
-
-@dataclass(frozen=True, slots=True)
-class SampleRow:
-    """One sample: abscissa, finite-range integral, integrand derivatives."""
-
-    x: float
-    F: float
-    derivs: tuple[float, ...]
 
 
 def friendly_exponents(m: int) -> tuple[int, ...]:
@@ -95,37 +57,6 @@ def _power(x: float, p: int) -> float:
         return math.pow(x, p)
     except (OverflowError, ValueError):
         return math.inf
-
-
-def build_system(spec: DSystemSpec, samples: Sequence[SampleRow]):
-    """Assemble the (N+1)-dimensional matrix and right-hand side.
-
-    The unknown vector is (D, beta_10..beta_1{n_1-1}, beta_20, ...): k-major,
-    then i ascending.  Row l encodes F(x_l) = D + sum_k x_l**e_k f^(k-1)(x_l)
-    sum_i beta_ki x_l**-i.
-    """
-    size = spec.N + 1
-    if len(samples) != size:
-        raise ValueError("expected %d sample rows, got %d" % (size, len(samples)))
-    if any(len(sample.derivs) < spec.m for sample in samples):
-        raise ValueError("sample rows must carry m derivative values")
-    # Column (k, i) holds x**(e_k - i) * f^(k-1)(x): the math module's
-    # power, as element by element (numpy's own pow differs from it in the
-    # last bit on some machines), and one product.  Columns of different k
-    # share their powers, so each distinct power is taken once.
-    k_of_column = np.repeat(np.arange(spec.m), spec.n)
-    powers, power_of_column = np.unique(
-        np.array([e - i for e, n in zip(spec.exponents, spec.n) for i in range(n)],
-                 dtype=np.int64), return_inverse=True)
-    table = list(map(_power, np.repeat([sample.x for sample in samples], len(powers)).tolist(),
-                     powers.tolist() * size))
-    derivs = np.array([sample.derivs[:spec.m] for sample in samples], dtype=float)
-    matrix = np.empty((size, size))
-    matrix[:, 0] = 1.0
-    matrix[:, 1:] = (np.reshape(table, (size, len(powers)))[:, power_of_column]
-                     * derivs[:, k_of_column])
-    rhs = np.array([sample.F for sample in samples], dtype=float)
-    return matrix, rhs
 
 
 # Double-double arithmetic (Dekker 1971) on float64 arrays: a value is a
@@ -224,14 +155,6 @@ def _fs_sweep(g, rhs, m):
     return values if batch else values[0]
 
 
-def _column_scales(matrix):
-    """The max-norm of each column; a zero or non-finite one is singular."""
-    scale = np.max(np.abs(matrix), axis=0)
-    if np.any(scale == 0.0) or not np.all(np.isfinite(scale)):
-        raise SingularSystemError("matrix has a zero or non-finite column")
-    return scale
-
-
 def _exact_d(matrix, rhs) -> float:
     """D, the first unknown of matrix x = rhs, in exact arithmetic, rounded.
 
@@ -240,7 +163,8 @@ def _exact_d(matrix, rhs) -> float:
     that its value is the quotient of the last row.  Raises
     :class:`SingularSystemError` when the exact matrix is singular.
     """
-    _column_scales(matrix)
+    if not (np.isfinite(matrix).all() and matrix.any(axis=0).all()):
+        raise SingularSystemError("matrix has a zero or non-finite column")
     if not np.all(np.isfinite(rhs)):
         raise SingularSystemError("right-hand side is not finite")
     columns, denominators = [], []
@@ -266,34 +190,6 @@ def _exact_d(matrix, rhs) -> float:
     if not a:
         raise SingularSystemError("matrix is singular")
     return b * denominators[-2] / (a * denominators[-1])
-
-
-def solve_vector(matrix, rhs):
-    """Solve the system, returning the full unknown vector and the residual.
-
-    ``np.linalg.solve`` on the column-equilibrated float64 system.  A
-    vanishing column, a singular matrix or a non-finite solution raises
-    :class:`SingularSystemError` instead of returning garbage.  The
-    residual is the max-norm of A*solution - rhs.
-    """
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
-    if a.ndim != 2 or b.ndim != 1 or not 0 < len(b) == a.shape[0] == a.shape[1]:
-        raise ValueError("need a non-empty square system with matching right-hand side")
-    scale = _column_scales(a)
-    try:
-        solution = np.linalg.solve(a / scale, b) / scale
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("matrix is singular") from exc
-    if not np.all(np.isfinite(solution)):
-        raise SingularSystemError("elimination produced non-finite values")
-    return solution, float(np.max(np.abs(a @ solution - b)))
-
-
-def solve(matrix, rhs):
-    """Extract the integral approximation D (first unknown) and the residual."""
-    solution, residual = solve_vector(matrix, rhs)
-    return float(solution[0]), residual
 
 
 @dataclass(frozen=True, slots=True)
@@ -374,11 +270,13 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
 
     ``integrand`` is an expression AST or source text; ``grid`` is a
     SampleGrid or a descriptor string, and must provide j + m*nu_max + 1
-    points.  One sampling pass (quadrature prefix sums, derivative rows
-    from one jet walk) feeds every window; each window nu uses samples
-    l = j..j+m*nu with tail lengths n = (nu, ..., nu).  The nu_max system
-    is assembled once, and one double-double FS sweep over its columns in
-    the i-major order gives D for every window.  If the sweep divides by
+    points; only those are sampled, and the table keeps the grid given.
+    ``exponents`` are m integers (numpy integers too), e_1..e_m.  One
+    sampling pass (quadrature prefix sums, derivative rows from one jet
+    walk) feeds every window; each window nu uses samples l = j..j+m*nu
+    with tail lengths n = (nu, ..., nu).  The rows of the nu_max system
+    are assembled once, in the i-major order, and one double-double FS
+    sweep over them gives D for every window.  If the sweep divides by
     zero, the windows from that step on are solved by exact elimination
     instead.  A window whose exact matrix is singular raises
     :class:`SingularSystemError` carrying its ``nu``, the smallest that
@@ -397,13 +295,30 @@ def d_sequences(members, m: int, nu_max: int, exponents=None, j: int = 0,
     and a single FS sweep serves them all.  Each table is the one
     :func:`d_sequence` gives for its member alone, bit for bit.  Every
     member is parsed and sampled before any window is solved; after the
-    sweep, the first member with a singular window raises its error.
+    sweep, the first member with a singular window raises its error.  The
+    parameters are checked before anything is sampled: m >= 1, j >= 0,
+    nu_max >= 0 and m integral exponents, else :class:`ValueError`.
     """
     if nu_max < 0:
         raise ValueError("nu_max must be non-negative")
     exps = friendly_exponents(m) if exponents is None else tuple(exponents)
-    spec = DSystemSpec(m, j, (nu_max,) * m, exps)
-    needed = j + spec.N + 1
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    if j < 0:
+        raise ValueError("the start index j must be non-negative")
+    if len(exps) != m:
+        raise ValueError("need %d exponents, got %d" % (m, len(exps)))
+    try:
+        exps = tuple(map(operator.index, exps))
+    except TypeError:
+        raise ValueError("exponents must be integers, got %r" % (exps,)) from None
+    size = m * nu_max + 1
+    needed = j + size
+    # Row p = i*m + k of the sweep reads x**(exps[k] - i) times f^(k)(x).
+    powers = sorted({e - i for e in exps for i in range(nu_max)})
+    power_of_row = [powers.index(e - i) for i in range(nu_max) for e in exps]
+    k_of_row = list(range(m)) * nu_max
+    exponent_args = [p for p in powers for _ in range(size)]
     sampled, systems = [], []
     for integrand, grid, reference in members:
         if isinstance(integrand, str):
@@ -417,32 +332,36 @@ def d_sequences(members, m: int, nu_max: int, exponents=None, j: int = 0,
         elif len(grid.points) < needed:
             raise ValueError("grid too short: need %d points, have %d"
                              % (needed, len(grid.points)))
-        cum = cumulative(lambda t: evaluate(ast, t), grid, node_count)
+        # Only the samples the windows read: a later point may fail.
+        points = grid.points[:needed]
+        cum = cumulative(lambda t: evaluate(ast, t), SampleGrid(points, grid.descriptor),
+                         node_count)
         try:
-            derivs = derivatives(ast, np.array(grid.points), m)
+            derivs = derivatives(ast, np.array(points), m)
         except (ValueError, ArithmeticError):
             # Name the sub-expression that fails at the first failing point.
-            for x in grid.points:
+            for x in points:
                 derivatives(ast, x, m)
             raise
-        rows = [SampleRow(x, F, tuple(d))
-                for x, F, d in zip(grid.points, cum.F, derivs.T.tolist())]
+        # The math module's power, as element by element (numpy's own pow
+        # differs from it in the last bit on some machines), and one product.
+        table = np.reshape(list(map(_power, points[j:] * len(powers), exponent_args)),
+                           (len(powers), size))
         sampled.append((ast, grid, reference, cum.F))
-        systems.append(build_system(spec, rows[j: needed]))
+        systems.append((table[power_of_row] * derivs[k_of_row, j:], cum.F[j:]))
     if not systems:
         return []
 
-    # The unknowns g_1..g_N in the i-major order: beta_{k,i}, k inside i.
-    order = [1 + k * nu_max + i for i in range(nu_max) for k in range(m)]
-    matrices, rhss = (np.array(parts) for parts in zip(*systems))
+    rows, rhss = (np.array(parts) for parts in zip(*systems))
     with np.errstate(all="ignore"):
-        swept = _fs_sweep(matrices[:, :, order].swapaxes(1, 2), rhss, m)
+        swept = _fs_sweep(rows, rhss, m)
     tables = []
-    for (ast, grid, reference, F), (matrix, rhs), values in zip(sampled, systems, swept):
+    for (ast, grid, reference, F), g, rhs, values in zip(sampled, rows, rhss, swept):
         for nu in range(len(values), nu_max + 1):
-            cols = [0] + order[:m * nu]
+            n = m * nu
+            matrix = np.column_stack((np.ones(n + 1), g[:n, :n + 1].T))
             try:
-                values.append(_exact_d(matrix[:m * nu + 1, cols], rhs[:m * nu + 1]))
+                values.append(_exact_d(matrix, rhs[:n + 1]))
             except SingularSystemError as exc:
                 raise SingularSystemError("window nu=%d: %s" % (nu, exc), nu) from None
         entries = []

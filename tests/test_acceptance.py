@@ -10,8 +10,10 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from dmint import dtransform
 from dmint.bell import bell_eval, enumerate_indices, l_matrix
 from dmint.cli import (
     REFERENCE_F_D_ERRORS,
@@ -20,7 +22,7 @@ from dmint.cli import (
     REFERENCE_PHI_ERRORS,
 )
 from dmint.compose import OdeCoefficients, compose_ode, rho_bounds, verify_b1_membership
-from dmint.dtransform import DSystemSpec, SampleRow, build_system, d_sequence, solve
+from dmint.dtransform import d_sequence
 from dmint.exprtaylor import derivatives, evaluate, parse
 from dmint.symseries import (
     GeneralizedPolynomial,
@@ -153,12 +155,13 @@ def test_criterion_4_table_d_columns(demo_tables):
 
 
 def test_criterion_5_exact_model():
+    # F(x) = 1 - 1/x with f = x^-2 fits the m=1 model exactly (D = 1):
+    # the window nu=1 at samples x_j, x_{j+1}, through the program's sweep.
     worst = 0.0
     for j in range(0, 25):
         xs = [float(j + 1 + t) for t in range(2)]
-        rows = [SampleRow(x, 1.0 - 1.0 / x, (x ** -2.0,)) for x in xs]
-        matrix, rhs = build_system(DSystemSpec(1, j, (1,), (1,)), rows)
-        d, _ = solve(matrix, rhs)
+        g = np.array([[x * x ** -2.0 for x in xs]])
+        d = dtransform._fs_sweep(g, np.array([1.0 - 1.0 / x for x in xs]), 1)[1]
         worst = max(worst, abs(d - 1.0))
     ok = worst <= 1e-13
     report(5, "exact-model windows", ok, "worst |D-1| = %.2e" % worst)

@@ -48,7 +48,7 @@ class TestReproduceTable:
 
     def test_one_sweep_for_both_integrands(self, capsys, monkeypatch):
         from dmint import dtransform
-        calls = {"_fs_sweep": 0, "build_system": 0, "derivatives": 0}
+        calls = {"_fs_sweep": 0, "derivatives": 0}
         for name in calls:
             real = getattr(dtransform, name)
 
@@ -58,7 +58,7 @@ class TestReproduceTable:
 
             monkeypatch.setattr(dtransform, name, counting)
         assert run(capsys, "reproduce-table")[0] == 0
-        assert calls == {"_fs_sweep": 1, "build_system": 2, "derivatives": 2}
+        assert calls == {"_fs_sweep": 1, "derivatives": 2}
 
     def test_unwritable_output_exit_3(self, capsys, tmp_path):
         target = tmp_path / "missing" / "table.txt"

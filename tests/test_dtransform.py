@@ -8,19 +8,14 @@ import pytest
 
 from dmint import dtransform
 from dmint.dtransform import (
-    DSystemSpec,
-    SampleRow,
     SingularSystemError,
-    build_system,
     d_sequence,
     d_sequences,
     friendly_exponents,
-    solve,
-    solve_vector,
 )
 
 from dmint.exprtaylor import ExprDomainError, derivatives, evaluate, parse
-from dmint.quad import cumulative, grid_from_descriptor
+from dmint.quad import SampleGrid, cumulative, grid_from_descriptor
 
 from support import exact_first_unknown
 
@@ -28,22 +23,23 @@ PI_HALF = math.pi / 2
 PHI_REF = 2 * math.sqrt(math.pi) / 3
 
 
-def element_loop_system(spec, samples):
-    """Reference assembly: every entry on its own, x**(e_k-i) * f^(k-1)(x)."""
-    size = spec.N + 1
+def element_loop_system(exponents, nu, samples):
+    """Reference assembly: every entry on its own, x**(e_k-i) * f^(k-1)(x).
+
+    ``samples`` are (x, F, derivatives) triples, the first m*nu+1 of
+    which make the window; the unknowns are D, then beta_ki k-major.
+    """
+    size = len(exponents) * nu + 1
     matrix = np.zeros((size, size))
     rhs = np.zeros(size)
-    for row, sample in enumerate(samples):
+    for row, (x, F, derivs) in enumerate(samples[:size]):
         matrix[row, 0] = 1.0
-        x = float(sample.x)
         col = 1
-        for k in range(1, spec.m + 1):
-            base = float(sample.derivs[k - 1])
-            e = spec.exponents[k - 1]
-            for i in range(spec.n[k - 1]):
-                matrix[row, col] = x ** (e - i) * base
+        for e, base in zip(exponents, derivs):
+            for i in range(nu):
+                matrix[row, col] = float(x) ** (e - i) * float(base)
                 col += 1
-        rhs[row] = sample.F
+        rhs[row] = F
     return matrix, rhs
 
 
@@ -55,11 +51,23 @@ def assert_exactly_rounded(d, matrix, rhs):
 
 
 def sample_rows(source, grid, m):
-    """The SampleRows d_sequence builds its systems from, made on their own."""
+    """The samples d_sequence assembles its rows from, made on their own."""
     node = parse(source)
     cum = cumulative(lambda t: evaluate(node, t), grid, 16)
-    return [SampleRow(x, F, tuple(derivatives(node, x, m)))
-            for x, F in zip(grid.points, cum.F)]
+    return [(x, F, derivatives(node, x, m)) for x, F in zip(grid.points, cum.F)]
+
+
+def recording_sweep(monkeypatch):
+    """Replace the sweep by one that records the rows and samples it gets."""
+    calls = []
+    real_sweep = dtransform._fs_sweep
+
+    def recording(g, rhs, m):
+        calls.append((g, rhs, m))
+        return real_sweep(g, rhs, m)
+
+    monkeypatch.setattr(dtransform, "_fs_sweep", recording)
+    return calls
 
 
 def demo_table(**kwargs):
@@ -67,116 +75,110 @@ def demo_table(**kwargs):
 
 
 class TestSpecValidation:
-    def test_shapes(self):
-        spec = DSystemSpec(3, 0, (2, 2, 2), (1, 2, 3))
-        assert spec.N == 6
-        with pytest.raises(ValueError):
-            DSystemSpec(3, 0, (2, 2), (1, 2, 3))
-        with pytest.raises(ValueError):
-            DSystemSpec(3, 0, (2, 2, -1), (1, 2, 3))
-        with pytest.raises(ValueError):
-            DSystemSpec(0, 0, (), ())
-        with pytest.raises(ValueError, match="^need 3 exponents, got 2$"):
-            DSystemSpec(3, 0, (2, 2, 2), (1, 2))
+    def test_shapes(self, monkeypatch):
+        # Per member, the sweep reads the m*nu_max rows g_1..g_N at the
+        # m*nu_max+1 samples l = j..j+N, and those samples F.
+        calls = recording_sweep(monkeypatch)
+        d_sequences([("sinc(x)^2", "linear:1.6", None)] * 2, 3, 2, j=1)
+        d_sequence("exp(-x)", "linear:1.0", 1, 0, j=2)
+        assert [(g.shape, rhs.shape, m) for g, rhs, m in calls] == \
+            [((2, 6, 7), (2, 7), 3), ((1, 0, 1), (1, 1), 1)]
         assert friendly_exponents(4) == (1, 2, 3, 4)
 
 
 class TestBuildAndSolve:
     def test_trivial_window_returns_first_sample(self):
-        rows = [SampleRow(1.6, 0.7755, (0.1, 0.2, 0.3))]
-        matrix, rhs = build_system(DSystemSpec(3, 0, (0, 0, 0), (1, 2, 3)), rows)
-        assert matrix.shape == (1, 1)
-        d, residual = solve(matrix, rhs)
-        assert d == 0.7755  # bit-for-bit
-        assert residual == 0.0
+        # The window nu=0 is the sample F(x_j) itself, bit for bit.
+        table = d_sequence("sinc(x)^2", "linear:1.6", 3, 0, j=2)
+        node = parse("sinc(x)^2")
+        cum = cumulative(lambda t: evaluate(node, t), grid_from_descriptor("linear:1.6", 3), 16)
+        assert len(table.entries) == 1
+        assert table.entries[0].d_value == table.entries[0].f_value == cum.F[2]
 
     def test_identity_system(self):
-        d, residual = solve([[1.0, 0.0], [0.0, 1.0]], [3.5, -1.0])
-        assert d == 3.5 and residual == 0.0
+        assert dtransform._exact_d(np.eye(2), np.array([3.5, -1.0])) == 3.5
 
     def test_exact_model_is_reproduced(self):
-        # F(x) = 1 - 1/x fits the model with D = 1, beta_10 = -1 exactly.
+        # F(x) = 1 - 1/x fits the model with D = 1, beta_10 = -1 exactly:
+        # the sweep and the exact fallback both give D = 1 on its rows.
         for j in range(21):
             xs = [float(j + 1 + t) for t in range(2)]
-            rows = [SampleRow(x, 1.0 - 1.0 / x, (x ** -2.0,)) for x in xs]
-            matrix, rhs = build_system(DSystemSpec(1, j, (1,), (1,)), rows)
-            d, residual = solve(matrix, rhs)
+            g = np.array([[x * x ** -2.0 for x in xs]])
+            rhs = np.array([1.0 - 1.0 / x for x in xs])
+            d = dtransform._fs_sweep(g, rhs, 1)[1]
             assert abs(d - 1.0) <= 1e-13
-            solution, _ = solve_vector(matrix, rhs)
-            assert solution[1] == pytest.approx(-1.0, abs=1e-12)
+            assert d == dtransform._exact_d(np.column_stack((np.ones(2), g[0])), rhs)
 
-    def test_build_matches_element_loop(self):
+    def test_build_matches_element_loop(self, monkeypatch):
+        # The rows handed to the sweep are the reference assembly's
+        # columns taken in the i-major order, bit for bit.
+        calls = recording_sweep(monkeypatch)
         rng = random.Random(11)
-        for _ in range(200):
-            m = rng.randint(1, 4)
-            n = tuple(rng.choice((0, 0, 1, 2, 5, 9)) for _ in range(m))
+        sources = ("sinc(x)^2", "cos(x)/(1+x^2)", "x^(1/2)*exp(-x)", "1/(1+x)^2")
+        for _ in range(40):
+            m, nu, j = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 3)
             exponents = tuple(rng.randint(-3, 4) for _ in range(m))
-            spec = DSystemSpec(m, 0, n, exponents)
-            rows = [SampleRow(rng.uniform(0.1, 60.0), rng.uniform(-2.0, 2.0),
-                              tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-9, 3)
-                                    for _ in range(m + rng.randint(0, 1))))
-                    for _ in range(spec.N + 1)]
-            matrix, rhs = build_system(spec, rows)
-            ref_matrix, ref_rhs = element_loop_system(spec, rows)
-            assert matrix.dtype == rhs.dtype == np.float64
-            assert np.array_equal(matrix, ref_matrix)
-            assert np.array_equal(rhs, ref_rhs)
+            source = rng.choice(sources)
+            grid = grid_from_descriptor(rng.choice(("linear:1.6", "sqrtlinear:1.6")),
+                                        j + m * nu + 1)
+            calls.clear()
+            try:
+                d_sequence(source, grid, m, nu, exponents=exponents, j=j)
+            except SingularSystemError:
+                pass  # the rows were handed over before the window failed
+            (g, rhs, swept_m), = calls
+            matrix, ref_rhs = element_loop_system(exponents, nu, sample_rows(source, grid, m)[j:])
+            order = [1 + k * nu + i for i in range(nu) for k in range(m)]
+            assert swept_m == m and g.dtype == rhs.dtype == np.float64
+            assert np.array_equal(g[0], matrix[:, order].T)
+            assert np.array_equal(rhs[0], ref_rhs)
 
     def test_sample_count_mismatch(self):
-        rows = [SampleRow(1.0, 0.5, (0.1,))]
-        with pytest.raises(ValueError):
-            build_system(DSystemSpec(1, 0, (1,), (1,)), rows)
+        # The windows read samples j..j+m*nu_max: one point fewer is refused
+        # by name, before any sampling, and exactly that many suffice.
+        grid = grid_from_descriptor("linear:1.6", 2 + 2 * 3 + 1)
+        short = SampleGrid(grid.points[:-1])
+        with pytest.raises(ValueError, match="^grid too short: need 9 points, have 8$"):
+            d_sequence("sinc(x)^2", short, 2, 3, j=2)
+        assert len(d_sequence("sinc(x)^2", grid, 2, 3, j=2).entries) == 4
 
     def test_power_beyond_the_float_range_is_inf(self):
-        # 1e-12**-30 overflows: the entry is inf, and the window singular.
-        rows = [SampleRow(1e-12 * (l + 1), 0.5, (1.0,)) for l in range(32)]
-        matrix, _ = build_system(DSystemSpec(1, 0, (31,), (1,)), rows)
-        assert np.isinf(matrix[0, -1]) and np.isfinite(matrix[-1, -2])
-        with pytest.raises(SingularSystemError, match="^matrix has a zero or non-finite column$"):
-            solve(matrix, [0.5] * 32)
-
-    def test_solve_matches_exact_elimination(self):
-        # Column scales spread over 16 decades and permuted dominant rows:
-        # the equilibrated float64 solve stays within 8 cond ulps of the
-        # exact solution of the same system.
-        rng = np.random.default_rng(5)
-        for trial in range(60):
-            n = int(rng.integers(1, 9))
-            matrix = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8, n)
-            if trial % 2:
-                matrix = (matrix + np.diag(10.0 ** rng.uniform(9, 12, n)))[rng.permutation(n)]
-            rhs = rng.standard_normal(n)
-            exact = float(exact_first_unknown(matrix, rhs))
-            d, _ = solve(matrix, rhs)
-            cond = np.linalg.cond(matrix / np.max(np.abs(matrix), axis=0))
-            assert abs(d - exact) <= 8 * cond * math.ulp(max(abs(exact), 1.0))
+        # 1e-12**-26 overflows: row i=27 holds inf at the first sample, so
+        # window nu=28 is the first with a non-finite column.
+        assert dtransform._power(1e-12, -26) == math.inf
+        assert math.isfinite(dtransform._power(1e-12, -25))
+        grid = SampleGrid(tuple(1e-12 * (l + 1) for l in range(32)))
+        with pytest.raises(SingularSystemError) as info:
+            d_sequence("exp(-x)", grid, 1, 31)
+        assert info.value.nu == 28
+        assert str(info.value) == "window nu=28: matrix has a zero or non-finite column"
 
     def test_pivot_off_the_diagonal_in_every_column(self):
-        # Row c+1 carries the dominant entry of column c, and row 0 that of
-        # the last column, so every column but the last pivots on the row
-        # below; the solve still recovers the planted unknowns.
+        # The exact fallback eliminates the columns 1..n-1 and then D's.
+        # In that order the rows are those of an upper triangular matrix
+        # rotated by one, so at every step the only non-zero entry of the
+        # column is one row down: each step swaps, and D is still exact,
+        # rounded.
         rng = np.random.default_rng(8)
-        for n in (2, 3, 17, 40):
-            dominant = rng.standard_normal((n, n)) + np.diag(10.0 ** rng.uniform(9, 12, n))
-            matrix = dominant[np.roll(np.arange(n), 1)]
-            planted = rng.standard_normal(n)
-            solution, residual = solve_vector(matrix, matrix @ planted)
-            assert np.allclose(solution, planted, rtol=1e-12, atol=1e-12)
-            assert residual <= 1e-3 * np.max(np.abs(matrix @ planted))
+        for n in (2, 3, 9, 17):
+            upper = np.triu(rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8, n))
+            rotated = upper[np.roll(np.arange(n), 1)]
+            matrix = np.column_stack((rotated[:, -1], rotated[:, :-1]))
+            rhs = rng.standard_normal(n)
+            assert dtransform._exact_d(matrix, rhs) == float(exact_first_unknown(matrix, rhs))
 
     def test_singular_messages(self):
         for matrix, text in (([[1.0, 1.0], [1.0, 1.0]], "matrix is singular"),
                              ([[2.0, 1.0, 0.5], [4.0, 2.0, 1.0], [1.0, 3.0, 0.0]],
                               "matrix is singular"),
                              ([[1.0, 0.0], [1.0, 0.0]], "matrix has a zero or non-finite column"),
-                             ([[1.0, np.inf], [1.0, 2.0]], "matrix has a zero or non-finite column")):
-            with pytest.raises(SingularSystemError, match="^%s$" % text):
-                solve_vector(matrix, [1.0] * len(matrix))
+                             ([[1.0, np.inf], [1.0, 2.0]], "matrix has a zero or non-finite column"),
+                             ([[1.0, np.nan], [1.0, 2.0]], "matrix has a zero or non-finite column")):
             with pytest.raises(SingularSystemError, match="^%s$" % text):
                 dtransform._exact_d(np.array(matrix), np.ones(len(matrix)))
         # A tiny pivot is solved, not reported as singular.
-        d, _ = solve([[1.0, 1.0], [0.0, 1e-305]], [1.0, 2.0])
-        assert d == 1.0 - 2e305
+        matrix, rhs = np.array([[1.0, 1.0], [0.0, 1e-305]]), np.array([1.0, 2.0])
+        assert dtransform._exact_d(matrix, rhs) == float(exact_first_unknown(matrix, rhs))
 
     def test_exact_fallback_is_exactly_rounded(self):
         # Bareiss elimination on the float entries gives the exact D,
@@ -251,16 +253,6 @@ class TestBuildAndSolve:
         assert {1, 2} < {done for done, full in lengths if done < full}
         assert any(done == full for done, full in lengths)
 
-    def test_empty_system_rejected(self):
-        with pytest.raises(ValueError):
-            solve_vector(np.zeros((0, 0)), np.zeros(0))
-
-    def test_singular_matrix_rejected(self):
-        with pytest.raises(SingularSystemError):
-            solve([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0])
-        with pytest.raises(SingularSystemError):
-            solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
-
 
 class TestDSequence:
     def test_first_entry_is_first_sample(self):
@@ -306,15 +298,15 @@ class TestDSequence:
     ])
     def test_windows_are_those_of_build_system(self, source, grid, m, nu_max,
                                                exponents, j):
-        # Every window on its own, assembled by build_system: the sweep's D
+        # Every window on its own, assembled entry by entry: the sweep's D
         # is its exact solution, rounded (the demo windows of f and phi
         # among them).
         table = d_sequence(source, grid, m, nu_max, exponents=exponents, j=j)
         rows = sample_rows(source, table.grid, m)
         assert len(table.entries) == nu_max + 1
         for nu, entry in enumerate(table.entries):
-            spec = DSystemSpec(m, j, (nu,) * m, table.exponents)
-            assert_exactly_rounded(entry.d_value, *build_system(spec, rows[j: j + spec.N + 1]))
+            assert_exactly_rounded(entry.d_value,
+                                   *element_loop_system(table.exponents, nu, rows[j:]))
 
     @pytest.mark.parametrize("source, grid, nu_max, nu", [
         ("exp(-x)*cos(x)", "linear:1.0", 20, 8),
@@ -326,23 +318,22 @@ class TestDSequence:
         # A sample of the m=3 windows of long sequences.
         table = d_sequence(source, grid, 3, nu_max)
         rows = sample_rows(source, table.grid, 3)
-        spec = DSystemSpec(3, 0, (nu,) * 3, table.exponents)
         assert_exactly_rounded(table.entries[nu].d_value,
-                               *build_system(spec, rows[:spec.N + 1]))
+                               *element_loop_system(table.exponents, nu, rows))
 
     @pytest.mark.parametrize("source, grid, m, nu_max, nu, text", [
         ("0", "linear:1.0", 2, 3, 1, "matrix has a zero or non-finite column"),
     ])
     def test_smallest_singular_window_raises(self, source, grid, m, nu_max, nu, text):
-        # The error is that of the first window that fails on its own.
+        # The error is that of the first window that is singular on its own.
         with pytest.raises(SingularSystemError) as info:
             d_sequence(source, grid, m, nu_max)
         assert info.value.nu == nu
         assert str(info.value) == "window nu=%d: %s" % (nu, text)
         rows = sample_rows(source, grid_from_descriptor(grid, m * nu_max + 1), m)
-        spec = DSystemSpec(m, 0, (nu,) * m, friendly_exponents(m))
-        with pytest.raises(SingularSystemError, match="^%s$" % text):
-            solve(*build_system(spec, rows[:spec.N + 1]))
+        windows = [element_loop_system(friendly_exponents(m), k, rows) for k in range(nu + 1)]
+        assert [exact_first_unknown(*window) is None for window in windows] == \
+            [False] * nu + [True]
 
     @pytest.mark.parametrize("m, nu_max, nu", [(2, 30, 27), (3, 30, 20), (4, 30, 15), (3, 25, 20)])
     def test_exp_cos_windows_are_regular(self, m, nu_max, nu):
@@ -372,28 +363,31 @@ class TestDSequence:
             assert exact_calls == [m * nu + 1 for nu in range(1, 7)]
             rows = sample_rows("(x-2)*exp(-x)", grid, m)
             for nu, entry in enumerate(table.entries[1:], 1):
-                spec = DSystemSpec(m, 0, (nu,) * m, friendly_exponents(m))
-                exact = exact_first_unknown(*build_system(spec, rows[:spec.N + 1]))
+                exact = exact_first_unknown(*element_loop_system(friendly_exponents(m), nu, rows))
                 assert entry.d_value == float(exact)
                 if m == 1:
                     # The row at x=2 reads F(2) = D.
-                    assert entry.d_value == rows[1].F
+                    assert entry.d_value == rows[1][1]
                 elif nu >= 2:
                     # The model is exact from nu=2: D is the integral, -1.
                     assert abs(entry.d_value + 1.0) <= 2 * math.ulp(1.0)
         assert table.entries[5].d_value == -1.0
 
     def test_one_assembly_per_sequence(self, monkeypatch):
-        specs = []
-        real_build = dtransform.build_system
+        # One sweep, and each distinct power e_k - i (here -8..3) taken
+        # once at each of the 31 samples.
+        powers = []
+        real_power = dtransform._power
 
-        def recording_build(spec, samples):
-            specs.append(spec)
-            return real_build(spec, samples)
+        def recording_power(x, p):
+            powers.append(p)
+            return real_power(x, p)
 
-        monkeypatch.setattr(dtransform, "build_system", recording_build)
+        monkeypatch.setattr(dtransform, "_power", recording_power)
+        calls = recording_sweep(monkeypatch)
         d_sequence("sinc(x)^2", "linear:1.6", 3, 10)
-        assert specs == [DSystemSpec(3, 0, (10, 10, 10), (1, 2, 3))]
+        assert len(calls) == 1
+        assert sorted(powers) == sorted(list(range(-8, 4)) * 31)
 
     def test_mixed_batch_matches_one_member_at_a_time(self):
         # f, phi and an integrand whose sweep breaks at step 0, in one call.
@@ -447,6 +441,35 @@ class TestDSequence:
             d_sequence("exp(-x)", "linear:1.0", 2, 3, exponents=(1, 2, 3))
         with pytest.raises(ValueError, match="^nu_max must be non-negative$"):
             d_sequence("exp(-x)", "linear:1.0", 2, -1)
+
+    def test_non_integral_exponents_rejected_before_sampling(self, monkeypatch):
+        # 1.5 - i would become 1 - i, and two columns would coincide.
+        real_cumulative = dtransform.cumulative
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(dtransform, "cumulative", no_quadrature)
+        for exponents in ((1.5,), (2.0,), ("1",)):
+            with pytest.raises(ValueError, match="^exponents must be integers, got "):
+                d_sequence("exp(-x)*cos(x)", "linear:1.0", 1, 4, exponents=exponents)
+        # numpy integers pass, and the table records plain ints.
+        monkeypatch.setattr(dtransform, "cumulative", real_cumulative)
+        table = d_sequence("sinc(x)^2", "linear:1.6", 2, 3,
+                           exponents=(np.int64(1), np.int32(0)))
+        assert table == d_sequence("sinc(x)^2", "linear:1.6", 2, 3, exponents=(1, 0))
+        assert table.to_json_obj()["exponents"] == [1, 0]
+        assert all(type(e) is int for e in table.exponents)
+
+    def test_only_the_samples_read_are_taken(self):
+        # sqrt(7.5-x) fails on the panel past x=7.5, which a 12-point grid
+        # holds; the windows read only x_0..x_3, so the run succeeds with
+        # the D and F the 4-point grid gives, and keeps the caller's grid.
+        long_grid = grid_from_descriptor("linear:1.0", 12)
+        table = d_sequence("exp(-x)*sqrt(7.5-x)", long_grid, 1, 3)
+        assert table.grid is long_grid
+        short = d_sequence("exp(-x)*sqrt(7.5-x)", "linear:1.0", 1, 3)
+        assert table.entries == short.entries
 
     @pytest.mark.parametrize("source, grid, m, j", [
         ("sinc(x)^2", "linear:1.6", 3, 0),

@@ -75,11 +75,10 @@ def _d_notation(value) -> str:
     return ("%.2e" % value).replace("e", "D")
 
 
-def _run_demo_tables(nu_max: int, node_count: int = 16):
+def _run_demo_tables(nu_max: int):
     from . import dtransform
     names = ("f", "phi")
-    tables = dtransform.d_sequences([BUILTIN_INTEGRANDS[name] for name in names],
-                                    3, nu_max, node_count=node_count)
+    tables = dtransform.d_sequences([BUILTIN_INTEGRANDS[name] for name in names], 3, nu_max)
     return dict(zip(names, tables))
 
 
@@ -151,7 +150,7 @@ def _emit(text: str, path: str | None):
 def _cmd_reproduce_table(args) -> int:
     if not 0 <= args.nu_max <= 10:
         raise ValueError("the reference table covers nu = 0..10")
-    tables = _run_demo_tables(args.nu_max, args.nodes)
+    tables = _run_demo_tables(args.nu_max)
     failure = _check_demo_tolerances(tables)
     if failure is not None:
         raise ToleranceFailure(failure)
@@ -241,7 +240,7 @@ def _cmd_accelerate(args) -> int:
     ast = expr.parse(source)
     table = dtransform.d_sequence(ast, grid, args.m, args.nu_max,
                                   exponents=exponents, j=args.j,
-                                  reference=reference, node_count=args.nodes)
+                                  reference=reference)
     if args.format == "json":
         text = table.to_json()
     elif args.format == "csv":
@@ -273,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-table",
                        help="reproduce the demo error-decay table and check it")
     p.add_argument("--nu-max", type=int, default=10)
-    p.add_argument("--nodes", type=int, default=16)
     p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
     p.add_argument("--output", default=None)
     p.set_defaults(handler="_cmd_reproduce_table")
@@ -304,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid descriptor, e.g. linear:1.6 or sqrtlinear:1.6")
     p.add_argument("--nu-max", type=int, default=10)
     p.add_argument("--j", type=int, default=0)
-    p.add_argument("--nodes", type=int, default=16)
     p.add_argument("--reference", default=None,
                    help="exact-value expression, e.g. pi/2 or 2*sqrt(pi)/3")
     p.add_argument("--exponents", default="friendly",

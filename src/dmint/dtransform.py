@@ -24,12 +24,12 @@ O(N^3).  The sweep runs in double-double arithmetic (Dekker, Numer. Math.
 rational elimination, D is the exact solution of its float64 system,
 rounded.  The sweep uses only IEEE additions, multiplications and
 divisions, so given rows give the same bits on every platform.  The
-systems of several integrands are swept as one batch, with the same
-operations on every element.  Where the recursion divides by zero (a
-sample where the integrand vanishes, say), the windows from that step on
-are solved by exact fraction-free elimination (Bareiss, Math. Comp. 22,
-1968) of the same entries, which also decides whether a window is
-singular.
+systems of several integrands are swept as one batch, each to the last
+step, with the same operations on every element.  Where the recursion
+divides by zero (a sample where the integrand vanishes, say), the sweep
+keeps the windows before that step, and the windows from it on are
+solved by exact fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
+of the same entries, which also decides whether a window is singular.
 """
 
 from __future__ import annotations
@@ -93,66 +93,48 @@ def _dd_div(a_hi, a_lo, b_hi, b_lo):
 
 
 def _fs_sweep(g, rhs, m):
-    """D for the windows nu = 0, 1, ... by the FS-algorithm, until it breaks down.
+    """D for the windows nu = 0, 1, ... of a batch of systems by the FS-algorithm.
 
-    ``g[..., p, :]`` holds the unknown g_{p+1} at every sample, in the
-    i-major order, and ``rhs[..., :]`` the samples F; leading axes, if any,
-    are a batch of systems of one shape, swept together with the same
-    operations on every element as one system alone.  Window nu is
-    A_{m nu}^{(0)} of the recursion
+    ``g[s, p, :]`` holds the unknown g_{p+1} of system s at every sample, in
+    the i-major order, and ``rhs[s, :]`` its samples F.  The systems are
+    swept together, with the same operations on every element as one
+    system alone.  Window nu is A_{m nu}^{(0)} of the recursion
     psi_p^{(j)}(u) = (psi_{p-1}^{(j+1)}(u) - psi_{p-1}^{(j)}(u))
     / (psi_{p-1}^{(j+1)}(g_{p+1}) - psi_{p-1}^{(j)}(g_{p+1})), with
     psi_0^{(j)}(u) = u_j / g_1(x_j).  D_nu = psi(F) / psi(1), in which the
     step's divisor cancels, so it is read off the differences at step m nu.
     The rows carried are [F, 1, g_N, ..., g_1]: each step's divisor is the
-    last row, and a step drops it.  A system leaves the sweep at its first
-    zero or non-finite divisor, and its D list stops at its first
-    non-finite D; the windows returned are those before it.  Returns one D
-    list per system, in the C order of the batch axes, or the list itself
-    when there are none.
+    last row, and a step drops it.  Every system is swept to the end, with
+    inf and NaN where a divisor breaks; a system's D list stops at the
+    window of its first zero or non-finite divisor and at its first
+    non-finite D.  Returns one D list per system.
     """
-    g = np.asarray(g, dtype=float)
-    batch, (n, size) = g.shape[:-2], g.shape[-2:]
-    count = math.prod(batch)
-    # One system stays two-dimensional; a batch is flattened to one axis.
-    # ``last`` and ``upper`` index the divisor row and the rows above it.
-    lead = (count,) if batch else ()
-    last, upper = (np.s_[:, -1:], np.s_[:, :-1]) if batch else (-1, np.s_[:-1])
-    rhs = np.reshape(rhs, lead + (1, size))
-    hi = np.concatenate((rhs, np.ones_like(rhs), g.reshape(lead + (n, size))[..., ::-1, :]), axis=-2)
+    count, n, size = g.shape
+    hi = np.concatenate((rhs[:, None], np.ones((count, 1, size)), g[:, ::-1]), axis=1)
     lo = np.zeros_like(hi)
-    alive = np.arange(count)  # the systems still in the sweep
     heads = []  # rows F and 1 of column 0, (hi, lo), at every m-th step
-    values = [None] * count
-
-    def finish(leaving):
-        # D of the windows swept so far, for the systems flagged in ``leaving``.
+    broken = np.full(count, n)  # each system's first step with a bad divisor
+    with np.errstate(all="ignore"):
+        for p in range(n + 1):
+            if p:
+                hi, lo = _dd_sub(hi[..., 1:], lo[..., 1:], hi[..., :-1], lo[..., :-1])
+            if p % m == 0:
+                heads.append((hi[:, :2, 0].copy(), lo[:, :2, 0].copy()))
+            if p == n:
+                break
+            div = hi[:, -1:]
+            if not (div.all() and np.isfinite(div).all()):
+                bad = ~(div.all(axis=(1, 2)) & np.isfinite(div).all(axis=(1, 2)))
+                broken[bad] = np.minimum(broken[bad], p)
+            hi, lo = _dd_div(hi[:, :-1], lo[:, :-1], div, lo[:, -1:])
         h = np.array(heads)
-        d = _dd_div(h[:, 0, ..., 0], h[:, 1, ..., 0], h[:, 0, ..., 1], h[:, 1, ..., 1])[0]
-        for system, column in zip(alive[leaving].tolist(), d.reshape(len(h), -1).T[leaving]):
-            finite = np.isfinite(column)
-            values[system] = column[:len(column) if finite.all() else finite.argmin()].tolist()
-
-    for p in range(n + 1):
-        if p:
-            hi, lo = _dd_sub(hi[..., 1:], lo[..., 1:], hi[..., :-1], lo[..., :-1])
-        if p % m == 0:
-            heads.append((hi[..., :2, 0].copy(), lo[..., :2, 0].copy()))
-        if p == n:
-            break
-        div = hi[last]
-        if not (div.all() and np.isfinite(div).all()):
-            # A system whose divisor has a zero or non-finite entry leaves.
-            rows = div.reshape(len(alive), -1)
-            good = rows.all(axis=1) & np.isfinite(rows).all(axis=1)
-            finish(~good)
-            if not good.any():
-                return values if batch else values[0]
-            alive, hi, lo, div = alive[good], hi[good], lo[good], div[good]
-            heads = [(h[good], l[good]) for h, l in heads]
-        hi, lo = _dd_div(hi[upper], lo[upper], div, lo[last])
-    finish(np.ones(len(alive), dtype=bool))
-    return values if batch else values[0]
+        d = _dd_div(h[:, 0, :, 0], h[:, 1, :, 0], h[:, 0, :, 1], h[:, 1, :, 1])[0]
+    values = []
+    for column, p in zip(d.T, broken.tolist()):
+        column = column[:p // m + 1]
+        finite = np.isfinite(column)
+        values.append(column[:len(column) if finite.all() else finite.argmin()].tolist())
+    return values
 
 
 def _exact_d(matrix, rhs) -> float:
@@ -264,8 +246,7 @@ def _round3(value: float) -> float:
 
 
 def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
-               j: int = 0, reference: float | None = None,
-               node_count: int = 16) -> ExtrapolationTable:
+               j: int = 0, reference: float | None = None) -> ExtrapolationTable:
     """Run the transformation for nu = 0..nu_max on one integrand.
 
     ``integrand`` is an expression AST or source text; ``grid`` is a
@@ -277,25 +258,25 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     with tail lengths n = (nu, ..., nu).  The rows of the nu_max system
     are assembled once, in the i-major order, and one double-double FS
     sweep over them gives D for every window.  If the sweep divides by
-    zero, the windows from that step on are solved by exact elimination
-    instead.  A window whose exact matrix is singular raises
-    :class:`SingularSystemError` carrying its ``nu``, the smallest that
-    fails.  This is :func:`d_sequences` with one member.
+    zero or by a non-finite value, the windows from that step on are
+    solved by exact elimination instead.  A window whose exact matrix is
+    singular raises :class:`SingularSystemError` carrying its ``nu``, the
+    smallest that fails.  This is :func:`d_sequences` with one member.
     """
-    return d_sequences([(integrand, grid, reference)], m, nu_max, exponents,
-                       j, node_count)[0]
+    return d_sequences([(integrand, grid, reference)], m, nu_max, exponents, j)[0]
 
 
-def d_sequences(members, m: int, nu_max: int, exponents=None, j: int = 0,
-                node_count: int = 16) -> list[ExtrapolationTable]:
+def d_sequences(members, m: int, nu_max: int, exponents=None,
+                j: int = 0) -> list[ExtrapolationTable]:
     """:func:`d_sequence` for several integrands, with one sweep for all.
 
     ``members`` lists ``(integrand, grid, reference)`` triples; the other
     parameters are shared, so every member's nu_max system has one shape
-    and a single FS sweep serves them all.  Each table is the one
-    :func:`d_sequence` gives for its member alone, bit for bit.  Every
-    member is parsed and sampled before any window is solved; after the
-    sweep, the first member with a singular window raises its error.  The
+    and a single FS sweep serves them all; a member whose sweep breaks
+    does not stop the others'.  Each table is the one :func:`d_sequence`
+    gives for its member alone, bit for bit.  Every member is parsed and
+    sampled before any window is solved; after the sweep, the first
+    member with a singular window raises its error.  The
     parameters are checked before anything is sampled: m >= 1, j >= 0,
     nu_max >= 0 and m integral exponents, else :class:`ValueError`.
     """
@@ -334,8 +315,7 @@ def d_sequences(members, m: int, nu_max: int, exponents=None, j: int = 0,
                              % (needed, len(grid.points)))
         # Only the samples the windows read: a later point may fail.
         points = grid.points[:needed]
-        cum = cumulative(lambda t: evaluate(ast, t), SampleGrid(points, grid.descriptor),
-                         node_count)
+        cum = cumulative(lambda t: evaluate(ast, t), SampleGrid(points, grid.descriptor))
         try:
             derivs = derivatives(ast, np.array(points), m)
         except (ValueError, ArithmeticError):
@@ -353,8 +333,7 @@ def d_sequences(members, m: int, nu_max: int, exponents=None, j: int = 0,
         return []
 
     rows, rhss = (np.array(parts) for parts in zip(*systems))
-    with np.errstate(all="ignore"):
-        swept = _fs_sweep(rows, rhss, m)
+    swept = _fs_sweep(rows, rhss, m)
     tables = []
     for (ast, grid, reference, F), g, rhs, values in zip(sampled, rows, rhss, swept):
         for nu in range(len(values), nu_max + 1):

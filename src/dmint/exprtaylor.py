@@ -12,8 +12,7 @@ the elementary functions are the math module's, applied element by
 element.  An array of points therefore gives, bit for bit, what each
 point gives alone.
 
-The trees come from :mod:`dmint.expr`, the package's one grammar; its
-names are re-exported here.
+The trees come from :mod:`dmint.expr`, the package's one grammar.
 """
 
 from __future__ import annotations
@@ -22,22 +21,7 @@ import math
 
 import numpy as np
 
-# The parser's names, re-exported so that imports from this module keep working.
-from .expr import (
-    FUNCTIONS,
-    BinOp,
-    Call,
-    Expr,
-    ExprSyntaxError,
-    Neg,
-    Num,
-    PiConst,
-    Pow,
-    Var,
-    has_variable,
-    parse,
-    to_text,
-)
+from .expr import BinOp, Call, Expr, Neg, Num, PiConst, Pow, Var, to_text
 
 
 class ExprDomainError(ValueError):

@@ -94,7 +94,6 @@ class CumulativeIntegrals:
 
     chi: tuple[float, ...]
     F: tuple[float, ...]
-    node_count: int
 
 
 _MAX_NODES = 64
@@ -291,4 +290,4 @@ def cumulative(f, grid: SampleGrid, q: int = 16) -> CumulativeIntegrals:
         message, error = _locate(batch)
         raise QuadratureError(message) from error
     F = tuple(itertools.accumulate(chi, initial=0.0))[1:]
-    return CumulativeIntegrals(tuple(chi), F, q)
+    return CumulativeIntegrals(tuple(chi), F)

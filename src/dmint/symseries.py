@@ -459,29 +459,6 @@ def _canonical_pair(num: GeneralizedPolynomial, den: GeneralizedPolynomial):
     return GeneralizedPolynomial(nt, d), GeneralizedPolynomial(dt, d)
 
 
-# -- the operation surface ---------------------------------------------------
-
-
-def add(a: GeneralizedRational, b: GeneralizedRational) -> GeneralizedRational:
-    return a + b
-
-
-def mul(a: GeneralizedRational, b: GeneralizedRational) -> GeneralizedRational:
-    return a * b
-
-
-def div(a: GeneralizedRational, b: GeneralizedRational) -> GeneralizedRational:
-    return a / b
-
-
-def pow(a: GeneralizedRational, k: int) -> GeneralizedRational:
-    return a ** k
-
-
-def derivative(a: GeneralizedRational) -> GeneralizedRational:
-    return a.derivative()
-
-
 def substitution_polynomial(g) -> GeneralizedPolynomial:
     """The polynomial g after checking that it may replace x in a composition.
 

@@ -23,7 +23,8 @@ from dmint.cli import (
 )
 from dmint.compose import OdeCoefficients, compose_ode, rho_bounds, verify_b1_membership
 from dmint.dtransform import d_sequence
-from dmint.exprtaylor import derivatives, evaluate, parse
+from dmint.expr import parse
+from dmint.exprtaylor import derivatives, evaluate
 from dmint.symseries import (
     GeneralizedPolynomial,
     GeneralizedRational,
@@ -160,8 +161,8 @@ def test_criterion_5_exact_model():
     worst = 0.0
     for j in range(0, 25):
         xs = [float(j + 1 + t) for t in range(2)]
-        g = np.array([[x * x ** -2.0 for x in xs]])
-        d = dtransform._fs_sweep(g, np.array([1.0 - 1.0 / x for x in xs]), 1)[1]
+        g = np.array([[[x * x ** -2.0 for x in xs]]])
+        d = dtransform._fs_sweep(g, np.array([[1.0 - 1.0 / x for x in xs]]), 1)[0][1]
         worst = max(worst, abs(d - 1.0))
     ok = worst <= 1e-13
     report(5, "exact-model windows", ok, "worst |D-1| = %.2e" % worst)

@@ -14,7 +14,8 @@ from dmint.dtransform import (
     friendly_exponents,
 )
 
-from dmint.exprtaylor import ExprDomainError, derivatives, evaluate, parse
+from dmint.expr import parse
+from dmint.exprtaylor import ExprDomainError, derivatives, evaluate
 from dmint.quad import SampleGrid, cumulative, grid_from_descriptor
 
 from support import exact_first_unknown
@@ -103,11 +104,11 @@ class TestBuildAndSolve:
         # the sweep and the exact fallback both give D = 1 on its rows.
         for j in range(21):
             xs = [float(j + 1 + t) for t in range(2)]
-            g = np.array([[x * x ** -2.0 for x in xs]])
-            rhs = np.array([1.0 - 1.0 / x for x in xs])
-            d = dtransform._fs_sweep(g, rhs, 1)[1]
+            g = np.array([[[x * x ** -2.0 for x in xs]]])
+            rhs = np.array([[1.0 - 1.0 / x for x in xs]])
+            d = dtransform._fs_sweep(g, rhs, 1)[0][1]
             assert abs(d - 1.0) <= 1e-13
-            assert d == dtransform._exact_d(np.column_stack((np.ones(2), g[0])), rhs)
+            assert d == dtransform._exact_d(np.column_stack((np.ones(2), g[0, 0])), rhs[0])
 
     def test_build_matches_element_loop(self, monkeypatch):
         # The rows handed to the sweep are the reference assembly's
@@ -204,17 +205,19 @@ class TestBuildAndSolve:
     def test_solve_windows_matches_window_by_window(self):
         # The sweep gives every nested window of one system at once; each
         # is within one ulp of that window solved exactly on its own.  A
-        # zero planted in a divisor stops the sweep before the windows
-        # that read it.
+        # zero row or an infinity planted in g_{p+1} breaks step p, and
+        # the sweep keeps exactly the windows before it, those that do not
+        # read that row.  No np.errstate here: the sweep owns its own.
         rng = np.random.default_rng(17)
         exact_hits = total = 0
+        cuts = set()
         for trial in range(40):
             m = int(rng.integers(1, 4))
             n = m * int(rng.integers(1, 5))
             x = np.sort(rng.uniform(1.0, 30.0, n + 1))
             g = np.array([x ** (1 - p // m) * rng.uniform(0.5, 2.0, n + 1) for p in range(n)])
             rhs = rng.standard_normal(n + 1)
-            values = dtransform._fs_sweep(g, rhs, m)
+            values, = dtransform._fs_sweep(g[None], rhs[None], m)
             assert len(values) == n // m + 1
             for nu, d in enumerate(values):
                 size = m * nu + 1
@@ -223,15 +226,23 @@ class TestBuildAndSolve:
                 assert abs(d - exact) <= math.ulp(exact)
                 exact_hits += d == exact
                 total += 1
-            # g_1 vanishing at sample 0 breaks step 0: only window 0 is left.
-            g[0, 0] = 0.0
-            assert dtransform._fs_sweep(g, rhs, m) == [rhs[0]]
+            p = int(rng.integers(0, n))
+            if trial % 2:
+                g[p] = 0.0
+            else:
+                g[p, rng.integers(0, n + 1)] = np.inf
+            broken, = dtransform._fs_sweep(g[None], rhs[None], m)
+            # The windows kept are bit for bit those checked above.
+            assert broken == values[:p // m + 1]
+            cuts.add(p % m != 0)
         assert exact_hits >= 0.9 * total
+        # Steps that break at a window's own step and between two.
+        assert cuts == {False, True}
 
     def test_batched_sweep_matches_one_system_at_a_time(self):
         # A batch gives every system the D list it gets alone, also when
-        # a zero or an infinity planted in g_{p+1} makes systems leave at
-        # different steps while the others go on.
+        # a zero or an infinity planted in g_{p+1} breaks systems at
+        # different steps while the others stay regular.
         rng = np.random.default_rng(5)
         lengths = set()
         for trial in range(30):
@@ -243,13 +254,10 @@ class TestBuildAndSolve:
             rhs = rng.standard_normal((count, n + 1))
             for system in rng.choice(count, int(rng.integers(0, count + 1)), replace=False):
                 g[system, rng.integers(0, n), rng.integers(0, n + 1)] = rng.choice([0.0, np.inf])
-            with np.errstate(all="ignore"):
-                alone = [dtransform._fs_sweep(g[i], rhs[i], m) for i in range(count)]
-                assert dtransform._fs_sweep(g, rhs, m) == alone
-                assert dtransform._fs_sweep(g.reshape(1, count, n, n + 1),
-                                            rhs.reshape(1, count, n + 1), m) == alone
+            alone = [dtransform._fs_sweep(g[i:i + 1], rhs[i:i + 1], m)[0] for i in range(count)]
+            assert dtransform._fs_sweep(g, rhs, m) == alone
             lengths.update((len(values), n // m + 1) for values in alone)
-        # Systems left at step 0, at later steps, and some ran to the end.
+        # Systems broke at step 0, at later steps, and some never did.
         assert {1, 2} < {done for done, full in lengths if done < full}
         assert any(done == full for done, full in lengths)
 
@@ -257,8 +265,6 @@ class TestBuildAndSolve:
 class TestDSequence:
     def test_first_entry_is_first_sample(self):
         table = demo_table()
-        from dmint.quad import cumulative, grid_from_descriptor
-        from dmint.exprtaylor import evaluate, parse
         node = parse("sinc(x)^2")
         grid = grid_from_descriptor("linear:1.6", 31)
         cum = cumulative(lambda t: evaluate(node, t), grid, 16)

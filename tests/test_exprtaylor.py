@@ -6,21 +6,19 @@ import numpy as np
 import pytest
 
 from dmint.bell import bell_eval
-from dmint.exprtaylor import (
+from dmint.expr import (
     BinOp,
     Call,
-    ExprDomainError,
     ExprSyntaxError,
     Neg,
     Num,
     PiConst,
     Pow,
     Var,
-    derivatives,
-    evaluate,
     parse,
     to_text,
 )
+from dmint.exprtaylor import ExprDomainError, derivatives, evaluate
 
 from support import exact_poly_derivatives, fd5_first, fd5_second
 

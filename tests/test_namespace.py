@@ -48,9 +48,9 @@ class TestPublicApi:
             assert namespace[name] is sys.modules["dmint." + name]
 
     def test_names_come_from_their_modules(self):
-        from dmint import dtransform, exprtaylor, symseries
+        from dmint import dtransform, expr, symseries
         assert dmint.to_text is symseries.to_text
-        assert dmint.parse is exprtaylor.parse is dtransform.parse
+        assert dmint.parse is expr.parse is dtransform.parse
         assert dmint.SingularSystemError is dtransform.SingularSystemError
 
     def test_unknown_name_raises_attribute_error(self):

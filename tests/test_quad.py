@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from dmint.exprtaylor import evaluate, parse
+from dmint.expr import parse
+from dmint.exprtaylor import evaluate
 from dmint.quad import (
     QuadratureError,
     SampleGrid,

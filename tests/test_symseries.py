@@ -5,18 +5,13 @@ from fractions import Fraction
 import pytest
 
 from dmint import symseries
-from dmint.exprtaylor import Pow, Var, parse
+from dmint.expr import Pow, Var, parse
 from dmint.symseries import (
     GeneralizedPolynomial,
     GeneralizedRational,
     RationalParseError,
-    add,
     compose_poly,
-    derivative,
-    div,
-    mul,
     parse_rational,
-    pow,
     profile,
     to_text,
 )
@@ -32,32 +27,32 @@ def R(text):
 
 class TestArithmeticExamples:
     def test_additive_identity(self):
-        assert add(R("1/x"), ZERO) == R("1/x")
+        assert R("1/x") + ZERO == R("1/x")
 
     def test_cancellation_to_constant(self):
-        assert add(R("x/(x-1)"), R("-1/(x-1)")) == ONE
+        assert R("x/(x-1)") + R("-1/(x-1)") == ONE
 
     def test_half_grid_sum_collapses(self):
         f1 = R("x^(1/2)") * R("(x+3)/(x-1)^3")
         f2 = R("-(3*x+1)/(x-1)^3")
-        total = add(f1, f2)
+        total = f1 + f2
         assert total == R("1/(sqrt(x)+1)^3")
         assert total == (R("(sqrt(x)-1)/(x-1)")) ** 3
 
     def test_mul_monomials(self):
-        assert mul(R("x^2"), R("1/x")) == X
+        assert R("x^2") * R("1/x") == X
 
     def test_div_lead_exponent(self):
-        assert profile(div(ONE, R("(x+1)^3"))).gamma == -3
+        assert profile(ONE / R("(x+1)^3")).gamma == -3
 
     def test_pow_of_derivative(self):
         gprime = GeneralizedRational(GeneralizedPolynomial({2: 1})).derivative()
-        assert pow(gprime, 3) == R("8*x^3")
+        assert gprime ** 3 == R("8*x^3")
 
     def test_pow_negative(self):
-        assert pow(R("x+1"), -2) == R("1/(x+1)^2")
+        assert R("x+1") ** -2 == R("1/(x+1)^2")
         with pytest.raises(ZeroDivisionError):
-            pow(ZERO, -1)
+            ZERO ** -1
 
 
 def count_products(monkeypatch, cls, limit=64):
@@ -162,13 +157,13 @@ class TestPowers:
 
 class TestDerivative:
     def test_square(self):
-        assert derivative(R("x^2")) == R("2*x")
+        assert R("x^2").derivative() == R("2*x")
 
     def test_power_rule(self):
-        assert derivative(R("1/(x+1)^3")) == R("-3/(x+1)^4")
+        assert R("1/(x+1)^3").derivative() == R("-3/(x+1)^4")
 
     def test_half_grid_chain_rule(self):
-        got = derivative(R("1/(sqrt(x)+1)^3"))
+        got = R("1/(sqrt(x)+1)^3").derivative()
         want = R("-3/2") * R("x^(-1/2)") / R("(sqrt(x)+1)^4")
         assert got == want
         # numeric spot check against a central difference at x = 4
@@ -178,7 +173,7 @@ class TestDerivative:
         assert abs(got.evaluate(4.0) - fd) <= 1e-8 * abs(fd)
 
     def test_constant_derivative_is_zero(self):
-        assert derivative(R("5")).is_zero
+        assert R("5").derivative().is_zero
 
 
 class TestComposePoly:
@@ -423,7 +418,7 @@ class TestTextFormat:
         with pytest.raises(RationalParseError):
             parse_rational("1/(x-x)")
         with pytest.raises(ZeroDivisionError):
-            div(ONE, ZERO)
+            ONE / ZERO
 
     def test_zero_exponent_denominator(self):
         with pytest.raises(RationalParseError, match=r"\(position 5\)"):

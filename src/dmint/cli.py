@@ -75,10 +75,17 @@ def _d_notation(value) -> str:
     return ("%.2e" % value).replace("e", "D")
 
 
+@functools.cache
+def _builtin_ast(name: str) -> expr.Expr:
+    """The parsed source of a builtin integrand, parsed once per process."""
+    return expr.parse(BUILTIN_INTEGRANDS[name][0])
+
+
 def _run_demo_tables(nu_max: int):
     from . import dtransform
     names = ("f", "phi")
-    tables = dtransform.d_sequences([BUILTIN_INTEGRANDS[name] for name in names], 3, nu_max)
+    members = [(_builtin_ast(name),) + BUILTIN_INTEGRANDS[name][1:] for name in names]
+    tables = dtransform.d_sequences(members, 3, nu_max)
     return dict(zip(names, tables))
 
 

@@ -52,7 +52,10 @@ def friendly_exponents(m: int) -> tuple[int, ...]:
 
 
 def _power(x: float, p: int) -> float:
-    """math.pow, or inf where the power leaves the float range (as numpy's)."""
+    """math.pow, or inf where the power leaves the float range (as numpy's).
+
+    Only a power table in which math.pow raises is taken with it.
+    """
     try:
         return math.pow(x, p)
     except (OverflowError, ValueError):
@@ -313,22 +316,30 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
         elif len(grid.points) < needed:
             raise ValueError("grid too short: need %d points, have %d"
                              % (needed, len(grid.points)))
-        # Only the samples the windows read: a later point may fail.
+        # Only the samples the windows read: a later point may fail.  A
+        # grid of exactly those points, checked once already, goes as it is.
         points = grid.points[:needed]
-        cum = cumulative(lambda t: evaluate(ast, t), SampleGrid(points, grid.descriptor))
+        cum = cumulative(lambda t: evaluate(ast, t), grid if len(points) == len(grid.points)
+                         else SampleGrid(points, grid.descriptor))
+        # The rows read the samples from j on.
+        read = points[j:]
         try:
-            derivs = derivatives(ast, np.array(points), m)
+            derivs = derivatives(ast, np.array(read), m)
         except (ValueError, ArithmeticError):
             # Name the sub-expression that fails at the first failing point.
-            for x in points:
+            for x in read:
                 derivatives(ast, x, m)
             raise
         # The math module's power, as element by element (numpy's own pow
         # differs from it in the last bit on some machines), and one product.
-        table = np.reshape(list(map(_power, points[j:] * len(powers), exponent_args)),
-                           (len(powers), size))
+        bases = read * len(powers)
+        try:
+            table = list(map(math.pow, bases, exponent_args))
+        except (OverflowError, ValueError):
+            table = list(map(_power, bases, exponent_args))
+        table = np.reshape(table, (len(powers), size))
         sampled.append((ast, grid, reference, cum.F))
-        systems.append((table[power_of_row] * derivs[k_of_row, j:], cum.F[j:]))
+        systems.append((table[power_of_row] * derivs[k_of_row], cum.F[j:]))
     if not systems:
         return []
 

@@ -9,7 +9,8 @@ derivatives at every point to roundoff; :func:`evaluate` is that walk
 at order 1.  Each element goes through exactly the operations of a
 one-point jet: a sum of products is ``math.fsum`` at each point, and
 the elementary functions are the math module's, applied element by
-element.  An array of points therefore gives, bit for bit, what each
+element (the square root, correctly rounded by IEEE 754, is numpy's).
+An array of points therefore gives, bit for bit, what each
 point gives alone.
 
 The trees come from :mod:`dmint.expr`, the package's one grammar.
@@ -87,10 +88,18 @@ def _fsum(terms):
     """``math.fsum`` at each point over a list of coefficient arrays.
 
     One term gives ``term + 0.0``, which is what fsum gives (it maps -0.0
-    to 0.0); no terms give 0.0.
+    to 0.0); no terms give 0.0.  Two terms whose sum is finite everywhere
+    give ``a + b + 0.0``: one IEEE addition is the correctly rounded sum
+    that fsum returns.  Any other case runs fsum, which raises on overflow
+    and on inf - inf.
     """
     if len(terms) < 2:
         return terms[0] + 0.0 if terms else 0.0
+    if len(terms) == 2:
+        total = terms[0] + terms[1]
+        if np.isfinite(total).all():
+            total += 0.0
+            return total
     columns = zip(*[term.tolist() for term in terms])
     return np.fromiter(map(math.fsum, columns), float, len(terms[0]))
 
@@ -177,7 +186,8 @@ def _jet_sin_cos(u: Jet, sin_order: int, cos_order: int) -> tuple[Jet, Jet]:
 def _jet_sqrt(u: Jet) -> Jet:
     if (u.coeffs[0] < 0.0).any():
         raise ValueError("sqrt of a negative value")
-    out = [_apply(math.sqrt, u.coeffs[0])]
+    # IEEE 754 rounds a square root correctly, so numpy's is the math module's.
+    out = [np.sqrt(u.coeffs[0])]
     if u.order > 1 and (out[0] == 0.0).any():
         raise ValueError("sqrt is not differentiable at 0")
     for k in range(1, u.order):
@@ -214,10 +224,11 @@ def _sinc_series(u: Jet) -> Jet:
     square = u * u
     acc = Jet.constant(_SINC_TERMS[-1], u.order, u.size)
     for coeff in reversed(_SINC_TERMS[:-1]):
-        # acc * square plus the constant jet (coeff, 0, 0, ...); "+ 0.0"
-        # maps -0.0 to 0.0 as adding its zero coefficients does.
-        c0, *rest = (acc * square).coeffs
-        acc = Jet([c0 + coeff] + [ck + 0.0 for ck in rest])
+        # acc * square plus the constant jet (coeff, 0, 0, ...).  Adding its
+        # zero coefficients would only map -0.0 to 0.0, which the product's
+        # fsum has done already.
+        acc = acc * square
+        acc.coeffs[0] += coeff
     return acc
 
 

@@ -5,14 +5,14 @@ chi_i over [x_{i-1}, x_i] (with x_{-1} = 0), each computed by a fixed-order
 Gauss-Legendre rule, then prefix-summed: F(x_l) = chi_0 + ... + chi_l.
 
 Integrands take an array of nodes and return the array of their values.
-:func:`cumulative` makes one call per rule for all panels at once: the
-nodes of the q-point rule, then those of the doubled rule, then the
-halves of any panel the doubling flags.  Each panel is still summed on its
-own with ``math.fsum``, so for an integrand that acts element by element
-(as :func:`dmint.exprtaylor.evaluate` does, bit for bit) the results are
-exactly those of integrating panel after panel, node by node.  A failed
-batch is replayed panel by panel to find the first failing panel, and the
-error raised names its first failing node.
+:func:`cumulative` calls f once for the nodes of the q-point and of the
+doubled rule of all panels, panel after panel, and once more for the
+halves of any panel the doubling flags.  Each panel and rule is still
+summed on its own with ``math.fsum``, so for an integrand that acts
+element by element (as :func:`dmint.exprtaylor.evaluate` does, bit for
+bit) the results are exactly those of integrating panel after panel, node
+by node.  A failed batch is replayed panel by panel to find the first
+failing panel, and the error raised names its first failing node.
 """
 
 from __future__ import annotations
@@ -187,38 +187,48 @@ def _first_failure(f, x, error):
 
 
 class _RuleFailure(Exception):
-    """A rule's call of f failed: args are (f, nodes, error, lefts, rights, q).
+    """A rule's call of f failed: args are (f, nodes, error, lefts, rights, width).
 
-    Naming the failing node costs a bisection, so it is left to
-    :func:`_locate` for the failures whose message is read.
+    ``width`` is the number of nodes each panel gave.  Naming the failing
+    node costs a bisection, so it is left to :func:`_locate` for the
+    failures whose message is read.
     """
 
 
 def _locate(failure: _RuleFailure):
     """The message naming the first failing node of a failed rule, and
     f's error at that node."""
-    f, x, error, lefts, rights, q = failure.args
+    f, x, error, lefts, rights, width = failure.args
     index, error = _first_failure(f, x, error)
-    panel = index // q
+    panel = index // width
     return ("integrand failed at node x=%r in panel [%r, %r]: %s"
             % (float(x[index]), float(lefts[panel]), float(rights[panel]), error)), error
 
 
-def _rule(f, lefts, rights, q: int) -> list[float]:
-    """q-point Gauss-Legendre values of the panels [lefts[i], rights[i]].
+def _rule(f, lefts, rights, *orders: int) -> list[list[float]]:
+    """Gauss-Legendre values of the panels [lefts[i], rights[i]], one list
+    per q-point rule in ``orders``.
 
-    The nodes of all panels go to f in one array, panel after panel.  A
-    failure raises :class:`_RuleFailure`.
+    The nodes of all panels go to f in one array, panel after panel, and
+    within a panel rule after rule.  A failure raises :class:`_RuleFailure`.
     """
-    nodes, weights = gauss_nodes(q)
+    rules = [gauss_nodes(q) for q in orders]
+    nodes = np.concatenate([rule[0] for rule in rules])
+    weights = np.concatenate([rule[1] for rule in rules])
     mid = 0.5 * (lefts + rights)
     halfwidth = 0.5 * (rights - lefts)
-    x = (mid[:, None] + halfwidth[:, None] * np.array(nodes)).ravel()
+    x = (mid[:, None] + halfwidth[:, None] * nodes).ravel()
     values, error = _values(f, x)
     if error is not None:
-        raise _RuleFailure(f, x, error, lefts, rights, q)
-    rows = (np.array(weights) * values.reshape(-1, q)).tolist()
-    return [h * math.fsum(row) for h, row in zip(halfwidth.tolist(), rows)]
+        raise _RuleFailure(f, x, error, lefts, rights, len(nodes))
+    products = weights * values.reshape(-1, len(nodes))
+    halfwidth = halfwidth.tolist()
+    sums, start = [], 0
+    for q in orders:
+        rows = products[:, start:start + q].tolist()
+        sums.append([h * math.fsum(row) for h, row in zip(halfwidth, rows)])
+        start += q
+    return sums
 
 
 def panel_integrate(f, a: float, b: float, q: int = 16) -> float:
@@ -233,7 +243,7 @@ def panel_integrate(f, a: float, b: float, q: int = 16) -> float:
     if not b > a:
         raise ValueError("need a < b, got [%r, %r]" % (a, b))
     try:
-        return _rule(f, np.array([a], dtype=float), np.array([b], dtype=float), q)[0]
+        return _rule(f, np.array([a], dtype=float), np.array([b], dtype=float), q)[0][0]
     except _RuleFailure as failure:
         message, error = _locate(failure)
         raise QuadratureError(message) from error
@@ -242,20 +252,20 @@ def panel_integrate(f, a: float, b: float, q: int = 16) -> float:
 def _panels(f, lefts, rights, q: int) -> list[float]:
     # Accept the doubled rule; where doubling moved the value by more than
     # 1e-12 relative, bisect once and integrate the halves at the doubled
-    # order.  One level only: panels are expected to be smooth.  Each
-    # stage is one call of f for all the panels it covers.
+    # order.  One level only: panels are expected to be smooth.  Both rules
+    # are one call of f for all the panels, the halves one more.
     refined = min(2 * q, _MAX_NODES)
-    coarse = _rule(f, lefts, rights, q)
     if refined == q:
-        return coarse
-    chi = _rule(f, lefts, rights, refined)
-    flagged = [i for i, (c, v) in enumerate(zip(coarse, chi))
-               if abs(v - c) > 1e-12 * max(abs(c), abs(v), 1e-30)]
+        return _rule(f, lefts, rights, q)[0]
+    coarse, chi = _rule(f, lefts, rights, q, refined)
+    c, v = np.array(coarse), np.array(chi)
+    flagged = np.flatnonzero(
+        abs(v - c) > 1e-12 * np.maximum(np.maximum(abs(c), abs(v)), 1e-30)).tolist()
     if flagged:
         a, b = lefts[flagged], rights[flagged]
         mid = 0.5 * (a + b)
-        halves = _rule(f, np.column_stack((a, mid)).ravel(),
-                       np.column_stack((mid, b)).ravel(), refined)
+        (halves,) = _rule(f, np.column_stack((a, mid)).ravel(),
+                          np.column_stack((mid, b)).ravel(), refined)
         for n, i in enumerate(flagged):
             chi[i] = halves[2 * n] + halves[2 * n + 1]
     return chi
@@ -265,17 +275,19 @@ def cumulative(f, grid: SampleGrid, q: int = 16) -> CumulativeIntegrals:
     """Panel integrals over [x_{i-1}, x_i] and their prefix sums.
 
     f takes an array of nodes and returns the array of its values; it is
-    called once for the q-point nodes of all panels, once for the doubled
-    rule, and once more only if some panel needs bisecting.  The values
-    are those of integrating the panels one at a time, and the prefix sums
-    are formed in index order, so F[l] equals the plain left-to-right sum
-    of chi[0..l].  Batching changes no bits: each panel keeps its own
-    ``math.fsum``, and :func:`dmint.exprtaylor.evaluate` computes each
+    called once for the nodes of the q-point and the doubled rule of all
+    panels (each panel's q nodes, then its doubled ones), and once more
+    only if some panel needs bisecting.  The values are those of
+    integrating the panels one at a time, and the prefix sums are formed
+    in index order, so F[l] equals the plain left-to-right sum of
+    chi[0..l].  Batching changes no bits: each panel and rule keeps its
+    own ``math.fsum``, and :func:`dmint.exprtaylor.evaluate` computes each
     element as it would a single point.  If the batch fails, the panels
-    are replayed one at a time (one call of f per stage) and the first
-    failure is raised as ``panel i: ...``, the error a panel-by-panel
-    integration hits first; if none fails alone, the batch's error stands.
-    Only the error raised is bisected to its first failing node.
+    are replayed one at a time (one call of f for both rules, one for the
+    halves) and the first failure is raised as ``panel i: ...``, the error
+    a panel-by-panel integration hits first, since a panel's coarse nodes
+    come before its doubled ones; if none fails alone, the batch's error
+    stands.  Only the error raised is bisected to its first failing node.
     """
     edges = np.array((0.0,) + grid.points)
     try:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import dmint
-from dmint import cli
+from dmint import cli, expr
 from dmint.cli import main
 
 DEMO_P = ("--p=-(2*x^2+3)/(4*x)", "--p=-3/4", "--p=-x/8")
@@ -359,3 +359,12 @@ class TestSharedParser:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
+
+    def test_builtin_integrands_parsed_once(self, capsys, monkeypatch):
+        parsed = []
+        real_parse = expr.parse
+        monkeypatch.setattr(expr, "parse", lambda text: parsed.append(text) or real_parse(text))
+        cli._builtin_ast.cache_clear()
+        for _ in range(3):
+            assert run(capsys, "reproduce-table", "--nu-max", "2")[0] == 0
+        assert sorted(parsed) == ["sinc(x)^2", "sinc(x^2)^2"]

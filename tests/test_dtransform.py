@@ -143,6 +143,33 @@ class TestBuildAndSolve:
             d_sequence("sinc(x)^2", short, 2, 3, j=2)
         assert len(d_sequence("sinc(x)^2", grid, 2, 3, j=2).entries) == 4
 
+    def test_grid_sampled_as_given_or_cut_to_the_points_read(self, monkeypatch):
+        # A grid with exactly the points the windows read goes to the
+        # quadrature as it is; a longer one is cut to them.
+        grids = []
+        real_cumulative = dtransform.cumulative
+        monkeypatch.setattr(dtransform, "cumulative",
+                            lambda f, grid: grids.append(grid) or real_cumulative(f, grid))
+        exact = grid_from_descriptor("linear:1.6", 7)
+        longer = grid_from_descriptor("linear:1.6", 9)
+        d_sequence("sinc(x)^2", exact, 3, 2)
+        d_sequence("sinc(x)^2", longer, 3, 2)
+        d_sequence("sinc(x)^2", "linear:1.6", 3, 2)
+        assert grids[0] is exact
+        assert grids[1] == SampleGrid(longer.points[:7], "linear:1.6") == grids[2]
+
+    def test_derivatives_only_at_the_samples_read(self):
+        # |x - 1.6| has no derivative at the first sample, which the windows
+        # from j = 1 do not read; the integral up to it is still summed.
+        source = "sqrt((x-1.6)^2)/(1+x^2)^2"
+        grid = grid_from_descriptor("linear:1.6", 8)
+        with pytest.raises(ExprDomainError, match="^sqrt is not differentiable at 0"):
+            d_sequence(source, grid, 2, 3)
+        table = d_sequence(source, grid, 2, 3, j=1)
+        F = cumulative(lambda t: evaluate(parse(source), t), grid).F
+        assert [e.f_value for e in table.entries] == [F[1 + 2 * nu] for nu in range(4)]
+        assert abs(table.entries[3].d_value - table.entries[2].d_value) < 1e-4
+
     def test_power_beyond_the_float_range_is_inf(self):
         # 1e-12**-26 overflows: row i=27 holds inf at the first sample, so
         # window nu=28 is the first with a non-finite column.
@@ -381,19 +408,22 @@ class TestDSequence:
 
     def test_one_assembly_per_sequence(self, monkeypatch):
         # One sweep, and each distinct power e_k - i (here -8..3) taken
-        # once at each of the 31 samples.
+        # once at each of the 31 samples by math.pow; no power overflows,
+        # so the _power fallback is not run.
         powers = []
-        real_power = dtransform._power
+        real_pow = math.pow
 
-        def recording_power(x, p):
-            powers.append(p)
-            return real_power(x, p)
+        def recording_pow(x, p):
+            powers.append((x, p))
+            return real_pow(x, p)
 
-        monkeypatch.setattr(dtransform, "_power", recording_power)
+        monkeypatch.setattr(math, "pow", recording_pow)
+        monkeypatch.setattr(dtransform, "_power", None)
         calls = recording_sweep(monkeypatch)
         d_sequence("sinc(x)^2", "linear:1.6", 3, 10)
         assert len(calls) == 1
-        assert sorted(powers) == sorted(list(range(-8, 4)) * 31)
+        points = grid_from_descriptor("linear:1.6", 31).points
+        assert sorted(powers) == sorted((x, p) for x in points for p in range(-8, 4))
 
     def test_mixed_batch_matches_one_member_at_a_time(self):
         # f, phi and an integrand whose sweep breaks at step 0, in one call.
@@ -491,7 +521,8 @@ class TestDSequence:
 
         monkeypatch.setattr(dtransform, "derivatives", counting)
         table = d_sequence(source, grid, m, 4, j=j)
-        assert calls == [((len(table.grid.points),), m)]
+        # At the samples the windows read, j on.
+        assert calls == [((len(table.grid.points) - j,), m)]
 
     def test_failing_sample_point_named_as_point_by_point(self):
         # The array walk fails first in 1/(x-3.2); the first grid point

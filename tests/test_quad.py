@@ -207,20 +207,29 @@ class TestCumulative:
         err2 = abs(cumulative(phi, grid2, 16).F[30] - 2 * math.sqrt(math.pi) / 3)
         assert err2 == pytest.approx(4.70e-4, rel=5e-3)
 
+    # The integrands and grids of the accel-deep benchmark catalogue.
+    CATALOGUE = (("sinc(x)^2", "linear:1.6"), ("sinc(x^2)^2", "sqrtlinear:1.6"),
+                 ("sinc(x)", "linear:1.6"), ("sinc(x)^3", "linear:1.6"),
+                 ("1/(1+x^2)", "linear:1.6"), ("cos(x)/(1+x^2)", "linear:1.6"),
+                 ("x*sin(x)/(1+x^2)", "linear:1.6"), ("1/(1+x)^2", "linear:1.0"),
+                 ("cos(x^2)", "sqrtlinear:1.6"), ("sin(x^2)", "sqrtlinear:1.6"),
+                 ("exp(-x)*cos(x)", "linear:1.0"))
+
     def test_bit_identical_to_node_by_node_loop(self):
-        for source, desc, count in (("sinc(x)^2", "linear:1.6", 31),
-                                    ("sinc(x^2)^2", "sqrtlinear:1.6", 31),
-                                    ("x^(1/2)*exp(-x)", "linear:1.0", 8)):
+        cases = [entry + (61,) for entry in self.CATALOGUE]
+        for source, desc, count in cases + [("x^(1/2)*exp(-x)", "linear:1.0", 8)]:
             node = parse(source)
             grid = grid_from_descriptor(desc, count)
             chi, F, bisected = scalar_cumulative(node, grid, 16)
             result = cumulative(lambda t: evaluate(node, t), grid, 16)
-            assert result.chi == chi
-            assert result.F == F
+            assert [v.hex() for v in result.chi] == [v.hex() for v in chi], source
+            assert [v.hex() for v in result.F] == [v.hex() for v in F], source
             if source.startswith("x^(1/2)"):
                 assert bisected > 0  # the halves stage is covered too
 
     def test_one_integrand_call_per_rule(self):
+        # The coarse and the doubled rule of every panel in one call, 16 + 32
+        # nodes a panel; no panel of f needs bisecting.
         calls = []
         node = parse("sinc(x)^2")
 
@@ -229,7 +238,33 @@ class TestCumulative:
             return evaluate(node, t)
 
         cumulative(f, grid_from_descriptor("linear:1.6", 31), 16)
-        assert calls == [31 * 16, 31 * 32]
+        assert calls == [31 * 48]
+
+    def test_halves_are_one_more_call(self):
+        calls = []
+        node = parse("x^(1/2)*exp(-x)")
+
+        def f(t):
+            calls.append(t.size)
+            return evaluate(node, t)
+
+        grid = grid_from_descriptor("linear:1.0", 8)
+        cumulative(f, grid, 16)
+        *_, bisected = scalar_cumulative(node, grid, 16)
+        assert bisected > 0 and calls == [8 * 48, bisected * 2 * 32]
+
+    def test_top_order_is_one_rule(self):
+        # At q = 64 there is no doubled rule: one call, no refinement.
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.exp(-t)
+
+        result = cumulative(f, grid_from_descriptor("linear:1.0", 3), 64)
+        assert calls == [3 * 64]
+        assert result.chi == tuple(panel_integrate(lambda t: np.exp(-t), a, b, 64)
+                                   for a, b in ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0)))
 
     @pytest.mark.parametrize("source, message", [
         ("log(3-x)",
@@ -271,7 +306,7 @@ class TestCumulative:
 
         def f(t):
             calls.append(t.size)
-            if t.size > 16:
+            if t.size > 48:
                 raise ValueError("too many nodes")
             return np.exp(-t)
 
@@ -281,9 +316,10 @@ class TestCumulative:
         assert str(info.value) == (
             "integrand failed at node x=2.019855071751232 in panel [2.0, 3.0]: "
             "too many nodes")
-        # The batch, the four panels (two rules each), then the bisection
-        # of the batch to its first failing node.
-        assert calls == [32] + [8, 16] * 4 + [16, 24, 20, 18, 17]
+        # The batch (both rules of four panels), the four panels (both
+        # rules in one call each), then the bisection of the batch to its
+        # first failing node, the first of panel 2.
+        assert calls == [96] + [24] * 4 + [48, 72, 60, 54, 51, 49]
 
     def test_replay_stops_at_the_first_failing_panel(self):
         calls = []
@@ -295,10 +331,10 @@ class TestCumulative:
 
         with pytest.raises(QuadratureError, match="^panel 2: "):
             cumulative(f, grid_from_descriptor("linear:1.0", 6), 8)
-        # The batch's first rule, not bisected; panel 0 (two rules),
-        # panel 1 (two rules and its halves); panel 2, whose first rule
-        # fails, and its bisection.  Panels 3 to 5 are not replayed.
-        assert calls == [48, 8, 16, 8, 16, 32, 8, 4, 6, 5]
+        # The batch's call of both rules, not bisected; panel 0 (both
+        # rules), panel 1 (both rules, then its halves); panel 2, whose
+        # call fails, and its bisection.  Panels 3 to 5 are not replayed.
+        assert calls == [144, 24, 24, 32, 24, 12, 6, 3, 4, 5]
 
     def test_integrand_must_return_an_array(self):
         grid = grid_from_descriptor("linear:1.0", 2)

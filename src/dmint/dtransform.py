@@ -25,11 +25,10 @@ rational elimination, D is the exact solution of its float64 system,
 rounded.  The sweep uses only IEEE additions, multiplications and
 divisions, so given rows give the same bits on every platform.  The
 systems of several integrands are swept as one batch, each to the last
-step, with the same operations on every element.  Where the recursion
-divides by zero (a sample where the integrand vanishes, say), the sweep
-keeps the windows before that step, and the windows from it on are
-solved by exact fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
-of the same entries, which also decides whether a window is singular.
+step, with the same operations on every element.  A sequence whose sweep
+divides by zero (at a sample where the integrand vanishes, say) is solved
+instead by one exact fraction-free elimination (Bareiss, Math. Comp. 22,
+1968) of the same entries, which also decides whether a window is singular.
 """
 
 from __future__ import annotations
@@ -107,16 +106,15 @@ def _fs_sweep(g, rhs, m):
     psi_0^{(j)}(u) = u_j / g_1(x_j).  D_nu = psi(F) / psi(1), in which the
     step's divisor cancels, so it is read off the differences at step m nu.
     The rows carried are [F, 1, g_N, ..., g_1]: each step's divisor is the
-    last row, and a step drops it.  Every system is swept to the end, with
-    inf and NaN where a divisor breaks; a system's D list stops at the
-    window of its first zero or non-finite divisor and at its first
-    non-finite D.  Returns one D list per system.
+    last row, and a step drops it.  Every system is swept to the end.  A
+    zero or non-finite divisor leaves NaN in its column, which the later
+    differences carry into the last window's D.  Returns one D list per
+    system, or None for a system with a non-finite D.
     """
     count, n, size = g.shape
     hi = np.concatenate((rhs[:, None], np.ones((count, 1, size)), g[:, ::-1]), axis=1)
     lo = np.zeros_like(hi)
     heads = []  # rows F and 1 of column 0, (hi, lo), at every m-th step
-    broken = np.full(count, n)  # each system's first step with a bad divisor
     with np.errstate(all="ignore"):
         for p in range(n + 1):
             if p:
@@ -125,45 +123,55 @@ def _fs_sweep(g, rhs, m):
                 heads.append((hi[:, :2, 0].copy(), lo[:, :2, 0].copy()))
             if p == n:
                 break
-            div = hi[:, -1:]
-            if not (div.all() and np.isfinite(div).all()):
-                bad = ~(div.all(axis=(1, 2)) & np.isfinite(div).all(axis=(1, 2)))
-                broken[bad] = np.minimum(broken[bad], p)
-            hi, lo = _dd_div(hi[:, :-1], lo[:, :-1], div, lo[:, -1:])
+            hi, lo = _dd_div(hi[:, :-1], lo[:, :-1], hi[:, -1:], lo[:, -1:])
         h = np.array(heads)
         d = _dd_div(h[:, 0, :, 0], h[:, 1, :, 0], h[:, 0, :, 1], h[:, 1, :, 1])[0]
-    values = []
-    for column, p in zip(d.T, broken.tolist()):
-        column = column[:p // m + 1]
-        finite = np.isfinite(column)
-        values.append(column[:len(column) if finite.all() else finite.argmin()].tolist())
-    return values
+    return [column.tolist() if np.isfinite(column).all() else None for column in d.T]
 
 
-def _exact_d(matrix, rhs) -> float:
-    """D, the first unknown of matrix x = rhs, in exact arithmetic, rounded.
+def _exact_d(matrix, rhs, m) -> list[float]:
+    """D of each nested window of matrix x = rhs, exactly rounded.
 
-    Fraction-free elimination (Bareiss 1968) on the float64 entries, each
-    column scaled by a power of two to integers, with D's column last so
-    that its value is the quotient of the last row.  Raises
-    :class:`SingularSystemError` when the exact matrix is singular.
+    Window nu is the leading m*nu+1 rows and columns.  One fraction-free
+    elimination (Bareiss 1968) serves all: each column scaled by a power of
+    two to integers, D's last, and each pivot the first non-zero row of the
+    window being built, so D_nu is the quotient of row m*nu.  Raises
+    :class:`SingularSystemError` with the nu of the first window with a
+    zero or non-finite column, a non-finite right-hand side or an exactly
+    singular matrix, checked in that order.
     """
-    if not (np.isfinite(matrix).all() and matrix.any(axis=0).all()):
-        raise SingularSystemError("matrix has a zero or non-finite column")
-    if not np.all(np.isfinite(rhs)):
-        raise SingularSystemError("right-hand side is not finite")
+    def check(nu, singular):
+        n = m * nu + 1
+        window = matrix[:n, :n]
+        if not (np.isfinite(window).all() and window.any(axis=0).all()):
+            text = "matrix has a zero or non-finite column"
+        elif not np.isfinite(rhs[:n]).all():
+            text = "right-hand side is not finite"
+        elif singular:
+            text = "matrix is singular"
+        else:
+            return
+        raise SingularSystemError("window nu=%d: %s" % (nu, text), nu)
+
     columns, denominators = [], []
     for column in (*matrix.T[1:], matrix.T[0], rhs):
-        ratios = [v.as_integer_ratio() for v in column.tolist()]
+        # A non-finite entry stands in as 0: check refuses every window holding one.
+        ratios = [v.as_integer_ratio() if math.isfinite(v) else (0, 1) for v in column.tolist()]
         den = max(d for _, d in ratios)
         columns.append([num * (den // d) for num, d in ratios])
         denominators.append(den)
     rows = [list(row) for row in zip(*columns)]
-    n, previous = len(rows), 1
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if rows[r][k]), None)
+    values, previous = [], 1
+    for k in range(len(rows)):
+        if k % m == 0:
+            a, b = rows[k][-2], rows[k][-1]
+            check(k // m, singular=not a)
+            values.append(b * denominators[-2] / (a * denominators[-1]))
+        if k == len(rows) - 1:
+            return values
+        pivot = next((r for r in range(k, k - k % m + m + 1) if rows[r][k]), None)
         if pivot is None:
-            raise SingularSystemError("matrix is singular")
+            check(k // m + 1, singular=True)
         rows[k], rows[pivot] = rows[pivot], rows[k]
         top, a = rows[k], rows[k][k]
         for row in rows[k + 1:]:
@@ -171,10 +179,6 @@ def _exact_d(matrix, rhs) -> float:
             row[k + 1:] = [(v * a - f * t) // previous
                            for v, t in zip(row[k + 1:], top[k + 1:])]
         previous = a
-    a, b = rows[-1][-2], rows[-1][-1]
-    if not a:
-        raise SingularSystemError("matrix is singular")
-    return b * denominators[-2] / (a * denominators[-1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,10 +265,10 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     with tail lengths n = (nu, ..., nu).  The rows of the nu_max system
     are assembled once, in the i-major order, and one double-double FS
     sweep over them gives D for every window.  If the sweep divides by
-    zero or by a non-finite value, the windows from that step on are
-    solved by exact elimination instead.  A window whose exact matrix is
-    singular raises :class:`SingularSystemError` carrying its ``nu``, the
-    smallest that fails.  This is :func:`d_sequences` with one member.
+    zero or by a non-finite value, one exact elimination over the same rows
+    solves every window instead.  A window whose exact matrix is singular
+    raises :class:`SingularSystemError` carrying its ``nu``, the smallest
+    that fails.  This is :func:`d_sequences` with one member.
     """
     return d_sequences([(integrand, grid, reference)], m, nu_max, exponents, j)[0]
 
@@ -347,13 +351,8 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
     swept = _fs_sweep(rows, rhss, m)
     tables = []
     for (ast, grid, reference, F), g, rhs, values in zip(sampled, rows, rhss, swept):
-        for nu in range(len(values), nu_max + 1):
-            n = m * nu
-            matrix = np.column_stack((np.ones(n + 1), g[:n, :n + 1].T))
-            try:
-                values.append(_exact_d(matrix, rhs[:n + 1]))
-            except SingularSystemError as exc:
-                raise SingularSystemError("window nu=%d: %s" % (nu, exc), nu) from None
+        if values is None:
+            values = _exact_d(np.column_stack((np.ones(size), g.T)), rhs, m)
         entries = []
         for nu, d_value in enumerate(values):
             f_value = F[j + m * nu]

@@ -42,7 +42,6 @@ _EXPORTS = {
         "cumulative",
         "gauss_nodes",
         "grid_from_descriptor",
-        "panel_integrate",
     ),
     "dtransform": (
         "ExtrapolationTable",

@@ -137,8 +137,8 @@ def _exact_d(matrix, rhs, m) -> list[float]:
     two to integers, D's last, and each pivot the first non-zero row of the
     window being built, so D_nu is the quotient of row m*nu.  Raises
     :class:`SingularSystemError` with the nu of the first window with a
-    zero or non-finite column, a non-finite right-hand side or an exactly
-    singular matrix, checked in that order.
+    zero or non-finite column, a non-finite right-hand side, an exactly
+    singular matrix or a D beyond the float range, checked in that order.
     """
     def check(nu, singular):
         n = m * nu + 1
@@ -166,7 +166,11 @@ def _exact_d(matrix, rhs, m) -> list[float]:
         if k % m == 0:
             a, b = rows[k][-2], rows[k][-1]
             check(k // m, singular=not a)
-            values.append(b * denominators[-2] / (a * denominators[-1]))
+            try:
+                values.append(b * denominators[-2] / (a * denominators[-1]))
+            except OverflowError:
+                raise SingularSystemError("window nu=%d: D is beyond the float range"
+                                          % (k // m), k // m) from None
         if k == len(rows) - 1:
             return values
         pivot = next((r for r in range(k, k - k % m + m + 1) if rows[r][k]), None)
@@ -343,7 +347,9 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
             table = list(map(_power, bases, exponent_args))
         table = np.reshape(table, (len(powers), size))
         sampled.append((ast, grid, reference, cum.F))
-        systems.append((table[power_of_row] * derivs[k_of_row], cum.F[j:]))
+        # A product beyond the float range is inf, as in the sweep.
+        with np.errstate(all="ignore"):
+            systems.append((table[power_of_row] * derivs[k_of_row], cum.F[j:]))
     if not systems:
         return []
 

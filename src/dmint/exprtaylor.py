@@ -23,11 +23,12 @@ import math
 import numpy as np
 
 from .expr import BinOp, Call, Expr, Neg, Num, PiConst, Pow, Var, to_text
+from .symseries import _power
 
 
 class ExprDomainError(ValueError):
     """Evaluation left the domain of a sub-expression (log/sqrt/division)
-    or overflowed it (exp)."""
+    or overflowed it (exp, or a sum of products)."""
 
 
 # -- jets --------------------------------------------------------------------
@@ -136,15 +137,9 @@ def _jet_ipow(u: Jet, k: int) -> Jet:
         return _jet_div(one, _jet_ipow(u, -k))
     if k == 0:
         return one
-    # The factor is 1 * u, the first product of multiplying k times onto 1.
-    power, result = one * u, None
-    while True:
-        if k & 1:
-            result = power if result is None else result * power
-        k >>= 1
-        if not k:
-            return result
-        power = power * power
+    # The factor is 1 * u, the first product of multiplying k times onto 1;
+    # from k = 1 on, square and multiply never makes the identity.
+    return _power(one * u, k, None)
 
 
 def _jet_exp(u: Jet) -> Jet:
@@ -243,50 +238,56 @@ _JET_FUNCTIONS = {
 
 
 def _jet_eval(node: Expr, x: Jet) -> Jet:
-    if isinstance(node, Num):
-        return Jet.constant(float(node.value), x.order, x.size)
-    if isinstance(node, PiConst):
-        return Jet.constant(math.pi, x.order, x.size)
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -_jet_eval(node.operand, x)
-    if isinstance(node, BinOp):
-        left = _jet_eval(node.left, x)
-        right = _jet_eval(node.right, x)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        try:
-            return _jet_div(left, right)
-        except ZeroDivisionError as exc:
-            raise ExprDomainError("division by zero in '%s'" % to_text(node)) from exc
-    if isinstance(node, Pow):
-        base = _jet_eval(node.base, x)
-        e = node.exponent
-        if e.denominator == 1:
+    try:
+        if isinstance(node, Num):
+            return Jet.constant(float(node.value), x.order, x.size)
+        if isinstance(node, PiConst):
+            return Jet.constant(math.pi, x.order, x.size)
+        if isinstance(node, Var):
+            return x
+        if isinstance(node, Neg):
+            return -_jet_eval(node.operand, x)
+        if isinstance(node, BinOp):
+            left = _jet_eval(node.left, x)
+            right = _jet_eval(node.right, x)
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
             try:
-                return _jet_ipow(base, e.numerator)
+                return _jet_div(left, right)
             except ZeroDivisionError as exc:
+                raise ExprDomainError("division by zero in '%s'" % to_text(node)) from exc
+        if isinstance(node, Pow):
+            base = _jet_eval(node.base, x)
+            e = node.exponent
+            if e.denominator == 1:
+                try:
+                    return _jet_ipow(base, e.numerator)
+                except ZeroDivisionError as exc:
+                    raise ExprDomainError(
+                        "zero raised to a negative power in '%s'" % to_text(node)) from exc
+            if (base.coeffs[0] <= 0.0).any():
                 raise ExprDomainError(
-                    "zero raised to a negative power in '%s'" % to_text(node)) from exc
-        if (base.coeffs[0] <= 0.0).any():
-            raise ExprDomainError(
-                "fractional power of a non-positive value in '%s'" % to_text(node))
-        scaled_log = Jet.constant(float(e), base.order, base.size) * _jet_log(base)
-        try:
-            return _jet_exp(scaled_log)
-        except ValueError as exc:
-            raise ExprDomainError("overflow in '%s'" % to_text(node)) from exc
-    if isinstance(node, Call):
-        arg = _jet_eval(node.arg, x)
-        try:
-            return _JET_FUNCTIONS[node.func](arg)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ExprDomainError("%s in '%s'" % (exc, to_text(node))) from exc
+                    "fractional power of a non-positive value in '%s'" % to_text(node))
+            scaled_log = Jet.constant(float(e), base.order, base.size) * _jet_log(base)
+            try:
+                return _jet_exp(scaled_log)
+            except ValueError as exc:
+                raise ExprDomainError("overflow in '%s'" % to_text(node)) from exc
+        if isinstance(node, Call):
+            arg = _jet_eval(node.arg, x)
+            try:
+                return _JET_FUNCTIONS[node.func](arg)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ExprDomainError("%s in '%s'" % (exc, to_text(node))) from exc
+    except OverflowError as exc:
+        # This node's own value left the float range: a sum of its jet
+        # products in math.fsum, or a literal.  Its operands have turned
+        # theirs into ExprDomainError already.
+        raise ExprDomainError("overflow in '%s'" % to_text(node)) from exc
     raise TypeError("unknown node %r" % (node,))
 
 
@@ -295,9 +296,12 @@ def derivatives(ast: Expr, x0, count: int):
 
     A float gives a list of ``count`` floats.  An array of n points gives
     an array of shape (count, n) whose column l is what the float x0[l]
-    gives, bit for bit: every point goes through the same operations, and
-    overflow gives inf or nan as in scalar float arithmetic.  If any point
-    leaves the domain, :class:`ExprDomainError` names the first failing
+    gives, bit for bit: every point goes through the same operations.
+    Overflow in an elementwise operation gives inf or nan as in scalar
+    float arithmetic; overflow in a sum of jet products, which
+    ``math.fsum`` refuses, raises :class:`ExprDomainError` ("overflow in
+    ..."), as does exp of a value beyond its range.  If any point leaves
+    the domain, :class:`ExprDomainError` names the first failing
     sub-expression of the walk, which need not be the one a point-by-point
     loop meets first.
     """

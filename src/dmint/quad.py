@@ -1,18 +1,17 @@
 """Gauss-Legendre panel quadrature and cumulative finite-range integrals.
 
 The integral from 0 to x_l of an integrand is assembled from panel values
-chi_i over [x_{i-1}, x_i] (with x_{-1} = 0), each computed by a fixed-order
-Gauss-Legendre rule, then prefix-summed: F(x_l) = chi_0 + ... + chi_l.
+chi_i over [x_{i-1}, x_i] (with x_{-1} = 0), each from the 16- and 32-point
+Gauss-Legendre rules, then prefix-summed: F(x_l) = chi_0 + ... + chi_l.
 
 Integrands take an array of nodes and return the array of their values.
-:func:`cumulative` calls f once for the nodes of the q-point and of the
-doubled rule of all panels, panel after panel, and once more for the
-halves of any panel the doubling flags.  Each panel and rule is still
-summed on its own with ``math.fsum``, so for an integrand that acts
-element by element (as :func:`dmint.exprtaylor.evaluate` does, bit for
-bit) the results are exactly those of integrating panel after panel, node
-by node.  A failed batch is replayed panel by panel to find the first
-failing panel, and the error raised names its first failing node.
+:func:`cumulative` calls f once for the nodes of both rules of all
+panels, panel after panel, and once more for the halves of any panel
+the rules disagree on.  Each panel and rule is still summed on its own
+with ``math.fsum``, so for an integrand that acts element by element (as
+:func:`dmint.exprtaylor.evaluate` does, bit for bit) the results are
+exactly those of integrating panel after panel, node by node.  A failure
+is replayed panel by panel to name the first failing panel.
 """
 
 from __future__ import annotations
@@ -190,19 +189,24 @@ class _RuleFailure(Exception):
     """A rule's call of f failed: args are (f, nodes, error, lefts, rights, width).
 
     ``width`` is the number of nodes each panel gave.  Naming the failing
-    node costs a bisection, so it is left to :func:`_locate` for the
+    node costs a bisection, so it is left to :meth:`locate` for the
     failures whose message is read.
     """
 
+    def locate(self):
+        """The message naming the first failing node, and f's error there."""
+        f, x, error, lefts, rights, width = self.args
+        index, error = _first_failure(f, x, error)
+        panel = index // width
+        return ("integrand failed at node x=%r in panel [%r, %r]: %s"
+                % (float(x[index]), float(lefts[panel]), float(rights[panel]), error)), error
 
-def _locate(failure: _RuleFailure):
-    """The message naming the first failing node of a failed rule, and
-    f's error at that node."""
-    f, x, error, lefts, rights, width = failure.args
-    index, error = _first_failure(f, x, error)
-    panel = index // width
-    return ("integrand failed at node x=%r in panel [%r, %r]: %s"
-            % (float(x[index]), float(lefts[panel]), float(rights[panel]), error)), error
+
+class _SumOverflow(_RuleFailure):
+    """A panel's value left the float range: args are (left, right)."""
+
+    def locate(self):
+        return "quadrature sum beyond the float range in panel [%r, %r]" % self.args, None
 
 
 def _rule(f, lefts, rights, *orders: int) -> list[list[float]]:
@@ -210,7 +214,9 @@ def _rule(f, lefts, rights, *orders: int) -> list[list[float]]:
     per q-point rule in ``orders``.
 
     The nodes of all panels go to f in one array, panel after panel, and
-    within a panel rule after rule.  A failure raises :class:`_RuleFailure`.
+    within a panel rule after rule.  A failure raises :class:`_RuleFailure`,
+    a value beyond the float range (in ``math.fsum`` or in the scaling by
+    the half-width) :class:`_SumOverflow` naming its panel.
     """
     rules = [gauss_nodes(q) for q in orders]
     nodes = np.concatenate([rule[0] for rule in rules])
@@ -225,39 +231,30 @@ def _rule(f, lefts, rights, *orders: int) -> list[list[float]]:
     halfwidth = halfwidth.tolist()
     sums, start = [], 0
     for q in orders:
-        rows = products[:, start:start + q].tolist()
-        sums.append([h * math.fsum(row) for h, row in zip(halfwidth, rows)])
+        rows, done = products[:, start:start + q].tolist(), []
+        for h, row in zip(halfwidth, rows):
+            try:
+                done.append(h * math.fsum(row))
+            except OverflowError:
+                done.append(math.inf)
+            if math.isinf(done[-1]):
+                panel = len(done) - 1
+                raise _SumOverflow(float(lefts[panel]), float(rights[panel]))
+        sums.append(done)
         start += q
     return sums
 
 
-def panel_integrate(f, a: float, b: float, q: int = 16) -> float:
-    """q-point Gauss-Legendre approximation of the integral of f over [a, b].
-
-    f takes the array of the q nodes and returns the array of its values.
-    The products w*f(x) are summed with ``math.fsum``, which does not
-    depend on how the values were computed: an f that acts element by
-    element, such as :func:`dmint.exprtaylor.evaluate`, gives the same
-    bits as one call per node.
-    """
-    if not b > a:
-        raise ValueError("need a < b, got [%r, %r]" % (a, b))
-    try:
-        return _rule(f, np.array([a], dtype=float), np.array([b], dtype=float), q)[0][0]
-    except _RuleFailure as failure:
-        message, error = _locate(failure)
-        raise QuadratureError(message) from error
+# A panel's value is the refined rule's, checked against the coarse one.
+_COARSE, _REFINED = 16, 32
 
 
-def _panels(f, lefts, rights, q: int) -> list[float]:
-    # Accept the doubled rule; where doubling moved the value by more than
-    # 1e-12 relative, bisect once and integrate the halves at the doubled
-    # order.  One level only: panels are expected to be smooth.  Both rules
+def _panels(f, lefts, rights) -> list[float]:
+    # Accept the refined rule; where it moved the coarse value by more than
+    # 1e-12 relative, bisect once and integrate the halves with the refined
+    # rule.  One level only: panels are expected to be smooth.  Both rules
     # are one call of f for all the panels, the halves one more.
-    refined = min(2 * q, _MAX_NODES)
-    if refined == q:
-        return _rule(f, lefts, rights, q)[0]
-    coarse, chi = _rule(f, lefts, rights, q, refined)
+    coarse, chi = _rule(f, lefts, rights, _COARSE, _REFINED)
     c, v = np.array(coarse), np.array(chi)
     flagged = np.flatnonzero(
         abs(v - c) > 1e-12 * np.maximum(np.maximum(abs(c), abs(v)), 1e-30)).tolist()
@@ -265,41 +262,41 @@ def _panels(f, lefts, rights, q: int) -> list[float]:
         a, b = lefts[flagged], rights[flagged]
         mid = 0.5 * (a + b)
         (halves,) = _rule(f, np.column_stack((a, mid)).ravel(),
-                          np.column_stack((mid, b)).ravel(), refined)
+                          np.column_stack((mid, b)).ravel(), _REFINED)
         for n, i in enumerate(flagged):
             chi[i] = halves[2 * n] + halves[2 * n + 1]
     return chi
 
 
-def cumulative(f, grid: SampleGrid, q: int = 16) -> CumulativeIntegrals:
+def cumulative(f, grid: SampleGrid) -> CumulativeIntegrals:
     """Panel integrals over [x_{i-1}, x_i] and their prefix sums.
 
     f takes an array of nodes and returns the array of its values; it is
-    called once for the nodes of the q-point and the doubled rule of all
-    panels (each panel's q nodes, then its doubled ones), and once more
-    only if some panel needs bisecting.  The values are those of
-    integrating the panels one at a time, and the prefix sums are formed
-    in index order, so F[l] equals the plain left-to-right sum of
-    chi[0..l].  Batching changes no bits: each panel and rule keeps its
-    own ``math.fsum``, and :func:`dmint.exprtaylor.evaluate` computes each
-    element as it would a single point.  If the batch fails, the panels
-    are replayed one at a time (one call of f for both rules, one for the
-    halves) and the first failure is raised as ``panel i: ...``, the error
-    a panel-by-panel integration hits first, since a panel's coarse nodes
-    come before its doubled ones; if none fails alone, the batch's error
+    called once for the nodes of the 16- and the 32-point rule of all
+    panels (each panel's 16 nodes, then its 32), and once more only if
+    some panel needs bisecting.  The values are those of integrating the
+    panels one at a time, and the prefix sums are formed in index order,
+    so F[l] equals the plain left-to-right sum of chi[0..l].  Batching
+    changes no bits: each panel and rule keeps its own ``math.fsum``, and
+    :func:`dmint.exprtaylor.evaluate` computes each element as it would a
+    single point.  If the batch fails, the panels are replayed one at a
+    time (one call of f for both rules, one for the halves) and the first
+    failure is raised as ``panel i: ...``, the error a panel-by-panel
+    integration hits first, since a panel's 16 nodes come before its 32
+    and its sums after them; if none fails alone, the batch's error
     stands.  Only the error raised is bisected to its first failing node.
     """
     edges = np.array((0.0,) + grid.points)
     try:
-        chi = _panels(f, edges[:-1], edges[1:], q)
+        chi = _panels(f, edges[:-1], edges[1:])
     except _RuleFailure as batch:
         for i in range(len(grid.points)):
             try:
-                _panels(f, edges[i:i + 1], edges[i + 1:i + 2], q)
+                _panels(f, edges[i:i + 1], edges[i + 1:i + 2])
             except _RuleFailure as failure:
-                message, error = _locate(failure)
+                message, error = failure.locate()
                 raise QuadratureError("panel %d: %s" % (i, message)) from error
-        message, error = _locate(batch)
+        message, error = batch.locate()
         raise QuadratureError(message) from error
     F = tuple(itertools.accumulate(chi, initial=0.0))[1:]
     return CumulativeIntegrals(tuple(chi), F)

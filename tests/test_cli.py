@@ -248,11 +248,34 @@ class TestAccelerate:
         (("--integrand", "exp(x)", "--m", "3", "--grid", "linear:400"),
          "panel 1: integrand failed at node x=723.5752488805288 in panel "
          "[400.0, 800.0]: exp overflow in 'exp(x)'"),
+        # A panel's sum, the sum times its half-width, and a jet product's
+        # sum beyond the float range.
+        (("--integrand", "2*exp(709)", "--m", "1", "--grid", "linear:1.0", "--nu-max", "0"),
+         "panel 0: quadrature sum beyond the float range in panel [0.0, 1.0]"),
+        (("--integrand", "exp(708)", "--m", "1", "--grid", "linear:10", "--nu-max", "1"),
+         "panel 0: quadrature sum beyond the float range in panel [0.0, 10.0]"),
+        (("--integrand", "exp(709)*x*x", "--m", "2", "--grid", "linear:1.2", "--nu-max", "0"),
+         "overflow in 'exp(709)*x*x'"),
     ])
     def test_overflow_exit_3(self, capsys, argv, detail):
         code, out, err = run(capsys, "accelerate", *argv)
         assert code == 3 and out == ""
         assert err == "invalid input: %s\n" % detail
+
+    @pytest.mark.parametrize("argv, detail", [
+        # D of window 1 is beyond the float range.
+        (("--integrand", "exp(700)*(1+0.000000001*x)/x", "--m", "1", "--grid", "linear:1.0",
+          "--nu-max", "1"),
+         "window nu=1: D is beyond the float range"),
+        # Row entries x*exp(709) are inf from x = 3 on, with no
+        # RuntimeWarning (the suite turns warnings into errors).
+        (("--integrand", "exp(709)", "--m", "1", "--grid", "linear:1.0", "--nu-max", "2"),
+         "window nu=2: matrix has a zero or non-finite column"),
+    ])
+    def test_overflow_exit_4(self, capsys, argv, detail):
+        code, out, err = run(capsys, "accelerate", *argv)
+        assert code == 4 and out == ""
+        assert err == "numerical failure: %s\n" % detail
 
     @pytest.mark.parametrize("argv, detail", [
         (("--integrand", "exp(-x)", "--m", "0", "--grid", "linear:1.0"),

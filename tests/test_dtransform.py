@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def assert_exactly_rounded(d, matrix, rhs):
 def sample_rows(source, grid, m):
     """The samples d_sequence assembles its rows from, made on their own."""
     node = parse(source)
-    cum = cumulative(lambda t: evaluate(node, t), grid, 16)
+    cum = cumulative(lambda t: evaluate(node, t), grid)
     return [(x, F, derivatives(node, x, m)) for x, F in zip(grid.points, cum.F)]
 
 
@@ -123,7 +124,7 @@ class TestBuildAndSolve:
         # The window nu=0 is the sample F(x_j) itself, bit for bit.
         table = d_sequence("sinc(x)^2", "linear:1.6", 3, 0, j=2)
         node = parse("sinc(x)^2")
-        cum = cumulative(lambda t: evaluate(node, t), grid_from_descriptor("linear:1.6", 3), 16)
+        cum = cumulative(lambda t: evaluate(node, t), grid_from_descriptor("linear:1.6", 3))
         assert len(table.entries) == 1
         assert table.entries[0].d_value == table.entries[0].f_value == cum.F[2]
 
@@ -263,6 +264,17 @@ class TestBuildAndSolve:
         assert dtransform._exact_d(matrix, rhs, 1) == \
             [1.0, float(exact_first_unknown(matrix, rhs))]
 
+    def test_d_beyond_the_float_range(self):
+        # Two nearly equal rows put D of window 1 near 4.5e315: no float
+        # holds it, and the window says so instead of rounding it to inf.
+        matrix = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]])
+        rhs = np.array([1e300, 0.0])
+        assert abs(exact_first_unknown(matrix, rhs)) > sys.float_info.max
+        with pytest.raises(SingularSystemError) as info:
+            dtransform._exact_d(matrix, rhs, 1)
+        assert (info.value.nu, str(info.value)) == (
+            1, "window nu=1: D is beyond the float range")
+
     def test_exact_fallback_is_exactly_rounded(self):
         # One Bareiss elimination on the float entries, columns spread over
         # 10^+-30, gives every window the exact D, rounded: the same float
@@ -377,7 +389,7 @@ class TestDSequence:
         table = demo_table()
         node = parse("sinc(x)^2")
         grid = grid_from_descriptor("linear:1.6", 31)
-        cum = cumulative(lambda t: evaluate(node, t), grid, 16)
+        cum = cumulative(lambda t: evaluate(node, t), grid)
         assert table.entries[0].d_value == cum.F[0]
         assert table.entries[0].f_value == cum.F[0]
 
@@ -579,6 +591,27 @@ class TestDSequence:
 
     def test_empty_batch(self):
         assert d_sequences([], 3, 10) == []
+
+    def test_d_beyond_the_float_range_raises(self):
+        # The sweep's D of window 1 is not finite, and neither is the
+        # exact one as a float: the window is reported, not a traceback.
+        source, grid = "exp(700)*(1+0.000000001*x)/x", "linear:1.0"
+        with pytest.raises(SingularSystemError) as info:
+            d_sequence(source, grid, 1, 1)
+        assert (info.value.nu, str(info.value)) == (
+            1, "window nu=1: D is beyond the float range")
+        rows = sample_rows(source, grid_from_descriptor(grid, 2), 1)
+        exact = exact_first_unknown(*element_loop_system((1,), 1, rows))
+        assert abs(exact) > sys.float_info.max
+
+    def test_row_overflow_is_a_non_finite_column(self):
+        # x * exp(709) is inf from x = 3 on, so window 2 is the first with
+        # a non-finite column; the overflow warns nowhere (the suite turns
+        # warnings into errors).
+        with pytest.raises(SingularSystemError) as info:
+            d_sequence("exp(709)", "linear:1.0", 1, 2)
+        assert (info.value.nu, str(info.value)) == (
+            2, "window nu=2: matrix has a zero or non-finite column")
 
     def test_singular_window_keeps_its_number_and_text(self):
         # The integrand vanishes at x=2 and x=3, so from nu=2 two rows read

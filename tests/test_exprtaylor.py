@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -270,6 +271,22 @@ class TestArrayDerivatives:
         for x, column in zip(points, rows.T.tolist()):
             assert [v.hex() for v in column] == [
                 v.hex() for v in derivatives(node, x, count)]
+
+    @pytest.mark.parametrize("source, x, count", [
+        # f' = 2*exp(709)*x leaves the float range in a product's sum.
+        ("exp(709)*x*x", 1.2, 2),
+        ("(exp(354.59)*x)^2", 1.0, 2),
+        # f'' = (4a^2 + 2a) exp(a), with 4a^2 exp(a) just below the range.
+        ("exp(695.307*x^2)", 1.0, 3),
+    ])
+    def test_overflow_in_a_jet_sum_names_its_node(self, source, x, count):
+        node = parse(source)
+        message = "^overflow in '%s'$" % re.escape(source)
+        with pytest.raises(ExprDomainError, match=message):
+            derivatives(node, np.array([0.5 * x, x]), count)
+        with pytest.raises(ExprDomainError, match=message):
+            derivatives(node, x, count)
+        assert all(map(math.isfinite, derivatives(node, 0.5 * x, count)))
 
     def test_fixed_expressions(self):
         for source in self.SOURCES:

@@ -12,7 +12,6 @@ from dmint.quad import (
     cumulative,
     gauss_nodes,
     grid_from_descriptor,
-    panel_integrate,
 )
 
 from support import adaptive_simpson
@@ -23,33 +22,73 @@ def make_eval(source):
     return lambda t: evaluate(node, t)
 
 
-def scalar_panel(node, a, b, q):
-    """One panel, node by node: fsum of w*f(x) over the q-point rule."""
+def scalar_products(f, a, b, q):
+    """The products w*f(x) of the q-point rule on [a, b], one point per
+    call of f; a failing node raises cumulative()'s message for it."""
     nodes, weights = gauss_nodes(q)
     mid, halfwidth = 0.5 * (a + b), 0.5 * (b - a)
-    return halfwidth * math.fsum(w * evaluate(node, float(mid + halfwidth * xi))
-                                 for xi, w in zip(nodes, weights))
+    products = []
+    for xi, w in zip(nodes, weights):
+        x = float(mid + halfwidth * xi)
+        try:
+            value = float(f(x))
+            if not math.isfinite(value):
+                raise ValueError("non-finite value %r" % value)
+        except ValueError as exc:
+            raise QuadratureError("integrand failed at node x=%r in panel [%r, %r]: %s"
+                                  % (x, a, b, exc)) from None
+        products.append(w * value)
+    return products
 
 
-def scalar_cumulative(node, grid, q):
+def scalar_sum(products, a, b):
+    try:
+        value = 0.5 * (b - a) * math.fsum(products)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise QuadratureError("quadrature sum beyond the float range in panel [%r, %r]"
+                              % (a, b))
+    return value
+
+
+def scalar_panel(f, a, b, q):
+    """One panel, node by node: fsum of w*f(x) over the q-point rule."""
+    return scalar_sum(scalar_products(f, a, b, q), a, b)
+
+
+def scalar_cumulative(f, grid):
     """Reference for cumulative(): panel after panel, one point per call,
-    with the same doubling test and one-level bisection.  Returns chi, F
-    and the number of bisected panels."""
+    with the same 16/32-point test and one-level bisection, each panel's
+    (or pair of halves') nodes before its sums.  Returns chi, F and the
+    number of bisected panels, or raises cumulative()'s error."""
     chi, F, bisected = [], [], 0
     previous, total = 0.0, 0.0
-    for point in grid.points:
-        coarse = scalar_panel(node, previous, point, q)
-        value = scalar_panel(node, previous, point, 2 * q)
-        if abs(value - coarse) > 1e-12 * max(abs(coarse), abs(value), 1e-30):
-            mid = 0.5 * (previous + point)
-            value = (scalar_panel(node, previous, mid, 2 * q)
-                     + scalar_panel(node, mid, point, 2 * q))
-            bisected += 1
+    for i, point in enumerate(grid.points):
+        try:
+            rules = [scalar_products(f, previous, point, q) for q in (16, 32)]
+            coarse, value = (scalar_sum(products, previous, point) for products in rules)
+            if abs(value - coarse) > 1e-12 * max(abs(coarse), abs(value), 1e-30):
+                halves = [(previous, 0.5 * (previous + point)),
+                          (0.5 * (previous + point), point)]
+                rules = [scalar_products(f, a, b, 32) for a, b in halves]
+                first, second = (scalar_sum(products, *half)
+                                 for products, half in zip(rules, halves))
+                value = first + second
+                bisected += 1
+        except QuadratureError as exc:
+            raise QuadratureError("panel %d: %s" % (i, exc)) from None
         chi.append(value)
         total = total + value
         F.append(total)
         previous = point
     return tuple(chi), tuple(F), bisected
+
+
+def scalar_message(f, grid):
+    with pytest.raises(QuadratureError) as info:
+        scalar_cumulative(f, grid)
+    return str(info.value)
 
 
 class TestGaussNodes:
@@ -90,22 +129,24 @@ class TestGaussNodes:
             b = a + rng.uniform(0.5, 3)
             for degree in range(0, 2 * q):
                 exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
-                got = panel_integrate(lambda t, d=degree: t ** d, a, b, q)
+                got = scalar_panel(lambda t, d=degree: t ** d, a, b, q)
                 assert got == pytest.approx(exact, rel=1e-13, abs=1e-13)
 
 
 class TestPanels:
     def test_linear_exact(self):
-        assert panel_integrate(lambda t: t, 0.0, 1.0, 2) == 0.5
+        assert scalar_panel(lambda t: t, 0.0, 1.0, 2) == 0.5
 
     def test_sine_over_half_period(self):
-        assert panel_integrate(np.sin, 0.0, math.pi, 16) == pytest.approx(
+        assert scalar_panel(math.sin, 0.0, math.pi, 16) == pytest.approx(
             2.0, rel=1e-14)
 
     def test_against_adaptive_oracle(self):
         f = make_eval("sinc(x)^2")
         oracle = adaptive_simpson(f, 0.0, 1.6, 1e-15)
-        assert panel_integrate(f, 0.0, 1.6, 16) == pytest.approx(oracle, abs=1e-13)
+        assert scalar_panel(f, 0.0, 1.6, 16) == pytest.approx(oracle, abs=1e-13)
+        (chi,) = cumulative(f, grid_from_descriptor("linear:1.6", 1)).chi
+        assert chi == pytest.approx(oracle, abs=1e-13)
 
     def test_additivity(self):
         f = make_eval("exp(-x)*sin(x)+sinc(x)")
@@ -114,31 +155,29 @@ class TestPanels:
             a = rng.uniform(0, 2)
             b = a + rng.uniform(0.5, 2)
             mid = rng.uniform(a + 0.05, b - 0.05)
-            whole = panel_integrate(f, a, b, 24)
-            split = panel_integrate(f, a, mid, 24) + panel_integrate(f, mid, b, 24)
+            whole = scalar_panel(f, a, b, 24)
+            split = scalar_panel(f, a, mid, 24) + scalar_panel(f, mid, b, 24)
             assert split == pytest.approx(whole, rel=1e-13, abs=1e-15)
 
     def test_node_count_refinement_consistency(self):
+        # cumulative's 16/32-point panels against the 64-point rule.
         for source, desc in (("sinc(x)^2", "linear:1.6"),
                              ("sinc(x^2)^2", "sqrtlinear:1.6")):
             f = make_eval(source)
             grid = grid_from_descriptor(desc, 12)
-            lo = cumulative(f, grid, 16)
-            hi = cumulative(f, grid, 32)
-            for a, b in zip(lo.chi, hi.chi):
+            edges = (0.0,) + grid.points
+            hi = [scalar_panel(f, a, b, 64) for a, b in zip(edges, edges[1:])]
+            for a, b in zip(cumulative(f, grid).chi, hi):
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            panel_integrate(math.sin, 1.0, 1.0, 4)
 
     def test_evaluator_error_carries_node(self):
         f = make_eval("log(x-2)")
+        grid = grid_from_descriptor("linear:1.0", 1)
         with pytest.raises(QuadratureError) as info:
-            panel_integrate(f, 0.0, 1.0, 4)
-        assert str(info.value) == (
-            "integrand failed at node x=0.06943184420297371 in panel [0.0, 1.0]: "
-            "log of a non-positive value in 'log(x-2)'")
+            cumulative(f, grid)
+        assert str(info.value) == scalar_message(f, grid) == (
+            "panel 0: integrand failed at node x=0.005299532504175031 in panel "
+            "[0.0, 1.0]: log of a non-positive value in 'log(x-2)'")
         assert isinstance(info.value.__cause__, ValueError)
 
 
@@ -183,14 +222,14 @@ class TestGrids:
 class TestCumulative:
     def test_zero_integrand(self):
         grid = grid_from_descriptor("linear:1.0", 5)
-        result = cumulative(lambda t: np.zeros_like(t), grid, 8)
+        result = cumulative(lambda t: np.zeros_like(t), grid)
         assert result.chi == (0.0,) * 5
         assert result.F == (0.0,) * 5
 
     def test_prefix_sums_match_resummation(self):
         f = make_eval("sinc(x)^2")
         grid = grid_from_descriptor("linear:1.6", 20)
-        result = cumulative(f, grid, 16)
+        result = cumulative(f, grid)
         total = 0.0
         for index, value in enumerate(result.chi):
             total = total + value
@@ -199,12 +238,12 @@ class TestCumulative:
     def test_demo_tail_errors(self):
         f = make_eval("sinc(x)^2")
         grid = grid_from_descriptor("linear:1.6", 31)
-        err = abs(cumulative(f, grid, 16).F[30] - math.pi / 2)
+        err = abs(cumulative(f, grid).F[30] - math.pi / 2)
         assert err == pytest.approx(9.98e-3, rel=5e-3)
 
         phi = make_eval("sinc(x^2)^2")
         grid2 = grid_from_descriptor("sqrtlinear:1.6", 31)
-        err2 = abs(cumulative(phi, grid2, 16).F[30] - 2 * math.sqrt(math.pi) / 3)
+        err2 = abs(cumulative(phi, grid2).F[30] - 2 * math.sqrt(math.pi) / 3)
         assert err2 == pytest.approx(4.70e-4, rel=5e-3)
 
     # The integrands and grids of the accel-deep benchmark catalogue.
@@ -218,10 +257,10 @@ class TestCumulative:
     def test_bit_identical_to_node_by_node_loop(self):
         cases = [entry + (61,) for entry in self.CATALOGUE]
         for source, desc, count in cases + [("x^(1/2)*exp(-x)", "linear:1.0", 8)]:
-            node = parse(source)
+            f = make_eval(source)
             grid = grid_from_descriptor(desc, count)
-            chi, F, bisected = scalar_cumulative(node, grid, 16)
-            result = cumulative(lambda t: evaluate(node, t), grid, 16)
+            chi, F, bisected = scalar_cumulative(f, grid)
+            result = cumulative(f, grid)
             assert [v.hex() for v in result.chi] == [v.hex() for v in chi], source
             assert [v.hex() for v in result.F] == [v.hex() for v in F], source
             if source.startswith("x^(1/2)"):
@@ -237,7 +276,7 @@ class TestCumulative:
             calls.append(t.size)
             return evaluate(node, t)
 
-        cumulative(f, grid_from_descriptor("linear:1.6", 31), 16)
+        cumulative(f, grid_from_descriptor("linear:1.6", 31))
         assert calls == [31 * 48]
 
     def test_halves_are_one_more_call(self):
@@ -249,55 +288,66 @@ class TestCumulative:
             return evaluate(node, t)
 
         grid = grid_from_descriptor("linear:1.0", 8)
-        cumulative(f, grid, 16)
-        *_, bisected = scalar_cumulative(node, grid, 16)
+        cumulative(f, grid)
+        *_, bisected = scalar_cumulative(make_eval("x^(1/2)*exp(-x)"), grid)
         assert bisected > 0 and calls == [8 * 48, bisected * 2 * 32]
-
-    def test_top_order_is_one_rule(self):
-        # At q = 64 there is no doubled rule: one call, no refinement.
-        calls = []
-
-        def f(t):
-            calls.append(t.size)
-            return np.exp(-t)
-
-        result = cumulative(f, grid_from_descriptor("linear:1.0", 3), 64)
-        assert calls == [3 * 64]
-        assert result.chi == tuple(panel_integrate(lambda t: np.exp(-t), a, b, 64)
-                                   for a, b in ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0)))
 
     @pytest.mark.parametrize("source, message", [
         ("log(3-x)",
-         "panel 3: integrand failed at node x=3.019855071751232 in panel "
+         "panel 3: integrand failed at node x=3.005299532504175 in panel "
          "[3.0, 4.0]: log of a non-positive value in 'log(3-x)'"),
         # Only the doubled rule of panel 2 fails, while every coarse node
         # of panel 3 does: the error must still name panel 2.
-        ("log(2.9875-x)",
-         "panel 2: integrand failed at node x=2.994700467495825 in panel "
-         "[2.0, 3.0]: log of a non-positive value in 'log(2.9875-x)'"),
+        ("log(2.997-x)",
+         "panel 2: integrand failed at node x=2.998631930924741 in panel "
+         "[2.0, 3.0]: log of a non-positive value in 'log(2.997-x)'"),
         # The right-hand log fails first at the first node, the left-hand
-        # one only from the second node on.
+        # one only from the third node on.
         ("log(0.05-x)+log(x-0.03)",
-         "panel 0: integrand failed at node x=0.019855071751231856 in panel "
+         "panel 0: integrand failed at node x=0.005299532504175031 in panel "
          "[0.0, 1.0]: log of a non-positive value in 'log(x-0.03)'"),
         # Only a node of the bisected halves of panel 1 fails.
         ("sqrt((x-1.00265)^2-0.000001)",
-         "panel 1: integrand failed at node x=1.0026497662520875 in panel "
+         "panel 1: integrand failed at node x=1.0035971221136828 in panel "
          "[1.0, 1.5]: sqrt of a negative value in 'sqrt((x-1.00265)^2-0.000001)'"),
     ])
     def test_error_names_first_failing_node(self, source, message):
         grid = grid_from_descriptor("linear:1.0", 4)
         with pytest.raises(QuadratureError) as info:
-            cumulative(make_eval(source), grid, 8)
-        assert str(info.value) == message
+            cumulative(make_eval(source), grid)
+        assert str(info.value) == scalar_message(make_eval(source), grid) == message
 
     def test_non_finite_value_is_an_error(self):
         grid = grid_from_descriptor("linear:1.0", 4)
+
+        def f(t):
+            return np.where(t > 2.5, np.inf, t)
+
         with pytest.raises(QuadratureError) as info:
-            cumulative(lambda t: np.where(t > 2.5, np.inf, t), grid, 8)
-        assert str(info.value) == (
-            "panel 2: integrand failed at node x=2.591717321247825 in panel "
+            cumulative(f, grid)
+        assert str(info.value) == scalar_message(f, grid) == (
+            "panel 2: integrand failed at node x=2.5475062549188188 in panel "
             "[2.0, 3.0]: non-finite value inf")
+
+    @pytest.mark.parametrize("f, descriptor, message", [
+        # math.fsum overflows.
+        (make_eval("2*exp(709)"), "linear:1.0",
+         "panel 0: quadrature sum beyond the float range in panel [0.0, 1.0]"),
+        # The sum is finite, times the half-width 5 it is not.
+        (make_eval("exp(708)"), "linear:10",
+         "panel 0: quadrature sum beyond the float range in panel [0.0, 10.0]"),
+        # The sums of panel 2 overflow in the batch; replayed, panel 0
+        # fails first, in a node of its bisected halves.
+        (lambda t: np.where(t > 2, 1.5e308,
+                            evaluate(parse("sqrt((x-0.00365)^2-0.000001)"), t)), "linear:1.0",
+         "panel 0: integrand failed at node x=0.0035971221136829046 in panel "
+         "[0.0, 0.5]: sqrt of a negative value in 'sqrt((x-0.00365)^2-0.000001)'"),
+    ])
+    def test_sum_overflow_is_a_panel_error(self, f, descriptor, message):
+        grid = grid_from_descriptor(descriptor, 4)
+        with pytest.raises(QuadratureError) as info:
+            cumulative(f, grid)
+        assert str(info.value) == scalar_message(f, grid) == message
 
     def test_batch_error_stands_when_no_panel_fails_alone(self):
         # An integrand that fails on long arrays only: the batch fails,
@@ -312,38 +362,40 @@ class TestCumulative:
 
         grid = grid_from_descriptor("linear:1.0", 4)
         with pytest.raises(QuadratureError) as info:
-            cumulative(f, grid, 8)
+            cumulative(f, grid)
         assert str(info.value) == (
-            "integrand failed at node x=2.019855071751232 in panel [2.0, 3.0]: "
+            "integrand failed at node x=1.005299532504175 in panel [1.0, 2.0]: "
             "too many nodes")
         # The batch (both rules of four panels), the four panels (both
         # rules in one call each), then the bisection of the batch to its
-        # first failing node, the first of panel 2.
-        assert calls == [96] + [24] * 4 + [48, 72, 60, 54, 51, 49]
+        # first failing node, the first of panel 1.
+        assert calls == [192] + [48] * 4 + [96, 48, 72, 60, 54, 51, 49]
 
     def test_replay_stops_at_the_first_failing_panel(self):
         calls = []
-        node = parse("log(2.5-x)")
+        node = parse("log(2.1-x)")
 
         def f(t):
             calls.append(t.size)
             return evaluate(node, t)
 
-        with pytest.raises(QuadratureError, match="^panel 2: "):
-            cumulative(f, grid_from_descriptor("linear:1.0", 6), 8)
+        grid = grid_from_descriptor("linear:1.0", 6)
+        with pytest.raises(QuadratureError, match="^panel 2: ") as info:
+            cumulative(f, grid)
+        assert str(info.value) == scalar_message(make_eval("log(2.1-x)"), grid)
         # The batch's call of both rules, not bisected; panel 0 (both
         # rules), panel 1 (both rules, then its halves); panel 2, whose
         # call fails, and its bisection.  Panels 3 to 5 are not replayed.
-        assert calls == [144, 24, 24, 32, 24, 12, 6, 3, 4, 5]
+        assert calls == [288, 48, 48, 64, 48, 24, 12, 6, 3, 4]
 
     def test_integrand_must_return_an_array(self):
         grid = grid_from_descriptor("linear:1.0", 2)
         with pytest.raises(TypeError):
-            cumulative(lambda t: 1.0, grid, 8)
+            cumulative(lambda t: 1.0, grid)
 
     def test_panel_error_names_panel(self):
         grid = grid_from_descriptor("linear:1.0", 4)
         f = make_eval("log(3-x)")
         with pytest.raises(QuadratureError) as info:
-            cumulative(f, grid, 8)
+            cumulative(f, grid)
         assert "panel" in str(info.value)

@@ -3,8 +3,8 @@
 The package namespace is lazy (PEP 562): ``import dmint`` loads no
 submodule, and each name below loads its own module on first use.  The
 exact half (``symseries``, ``bell``, ``compose``) and the parser (``expr``)
-do not load numpy; the numeric names (jets, quadrature, the D^(m)
-transformation) do.
+do not load numpy; the numeric names (jets, quadrature over the fixed
+16/32-point Gauss-Legendre pair, the D^(m) transformation) do.
 """
 
 from importlib import import_module
@@ -40,7 +40,6 @@ _EXPORTS = {
         "QuadratureError",
         "SampleGrid",
         "cumulative",
-        "gauss_nodes",
         "grid_from_descriptor",
     ),
     "dtransform": (

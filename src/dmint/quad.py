@@ -3,6 +3,8 @@
 The integral from 0 to x_l of an integrand is assembled from panel values
 chi_i over [x_{i-1}, x_i] (with x_{-1} = 0), each from the 16- and 32-point
 Gauss-Legendre rules, then prefix-summed: F(x_l) = chi_0 + ... + chi_l.
+The two rules are the only ones used; their nodes and weights are built
+once, at import, by Newton iteration on the Legendre polynomial.
 
 Integrands take an array of nodes and return the array of their values.
 :func:`cumulative` calls f once for the nodes of both rules of all
@@ -16,7 +18,6 @@ is replayed panel by panel to name the first failing panel.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -95,56 +96,40 @@ class CumulativeIntegrals:
     F: tuple[float, ...]
 
 
-_MAX_NODES = 64
+def _legendre(q, x):
+    """P_q(x) and P_q'(x), by the three-term recurrence."""
+    p_prev, p = 1.0, x
+    for n in range(1, q):
+        p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
+    return p, q * (x * p - p_prev) / (x * x - 1.0)
 
 
-@functools.cache
-def gauss_nodes(q: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes and weights of the q-point Gauss-Legendre rule on [-1, 1].
+def _gauss_legendre(q):
+    """Nodes and weights of the q-point Gauss-Legendre rule on [-1, 1], q even.
 
     Roots of the degree-q Legendre polynomial are found by Newton
     iteration from the classical cosine initial guesses; the rule is
     exact for polynomials of degree 2q-1.
     """
-    if not (isinstance(q, int) and 1 <= q <= _MAX_NODES):
-        raise ValueError("node count must be an integer in [1, %d]" % _MAX_NODES)
-    if q == 2:
-        s = 1.0 / math.sqrt(3.0)
-        return (-s, s), (1.0, 1.0)
-    half: list[tuple[float, float]] = []
+    half = []
     for i in range(1, q // 2 + 1):
         x = math.cos(math.pi * (i - 0.25) / (q + 0.5))
         for _ in range(100):
-            p_prev, p = 1.0, x
-            for n in range(1, q):
-                p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
-            dp = q * (x * p - p_prev) / (x * x - 1.0)
+            p, dp = _legendre(q, x)
             dx = p / dp
             x -= dx
             if abs(dx) < 1e-15:
                 break
-        p_prev, p = 1.0, x
-        for n in range(1, q):
-            p_prev, p = p, ((2 * n + 1) * x * p - n * p_prev) / (n + 1)
-        dp = q * (x * p - p_prev) / (x * x - 1.0)
+        p, dp = _legendre(q, x)
         half.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
-    nodes: list[float] = []
-    weights: list[float] = []
-    for x, w in half:
-        nodes.append(-x)
-        weights.append(w)
-    if q % 2:
-        # P_q(0) = 0 for odd q; only the derivative is needed for the weight.
-        p_prev, p = 1.0, 0.0
-        for n in range(1, q):
-            p_prev, p = p, (-n * p_prev) / (n + 1)
-        dp = q * (0.0 - p_prev) / (0.0 - 1.0)
-        nodes.append(0.0)
-        weights.append(2.0 / (dp * dp))
-    for x, w in reversed(half):
-        nodes.append(x)
-        weights.append(w)
-    return tuple(nodes), tuple(weights)
+    nodes = [-x for x, _ in half] + [x for x, _ in reversed(half)]
+    weights = [w for _, w in half] + [w for _, w in reversed(half)]
+    return np.array(nodes), np.array(weights)
+
+
+# A panel's value is the refined rule's, checked against the coarse one:
+# (nodes, weights) of the 16- and the 32-point rule.
+_COARSE, _REFINED = _gauss_legendre(16), _gauss_legendre(32)
 
 
 def _values(f, x):
@@ -209,18 +194,16 @@ class _SumOverflow(_RuleFailure):
         return "quadrature sum beyond the float range in panel [%r, %r]" % self.args, None
 
 
-def _rule(f, lefts, rights, *orders: int) -> list[list[float]]:
+def _rule(f, lefts, rights, *rules) -> list[list[float]]:
     """Gauss-Legendre values of the panels [lefts[i], rights[i]], one list
-    per q-point rule in ``orders``.
+    per (nodes, weights) rule in ``rules``.
 
     The nodes of all panels go to f in one array, panel after panel, and
     within a panel rule after rule.  A failure raises :class:`_RuleFailure`,
     a value beyond the float range (in ``math.fsum`` or in the scaling by
     the half-width) :class:`_SumOverflow` naming its panel.
     """
-    rules = [gauss_nodes(q) for q in orders]
-    nodes = np.concatenate([rule[0] for rule in rules])
-    weights = np.concatenate([rule[1] for rule in rules])
+    nodes, weights = (np.concatenate(parts) for parts in zip(*rules))
     mid = 0.5 * (lefts + rights)
     halfwidth = 0.5 * (rights - lefts)
     x = (mid[:, None] + halfwidth[:, None] * nodes).ravel()
@@ -230,8 +213,8 @@ def _rule(f, lefts, rights, *orders: int) -> list[list[float]]:
     products = weights * values.reshape(-1, len(nodes))
     halfwidth = halfwidth.tolist()
     sums, start = [], 0
-    for q in orders:
-        rows, done = products[:, start:start + q].tolist(), []
+    for rule_nodes, _ in rules:
+        rows, done = products[:, start:start + len(rule_nodes)].tolist(), []
         for h, row in zip(halfwidth, rows):
             try:
                 done.append(h * math.fsum(row))
@@ -241,12 +224,8 @@ def _rule(f, lefts, rights, *orders: int) -> list[list[float]]:
                 panel = len(done) - 1
                 raise _SumOverflow(float(lefts[panel]), float(rights[panel]))
         sums.append(done)
-        start += q
+        start += len(rule_nodes)
     return sums
-
-
-# A panel's value is the refined rule's, checked against the coarse one.
-_COARSE, _REFINED = 16, 32
 
 
 def _panels(f, lefts, rights) -> list[float]:

@@ -632,6 +632,25 @@ class TestDSequence:
         with pytest.raises(ValueError, match="^the start index j must be non-negative$"):
             d_sequence("exp(-x)", "linear:1.0", 1, 3, j=-1)
 
+    def test_unknowns_bounded_before_sampling(self, monkeypatch):
+        # An oversized system is refused before its grid, quadrature or
+        # power table is built.
+        def not_built(*args, **kwargs):
+            raise AssertionError("grid or quadrature built")
+
+        monkeypatch.setattr(dtransform, "grid_from_descriptor", not_built)
+        monkeypatch.setattr(dtransform, "cumulative", not_built)
+        bound = dtransform._MAX_UNKNOWNS
+        for m, nu_max in ((1, bound + 1), (3, bound // 3 + 1), (bound + 1, 0)):
+            message = ("too many unknowns: m = %d, m*nu_max = %d; each must be at most %d"
+                       % (m, m * nu_max, bound))
+            with pytest.raises(ValueError) as info:
+                d_sequence("exp(-x)", "linear:1.0", m, nu_max)
+            assert str(info.value) == message
+        # At the bound the parameters pass, and the grid is built.
+        with pytest.raises(AssertionError, match="^grid or quadrature built$"):
+            d_sequence("exp(-x)", "linear:1.0", 1, bound)
+
     def test_exponent_count_checked_before_sampling(self, monkeypatch):
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran")

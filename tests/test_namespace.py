@@ -19,7 +19,7 @@ PUBLIC_NAMES = (
     "compose_ode", "order_bounds", "rho_bounds", "verify_b1_membership",
     "ExprDomainError", "ExprSyntaxError", "Jet", "derivatives", "evaluate", "parse",
     "CumulativeIntegrals", "QuadratureError", "SampleGrid", "cumulative",
-    "gauss_nodes", "grid_from_descriptor",
+    "grid_from_descriptor",
     "ExtrapolationTable", "SingularSystemError",
     "TableEntry", "d_sequence", "d_sequences", "friendly_exponents",
 )

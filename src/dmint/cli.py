@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help="grid descriptor, e.g. linear:1.6 or sqrtlinear:1.6")
     p.add_argument("--nu-max", type=int, default=10)
-    p.add_argument("--j", type=int, default=0)
+    p.add_argument("--j", type=int, default=0,
+                   help="index of the first sample each window reads, 0..10000")
     p.add_argument("--reference", default=None,
                    help="exact-value expression, e.g. pi/2 or 2*sqrt(pi)/3")
     p.add_argument("--exponents", default="friendly",

@@ -27,8 +27,14 @@ from .symseries import _power
 
 
 class ExprDomainError(ValueError):
-    """Evaluation left the domain of a sub-expression (log/sqrt/division)
-    or overflowed it (exp, or a sum of products)."""
+    """Evaluation failed in one sub-expression, named in the message.
+
+    Each jet operation raises only its reason; the walk adds the failing
+    node once: "<reason> in '<node>'" where a value leaves the domain
+    (log, sqrt, division, a power), "overflow in '<node>'" where one
+    leaves the float range (exp, a fractional power, a sum of jet
+    products, a literal).  ``__cause__`` is the operation's own error.
+    """
 
 
 # -- jets --------------------------------------------------------------------
@@ -125,28 +131,8 @@ def _jet_div(a: Jet, b: Jet) -> Jet:
     return Jet(out)
 
 
-def _jet_ipow(u: Jet, k: int) -> Jet:
-    """u**k by square and multiply, about 2*log2(k) jet products.
-
-    Up to k = 3 the products are those of multiplying k times, regrouped:
-    each is a sum of the same rounded terms, and fsum is exact.  From k = 4
-    the grouping can change the last bits of a coefficient.
-    """
-    one = Jet.constant(1.0, u.order, u.size)
-    if k < 0:
-        return _jet_div(one, _jet_ipow(u, -k))
-    if k == 0:
-        return one
-    # The factor is 1 * u, the first product of multiplying k times onto 1;
-    # from k = 1 on, square and multiply never makes the identity.
-    return _power(one * u, k, None)
-
-
 def _jet_exp(u: Jet) -> Jet:
-    try:
-        out = [_apply(math.exp, u.coeffs[0])]
-    except OverflowError:
-        raise ValueError("exp overflow") from None
+    out = [_apply(math.exp, u.coeffs[0])]
     for k in range(1, u.order):
         out.append(_fsum([j * u.coeffs[j] * out[k - j] for j in range(1, k + 1)]) / k)
     return Jet(out)
@@ -227,7 +213,9 @@ def _sinc_series(u: Jet) -> Jet:
     return acc
 
 
-_JET_FUNCTIONS = {
+# The one operation of each operator and named function.
+_JET_OPS = {
+    "+": Jet.__add__, "-": Jet.__sub__, "*": Jet.__mul__, "/": _jet_div,
     "sin": lambda u: _jet_sin_cos(u, u.order, u.order - 1)[0],
     "cos": lambda u: _jet_sin_cos(u, u.order - 1, u.order)[1],
     "exp": _jet_exp,
@@ -237,58 +225,58 @@ _JET_FUNCTIONS = {
 }
 
 
+def _jet_pow(u: Jet, e) -> Jet:
+    """u**e for a rational e; raises only the reason it fails.
+
+    An integer e is square and multiply on 1 * u, about 2*log2|e| jet
+    products, and a negative one divides 1 by that power.  Up to |e| = 3
+    the products are those of multiplying |e| times, regrouped: each is a
+    sum of the same rounded terms, and fsum is exact.  From |e| = 4 the
+    grouping can change the last bits of a coefficient.  A fractional e is
+    exp(e * log u).  The failures are ZeroDivisionError("zero raised to a
+    negative power"), also where u**|e| underflows to 0, ValueError
+    ("fractional power of a non-positive value") and OverflowError.
+    """
+    if e.denominator != 1:
+        if (u.coeffs[0] <= 0.0).any():
+            raise ValueError("fractional power of a non-positive value")
+        return _jet_exp(Jet.constant(float(e), u.order, u.size) * _jet_log(u))
+    one = Jet.constant(1.0, u.order, u.size)
+    k = abs(e.numerator)
+    # The factor is 1 * u, the first product of multiplying k times onto 1;
+    # from k = 1 on, square and multiply never makes the identity.
+    power = _power(one * u, k, None) if k else one
+    if e >= 0:
+        return power
+    if (power.coeffs[0] == 0.0).any():
+        raise ZeroDivisionError("zero raised to a negative power")
+    return _jet_div(one, power)
+
+
 def _jet_eval(node: Expr, x: Jet) -> Jet:
+    # The operands first, outside the try: an operand's ExprDomainError
+    # passes as it is, and what this node's one operation raises names it.
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, (Num, PiConst)):
+        value = math.pi if isinstance(node, PiConst) else node.value
+        op, args = Jet.constant, (value, x.order, x.size)
+    elif isinstance(node, BinOp):
+        op, args = _JET_OPS[node.op], (_jet_eval(node.left, x), _jet_eval(node.right, x))
+    elif isinstance(node, Neg):
+        op, args = Jet.__neg__, (_jet_eval(node.operand, x),)
+    elif isinstance(node, Pow):
+        op, args = _jet_pow, (_jet_eval(node.base, x), node.exponent)
+    elif isinstance(node, Call):
+        op, args = _JET_OPS[node.func], (_jet_eval(node.arg, x),)
+    else:
+        raise TypeError("unknown node %r" % (node,))
     try:
-        if isinstance(node, Num):
-            return Jet.constant(float(node.value), x.order, x.size)
-        if isinstance(node, PiConst):
-            return Jet.constant(math.pi, x.order, x.size)
-        if isinstance(node, Var):
-            return x
-        if isinstance(node, Neg):
-            return -_jet_eval(node.operand, x)
-        if isinstance(node, BinOp):
-            left = _jet_eval(node.left, x)
-            right = _jet_eval(node.right, x)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            try:
-                return _jet_div(left, right)
-            except ZeroDivisionError as exc:
-                raise ExprDomainError("division by zero in '%s'" % to_text(node)) from exc
-        if isinstance(node, Pow):
-            base = _jet_eval(node.base, x)
-            e = node.exponent
-            if e.denominator == 1:
-                try:
-                    return _jet_ipow(base, e.numerator)
-                except ZeroDivisionError as exc:
-                    raise ExprDomainError(
-                        "zero raised to a negative power in '%s'" % to_text(node)) from exc
-            if (base.coeffs[0] <= 0.0).any():
-                raise ExprDomainError(
-                    "fractional power of a non-positive value in '%s'" % to_text(node))
-            scaled_log = Jet.constant(float(e), base.order, base.size) * _jet_log(base)
-            try:
-                return _jet_exp(scaled_log)
-            except ValueError as exc:
-                raise ExprDomainError("overflow in '%s'" % to_text(node)) from exc
-        if isinstance(node, Call):
-            arg = _jet_eval(node.arg, x)
-            try:
-                return _JET_FUNCTIONS[node.func](arg)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ExprDomainError("%s in '%s'" % (exc, to_text(node))) from exc
+        return op(*args)
     except OverflowError as exc:
-        # This node's own value left the float range: a sum of its jet
-        # products in math.fsum, or a literal.  Its operands have turned
-        # theirs into ExprDomainError already.
         raise ExprDomainError("overflow in '%s'" % to_text(node)) from exc
-    raise TypeError("unknown node %r" % (node,))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ExprDomainError("%s in '%s'" % (exc, to_text(node))) from exc
 
 
 def derivatives(ast: Expr, x0, count: int):
@@ -297,20 +285,20 @@ def derivatives(ast: Expr, x0, count: int):
     A float gives a list of ``count`` floats.  An array of n points gives
     an array of shape (count, n) whose column l is what the float x0[l]
     gives, bit for bit: every point goes through the same operations.
-    Overflow in an elementwise operation gives inf or nan as in scalar
-    float arithmetic; overflow in a sum of jet products, which
-    ``math.fsum`` refuses, raises :class:`ExprDomainError` ("overflow in
-    ..."), as does exp of a value beyond its range.  If any point leaves
-    the domain, :class:`ExprDomainError` names the first failing
-    sub-expression of the walk, which need not be the one a point-by-point
-    loop meets first.
+    Overflow in an elementwise operation, k! * c_k included, gives inf or
+    nan as in scalar float arithmetic, with no warning.  Any other failure
+    at any point raises :class:`ExprDomainError` and no other error:
+    "overflow in ..." where a sum of jet products (which ``math.fsum``
+    refuses), an exp or a literal leaves the float range, else the reason
+    a value left the domain.  It names the first failing sub-expression of
+    the walk, which need not be the one a point-by-point loop meets first.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     with np.errstate(all="ignore"):
         coeffs = _jet_eval(ast, Jet.variable(x0, count)).coeffs
-    # k! * c_k, with k! rounded to a float as int * float rounds it.
-    rows = np.array([float(math.factorial(k)) * c for k, c in enumerate(coeffs)])
+        # k! * c_k, with k! rounded to a float as int * float rounds it.
+        rows = np.array([float(math.factorial(k)) * c for k, c in enumerate(coeffs)])
     return rows[:, 0].tolist() if np.ndim(x0) == 0 else rows
 
 

@@ -124,7 +124,7 @@ class GeneralizedPolynomial:
     def __add__(self, other):
         if not isinstance(other, GeneralizedPolynomial):
             return NotImplemented
-        d = _lcm(self.step_denominator, other.step_denominator)
+        d = math.lcm(self.step_denominator, other.step_denominator)
         a = self.rescaled_terms(d)
         for n, c in other.rescaled_terms(d).items():
             a[n] = a.get(n, Fraction(0)) + c
@@ -142,7 +142,7 @@ class GeneralizedPolynomial:
     def __mul__(self, other):
         if not isinstance(other, GeneralizedPolynomial):
             return NotImplemented
-        d = _lcm(self.step_denominator, other.step_denominator)
+        d = math.lcm(self.step_denominator, other.step_denominator)
         a = self.rescaled_terms(d)
         b = other.rescaled_terms(d)
         out: dict[int, Fraction] = {}
@@ -203,10 +203,6 @@ class GeneralizedPolynomial:
             return "GeneralizedPolynomial(0)"
         return "GeneralizedPolynomial(%s)" % _format_polynomial(
             self.terms, self.step_denominator)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
 
 
 def _power(base, k: int, one):
@@ -431,7 +427,7 @@ def _canonical_pair(num: GeneralizedPolynomial, den: GeneralizedPolynomial):
         raise ZeroDivisionError("denominator is the zero function")
     if num.is_zero:
         return GeneralizedPolynomial.zero(), GeneralizedPolynomial.one()
-    d = _lcm(num.step_denominator, den.step_denominator)
+    d = math.lcm(num.step_denominator, den.step_denominator)
     nt = num.rescaled_terms(d)
     dt = den.rescaled_terms(d)
     # Shift exponents so both are ordinary polynomials in t = x**(1/d) and
@@ -523,7 +519,7 @@ def profile(a: GeneralizedRational, depth: int = 8) -> AsymptoticProfile:
         raise ValueError("expansion depth must be non-negative")
     if a.is_zero:
         return AsymptoticProfile(Fraction(0), False, True, (), Fraction(1), True)
-    d = _lcm(a.numerator.step_denominator, a.denominator.step_denominator)
+    d = math.lcm(a.numerator.step_denominator, a.denominator.step_denominator)
     nt = a.numerator.rescaled_terms(d)
     dt = a.denominator.rescaled_terms(d)
     top_n, top_d = max(nt), max(dt)
@@ -587,21 +583,15 @@ def to_text(r: GeneralizedRational) -> str:
 
     Coefficients are scaled to coprime integers, an overall minus sign is
     factored out of the numerator, and the output parses back to the same
-    canonical value.
+    canonical value.  The denominator is monic, so scaling by the lcm of
+    the coefficient denominators already leaves coprime integers.
     """
     if r.is_zero:
         return "0"
-    scale = Fraction(1)
-    for c in list(r.numerator.terms.values()) + list(r.denominator.terms.values()):
-        scale = Fraction(_lcm(scale.numerator, c.denominator))
+    scale = math.lcm(*(c.denominator for c in (*r.numerator.terms.values(),
+                                                *r.denominator.terms.values())))
     num = {n: int(c * scale) for n, c in r.numerator.terms.items()}
     den = {n: int(c * scale) for n, c in r.denominator.terms.items()}
-    content = 0
-    for c in list(num.values()) + list(den.values()):
-        content = math.gcd(content, abs(c))
-    if content > 1:
-        num = {n: c // content for n, c in num.items()}
-        den = {n: c // content for n, c in den.items()}
     negative = num[max(num)] < 0
     if negative:
         num = {n: -c for n, c in num.items()}

@@ -244,10 +244,10 @@ class TestAccelerate:
         (("--integrand", "exp(x^2)*exp(-x^2)", "--m", "1", "--grid", "linear:10",
           "--nu-max", "3"),
          "panel 2: integrand failed at node x=27.290083888286137 in panel "
-         "[20.0, 30.0]: exp overflow in 'exp(x^2)'"),
+         "[20.0, 30.0]: overflow in 'exp(x^2)'"),
         (("--integrand", "exp(x)", "--m", "3", "--grid", "linear:400"),
          "panel 1: integrand failed at node x=723.5752488805288 in panel "
-         "[400.0, 800.0]: exp overflow in 'exp(x)'"),
+         "[400.0, 800.0]: overflow in 'exp(x)'"),
         # A panel's sum, the sum times its half-width, and a jet product's
         # sum beyond the float range.
         (("--integrand", "2*exp(709)", "--m", "1", "--grid", "linear:1.0", "--nu-max", "0"),
@@ -271,6 +271,10 @@ class TestAccelerate:
         # RuntimeWarning (the suite turns warnings into errors).
         (("--integrand", "exp(709)", "--m", "1", "--grid", "linear:1.0", "--nu-max", "2"),
          "window nu=2: matrix has a zero or non-finite column"),
+        # f''(1) = 2! * c_2 is beyond the float range while c_2 is not.
+        (("--integrand", "exp(708.7)*sin(2*x)", "--m", "3", "--grid", "linear:1.0",
+          "--nu-max", "1"),
+         "window nu=1: matrix has a zero or non-finite column"),
     ])
     def test_overflow_exit_4(self, capsys, argv, detail):
         code, out, err = run(capsys, "accelerate", *argv)

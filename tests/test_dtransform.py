@@ -107,7 +107,7 @@ def demo_table(**kwargs):
     return d_sequence("sinc(x)^2", "linear:1.6", 3, 10, reference=PI_HALF, **kwargs)
 
 
-class TestSpecValidation:
+class TestSweepInputs:
     def test_shapes(self, monkeypatch):
         # Per member, the sweep reads the m*nu_max rows g_1..g_N at the
         # m*nu_max+1 samples l = j..j+N, and those samples F.
@@ -119,7 +119,7 @@ class TestSpecValidation:
         assert friendly_exponents(4) == (1, 2, 3, 4)
 
 
-class TestBuildAndSolve:
+class TestSweepAndExactPath:
     def test_trivial_window_returns_first_sample(self):
         # The window nu=0 is the sample F(x_j) itself, bit for bit.
         table = d_sequence("sinc(x)^2", "linear:1.6", 3, 0, j=2)
@@ -317,7 +317,7 @@ class TestBuildAndSolve:
         assert failures == {None, "matrix has a zero or non-finite column",
                             "right-hand side is not finite", "matrix is singular"}
 
-    def test_solve_windows_matches_window_by_window(self):
+    def test_sweep_windows_match_window_by_window(self):
         # The sweep gives every nested window of one system at once; each
         # is within one ulp of that window solved exactly on its own.  A
         # zero row or an infinity planted in g_{p+1} breaks step p, on a
@@ -424,8 +424,8 @@ class TestDSequence:
         ("cos(x)/(1+x^2)", "linear:1.6", 2, 7, (2, -1), 1),
         ("sinc(x^2)^2", "sqrtlinear:1.6", 3, 10, None, 0),
     ])
-    def test_windows_are_those_of_build_system(self, source, grid, m, nu_max,
-                                               exponents, j):
+    def test_windows_are_those_of_the_sweep(self, source, grid, m, nu_max,
+                                            exponents, j):
         # Every window on its own, assembled entry by entry: the sweep's D
         # is its exact solution, rounded (the demo windows of f and phi
         # among them).
@@ -650,6 +650,14 @@ class TestDSequence:
         # At the bound the parameters pass, and the grid is built.
         with pytest.raises(AssertionError, match="^grid or quadrature built$"):
             d_sequence("exp(-x)", "linear:1.0", 1, bound)
+        # So is a start index j: every point below x_j would be integrated.
+        start = dtransform._MAX_START
+        for j in (start + 1, 10 ** 8):
+            with pytest.raises(ValueError) as info:
+                d_sequence("exp(-x)", "linear:1.0", 1, 2, j=j)
+            assert str(info.value) == "the start index j must be at most %d, got %d" % (start, j)
+        with pytest.raises(AssertionError, match="^grid or quadrature built$"):
+            d_sequence("exp(-x)", "linear:1.0", 1, 2, j=start)
 
     def test_exponent_count_checked_before_sampling(self, monkeypatch):
         def no_quadrature(*args, **kwargs):

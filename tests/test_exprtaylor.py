@@ -403,6 +403,48 @@ class TestJetSqrt:
 
 
 class TestDomainErrors:
+    # Every jet failure: the source, a point where it fails, one where it
+    # does not (a literal fails at every point), the derivative count and
+    # the exact message.
+    @pytest.mark.parametrize("source, bad, good, count, message", [
+        pytest.param("1/(x-1)", 1.0, 2.0, 1, "division by zero in '1/(x-1)'",
+                     id="division"),
+        pytest.param("(x-1)^(-2)", 1.0, 2.0, 1,
+                     "zero raised to a negative power in '(x-1)^(-2)'", id="negative-power"),
+        # x^200 underflows to 0 at x = 1e-2.
+        pytest.param("x^(-200)", 1e-2, 0.5, 1,
+                     "zero raised to a negative power in 'x^(-200)'", id="underflowed-power"),
+        pytest.param("(x-5)^(1/2)", 1.0, 6.0, 1,
+                     "fractional power of a non-positive value in '(x-5)^(1/2)'",
+                     id="fractional-power-domain"),
+        pytest.param("log(x-2)", 1.0, 3.0, 2, "log of a non-positive value in 'log(x-2)'",
+                     id="log"),
+        pytest.param("sqrt(x-2)", 1.0, 3.0, 1, "sqrt of a negative value in 'sqrt(x-2)'",
+                     id="negative-sqrt"),
+        pytest.param("sqrt(x)", 0.0, 1.0, 2, "sqrt is not differentiable at 0 in 'sqrt(x)'",
+                     id="sqrt-at-zero"),
+        pytest.param("exp(x^2)*exp(-x^2)", 30.0, 1.0, 1, "overflow in 'exp(x^2)'",
+                     id="exp-overflow"),
+        pytest.param("x^(3/2)", 1e300, 1.0, 1, "overflow in 'x^(3/2)'",
+                     id="fractional-power-overflow"),
+        pytest.param("exp(709)*x*x", 1.2, 0.6, 2, "overflow in 'exp(709)*x*x'",
+                     id="jet-sum-overflow"),
+        # inf - inf among the terms of a jet product.
+        pytest.param("(exp(709)*x^2+exp(709)*x^2)*(x-2)", 1.5, 0.5, 2,
+                     "-inf + inf in fsum in '(exp(709)*x^2+exp(709)*x^2)*(x-2)'",
+                     id="jet-sum-inf-minus-inf"),
+        pytest.param("x+1" + "0" * 400, 1.0, 2.0, 1, "overflow in '1%s'" % ("0" * 400),
+                     id="literal-overflow"),
+    ])
+    def test_each_failure_names_its_node_once(self, source, bad, good, count, message):
+        node = parse(source)
+        for x in (bad, np.array([good, bad])):
+            with pytest.raises(ExprDomainError) as info:
+                derivatives(node, x, count)
+            assert str(info.value) == message
+            assert info.value.__cause__ is not None
+            assert not isinstance(info.value.__cause__, ExprDomainError)
+
     def test_log_and_sqrt(self):
         with pytest.raises(ExprDomainError) as info:
             evaluate(parse("log(x-2)"), 1.0)
@@ -426,10 +468,10 @@ class TestDomainErrors:
         for x in (30.0, np.array([1.0, 30.0])):
             with pytest.raises(ExprDomainError) as info:
                 evaluate(node, x)
-            assert str(info.value) == "exp overflow in 'exp(x^2)'"
+            assert str(info.value) == "overflow in 'exp(x^2)'"
         with pytest.raises(ExprDomainError) as info:
             derivatives(parse("exp(x)"), 800.0, 3)
-        assert str(info.value) == "exp overflow in 'exp(x)'"
+        assert str(info.value) == "overflow in 'exp(x)'"
         with pytest.raises(ExprDomainError) as info:
             evaluate(parse("x^(3/2)"), 1e300)
         assert str(info.value) == "overflow in 'x^(3/2)'"

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -404,6 +405,21 @@ class TestTextFormat:
     def test_roundtrip_half_grid(self):
         for r in _random_rationals(40, 12, half_grid=True):
             assert parse_rational(to_text(r)) == r
+
+    def test_printed_integers_are_coprime(self):
+        # The coefficients and constants printed, with the implicit 1 of a
+        # bare power of x and of an omitted denominator, have gcd 1: no
+        # common factor is left to divide out.
+        monomial = re.compile(r"(?:(\d+)\*)?x(?:\^(?:\d+|\(\d+/\d+\)))?")
+        rng = random.Random(23)
+        values = _random_rationals(200, 24) + _random_rationals(200, 25, half_grid=True)
+        for r in values:
+            scaled = r * R("%d/%d" % (rng.randint(1, 60), rng.randint(1, 60)))
+            for value in (r, scaled):
+                text = to_text(value)
+                printed = monomial.sub(lambda match: match.group(1) or "1", text)
+                integers = [int(n) for n in re.findall(r"\d+", printed)]
+                assert math.gcd(*integers, 1 if "/" not in printed else 0) == 1, text
 
     def test_zero(self):
         assert to_text(ZERO) == "0"

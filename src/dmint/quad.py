@@ -52,9 +52,6 @@ class SampleGrid:
             if not b > a:
                 raise ValueError("grid points must be strictly increasing")
 
-    def __len__(self):
-        return len(self.points)
-
 
 _DESCRIPTOR_RE = re.compile(r"^(linear|sqrtlinear):([-0-9.,eE+]+)$")
 

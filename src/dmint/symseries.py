@@ -629,47 +629,55 @@ def _integer_root(value: int, degree: int) -> int:
     return root
 
 
-def _monomial_power(base: GeneralizedRational, exponent: Fraction) -> GeneralizedRational:
+def _monomial_power(base, exponent: Fraction) -> GeneralizedPolynomial:
     # Fractional powers are only defined here for pure monomials c*x**e
-    # whose coefficient has an exact rational root.
+    # (e >= 0, as the canonical rational has no denominator then) whose
+    # coefficient has an exact rational root.
     if base.is_zero:
         raise RationalParseError("fractional power of zero")
-    if (base.denominator != GeneralizedPolynomial.one()
-            or len(base.numerator.terms) != 1):
+    if isinstance(base, GeneralizedRational):
+        base = base.numerator if base.denominator == GeneralizedPolynomial.one() else None
+    if base is None or len(base.terms) != 1 or min(base.terms) < 0:
         raise RationalParseError(
             "fractional powers are only supported on monomials like x or 4*x")
-    (n, c), = base.numerator.terms.items()
+    (n, c), = base.terms.items()
     q = exponent.denominator
     root = Fraction(_integer_root(c.numerator, q), _integer_root(c.denominator, q))
     coeff = root ** exponent.numerator
-    e = Fraction(n, base.numerator.step_denominator) * exponent
-    return GeneralizedRational(
-        GeneralizedPolynomial.monomial(coeff, e.numerator, e.denominator))
+    e = Fraction(n, base.step_denominator) * exponent
+    return GeneralizedPolynomial.monomial(coeff, e.numerator, e.denominator)
 
 
-def _lower(node: expr.Expr) -> GeneralizedRational:
+def _lower(node: expr.Expr):
     # The operations, and their order, are those of reading the text left
-    # to right.  A left-nested chain such as a long sum is walked in a
-    # loop, so its length is not bounded by the recursion limit.
+    # to right.  A value stays a GeneralizedPolynomial until a quotient or
+    # a negative power makes it a GeneralizedRational, so a sub-expression
+    # is canonicalized only there; canonical form is unique, so the end
+    # result is the one an all-rational walk gives.  A left-nested chain
+    # such as a long sum is walked in a loop, so its length is not bounded
+    # by the recursion limit.
     chain = []
     while isinstance(node, expr.BinOp):
         chain.append(node)
         node = node.left
     if isinstance(node, expr.Num):
-        value = GeneralizedRational(GeneralizedPolynomial.constant(node.value))
+        value = GeneralizedPolynomial.constant(node.value)
     elif isinstance(node, expr.Var):
-        value = GeneralizedRational.variable()
+        value = GeneralizedPolynomial.variable()
     elif isinstance(node, expr.Neg):
         value = -_lower(node.operand)
     elif isinstance(node, expr.Pow):
         value = _lower(node.base)
+        k = node.exponent.numerator
         if node.exponent.denominator != 1:
             value = _monomial_power(value, node.exponent)
-        elif node.exponent < 0 and value.is_zero:
+        elif k < 0 and value.is_zero:
             raise RationalParseError(
                 "negative power of zero in '%s'" % expr.to_text(node))
+        elif k < 0 and isinstance(value, GeneralizedPolynomial):
+            value = GeneralizedRational(GeneralizedPolynomial.one(), value ** -k)
         else:
-            value = value ** node.exponent.numerator
+            value = value ** k
     elif isinstance(node, expr.Call) and node.func == "sqrt":
         value = _monomial_power(_lower(node.arg), Fraction(1, 2))
     else:
@@ -685,6 +693,9 @@ def _lower(node: expr.Expr) -> GeneralizedRational:
             value = value * rhs
         elif rhs.is_zero:
             raise RationalParseError("division by zero in '%s'" % expr.to_text(op))
+        elif (isinstance(value, GeneralizedPolynomial)
+              and isinstance(rhs, GeneralizedPolynomial)):
+            value = GeneralizedRational(value, rhs)
         else:
             value = value / rhs
     return value
@@ -697,10 +708,15 @@ def parse_rational(text: str) -> GeneralizedRational:
     rule: fractional exponents go in parentheses, ``x^(1/2)``, and
     ``x^3/2`` means (x^3)/2.  Accepts +, -, *, /, integer powers of
     arbitrary subexpressions, fractional powers and ``sqrt`` of monomials,
-    and integer or decimal literals.
+    and integer or decimal literals.  Sums, products and non-negative
+    powers are read as polynomials; each quotient or negative power is
+    canonicalized once, where it is read.
     """
     try:
         ast = expr._Parser(text, bare_fraction_exponents=False).parse()
     except expr.ExprSyntaxError as exc:
         raise RationalParseError(str(exc)) from exc
-    return _lower(ast)
+    value = _lower(ast)
+    if isinstance(value, GeneralizedPolynomial):
+        value = GeneralizedRational(value)
+    return value

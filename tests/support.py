@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+from dmint import expr, symseries
 from dmint.compose import OdeCoefficients
-from dmint.symseries import GeneralizedPolynomial, GeneralizedRational
+from dmint.symseries import GeneralizedPolynomial, GeneralizedRational, RationalParseError
 
 
-def random_int_poly(rng, degree, coeff_range=3):
-    """Dense integer polynomial of exactly the given degree."""
+def random_int_terms(rng, degree, coeff_range=3):
+    """Term map of a dense integer polynomial of exactly the given degree."""
     lead = rng.choice([c for c in range(-coeff_range, coeff_range + 1) if c])
     terms = {degree: lead}
     for n in range(degree):
         c = rng.randint(-coeff_range, coeff_range)
         if c:
             terms[n] = c
-    return GeneralizedPolynomial(terms)
+    return terms
+
+
+def random_int_poly(rng, degree, coeff_range=3):
+    """Dense integer polynomial of exactly the given degree."""
+    return GeneralizedPolynomial(random_int_terms(rng, degree, coeff_range))
 
 
 def random_rational(rng, max_degree=4, half_grid=False):
@@ -32,24 +39,112 @@ def random_rational(rng, max_degree=4, half_grid=False):
     return GeneralizedRational(num, den)
 
 
-def random_bm_instance(rng, m, s):
-    """A class-B coefficient list (orders forced <= k) and a degree-s g."""
-    coefficients = []
+def random_bm_terms(rng, m, s):
+    """Term maps of a class-B instance: per k None or (numerator, denominator),
+    orders forced <= k, and a degree-s g with a positive leading coefficient."""
+    p_terms = []
     for k in range(1, m + 1):
         if k < m and rng.random() < 0.25:
-            coefficients.append(None)
+            p_terms.append(None)
             continue
         den_deg = rng.randint(0, 2)
         ik = rng.randint(max(-den_deg, k - 3), k)
-        num_deg = den_deg + ik
-        coefficients.append(GeneralizedRational(random_int_poly(rng, num_deg),
-                                                random_int_poly(rng, den_deg)))
+        numerator = random_int_terms(rng, den_deg + ik)
+        p_terms.append((numerator, random_int_terms(rng, den_deg)))
     g_terms = {s: rng.randint(1, 3)}
     for n in range(s):
         c = rng.randint(-3, 3)
         if c:
             g_terms[n] = c
+    return p_terms, g_terms
+
+
+def random_bm_instance(rng, m, s):
+    """A class-B coefficient list (orders forced <= k) and a degree-s g."""
+    p_terms, g_terms = random_bm_terms(rng, m, s)
+    coefficients = [None if p is None else GeneralizedRational(GeneralizedPolynomial(p[0]),
+                                                               GeneralizedPolynomial(p[1]))
+                    for p in p_terms]
     return OdeCoefficients(coefficients), GeneralizedPolynomial(g_terms)
+
+
+def compose_batch_texts(count=200, seed=1234):
+    """The p_k and g texts of the seeded class-B batch that the
+    reconstruction oracle draws (m in 1..4, s in 1..3), each present p_k as
+    ``(numerator)/(denominator)``: one (p_texts, g_text) pair per instance."""
+    rng = random.Random(seed)
+    batch = []
+    for _ in range(count):
+        m = rng.randint(1, 4)
+        s = rng.randint(1, 3)
+        p_terms, g_terms = random_bm_terms(rng, m, s)
+        p_texts = tuple("(%s)/(%s)" % (symseries._format_polynomial(p[0], 1),
+                                       symseries._format_polynomial(p[1], 1))
+                        for p in p_terms if p is not None)
+        batch.append((p_texts, symseries._format_polynomial(g_terms, 1)))
+    return batch
+
+
+def _reference_monomial_power(base, exponent):
+    if base.is_zero:
+        raise RationalParseError("fractional power of zero")
+    if (base.denominator != GeneralizedPolynomial.one()
+            or len(base.numerator.terms) != 1):
+        raise RationalParseError(
+            "fractional powers are only supported on monomials like x or 4*x")
+    (n, c), = base.numerator.terms.items()
+    q = exponent.denominator
+    root = Fraction(symseries._integer_root(c.numerator, q),
+                    symseries._integer_root(c.denominator, q))
+    e = Fraction(n, base.numerator.step_denominator) * exponent
+    return GeneralizedRational(
+        GeneralizedPolynomial.monomial(root ** exponent.numerator, e.numerator, e.denominator))
+
+
+def _reference_lower(node):
+    # Every sub-expression, down to x and each literal, is a canonical
+    # GeneralizedRational, and each operation is the rational one.
+    if isinstance(node, expr.BinOp):
+        value = _reference_lower(node.left)
+        rhs = _reference_lower(node.right)
+        if node.op == "+":
+            return value + rhs
+        if node.op == "-":
+            return value - rhs
+        if node.op == "*":
+            return value * rhs
+        if rhs.is_zero:
+            raise RationalParseError("division by zero in '%s'" % expr.to_text(node))
+        return value / rhs
+    if isinstance(node, expr.Num):
+        return GeneralizedRational(GeneralizedPolynomial.constant(node.value))
+    if isinstance(node, expr.Var):
+        return GeneralizedRational.variable()
+    if isinstance(node, expr.Neg):
+        return -_reference_lower(node.operand)
+    if isinstance(node, expr.Pow):
+        value = _reference_lower(node.base)
+        if node.exponent.denominator != 1:
+            return _reference_monomial_power(value, node.exponent)
+        if node.exponent < 0 and value.is_zero:
+            raise RationalParseError("negative power of zero in '%s'" % expr.to_text(node))
+        return value ** node.exponent.numerator
+    if isinstance(node, expr.Call) and node.func == "sqrt":
+        return _reference_monomial_power(_reference_lower(node.arg), Fraction(1, 2))
+    raise RationalParseError("'%s' is not a rational function of x" % expr.to_text(node))
+
+
+def reference_parse_rational(text):
+    """parse_rational as an all-rational walk of the syntax tree.
+
+    The reference for the lowering in :mod:`dmint.symseries`, which keeps
+    sub-expressions as polynomials until a quotient or a negative power.
+    """
+    try:
+        ast = expr._Parser(text, bare_fraction_exponents=False).parse()
+    except expr.ExprSyntaxError as exc:
+        raise RationalParseError(str(exc)) from exc
+    return _reference_lower(ast)
 
 
 def partitions_by_block_count(n: int) -> dict[int, int]:

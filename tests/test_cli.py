@@ -68,6 +68,13 @@ class TestReproduceTable:
         assert err.startswith("cannot write output: ") and err.count("\n") == 1
         assert str(target) in err and not target.exists()
 
+    def test_tolerance_failure_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "D_FLAT_LIMIT_NU10", 0.0)
+        code, out, err = run(capsys, "reproduce-table")
+        assert code == 1 and out == ""
+        assert err.startswith("tolerance failure: integrand f, nu=10: D error ")
+        assert err.endswith(" above 0e+00\n") and err.count("\n") == 1
+
     def test_csv_and_json_agree(self, capsys):
         code, csv_out, _ = run(capsys, "reproduce-table", "--format", "csv")
         assert code == 0
@@ -286,6 +293,9 @@ class TestAccelerate:
          "m must be at least 1"),
         (("--integrand", "exp(-x)", "--m", "1", "--grid", "sqrtlinear:-1"),
          "sqrtlinear parameter a must be positive, got -1.0"),
+        (("--integrand", "exp(-x)", "--m", "1", "--grid", "linear:1.0",
+          "--exponents", "rho:1,x"),
+         "bad exponent list 'rho:1,x'"),
     ])
     def test_precondition_messages(self, capsys, argv, detail):
         code, out, err = run(capsys, "accelerate", *argv)
@@ -314,6 +324,33 @@ class TestAccelerate:
         code, out, err = run(capsys, "accelerate", "--integrand", "exp(-x)",
                              "--nu-max", "1")
         assert code == 3 and out == ""
+
+    def test_pretty_table(self, capsys):
+        argv = ("accelerate", "--integrand", "exp(-x)", "--m", "1",
+                "--grid", "linear:1.0", "--nu-max", "2")
+        for reference in ((), ("--reference", "1")):
+            code, out, err = run(capsys, *argv, *reference)
+            assert code == 0 and err == ""
+            code, csv_out, _ = run(capsys, *argv, *reference, "--format", "csv")
+            rows = list(csv.DictReader(io.StringIO(csv_out)))
+            lines = out.splitlines()
+            assert lines[0] == "integrand: exp(-x)   grid: linear:1.0   m: 1"
+            header = " nu   D_value                F(x_{j+m*nu})"
+            if reference:
+                header += "          |D-I|     |F-I|"
+            assert lines[1] == header
+            assert len(lines) == 2 + len(rows) == 5
+            # " nu   D (%-20.17g)   F (%-20.17g)", then "  |D-I|  |F-I|" in
+            # D notation with a reference.
+            for line, row in zip(lines[2:], rows):
+                assert line[:6] == " %2d   " % int(row["nu"])
+                assert float(line[6:26]) == float(row["D_value"])
+                assert float(line[29:49]) == float(row["F_value"])
+                assert line[26:29] == "   " and len(line) == (69 if reference else 49)
+                if reference:
+                    assert line[49:] == "  %s  %s" % tuple(
+                        ("%.2e" % float(row[key])).replace("e", "D")
+                        for key in ("D_error", "F_error"))
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"

@@ -83,6 +83,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             OdeCoefficients([R("1/(sqrt(x)+1)")])
 
+    @pytest.mark.parametrize("coefficients, error, message", [
+        ([], ValueError, "at least one coefficient is required"),
+        ([R("1"), "x"], TypeError, "coefficients must be GeneralizedRational or None"),
+        ([X_POLY], TypeError, "coefficients must be GeneralizedRational or None"),
+    ], ids=["empty", "text", "polynomial"])
+    def test_coefficient_list_rejected(self, coefficients, error, message):
+        with pytest.raises(error) as info:
+            OdeCoefficients(coefficients)
+        assert type(info.value) is error and str(info.value) == message
+
     def test_degenerate_g_rejected(self):
         ode = demo_ode()
         with pytest.raises(ValueError):

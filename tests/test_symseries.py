@@ -482,3 +482,67 @@ def test_transcendental_text_rejected(text, named):
     with pytest.raises(RationalParseError,
                        match="'%s' is not a rational function of x" % re.escape(named)):
         parse_rational(text)
+
+
+# parse_rational keeps sub-expressions as polynomials until a quotient or a
+# negative power; support.reference_parse_rational makes every one of them
+# a canonical rational.  Canonical form is unique, so both give the same
+# structure, and both fail with the same error on the same input.
+def structure(r):
+    return (r.numerator.terms, r.numerator.step_denominator,
+            r.denominator.terms, r.denominator.step_denominator)
+
+
+def test_lowering_matches_the_rational_walk_on_the_compose_batch():
+    from support import compose_batch_texts, reference_parse_rational
+    texts = [text for p_texts, g_text in compose_batch_texts() for text in (*p_texts, g_text)]
+    assert len(texts) == 592
+    for text in texts:
+        assert structure(parse_rational(text)) == structure(reference_parse_rational(text)), text
+
+
+@pytest.mark.parametrize("text", [
+    # fractional, negative and nested powers
+    "x^(1/2)", "x^(3/2)", "(4*x^2)^(1/2)", "(8*x^3)^(-2/3)", "(x^(1/2))^(2/3)",
+    "x^(-1/2)", "x^(-1/2)+1", "x^(-1/2)*x", "(x^(-1/2))^2", "2*x^6-3*x^(1/3)/x^2",
+    "x^-2", "(x+1)^-3", "1/x^-2", "(x^2+1)^-2*(x+1)", "((x+1)^2)^3", "((x^-1)^2)^-3",
+    "x^0", "(x-x)^0",
+    # sqrt
+    "sqrt(x)", "sqrt(4*x^2)", "sqrt(sqrt(x))", "sqrt(x^(1/2)*x^(3/2))",
+    "x^(1/2)*(x+3)/(x-1)^3",
+    # decimals
+    "0.5*x+1.25", "x/0.25",
+    # sums of quotients
+    "1/x+1/(x+1)", "x/(x-1)-1/(x-1)", "(x+1)/(x-1)+(x-1)/(x+1)", "-(2*x^2+3)/(4*x)", "-x/8",
+    # zero
+    "0*x", "0*x+1", "x-x", "0*x/(x+1)",
+])
+def test_lowering_matches_the_rational_walk(text):
+    from support import reference_parse_rational
+    assert structure(parse_rational(text)) == structure(reference_parse_rational(text))
+
+
+NOT_A_MONOMIAL = "fractional powers are only supported on monomials like x or 4*x"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(x+1)^(1/2)", NOT_A_MONOMIAL),
+    ("sqrt(x+1)", NOT_A_MONOMIAL),
+    ("(x-x)^(1/2)", "fractional power of zero"),
+    ("sqrt(0*x)", "fractional power of zero"),
+    ("(1/x)^(1/2)", NOT_A_MONOMIAL),
+    ("sqrt(x/(x+1))", NOT_A_MONOMIAL),
+    # x^(-1/2) is the quotient 1/x^(1/2) in canonical form.
+    ("(x^(-1/2))^(1/2)", NOT_A_MONOMIAL),
+    ("(x-x)^-1", "negative power of zero in '(x-x)^(-1)'"),
+    ("0^-2", "negative power of zero in '0^(-2)'"),
+    ("1/(x-x)", "division by zero in '1/(x-x)'"),
+    ("x/0", "division by zero in 'x/0'"),
+    ("x+sin(x)", "'sin(x)' is not a rational function of x"),
+])
+def test_lowering_fails_as_the_rational_walk(text, message):
+    from support import reference_parse_rational
+    for parse in (parse_rational, reference_parse_rational):
+        with pytest.raises(RationalParseError) as info:
+            parse(text)
+        assert type(info.value) is RationalParseError and str(info.value) == message

@@ -4,7 +4,7 @@ The package namespace is lazy (PEP 562): ``import dmint`` loads no
 submodule, and each name below loads its own module on first use.  The
 exact half (``symseries``, ``bell``, ``compose``) and the parser (``expr``)
 do not load numpy; the numeric names (jets, quadrature over the fixed
-16/32-point Gauss-Legendre pair, the D^(m) transformation) do.
+32-point Gauss-Legendre rule, the D^(m) transformation) do.
 """
 
 from importlib import import_module
@@ -22,7 +22,7 @@ _EXPORTS = {
         "profile",
         "to_text",
     ),
-    "bell": ("PartitionIndex", "bell_eval", "enumerate_indices", "l_matrix"),
+    "bell": ("l_matrix",),
     "compose": (
         "B1Report",
         "CompositionResult",

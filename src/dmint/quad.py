@@ -1,16 +1,19 @@
 """Gauss-Legendre panel quadrature and cumulative finite-range integrals.
 
 The integral from 0 to x_l of an integrand is assembled from panel values
-chi_i over [x_{i-1}, x_i] (with x_{-1} = 0), each from the 16- and 32-point
-Gauss-Legendre rules, then prefix-summed: F(x_l) = chi_0 + ... + chi_l.
-The two rules are the only ones used; their nodes and weights are built
-once, at import, by Newton iteration on the Legendre polynomial.
+chi_i over [x_{i-1}, x_i] (with x_{-1} = 0), each from the 32-point
+Gauss-Legendre rule, then prefix-summed: F(x_l) = chi_0 + ... + chi_l.
+The rule is the only one used; its nodes and weights are built once, at
+import, by Newton iteration on the Legendre polynomial.  It judges itself:
+the same 32 products give the top Legendre coefficients of the panel's
+interpolant (a null rule, Berntsen & Espelid, ACM TOMS 17, 1991), and a
+panel whose tail is large is bisected once.
 
 Integrands take an array of nodes and return the array of their values.
-:func:`cumulative` calls f once for the nodes of both rules of all
-panels, panel after panel, and once more for the halves of any panel
-the rules disagree on.  Each panel and rule is still summed on its own
-with ``math.fsum``, so for an integrand that acts element by element (as
+:func:`cumulative` calls f once for the nodes of all panels, panel after
+panel, and once more for the halves of any panel whose tail is large.
+Each panel is still summed on its own with ``math.fsum``, so for an
+integrand that acts element by element (as
 :func:`dmint.exprtaylor.evaluate` does, bit for bit) the results are
 exactly those of integrating panel after panel, node by node.  A failure
 is replayed panel by panel to name the first failing panel.
@@ -24,6 +27,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import legvander
 
 
 class QuadratureError(ValueError):
@@ -124,9 +128,12 @@ def _gauss_legendre(q):
     return np.array(nodes), np.array(weights)
 
 
-# A panel's value is the refined rule's, checked against the coarse one:
-# (nodes, weights) of the 16- and the 32-point rule.
-_COARSE, _REFINED = _gauss_legendre(16), _gauss_legendre(32)
+# (nodes, weights) of the 32-point rule, which gives every panel's value.
+_RULE = _gauss_legendre(32)
+# Row k - 28 is (2k+1)/2 * P_k at the nodes, k = 28..31.  The rule is exact
+# on P_j*P_k for j + k <= 63, so the products w*f(x) times its transpose
+# are the top four Legendre coefficients of f's interpolant on the panel.
+_TAIL = (np.arange(28, 32) + 0.5)[:, None] * legvander(_RULE[0], 31)[:, 28:].T
 
 
 def _values(f, x):
@@ -168,18 +175,17 @@ def _first_failure(f, x, error):
 
 
 class _RuleFailure(Exception):
-    """A rule's call of f failed: args are (f, nodes, error, lefts, rights, width).
+    """The rule's call of f failed: args are (f, nodes, error, lefts, rights).
 
-    ``width`` is the number of nodes each panel gave.  Naming the failing
-    node costs a bisection, so it is left to :meth:`locate` for the
-    failures whose message is read.
+    Naming the failing node costs a bisection, so it is left to
+    :meth:`locate` for the failures whose message is read.
     """
 
     def locate(self):
         """The message naming the first failing node, and f's error there."""
-        f, x, error, lefts, rights, width = self.args
+        f, x, error, lefts, rights = self.args
         index, error = _first_failure(f, x, error)
-        panel = index // width
+        panel = index // len(_RULE[0])
         return ("integrand failed at node x=%r in panel [%r, %r]: %s"
                 % (float(x[index]), float(lefts[panel]), float(rights[panel]), error)), error
 
@@ -191,54 +197,48 @@ class _SumOverflow(_RuleFailure):
         return "quadrature sum beyond the float range in panel [%r, %r]" % self.args, None
 
 
-def _rule(f, lefts, rights, *rules) -> list[list[float]]:
-    """Gauss-Legendre values of the panels [lefts[i], rights[i]], one list
-    per (nodes, weights) rule in ``rules``.
+def _rule(f, lefts, rights):
+    """32-point values of the panels [lefts[i], rights[i]] and their tails.
 
-    The nodes of all panels go to f in one array, panel after panel, and
-    within a panel rule after rule.  A failure raises :class:`_RuleFailure`,
-    a value beyond the float range (in ``math.fsum`` or in the scaling by
-    the half-width) :class:`_SumOverflow` naming its panel.
+    The nodes of all panels go to f in one array, panel after panel.  A
+    panel's tail is twice its half-width times the largest of the Legendre
+    coefficients a_28..a_31 of f's interpolant.  A failure raises
+    :class:`_RuleFailure`, a value beyond the float range (in ``math.fsum``
+    or in the scaling by the half-width) :class:`_SumOverflow` naming its
+    panel.
     """
-    nodes, weights = (np.concatenate(parts) for parts in zip(*rules))
+    nodes, weights = _RULE
     mid = 0.5 * (lefts + rights)
     halfwidth = 0.5 * (rights - lefts)
     x = (mid[:, None] + halfwidth[:, None] * nodes).ravel()
     values, error = _values(f, x)
     if error is not None:
-        raise _RuleFailure(f, x, error, lefts, rights, len(nodes))
+        raise _RuleFailure(f, x, error, lefts, rights)
     products = weights * values.reshape(-1, len(nodes))
-    halfwidth = halfwidth.tolist()
-    sums, start = [], 0
-    for rule_nodes, _ in rules:
-        rows, done = products[:, start:start + len(rule_nodes)].tolist(), []
-        for h, row in zip(halfwidth, rows):
-            try:
-                done.append(h * math.fsum(row))
-            except OverflowError:
-                done.append(math.inf)
-            if math.isinf(done[-1]):
-                panel = len(done) - 1
-                raise _SumOverflow(float(lefts[panel]), float(rights[panel]))
-        sums.append(done)
-        start += len(rule_nodes)
-    return sums
+    sums = []
+    for panel, (h, row) in enumerate(zip(halfwidth.tolist(), products.tolist())):
+        try:
+            sums.append(h * math.fsum(row))
+        except OverflowError:
+            sums.append(math.inf)
+        if math.isinf(sums[-1]):
+            raise _SumOverflow(float(lefts[panel]), float(rights[panel]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tails = 2.0 * halfwidth * abs(products @ _TAIL.T).max(axis=1)
+    return sums, tails
 
 
 def _panels(f, lefts, rights) -> list[float]:
-    # Accept the refined rule; where it moved the coarse value by more than
-    # 1e-12 relative, bisect once and integrate the halves with the refined
-    # rule.  One level only: panels are expected to be smooth.  Both rules
-    # are one call of f for all the panels, the halves one more.
-    coarse, chi = _rule(f, lefts, rights, _COARSE, _REFINED)
-    c, v = np.array(coarse), np.array(chi)
-    flagged = np.flatnonzero(
-        abs(v - c) > 1e-12 * np.maximum(np.maximum(abs(c), abs(v)), 1e-30)).tolist()
+    # Accept the rule's value; where its tail is above 1e-10 of it, bisect
+    # once and integrate the halves.  One level only: panels are expected
+    # to be smooth.  The panels are one call of f, the halves one more.
+    chi, tails = _rule(f, lefts, rights)
+    flagged = np.flatnonzero(tails > 1e-10 * np.maximum(np.abs(chi), 1e-30)).tolist()
     if flagged:
         a, b = lefts[flagged], rights[flagged]
         mid = 0.5 * (a + b)
-        (halves,) = _rule(f, np.column_stack((a, mid)).ravel(),
-                          np.column_stack((mid, b)).ravel(), _REFINED)
+        halves, _ = _rule(f, np.column_stack((a, mid)).ravel(),
+                          np.column_stack((mid, b)).ravel())
         for n, i in enumerate(flagged):
             chi[i] = halves[2 * n] + halves[2 * n + 1]
     return chi
@@ -248,19 +248,18 @@ def cumulative(f, grid: SampleGrid) -> CumulativeIntegrals:
     """Panel integrals over [x_{i-1}, x_i] and their prefix sums.
 
     f takes an array of nodes and returns the array of its values; it is
-    called once for the nodes of the 16- and the 32-point rule of all
-    panels (each panel's 16 nodes, then its 32), and once more only if
-    some panel needs bisecting.  The values are those of integrating the
-    panels one at a time, and the prefix sums are formed in index order,
-    so F[l] equals the plain left-to-right sum of chi[0..l].  Batching
-    changes no bits: each panel and rule keeps its own ``math.fsum``, and
-    :func:`dmint.exprtaylor.evaluate` computes each element as it would a
-    single point.  If the batch fails, the panels are replayed one at a
-    time (one call of f for both rules, one for the halves) and the first
-    failure is raised as ``panel i: ...``, the error a panel-by-panel
-    integration hits first, since a panel's 16 nodes come before its 32
-    and its sums after them; if none fails alone, the batch's error
-    stands.  Only the error raised is bisected to its first failing node.
+    called once for the 32 nodes of every panel, and once more only if
+    some panel's Legendre tail asks for bisecting it.  The values are those
+    of integrating the panels one at a time, and the prefix sums are formed
+    in index order, so F[l] equals the plain left-to-right sum of
+    chi[0..l].  Batching changes no bits: each panel keeps its own
+    ``math.fsum``, and :func:`dmint.exprtaylor.evaluate` computes each
+    element as it would a single point.  If the batch fails, the panels
+    are replayed one at a time (one call of f for the panel, one for its
+    halves) and the first failure is raised as ``panel i: ...``, the error
+    a panel-by-panel integration hits first, since a panel's nodes come
+    before its sum; if none fails alone, the batch's error stands.  Only
+    the error raised is bisected to its first failing node.
     """
     edges = np.array((0.0,) + grid.points)
     try:

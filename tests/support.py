@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from dmint import expr, symseries
 from dmint.compose import OdeCoefficients
@@ -145,6 +147,70 @@ def reference_parse_rational(text):
     except expr.ExprSyntaxError as exc:
         raise RationalParseError(str(exc)) from exc
     return _reference_lower(ast)
+
+
+# The partial Bell polynomials by enumeration of their multi-indices: the
+# oracle for the recurrence of dmint.bell.l_matrix and the jets' chain rule.
+
+
+@dataclass(frozen=True)
+class PartitionIndex:
+    """One multi-index j_1..j_{n-k+1} satisfying both defining constraints."""
+
+    n: int
+    k: int
+    j: tuple[int, ...]
+
+    def coefficient(self) -> int:
+        """n! / (prod j_i! * prod (i!)**j_i), always a positive integer."""
+        denom = 1
+        for i, ji in enumerate(self.j, start=1):
+            denom *= factorial(ji) * factorial(i) ** ji
+        quotient, remainder = divmod(factorial(self.n), denom)
+        if remainder:
+            raise ArithmeticError("non-integer multinomial coefficient for %r" % (self,))
+        return quotient
+
+
+def enumerate_indices(n: int, k: int) -> list[PartitionIndex]:
+    """All multi-indices of B_{n,k}, in ascending lexicographic order of j."""
+    if not (isinstance(n, int) and isinstance(k, int) and 1 <= k <= n):
+        raise ValueError("need integers 1 <= k <= n, got n=%r k=%r" % (n, k))
+    length = n - k + 1
+    out: list[PartitionIndex] = []
+
+    def extend(prefix: list[int], count: int, weight: int):
+        i = len(prefix) + 1
+        if i == length:
+            last = k - count
+            if last >= 0 and weight + i * last == n:
+                out.append(PartitionIndex(n, k, tuple(prefix + [last])))
+            return
+        limit = min(k - count, (n - weight) // i)
+        for ji in range(limit + 1):
+            extend(prefix + [ji], count + ji, weight + i * ji)
+
+    extend([], 0, 0)
+    return out
+
+
+def bell_eval(n: int, k: int, y):
+    """Evaluate B_{n,k} at y_1..y_{n-k+1}.
+
+    Works for any values supporting +, * and integer powers: floats,
+    Fractions, or GeneralizedRational arguments.
+    """
+    y = list(y)
+    if len(y) != n - k + 1:
+        raise ValueError("B_{%d,%d} takes %d arguments, got %d" % (n, k, n - k + 1, len(y)))
+    total = None
+    for index in enumerate_indices(n, k):
+        term = index.coefficient()
+        for i, ji in enumerate(index.j):
+            if ji:
+                term = term * y[i] ** ji
+        total = term if total is None else total + term
+    return total
 
 
 def partitions_by_block_count(n: int) -> dict[int, int]:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dmint import dtransform
-from dmint.bell import bell_eval, enumerate_indices, l_matrix
+from dmint.bell import l_matrix
 from dmint.cli import (
     REFERENCE_F_D_ERRORS,
     REFERENCE_F_ERRORS,
@@ -34,7 +34,14 @@ from dmint.symseries import (
     to_text,
 )
 
-from support import fd5_first, fd5_second, partitions_by_block_count, random_bm_instance
+from support import (
+    bell_eval,
+    enumerate_indices,
+    fd5_first,
+    fd5_second,
+    partitions_by_block_count,
+    random_bm_instance,
+)
 
 COMPOSE_TEXT_DIGEST = "e64bfd39a764591cacc81a55f46a45f39eea845ff26d3457e1f4d8175ad68b61"
 PI_HALF = math.pi / 2

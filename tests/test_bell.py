@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from dmint.bell import PartitionIndex, bell_eval, enumerate_indices, l_matrix
+from dmint.bell import l_matrix
 from dmint.symseries import GeneralizedPolynomial, GeneralizedRational, parse_rational, profile
 
-from support import partitions_by_block_count, random_int_poly
+from support import bell_eval, enumerate_indices, partitions_by_block_count, random_int_poly
 
 BELL_NUMBERS = (1, 2, 5, 15, 52, 203, 877, 4140)
 

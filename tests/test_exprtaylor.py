@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dmint.bell import bell_eval
 from dmint.expr import (
     BinOp,
     Call,
@@ -21,7 +20,7 @@ from dmint.expr import (
 )
 from dmint.exprtaylor import ExprDomainError, Jet, _fsum, _jet_sqrt, derivatives, evaluate
 
-from support import exact_poly_derivatives, fd5_first, fd5_second
+from support import bell_eval, exact_poly_derivatives, fd5_first, fd5_second
 
 
 class TestParsing:

@@ -14,7 +14,7 @@ import dmint
 PUBLIC_NAMES = (
     "AsymptoticProfile", "GeneralizedPolynomial", "GeneralizedRational",
     "RationalParseError", "compose_poly", "parse_rational", "profile", "to_text",
-    "PartitionIndex", "bell_eval", "enumerate_indices", "l_matrix",
+    "l_matrix",
     "B1Report", "CompositionResult", "OdeCoefficients", "OrderBounds",
     "compose_ode", "order_bounds", "rho_bounds", "verify_b1_membership",
     "ExprDomainError", "ExprSyntaxError", "Jet", "derivatives", "evaluate", "parse",

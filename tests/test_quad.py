@@ -8,8 +8,9 @@ import pytest
 from dmint.expr import parse
 from dmint.exprtaylor import evaluate
 from dmint.quad import (
-    _COARSE,
-    _REFINED,
+    _RULE,
+    _TAIL,
+    _gauss_legendre,
     QuadratureError,
     SampleGrid,
     cumulative,
@@ -59,21 +60,39 @@ def scalar_panel(f, a, b, rule):
     return scalar_sum(scalar_products(f, a, b, rule), a, b)
 
 
+def scalar_tail(products, a, b):
+    """2*h*max|a_k|, k = 28..31: the top Legendre coefficients of the
+    interpolant, a_k = (2k+1)/2 * sum w*f(x)*P_k(x), with P_k at each node
+    from the three-term recurrence."""
+    columns = []
+    for xi in _RULE[0].tolist():
+        p_prev, p, row = 1.0, xi, []
+        for n in range(1, 31):
+            p_prev, p = p, ((2 * n + 1) * xi * p - n * p_prev) / (n + 1)
+            if n >= 27:
+                row.append(p)  # P_{n+1}
+        columns.append(row)
+    coefficients = [(k + 0.5) * math.fsum(w * column[k - 28]
+                                          for w, column in zip(products, columns))
+                    for k in range(28, 32)]
+    return (b - a) * max(abs(c) for c in coefficients)
+
+
 def scalar_cumulative(f, grid):
     """Reference for cumulative(): panel after panel, one point per call,
-    with the same 16/32-point test and one-level bisection, each panel's
+    with the same Legendre-tail test and one-level bisection, each panel's
     (or pair of halves') nodes before its sums.  Returns chi, F and the
     number of bisected panels, or raises cumulative()'s error."""
     chi, F, bisected = [], [], 0
     previous, total = 0.0, 0.0
     for i, point in enumerate(grid.points):
         try:
-            rules = [scalar_products(f, previous, point, rule) for rule in (_COARSE, _REFINED)]
-            coarse, value = (scalar_sum(products, previous, point) for products in rules)
-            if abs(value - coarse) > 1e-12 * max(abs(coarse), abs(value), 1e-30):
+            products = scalar_products(f, previous, point, _RULE)
+            value = scalar_sum(products, previous, point)
+            if scalar_tail(products, previous, point) > 1e-10 * max(abs(value), 1e-30):
                 halves = [(previous, 0.5 * (previous + point)),
                           (0.5 * (previous + point), point)]
-                rules = [scalar_products(f, a, b, _REFINED) for a, b in halves]
+                rules = [scalar_products(f, a, b, _RULE) for a, b in halves]
                 first, second = (scalar_sum(products, *half)
                                  for products, half in zip(rules, halves))
                 value = first + second
@@ -95,37 +114,44 @@ def scalar_message(f, grid):
 
 class TestGaussNodes:
     def test_weights_positive_symmetric_sum_two(self):
-        for q, (nodes, weights) in ((16, _COARSE), (32, _REFINED)):
-            assert len(nodes) == len(weights) == q
-            assert (weights > 0).all()
-            assert math.fsum(weights) == pytest.approx(2.0, abs=1e-15)
-            assert (nodes == -nodes[::-1]).all() and (weights == weights[::-1]).all()
-            assert (np.diff(nodes) > 0).all() and -1 < nodes[0]
+        nodes, weights = _RULE
+        assert len(nodes) == len(weights) == 32
+        assert (weights > 0).all()
+        assert math.fsum(weights) == pytest.approx(2.0, abs=1e-15)
+        assert (nodes == -nodes[::-1]).all() and (weights == weights[::-1]).all()
+        assert (np.diff(nodes) > 0).all() and -1 < nodes[0]
 
     def test_degree_exactness_random_intervals(self):
         rng = random.Random(5)
-        for rule in (_COARSE, _REFINED):
-            a = rng.uniform(-3, 1)
-            b = a + rng.uniform(0.5, 3)
-            for degree in range(0, 2 * len(rule[0])):
-                exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
-                got = scalar_panel(lambda t, d=degree: t ** d, a, b, rule)
-                assert got == pytest.approx(exact, rel=1e-13, abs=1e-13)
+        a = rng.uniform(-3, 1)
+        b = a + rng.uniform(0.5, 3)
+        for degree in range(0, 64):
+            exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
+            got = scalar_panel(lambda t, d=degree: t ** d, a, b, _RULE)
+            assert got == pytest.approx(exact, rel=1e-13, abs=1e-13)
 
     def test_rules_keep_their_bits(self):
         # Every published F was integrated with these nodes and weights.
-        text = " ".join(v.hex() for rule in (_COARSE, _REFINED)
-                        for part in rule for v in part.tolist())
+        text = " ".join(v.hex() for part in _RULE for v in part.tolist())
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "9138e7c6dc90934f5c2ad9f07778df7fdcf86ffb37d0de67693289bd869d3edc")
+            "099342f7c3bdfe9f97b76e78389bdb6868a4ada80fb457dc2bc2e103ea8bb832")
 
-    @pytest.mark.parametrize("rule", [_COARSE, _REFINED], ids=["16", "32"])
-    def test_against_the_50_digit_rule(self, rule):
+    def test_tail_reads_legendre_coefficients(self):
+        # The products of P_k, k = 28..31, give the unit vector of a_k, and
+        # those of P_27 give zeros: discrete orthogonality of the rule.
+        nodes, weights = _RULE
+        for k in range(27, 32):
+            p = np.polynomial.legendre.legval(nodes, [0] * k + [1])
+            expected = [float(k == j) for j in range(28, 32)]
+            assert (weights * p) @ _TAIL.T == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("q", [16, 32])
+    def test_against_the_50_digit_rule(self, q):
+        # The Newton builder at two orders; _RULE is its q = 32 rule.
         # Measured: nodes within 1.2e-16 and weights within 5.7e-15
         # relative at q = 32, 4.7e-17 and 1.9e-15 at q = 16.
         mpmath = pytest.importorskip("mpmath")
-        nodes, weights = rule
-        q = len(nodes)
+        nodes, weights = _gauss_legendre(q)
         with mpmath.workdps(50):
             for x, w in zip(nodes.tolist(), weights.tolist()):
                 root = mpmath.findroot(lambda t: mpmath.legendre(q, t), mpmath.mpf(x))
@@ -139,18 +165,17 @@ class TestGaussNodes:
 class TestPanels:
     def test_linear_exact(self):
         # Symmetric nodes and weights cancel exactly; elsewhere within 2 ulp.
-        for rule in (_COARSE, _REFINED):
-            assert scalar_panel(lambda t: t, -1.0, 1.0, rule) == 0.0
-            assert scalar_panel(lambda t: t, 0.0, 1.0, rule) == pytest.approx(0.5, abs=2.3e-16)
+        assert scalar_panel(lambda t: t, -1.0, 1.0, _RULE) == 0.0
+        assert scalar_panel(lambda t: t, 0.0, 1.0, _RULE) == pytest.approx(0.5, abs=2.3e-16)
 
     def test_sine_over_half_period(self):
-        assert scalar_panel(math.sin, 0.0, math.pi, _COARSE) == pytest.approx(
+        assert scalar_panel(math.sin, 0.0, math.pi, _RULE) == pytest.approx(
             2.0, rel=1e-14)
 
     def test_against_adaptive_oracle(self):
         f = make_eval("sinc(x)^2")
         oracle = adaptive_simpson(f, 0.0, 1.6, 1e-15)
-        assert scalar_panel(f, 0.0, 1.6, _COARSE) == pytest.approx(oracle, abs=1e-13)
+        assert scalar_panel(f, 0.0, 1.6, _RULE) == pytest.approx(oracle, abs=1e-13)
         (chi,) = cumulative(f, grid_from_descriptor("linear:1.6", 1)).chi
         assert chi == pytest.approx(oracle, abs=1e-13)
 
@@ -161,20 +186,20 @@ class TestPanels:
             a = rng.uniform(0, 2)
             b = a + rng.uniform(0.5, 2)
             mid = rng.uniform(a + 0.05, b - 0.05)
-            whole = scalar_panel(f, a, b, _REFINED)
-            split = scalar_panel(f, a, mid, _REFINED) + scalar_panel(f, mid, b, _REFINED)
+            whole = scalar_panel(f, a, b, _RULE)
+            split = scalar_panel(f, a, mid, _RULE) + scalar_panel(f, mid, b, _RULE)
             assert split == pytest.approx(whole, rel=1e-13, abs=1e-15)
 
     def test_node_count_refinement_consistency(self):
-        # cumulative's 16/32-point panels against the 32-point rule on
-        # each half of the panel.
+        # cumulative's 32-point panels against the 32-point rule on each
+        # half of the panel.
         for source, desc in (("sinc(x)^2", "linear:1.6"),
                              ("sinc(x^2)^2", "sqrtlinear:1.6")):
             f = make_eval(source)
             grid = grid_from_descriptor(desc, 12)
             edges = (0.0,) + grid.points
-            hi = [scalar_panel(f, a, 0.5 * (a + b), _REFINED)
-                  + scalar_panel(f, 0.5 * (a + b), b, _REFINED)
+            hi = [scalar_panel(f, a, 0.5 * (a + b), _RULE)
+                  + scalar_panel(f, 0.5 * (a + b), b, _RULE)
                   for a, b in zip(edges, edges[1:])]
             for a, b in zip(cumulative(f, grid).chi, hi):
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
@@ -185,7 +210,7 @@ class TestPanels:
         with pytest.raises(QuadratureError) as info:
             cumulative(f, grid)
         assert str(info.value) == scalar_message(f, grid) == (
-            "panel 0: integrand failed at node x=0.005299532504175031 in panel "
+            "panel 0: integrand failed at node x=0.001368069075259215 in panel "
             "[0.0, 1.0]: log of a non-positive value in 'log(x-2)'")
         assert isinstance(info.value.__cause__, ValueError)
 
@@ -275,9 +300,38 @@ class TestCumulative:
             if source.startswith("x^(1/2)"):
                 assert bisected > 0  # the halves stage is covered too
 
+    # The panels cumulative bisects; every F bit depends on this set.
+    BISECTED = {entry + (91,): [] for entry in CATALOGUE}
+    BISECTED.update({
+        ("sinc(x)^2", "linear:1.6", 31): [],
+        ("sinc(x^2)^2", "sqrtlinear:1.6", 31): [],
+        ("x^(1/2)*exp(-x)", "linear:1.0", 8): [0],
+        ("x^(1/3)*exp(-x)", "linear:1.0", 8): [0],
+        ("x^(3/2)*exp(-x)", "linear:1.0", 8): [0],
+        ("log(x)*exp(-x)", "linear:1.0", 8): [0],
+    })
+
+    @pytest.mark.parametrize("case", BISECTED, ids=lambda case: "%s-%s-%d" % case)
+    def test_bisected_panels(self, case):
+        # Read from the second call of f: the halves of each bisected
+        # panel, whose 64 nodes centre on the panel's midpoint.
+        source, descriptor, count = case
+        calls = []
+        node = parse(source)
+
+        def f(t):
+            calls.append(t)
+            return evaluate(node, t)
+
+        grid = grid_from_descriptor(descriptor, count)
+        cumulative(f, grid)
+        halves = calls[1].reshape(-1, 64) if len(calls) > 1 else np.empty((0, 64))
+        assert len(calls) <= 2
+        assert np.searchsorted(grid.points, halves.mean(axis=1)).tolist() == self.BISECTED[case]
+
     def test_one_integrand_call_per_rule(self):
-        # The coarse and the doubled rule of every panel in one call, 16 + 32
-        # nodes a panel; no panel of f needs bisecting.
+        # The 32 nodes of every panel in one call; no panel of f needs
+        # bisecting.
         calls = []
         node = parse("sinc(x)^2")
 
@@ -286,7 +340,7 @@ class TestCumulative:
             return evaluate(node, t)
 
         cumulative(f, grid_from_descriptor("linear:1.6", 31))
-        assert calls == [31 * 48]
+        assert calls == [31 * 32]
 
     def test_halves_are_one_more_call(self):
         calls = []
@@ -299,21 +353,21 @@ class TestCumulative:
         grid = grid_from_descriptor("linear:1.0", 8)
         cumulative(f, grid)
         *_, bisected = scalar_cumulative(make_eval("x^(1/2)*exp(-x)"), grid)
-        assert bisected > 0 and calls == [8 * 48, bisected * 2 * 32]
+        assert bisected > 0 and calls == [8 * 32, bisected * 2 * 32]
 
     @pytest.mark.parametrize("source, message", [
         ("log(3-x)",
-         "panel 3: integrand failed at node x=3.005299532504175 in panel "
+         "panel 3: integrand failed at node x=3.001368069075259 in panel "
          "[3.0, 4.0]: log of a non-positive value in 'log(3-x)'"),
-        # Only the doubled rule of panel 2 fails, while every coarse node
-        # of panel 3 does: the error must still name panel 2.
+        # Only the last node of panel 2 fails, while every node of panel 3
+        # does: the error must still name panel 2.
         ("log(2.997-x)",
          "panel 2: integrand failed at node x=2.998631930924741 in panel "
          "[2.0, 3.0]: log of a non-positive value in 'log(2.997-x)'"),
         # The right-hand log fails first at the first node, the left-hand
-        # one only from the third node on.
+        # one only from the fifth node on.
         ("log(0.05-x)+log(x-0.03)",
-         "panel 0: integrand failed at node x=0.005299532504175031 in panel "
+         "panel 0: integrand failed at node x=0.001368069075259215 in panel "
          "[0.0, 1.0]: log of a non-positive value in 'log(x-0.03)'"),
         # Only a node of the bisected halves of panel 1 fails.
         ("sqrt((x-1.00265)^2-0.000001)",
@@ -335,7 +389,7 @@ class TestCumulative:
         with pytest.raises(QuadratureError) as info:
             cumulative(f, grid)
         assert str(info.value) == scalar_message(f, grid) == (
-            "panel 2: integrand failed at node x=2.5475062549188188 in panel "
+            "panel 2: integrand failed at node x=2.524153832843869 in panel "
             "[2.0, 3.0]: non-finite value inf")
 
     @pytest.mark.parametrize("f, descriptor, message", [
@@ -365,7 +419,7 @@ class TestCumulative:
 
         def f(t):
             calls.append(t.size)
-            if t.size > 48:
+            if t.size > 32:
                 raise ValueError("too many nodes")
             return np.exp(-t)
 
@@ -373,12 +427,12 @@ class TestCumulative:
         with pytest.raises(QuadratureError) as info:
             cumulative(f, grid)
         assert str(info.value) == (
-            "integrand failed at node x=1.005299532504175 in panel [1.0, 2.0]: "
+            "integrand failed at node x=1.001368069075259 in panel [1.0, 2.0]: "
             "too many nodes")
-        # The batch (both rules of four panels), the four panels (both
-        # rules in one call each), then the bisection of the batch to its
-        # first failing node, the first of panel 1.
-        assert calls == [192] + [48] * 4 + [96, 48, 72, 60, 54, 51, 49]
+        # The batch (four panels), the four panels (one call each), then
+        # the bisection of the batch to its first failing node, the first
+        # of panel 1.
+        assert calls == [128] + [32] * 4 + [64, 32, 48, 40, 36, 34, 33]
 
     def test_replay_stops_at_the_first_failing_panel(self):
         calls = []
@@ -392,10 +446,10 @@ class TestCumulative:
         with pytest.raises(QuadratureError, match="^panel 2: ") as info:
             cumulative(f, grid)
         assert str(info.value) == scalar_message(make_eval("log(2.1-x)"), grid)
-        # The batch's call of both rules, not bisected; panel 0 (both
-        # rules), panel 1 (both rules, then its halves); panel 2, whose
-        # call fails, and its bisection.  Panels 3 to 5 are not replayed.
-        assert calls == [288, 48, 48, 64, 48, 24, 12, 6, 3, 4]
+        # The batch's call, not bisected; panel 0, panel 1 (then its
+        # halves); panel 2, whose call fails, and its bisection.  Panels 3
+        # to 5 are not replayed.
+        assert calls == [192, 32, 32, 64, 32, 16, 8, 4, 6, 7]
 
     def test_integrand_must_return_an_array(self):
         grid = grid_from_descriptor("linear:1.0", 2)

@@ -4,7 +4,9 @@ The package namespace is lazy (PEP 562): ``import dmint`` loads no
 submodule, and each name below loads its own module on first use.  The
 exact half (``symseries``, ``bell``, ``compose``) and the parser (``expr``)
 do not load numpy; the numeric names (jets, quadrature over the fixed
-32-point Gauss-Legendre rule, the D^(m) transformation) do.
+32-point Gauss-Legendre rule, the D^(m) transformation) do.  The order of
+a rational function at infinity is ``GeneralizedRational.lead_exponent``
+with ``integer_step``, read from the canonical pair.
 """
 
 from importlib import import_module
@@ -13,13 +15,11 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "symseries": (
-        "AsymptoticProfile",
         "GeneralizedPolynomial",
         "GeneralizedRational",
         "RationalParseError",
         "compose_poly",
         "parse_rational",
-        "profile",
         "to_text",
     ),
     "bell": ("l_matrix",),

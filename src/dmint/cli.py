@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extrapolate the integral of an integrand over [0, inf)")
     p.add_argument("--integrand", required=True,
                    help="expression text or builtin name (f, phi); "
-                        "x^1/2 reads as x^(1/2)")
+                        "write x^(1/2) or (x^1)/2, not x^1/2")
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--grid", default=None,
                    help="grid descriptor, e.g. linear:1.6 or sqrtlinear:1.6")

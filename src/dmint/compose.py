@@ -12,7 +12,10 @@ whose diagonal L[k,k] = (g')**k is invertible, so back-substitution from
 k = m down to k = 1 produces the pi_k exactly.  Alongside the transform
 this module computes the exact asymptotic order of pi_m, recursive and
 closed bounds for the remaining orders, and the tail-expansion exponent
-bounds used by the integral acceleration code.
+bounds used by the integral acceleration code.  One rule gives the
+integer order of every p_k, pi_k and f/f': a function lies in A^(i) when
+its leading exponent is the integer i and its expansion at infinity steps
+down in whole powers of x, both read exactly from the canonical pair.
 """
 
 from __future__ import annotations
@@ -24,9 +27,16 @@ from .bell import l_matrix
 from .symseries import (
     GeneralizedRational,
     compose_poly,
-    profile,
     substitution_polynomial,
 )
+
+
+def _integer_order(a: GeneralizedRational) -> int | None:
+    """The i with a non-zero ``a`` in A^(i), or None when there is none."""
+    gamma = a.lead_exponent
+    if gamma.denominator != 1 or not a.integer_step:
+        return None
+    return int(gamma)
 
 
 class OdeCoefficients:
@@ -59,12 +69,12 @@ class OdeCoefficients:
             if pk is None:
                 orders.append(None)
                 continue
-            info = profile(pk)
-            if not info.integer_step or info.gamma.denominator != 1:
+            order = _integer_order(pk)
+            if order is None:
                 raise ValueError(
                     "p_%d must have an integer-step expansion with integer "
-                    "leading exponent, got leading exponent %s" % (k, info.gamma))
-            orders.append(int(info.gamma))
+                    "leading exponent, got leading exponent %s" % (k, pk.lead_exponent))
+            orders.append(order)
         self.p = tuple(p)
         self.i = tuple(orders)
 
@@ -134,13 +144,10 @@ def compose_ode(ode: OdeCoefficients, g) -> CompositionResult:
         pi[k - 1] = None if value.is_zero else value
     orders: list[int | None] = []
     for k, pik in enumerate(pi, start=1):
-        if pik is None:
-            orders.append(None)
-            continue
-        gamma = pik.lead_exponent
-        if gamma.denominator != 1:
+        order = None if pik is None else _integer_order(pik)
+        if pik is not None and order is None:
             raise AssertionError("composed coefficient pi_%d has non-integer order" % k)
-        orders.append(int(gamma))
+        orders.append(order)
     bounds = order_bounds(ode, s, [pik is None for pik in pi])
     return CompositionResult(tuple(pi), tuple(orders),
                              bounds.recursive, bounds.closed, s)
@@ -219,7 +226,6 @@ def verify_b1_membership(f: GeneralizedRational) -> B1Report:
     if fprime.is_zero:
         raise ValueError("constant functions have no order-1 coefficient")
     p1 = f / fprime
-    info = profile(p1)
-    member = (info.integer_step and info.gamma.denominator == 1
-              and info.gamma <= 1)
-    return B1Report(p1, info.gamma, info.integer_step, member)
+    order = _integer_order(p1)
+    return B1Report(p1, p1.lead_exponent, p1.integer_step,
+                    order is not None and order <= 1)

@@ -55,6 +55,10 @@ def friendly_exponents(m: int) -> tuple[int, ...]:
 # 0.35 s and 8 MB (x86-64), at N = 400 about 1.0 s and 14 MB.
 _MAX_UNKNOWNS = 300
 
+# The largest m.  Row k of a derivative sample is k! times a Taylor
+# coefficient, and 171! is beyond the float range.
+_MAX_M = 171
+
 # The largest start index j.  Every point below x_j is integrated before
 # any window is checked, at about 3.6 KB a point: a run at j = 10 000
 # peaks at 65 MB, against 30 MB at j = 0 (x86-64).
@@ -301,8 +305,8 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
     member with a singular window raises its error.  The
     parameters are checked before anything is sampled: m >= 1,
     0 <= j <= ``_MAX_START``, nu_max >= 0, m and the unknowns m*nu_max at
-    most ``_MAX_UNKNOWNS``, and m integral exponents, else
-    :class:`ValueError`.
+    most ``_MAX_UNKNOWNS``, m at most ``_MAX_M``, and m integral
+    exponents, else :class:`ValueError`.
     """
     if nu_max < 0:
         raise ValueError("nu_max must be non-negative")
@@ -312,6 +316,9 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
     if max(m, m * nu_max) > _MAX_UNKNOWNS:
         raise ValueError("too many unknowns: m = %d, m*nu_max = %d; each must be "
                          "at most %d" % (m, m * nu_max, _MAX_UNKNOWNS))
+    if m > _MAX_M:
+        raise ValueError("m must be at most %d, got %d: the derivative rows "
+                         "take k! up to (m-1)!, beyond the float range" % (_MAX_M, m))
     if j < 0:
         raise ValueError("the start index j must be non-negative")
     if j > _MAX_START:

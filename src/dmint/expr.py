@@ -11,10 +11,12 @@ The grammar::
 NUMBER is a decimal literal, NAME is one of sin, cos, exp, log, sqrt,
 sinc, and exponent is a rational literal (``2``, ``-3``, ``(1/2)``).  Power
 binds tighter than unary minus, which binds tighter than * and /.  This
-is the package's only grammar; its entry points differ in one rule:
+is the package's only grammar; its entry points differ in one rule, and
+no text means two things in them:
 
-* integrand text, :func:`parse`: an exponent also takes a bare ``/digits``
-  (longest match), so ``x^1/2`` is x^(1/2) while ``x^2/x`` is a division;
+* integrand text, :func:`parse`: a bare ``x^3/2`` is refused as
+  ambiguous (write ``x^(3/2)`` or ``(x^3)/2``), while ``x^2/x`` is a
+  division;
 * rational text, :func:`dmint.symseries.parse_rational`: ``x^3/2`` is
   (x^3)/2, as :func:`dmint.symseries.to_text` writes it.
 
@@ -119,11 +121,11 @@ def _tokenize(source: str):
 
 
 class _Parser:
-    def __init__(self, source: str, bare_fraction_exponents: bool = True):
+    def __init__(self, source: str, rational: bool = False):
         self.tokens = _tokenize(source)
         self.index = 0
-        # x^1/2 is x^(1/2) in integrand text, (x^1)/2 in rational text.
-        self.bare_fraction_exponents = bare_fraction_exponents
+        # x^3/2 is (x^3)/2 in rational text and refused in integrand text.
+        self.rational = rational
 
     def peek(self):
         return self.tokens[self.index]
@@ -170,9 +172,9 @@ class _Parser:
         if self.peek()[1] != "^":
             return base
         self.advance()
-        return Pow(base, self.exponent())
+        return Pow(base, self.exponent(base))
 
-    def exponent(self) -> Fraction:
+    def exponent(self, base: Expr) -> Fraction:
         wrapped = self.peek()[1] == "("
         if wrapped:
             self.advance()
@@ -184,8 +186,14 @@ class _Parser:
         if kind != "num":
             raise ExprSyntaxError("expected a rational exponent", pos)
         result = Fraction(value)
-        if ((wrapped or self.bare_fraction_exponents) and self.peek()[1] == "/"
-                and self.tokens[self.index + 1][0] == "num"):
+        slash = self.peek()[1] == "/" and self.tokens[self.index + 1][0] == "num"
+        if slash and not (wrapped or self.rational):
+            text = _render(base, _ATOM)
+            top = "-" + value if sign < 0 else value
+            over = self.tokens[self.index + 1][1]
+            raise ExprSyntaxError("ambiguous exponent: write %s^(%s/%s) or (%s^%s)/%s"
+                                  % (text, top, over, text, top, over), self.peek()[2])
+        if slash and wrapped:
             self.advance()
             kind, value, pos = self.advance()
             if Fraction(value) == 0:
@@ -218,7 +226,7 @@ class _Parser:
 
 
 def parse(source: str) -> Expr:
-    """Parse an integrand expression into its AST; ``x^1/2`` is x^(1/2)."""
+    """Parse an integrand expression into its AST; ``x^1/2`` is refused."""
     return _Parser(source).parse()
 
 
@@ -264,7 +272,7 @@ def _render(node: Expr, context: int) -> str:
         right = _render(node.right, prec + 1)
         if node.op == "/" and _BARE_EXPONENT_SUFFIX.search(left) \
                 and right[:1] in "0123456789.":
-            # "x^2/3" would re-lex as the exponent 2/3; keep the division.
+            # "x^2/3" is an ambiguous exponent to the integrand parser.
             right = "(%s)" % right
         text = "%s%s%s" % (left, node.op, right)
     else:

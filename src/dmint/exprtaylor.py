@@ -279,6 +279,14 @@ def _jet_eval(node: Expr, x: Jet) -> Jet:
         raise ExprDomainError("%s in '%s'" % (exc, to_text(node))) from exc
 
 
+def _factorial(k: int) -> float:
+    """k! rounded to a float as int * float rounds it, or inf beyond the range."""
+    try:
+        return float(math.factorial(k))
+    except OverflowError:
+        return math.inf
+
+
 def derivatives(ast: Expr, x0, count: int):
     """Values f(x0), f'(x0), ..., f^(count-1)(x0) from one jet evaluation.
 
@@ -297,8 +305,7 @@ def derivatives(ast: Expr, x0, count: int):
         raise ValueError("count must be at least 1")
     with np.errstate(all="ignore"):
         coeffs = _jet_eval(ast, Jet.variable(x0, count)).coeffs
-        # k! * c_k, with k! rounded to a float as int * float rounds it.
-        rows = np.array([float(math.factorial(k)) * c for k, c in enumerate(coeffs)])
+        rows = np.array([_factorial(k) * c for k, c in enumerate(coeffs)])
     return rows[:, 0].tolist() if np.ndim(x0) == 0 else rows
 
 

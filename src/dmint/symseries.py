@@ -11,13 +11,14 @@ Values are immutable.  Every :class:`GeneralizedRational` is canonical:
 numerator and denominator share no polynomial factor, the denominator is
 monic, all exponents are non-negative, and the exponent grid of each
 polynomial is as coarse as its terms allow.  Canonical form makes equality
-structural and lets tests assert exact identities.
+structural and lets tests assert exact identities, and it gives a value's
+order at infinity with no expansion: ``lead_exponent`` and
+``integer_step`` read it from the two term maps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -314,6 +315,19 @@ class GeneralizedRational:
             raise ValueError("the zero function has no leading exponent")
         return self.numerator.lead_exponent - self.denominator.lead_exponent
 
+    @property
+    def integer_step(self) -> bool:
+        """Whether every term of the expansion at infinity sits a whole
+        step below the leading one.
+
+        Decided exactly from the canonical pair: on each side, every
+        exponent differs from that side's leading exponent by an integer.
+        """
+        if self.is_zero:
+            raise ValueError("the zero function has no expansion")
+        return all(len({n % p.step_denominator for n in p.terms}) == 1
+                   for p in (self.numerator, self.denominator))
+
     def evaluate(self, x: float) -> float:
         return self.numerator.evaluate(x) / self.denominator.evaluate(x)
 
@@ -485,69 +499,6 @@ def compose_poly(a: GeneralizedRational, g: GeneralizedPolynomial) -> Generalize
     return GeneralizedRational(a.numerator.substitute(g), a.denominator.substitute(g))
 
 
-@dataclass(frozen=True, slots=True)
-class AsymptoticProfile:
-    """Leading behaviour and truncated expansion of a function at infinity.
-
-    ``coefficients`` holds the first K+1 expansion coefficients in
-    descending powers: on the integer grid x**(gamma - i) when
-    ``integer_step`` is true, otherwise on the fine grid x**(gamma - i*step).
-    The identically-zero function gets the distinguished profile with
-    ``is_zero`` set.
-    """
-
-    gamma: Fraction
-    strict: bool
-    integer_step: bool
-    coefficients: tuple[Fraction, ...]
-    step: Fraction
-    is_zero: bool = False
-
-
-def profile(a: GeneralizedRational, depth: int = 8) -> AsymptoticProfile:
-    """Expand ``a`` at x -> infinity down to x**(gamma - depth).
-
-    The expansion is computed by exact long division in descending powers
-    of x**(1/d).  ``integer_step`` reports whether every term of the whole
-    expansion sits an integer number of steps below gamma; only then does
-    the function fit an integer-step expansion with the returned
-    integer-grid coefficient list.  It is decided exactly from the
-    canonical pair: every numerator exponent differs from the leading one
-    by an integer, and so does every denominator exponent.
-    """
-    if depth < 0:
-        raise ValueError("expansion depth must be non-negative")
-    if a.is_zero:
-        return AsymptoticProfile(Fraction(0), False, True, (), Fraction(1), True)
-    d = math.lcm(a.numerator.step_denominator, a.denominator.step_denominator)
-    nt = a.numerator.rescaled_terms(d)
-    dt = a.denominator.rescaled_terms(d)
-    top_n, top_d = max(nt), max(dt)
-    gamma = Fraction(top_n - top_d, d)
-    # Coefficients of the quotient series in u = x**(-1/d):
-    #   c_j = a_j - sum_{i>=1} b_i c_{j-i},  a_j, b_i read top-down.
-    fine_depth = depth * d
-    a_desc = [nt.get(top_n - j, Fraction(0)) for j in range(fine_depth + 1)]
-    b_offsets = [(top_d - n, c) for n, c in dt.items() if n != top_d]
-    assert dt[top_d] == 1, "canonical denominators are monic"
-    c = []
-    for j in range(fine_depth + 1):
-        val = a_desc[j]
-        for off, bc in b_offsets:
-            if off <= j:
-                val -= bc * c[j - off]
-        c.append(val)
-    integer_step = (all((n - top_n) % d == 0 for n in nt)
-                    and all((n - top_d) % d == 0 for n in dt))
-    if integer_step:
-        coeffs = tuple(c[i * d] for i in range(depth + 1))
-        step = Fraction(1)
-    else:
-        coeffs = tuple(c[: depth + 1])
-        step = Fraction(1, d)
-    return AsymptoticProfile(gamma, coeffs[0] != 0, integer_step, coeffs, step)
-
-
 # -- text format -------------------------------------------------------------
 
 
@@ -614,8 +565,14 @@ def _integer_root(value: int, degree: int) -> int:
         if degree % 2 == 0:
             raise RationalParseError("even root of a negative coefficient")
         return -_integer_root(-value, degree)
+    if value < 2:
+        return value
     if degree == 2:
         root = math.isqrt(value)
+    elif value.bit_length() <= degree:
+        # 2 <= value < 2**degree: the root lies strictly between 1 and 2.
+        # Newton would start at 2 and build 2**(degree - 1) first.
+        root = 1
     else:
         # Integer Newton from above converges down to the floor of the root.
         root = 1 << -(-value.bit_length() // degree)
@@ -713,7 +670,7 @@ def parse_rational(text: str) -> GeneralizedRational:
     canonicalized once, where it is read.
     """
     try:
-        ast = expr._Parser(text, bare_fraction_exponents=False).parse()
+        ast = expr._Parser(text, rational=True).parse()
     except expr.ExprSyntaxError as exc:
         raise RationalParseError(str(exc)) from exc
     value = _lower(ast)

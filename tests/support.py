@@ -143,7 +143,7 @@ def reference_parse_rational(text):
     sub-expressions as polynomials until a quotient or a negative power.
     """
     try:
-        ast = expr._Parser(text, bare_fraction_exponents=False).parse()
+        ast = expr._Parser(text, rational=True).parse()
     except expr.ExprSyntaxError as exc:
         raise RationalParseError(str(exc)) from exc
     return _reference_lower(ast)

@@ -296,6 +296,9 @@ class TestAccelerate:
         (("--integrand", "exp(-x)", "--m", "1", "--grid", "linear:1.0",
           "--exponents", "rho:1,x"),
          "bad exponent list 'rho:1,x'"),
+        (("--integrand", "exp(-x)", "--m", "172", "--grid", "linear:1.0", "--nu-max", "1"),
+         "m must be at most 171, got 172: the derivative rows take k! up to (m-1)!, "
+         "beyond the float range"),
     ])
     def test_precondition_messages(self, capsys, argv, detail):
         code, out, err = run(capsys, "accelerate", *argv)
@@ -314,6 +317,14 @@ class TestAccelerate:
         code, out, err = run(capsys, "accelerate", "--integrand", "sin(x",
                              "--grid", "linear:1.0")
         assert code == 2 and out == ""
+
+    def test_ambiguous_exponent_exit_2(self, capsys):
+        # x^1/2 is x^(1/2) or (x^1)/2; compose reads it as the latter.
+        code, out, err = run(capsys, "accelerate", "--integrand", "x^1/2*exp(-x)",
+                             "--m", "1", "--grid", "linear:1.0", "--nu-max", "2")
+        assert code == 2 and out == ""
+        assert err == ("parse error: ambiguous exponent: write x^(1/2) or (x^1)/2 "
+                       "(position 3)\n")
 
     def test_reference_must_be_constant(self, capsys):
         code, out, err = run(capsys, "accelerate", "--integrand", "f",

@@ -19,7 +19,6 @@ from dmint.symseries import (
     GeneralizedRational,
     compose_poly,
     parse_rational,
-    profile,
 )
 
 from support import random_bm_instance

@@ -650,6 +650,19 @@ class TestDSequence:
         # At the bound the parameters pass, and the grid is built.
         with pytest.raises(AssertionError, match="^grid or quadrature built$"):
             d_sequence("exp(-x)", "linear:1.0", 1, bound)
+        # m itself stops where (m-1)! leaves the float range.
+        top = dtransform._MAX_M
+        float(math.factorial(top - 1))
+        with pytest.raises(OverflowError):
+            float(math.factorial(top))
+        for m, nu_max in ((top + 1, 0), (top + 1, 1), (bound, 0)):
+            with pytest.raises(ValueError) as info:
+                d_sequence("exp(-x)", "linear:1.0", m, nu_max)
+            assert str(info.value) == ("m must be at most %d, got %d: the derivative rows "
+                                       "take k! up to (m-1)!, beyond the float range"
+                                       % (top, m))
+        with pytest.raises(AssertionError, match="^grid or quadrature built$"):
+            d_sequence("exp(-x)", "linear:1.0", top, 1)
         # So is a start index j: every point below x_j would be integrated.
         start = dtransform._MAX_START
         for j in (start + 1, 10 ** 8):

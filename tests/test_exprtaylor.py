@@ -43,10 +43,17 @@ class TestParsing:
         assert parse("2*-x") == BinOp("*", Num(Fraction(2)), Neg(Var()))
 
     def test_longest_match_exponent(self):
-        # the exponent literal greedily takes p/q ...
-        assert parse("x^1/2") == Pow(Var(), Fraction(1, 2))
+        # a bare p/q after ^ reads two ways, so it is refused ...
+        for source, message in (
+                ("x^1/2", "write x^(1/2) or (x^1)/2 (position 3)"),
+                ("x^-1/2", "write x^(-1/2) or (x^-1)/2 (position 4)"),
+                ("(x+1)^3/2", "write (x+1)^(3/2) or ((x+1)^3)/2 (position 7)")):
+            with pytest.raises(ExprSyntaxError) as info:
+                parse(source)
+            assert str(info.value) == "ambiguous exponent: " + message
         # ... but not when the denominator is not a number
         assert parse("x^2/x") == BinOp("/", Pow(Var(), Fraction(2)), Var())
+        assert parse("x^2/(3)") == BinOp("/", Pow(Var(), Fraction(2)), Num(Fraction(3)))
         assert parse("x^(-3)") == Pow(Var(), Fraction(-3))
         assert parse("x^-3") == Pow(Var(), Fraction(-3))
 
@@ -69,10 +76,13 @@ class TestParsing:
             parse("")
 
     def test_zero_exponent_denominator(self):
-        for source, position in (("x^(1/0)", 5), ("x^1/0", 4), ("x^(2/0.0)", 5)):
+        for source, position in (("x^(1/0)", 5), ("x^1/0", 3), ("x^(2/0.0)", 5)):
             with pytest.raises(ExprSyntaxError) as info:
                 parse(source)
             assert info.value.position == position
+        # A bare x^1/0 is refused as ambiguous before its zero is read.
+        with pytest.raises(ExprSyntaxError, match="^ambiguous exponent"):
+            parse("x^1/0")
 
 
 def random_expr(rng, depth):
@@ -106,6 +116,15 @@ class TestPrintRoundTrip:
 
 
 class TestDerivatives:
+    def test_factorials_beyond_the_float_range(self):
+        # 171! is beyond the float range: the rows from k = 171 on are
+        # inf or nan, with no error and no warning.
+        for x0 in (1.0, np.array([1.0, 2.0])):
+            rows = derivatives(parse("exp(-x)"), x0, 200)
+            assert len(rows) == 200
+            assert np.all(np.isfinite(rows[:171]))
+            assert not np.any(np.isfinite(rows[171:]))
+
     def test_polynomial(self):
         assert derivatives(parse("x^2"), 3.0, 3) == [9.0, 6.0, 2.0]
 

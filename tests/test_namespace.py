@@ -12,8 +12,8 @@ import dmint
 # Every public name of the package namespace, listed here so that none
 # can drop out unnoticed.
 PUBLIC_NAMES = (
-    "AsymptoticProfile", "GeneralizedPolynomial", "GeneralizedRational",
-    "RationalParseError", "compose_poly", "parse_rational", "profile", "to_text",
+    "GeneralizedPolynomial", "GeneralizedRational",
+    "RationalParseError", "compose_poly", "parse_rational", "to_text",
     "l_matrix",
     "B1Report", "CompositionResult", "OdeCoefficients", "OrderBounds",
     "compose_ode", "order_bounds", "rho_bounds", "verify_b1_membership",
@@ -60,7 +60,7 @@ class TestPublicApi:
     @pytest.mark.parametrize("name", [
         "TableEntry", "ExtrapolationTable",
         "SampleGrid", "CumulativeIntegrals",
-        "CompositionResult", "OrderBounds", "B1Report", "AsymptoticProfile",
+        "CompositionResult", "OrderBounds", "B1Report",
     ])
     def test_result_classes_carry_no_instance_dict(self, name):
         # Results are kept by the thousand; slots keep each one small.

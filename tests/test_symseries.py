@@ -1,19 +1,20 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from dmint import symseries
-from dmint.expr import Pow, Var, parse
+from dmint.compose import OdeCoefficients, verify_b1_membership
+from dmint.expr import ExprSyntaxError, Pow, Var, parse
 from dmint.symseries import (
     GeneralizedPolynomial,
     GeneralizedRational,
     RationalParseError,
     compose_poly,
     parse_rational,
-    profile,
     to_text,
 )
 
@@ -44,7 +45,7 @@ class TestArithmeticExamples:
         assert R("x^2") * R("1/x") == X
 
     def test_div_lead_exponent(self):
-        assert profile(ONE / R("(x+1)^3")).gamma == -3
+        assert (ONE / R("(x+1)^3")).lead_exponent == -3
 
     def test_pow_of_derivative(self):
         gprime = GeneralizedRational(GeneralizedPolynomial({2: 1})).derivative()
@@ -198,49 +199,70 @@ class TestComposePoly:
 
 
 class TestProfile:
+    # The order of a function at infinity: its leading exponent and whether
+    # its expansion there steps down in whole powers of x.
     def test_geometric_series(self):
-        p = profile(R("1/(x+1)"), 3)
-        assert p.gamma == -1
-        assert p.coefficients == (1, -1, 1, -1)
-        assert p.integer_step and p.strict
+        a = R("1/(x+1)")
+        assert a.lead_exponent == -1
+        assert a.integer_step
 
     def test_half_grid_membership_failure(self):
-        p = profile(R("-2/3") * (X + R("sqrt(x)")), 2)
-        assert p.gamma == 1
-        assert not p.integer_step
-        assert p.step == Fraction(1, 2)
+        a = R("-2/3") * (X + R("sqrt(x)"))
+        assert a.lead_exponent == 1
+        assert not a.integer_step
 
     def test_monomial(self):
-        p = profile(R("x^2"), 0)
-        assert p.gamma == 2 and p.strict
+        a = R("x^2")
+        assert a.lead_exponent == 2 and a.integer_step
 
     def test_zero_is_distinguished(self):
-        p = profile(ZERO)
-        assert p.is_zero and not p.strict
+        assert ZERO.is_zero
+        with pytest.raises(ValueError, match="no leading exponent"):
+            ZERO.lead_exponent
+        with pytest.raises(ValueError, match="no expansion"):
+            ZERO.integer_step
 
     def test_half_grid_with_integer_steps(self):
         # (x+1)/sqrt(x) expands in integer steps from gamma = 1/2.
-        p = profile(R("(x+1)/sqrt(x)"), 3)
-        assert p.gamma == Fraction(1, 2)
-        assert p.integer_step
-        assert p.coefficients == (1, 1, 0, 0)
+        a = R("(x+1)/sqrt(x)")
+        assert a.lead_exponent == Fraction(1, 2)
+        assert a.integer_step
 
     def test_integer_step_beyond_the_expansion_depth(self):
         # f/f' for f = x^(-19/2) + x: the first off-grid term sits 21/2
-        # below gamma = 1, past the default depth of 8.
+        # below gamma = 1, deeper than a short expansion would look.
         f = R("x^(-19/2)+x")
-        p = profile(f / f.derivative())
-        assert p.gamma == 1
-        assert not p.integer_step
-        assert p.step == Fraction(1, 2)
+        a = f / f.derivative()
+        assert a.lead_exponent == 1
+        assert not a.integer_step
 
     def test_integer_step_agrees_with_a_long_scan(self):
+        # The property and the two callers that read it: OdeCoefficients
+        # takes a as p_1, and verify_b1_membership takes a as f and
+        # judges its p_1 = a/a'.
         values = _random_rationals(300, 21) + _random_rationals(300, 22, half_grid=True)
-        verdicts = []
+        verdicts, members = [], []
         for a in values:
-            verdicts.append(profile(a).integer_step)
-            assert verdicts[-1] == _scan_integer_step(a, 120)
+            whole = _scan_integer_step(a, 120)
+            verdicts.append(a.integer_step)
+            assert verdicts[-1] == whole
+            gamma = a.lead_exponent
+            try:
+                ode = OdeCoefficients([a])
+            except ValueError as exc:
+                assert not (whole and gamma.denominator == 1)
+                assert str(exc).endswith("got leading exponent %s" % gamma)
+            else:
+                assert whole and ode.i == (gamma,)
+            if a.derivative().is_zero:
+                continue
+            report = verify_b1_membership(a)
+            gamma = report.p1.lead_exponent
+            members.append(report.member)
+            assert report.member == (_scan_integer_step(report.p1, 120)
+                                     and gamma.denominator == 1 and gamma <= 1)
         assert 10 < verdicts.count(False) < 300 < verdicts.count(True)
+        assert 10 < members.count(False) and 10 < members.count(True)
 
 
 def _scan_integer_step(a, steps):
@@ -332,17 +354,17 @@ class TestProfileProperties:
     def test_lead_exponent_homomorphism(self):
         values = _random_rationals(60, 7)
         for a, b in zip(values[::2], values[1::2]):
-            assert profile(a * b).gamma == profile(a).gamma + profile(b).gamma
-            assert profile(a / b).gamma == profile(a).gamma - profile(b).gamma
+            assert (a * b).lead_exponent == a.lead_exponent + b.lead_exponent
+            assert (a / b).lead_exponent == a.lead_exponent - b.lead_exponent
 
     def test_derivative_drops_exponent(self):
         for a in _random_rationals(60, 8):
-            gamma = profile(a).gamma
+            gamma = a.lead_exponent
             da = a.derivative()
             if gamma != 0:
-                assert profile(da).gamma == gamma - 1
+                assert da.lead_exponent == gamma - 1
             elif not da.is_zero:
-                assert profile(da).gamma <= -2
+                assert da.lead_exponent <= -2
 
     def test_composition_scales_exponent(self):
         rng = random.Random(9)
@@ -358,32 +380,7 @@ class TestProfileProperties:
                 if c:
                     g_terms[n] = c
             g = GeneralizedPolynomial(g_terms)
-            assert profile(compose_poly(a, g)).gamma == s * profile(a).gamma
-
-    def test_cauchy_product_of_coefficients(self):
-        depth = 6
-        values = _random_rationals(40, 10, max_degree=3)
-        for a, b in zip(values[::2], values[1::2]):
-            pa, pb, pab = profile(a, depth), profile(b, depth), profile(a * b, depth)
-            for k in range(depth):
-                want = sum(pa.coefficients[i] * pb.coefficients[k - i]
-                           for i in range(k + 1))
-                assert pab.coefficients[k] == want
-
-    def test_cauchy_product_on_half_grid(self):
-        a = R("1/(sqrt(x)+1)")
-        b = R("1/(sqrt(x)-1)")
-        pa, pb = profile(a, 4), profile(b, 4)
-        assert pa.step == pb.step == Fraction(1, 2)
-        product = profile(a * b, 4)  # 1/(x-1): integer grid
-        assert product.integer_step
-        for k in range(4):
-            fine = sum(pa.coefficients[i] * pb.coefficients[k - i]
-                       for i in range(k + 1))
-            if k % 2 == 0:
-                assert product.coefficients[k // 2] == fine
-            else:
-                assert fine == 0
+            assert compose_poly(a, g).lead_exponent == s * a.lead_exponent
 
 
 class TestTextFormat:
@@ -455,6 +452,18 @@ class TestTextFormat:
             with pytest.raises(RationalParseError, match="exact"):
                 parse_rational(bad)
 
+    def test_root_of_large_degree(self):
+        # A coefficient below 2**q has no q-th root but 0 or 1, found
+        # without building 2**(q - 1).
+        start = time.perf_counter()
+        assert parse_rational("x^(1/1000000000)") == R("x^(1/1000000000)")
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(RationalParseError,
+                           match="^coefficient 2 has no exact 1000000000-th root$"):
+            parse_rational("(2*x)^(1/1000000000)")
+        assert parse_rational("(8*x^3)^(1/3)") == R("2*x")
+        assert parse_rational("(x/8)^(1/3)") == R("x^(1/3)/2")
+
     def test_fractional_power_requires_monomial(self):
         assert parse_rational("x^(3/2)") == R("x") * R("sqrt(x)")
         assert parse_rational("sqrt(4*x^2)") == R("2*x")
@@ -463,15 +472,70 @@ class TestTextFormat:
 
 
 # The two entry points share one grammar and differ only in how a bare
-# slash after an exponent reads.
+# slash after an exponent reads: rational text divides, and integrand
+# text refuses the ambiguous exponent.
 @pytest.mark.parametrize("text, integrand, rational", [
-    ("x^3/2", Pow(Var(), Fraction(3, 2)), "x^3*(1/2)"),
-    ("x^1/2", Pow(Var(), Fraction(1, 2)), "x*(1/2)"),
+    ("x^3/2", ExprSyntaxError("ambiguous exponent: write x^(3/2) or (x^3)/2", 3),
+     "x^3*(1/2)"),
+    ("x^1/2", ExprSyntaxError("ambiguous exponent: write x^(1/2) or (x^1)/2", 3),
+     "x*(1/2)"),
     ("x^(1/2)", Pow(Var(), Fraction(1, 2)), "sqrt(x)"),
 ])
 def test_exponent_rule_by_entry_point(text, integrand, rational):
-    assert parse(text) == integrand
+    if isinstance(integrand, ExprSyntaxError):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(text)
+        assert str(info.value) == str(integrand)
+    else:
+        assert parse(text) == integrand
     assert parse_rational(text) == R(rational)
+
+
+def _random_shared_text(rng, depth):
+    """Text of the grammar both entry points share, bare exponent
+    fractions such as x^3/2 included."""
+    if depth == 0:
+        return rng.choice(["x", "x", "1", "2", "3", "0.5"])
+    kind = rng.choice(["atom", "sum", "product", "product", "power", "power",
+                       "neg", "sqrt"])
+    if kind == "atom":
+        return _random_shared_text(rng, 0)
+    if kind == "sum":
+        return (_random_shared_text(rng, depth - 1) + rng.choice("+-")
+                + _random_shared_text(rng, depth - 1))
+    if kind == "product":
+        return (_random_shared_text(rng, depth - 1) + rng.choice("*/")
+                + _random_shared_text(rng, depth - 1))
+    if kind == "power":
+        base = rng.choice(["x", "2", "sqrt(x)", "(%s)" % _random_shared_text(rng, depth - 1)])
+        exponent = rng.choice(["0", "2", "3", "-1", "-2", "(1/2)", "(-3/2)", "(2/3)",
+                               "1/2", "3/2", "-1/2", "2/4"])
+        return "%s^%s" % (base, exponent)
+    if kind == "neg":
+        return "-" + _random_shared_text(rng, depth - 1)
+    return "sqrt(%s)" % _random_shared_text(rng, depth - 1)
+
+
+def test_shared_text_reads_alike_in_both_grammars():
+    # Every text that both entry points accept is one function: the
+    # integrand tree lowers to the rational value.
+    rng = random.Random(13)
+    both = refused = 0
+    for _ in range(3000):
+        text = _random_shared_text(rng, 3)
+        try:
+            rational = parse_rational(text)
+        except RationalParseError:
+            continue
+        try:
+            ast = parse(text)
+        except ExprSyntaxError as exc:
+            assert "ambiguous exponent" in str(exc), text
+            refused += 1
+            continue
+        assert rational == symseries._lower(ast), text
+        both += 1
+    assert both > 500 and refused > 100
 
 
 @pytest.mark.parametrize("text, named", [

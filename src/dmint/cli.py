@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 
@@ -69,10 +70,43 @@ def _matches_two_digits(value: float, reference: float) -> bool:
     return abs(value - reference) <= 0.5 * 10.0 ** (exponent - 1)
 
 
+def _sci3(value, blank: str = "") -> str:
+    """An error to three significant digits, as the reference table gives
+    it; ``blank`` stands in where there is no reference."""
+    return blank if value is None else "%.2e" % value
+
+
 def _d_notation(value) -> str:
-    if value is None:
-        return "        "
-    return ("%.2e" % value).replace("e", "D")
+    return _sci3(value, " " * 8).replace("e", "D")
+
+
+def _rounded(value):
+    """An error as JSON gives it: the float of its three-digit text."""
+    return None if value is None else float(_sci3(value))
+
+
+CSV_HEADER = "nu,F_error,D_error,D_value,F_value"
+
+
+def _csv_rows(table, prefix: str = "") -> list[str]:
+    """One CSV row per entry of an extrapolation table, each led by ``prefix``."""
+    return ["%s%d,%s,%s,%r,%r" % (prefix, e.nu, _sci3(e.f_error), _sci3(e.d_error),
+                                 e.d_value, e.f_value) for e in table.entries]
+
+
+def _json_obj(table) -> dict:
+    """An extrapolation table and its context as one JSON object."""
+    return {
+        "integrand": table.integrand,
+        "grid": table.grid.descriptor,
+        "m": table.m,
+        "j": table.j,
+        "exponents": list(table.exponents),
+        "reference": table.reference,
+        "entries": [{"nu": e.nu, "F_error": _rounded(e.f_error),
+                     "D_error": _rounded(e.d_error), "D_value": e.d_value,
+                     "F_value": e.f_value} for e in table.entries],
+    }
 
 
 @functools.cache
@@ -115,38 +149,20 @@ def _check_demo_tolerances(tables):
     return None
 
 
-def _format_demo_pretty(tables, nu_max: int) -> str:
-    lines = []
-    lines.append("D^(3) transformation on I[f] (grid linear:1.6) and "
-                 "I[phi] (grid sqrtlinear:1.6)")
-    lines.append("")
-    lines.append(" nu  |F(x_3v)-I[f]|  |D[f]-I[f]|   |Phi(x_3v)-I[phi]|  |D[phi]-I[phi]|")
-    for nu in range(nu_max + 1):
-        ef = tables["f"].entries[nu]
-        ep = tables["phi"].entries[nu]
+def _demo_pretty_lines(tables) -> list[str]:
+    lines = ["D^(3) transformation on I[f] (grid linear:1.6) and "
+             "I[phi] (grid sqrtlinear:1.6)",
+             "",
+             " nu  |F(x_3v)-I[f]|  |D[f]-I[f]|   |Phi(x_3v)-I[phi]|  |D[phi]-I[phi]|"]
+    for ef, ep in zip(tables["f"].entries, tables["phi"].entries):
         lines.append(" %2d     %s      %s          %s         %s" % (
-            nu, _d_notation(ef.f_error), _d_notation(ef.d_error),
+            ef.nu, _d_notation(ef.f_error), _d_notation(ef.d_error),
             _d_notation(ep.f_error), _d_notation(ep.d_error)))
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _format_demo_csv(tables) -> str:
-    lines = []
-    for name in ("f", "phi"):
-        body = tables[name].to_csv().splitlines()
-        if not lines:
-            lines.append("integrand," + body[0])
-        lines.extend("%s,%s" % (name, row) for row in body[1:])
-    return "\n".join(lines) + "\n"
-
-
-def _format_demo_json(tables) -> str:
-    import json
-    return json.dumps({name: tables[name].to_json_obj() for name in ("f", "phi")},
-                      indent=2) + "\n"
-
-
-def _emit(text: str, path: str | None):
+def _emit(lines: list[str], path: str | None):
+    text = "\n".join(lines) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -162,12 +178,15 @@ def _cmd_reproduce_table(args) -> int:
     if failure is not None:
         raise ToleranceFailure(failure)
     if args.format == "csv":
-        text = _format_demo_csv(tables)
+        lines = ["integrand," + CSV_HEADER]
+        for name, table in tables.items():
+            lines += _csv_rows(table, name + ",")
     elif args.format == "json":
-        text = _format_demo_json(tables)
+        lines = [json.dumps({name: _json_obj(table) for name, table in tables.items()},
+                            indent=2)]
     else:
-        text = _format_demo_pretty(tables, args.nu_max)
-    _emit(text, args.output)
+        lines = _demo_pretty_lines(tables)
+    _emit(lines, args.output)
     return 0
 
 
@@ -188,7 +207,7 @@ def _cmd_compose(args) -> int:
     lines.append("closed bounds: %s" % ", ".join(
         "r_%d <= %d" % (k, bound)
         for k, bound in enumerate(result.r_bound_closed, start=1)))
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(lines, args.output)
     return 0
 
 
@@ -205,7 +224,7 @@ def _cmd_check_b1(args) -> int:
         "integer_step: %s" % ("yes" if report.integer_step else "no"),
         "member: %s" % ("yes" if report.member else "no"),
     ]
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(lines, args.output)
     return 0
 
 
@@ -249,9 +268,9 @@ def _cmd_accelerate(args) -> int:
                                   exponents=exponents, j=args.j,
                                   reference=reference)
     if args.format == "json":
-        text = table.to_json()
+        lines = [json.dumps(_json_obj(table), indent=2)]
     elif args.format == "csv":
-        text = table.to_csv()
+        lines = [CSV_HEADER] + _csv_rows(table)
     else:
         lines = ["integrand: %s   grid: %s   m: %d" % (table.integrand,
                                                        table.grid.descriptor, table.m)]
@@ -264,8 +283,7 @@ def _cmd_accelerate(args) -> int:
             if reference is not None:
                 row += "  %s  %s" % (_d_notation(e.d_error), _d_notation(e.f_error))
             lines.append(row)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    _emit(lines, args.output)
     return 0
 
 

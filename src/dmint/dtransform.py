@@ -33,7 +33,6 @@ instead by one exact fraction-free elimination (Bareiss, Math. Comp. 22,
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -144,21 +143,24 @@ def _fs_sweep(g, rhs, m):
     return [column.tolist() if np.isfinite(column).all() else None for column in d.T]
 
 
-def _exact_d(matrix, rhs, m) -> list[float]:
-    """D of each nested window of matrix x = rhs, exactly rounded.
+def _exact_d(g, rhs, m) -> list[float]:
+    """D of each nested window of one system, exactly rounded.
 
-    Window nu is the leading m*nu+1 rows and columns.  One fraction-free
-    elimination (Bareiss 1968) serves all: each column scaled by a power of
-    two to integers, D's last, and each pivot the first non-zero row of the
-    window being built, so D_nu is the quotient of row m*nu.  Raises
-    :class:`SingularSystemError` with the nu of the first window with a
-    zero or non-finite column, a non-finite right-hand side, an exactly
-    singular matrix or a D beyond the float range, checked in that order.
+    ``g[p, :]`` holds the unknown g_{p+1} at every sample and ``rhs`` the
+    samples F, as :func:`_fs_sweep` reads one system; D's coefficient is 1
+    at every sample.  Window nu is the leading m*nu unknowns at the leading
+    m*nu+1 samples.  One fraction-free elimination (Bareiss 1968) serves
+    all: each column scaled by a power of two to integers, D's last, and
+    each pivot the first non-zero row of the window being built, so D_nu
+    is the quotient of row m*nu.  Raises :class:`SingularSystemError` with
+    the nu of the first window with a zero or non-finite column, a
+    non-finite right-hand side, an exactly singular matrix or a D beyond
+    the float range, checked in that order.
     """
     def check(nu, singular):
         n = m * nu + 1
-        window = matrix[:n, :n]
-        if not (np.isfinite(window).all() and window.any(axis=0).all()):
+        window = g[:n - 1, :n]
+        if not (np.isfinite(window).all() and window.any(axis=1).all()):
             text = "matrix has a zero or non-finite column"
         elif not np.isfinite(rhs[:n]).all():
             text = "right-hand side is not finite"
@@ -169,7 +171,7 @@ def _exact_d(matrix, rhs, m) -> list[float]:
         raise SingularSystemError("window nu=%d: %s" % (nu, text), nu)
 
     columns, denominators = [], []
-    for column in (*matrix.T[1:], matrix.T[0], rhs):
+    for column in (*g, np.ones(len(rhs)), rhs):
         # A non-finite entry stands in as 0: check refuses every window holding one.
         ratios = [v.as_integer_ratio() if math.isfinite(v) else (0, 1) for v in column.tolist()]
         den = max(d for _, d in ratios)
@@ -227,49 +229,6 @@ class ExtrapolationTable:
     exponents: tuple[int, ...]
     reference: float | None
 
-    def to_csv(self) -> str:
-        lines = ["nu,F_error,D_error,D_value,F_value"]
-        for e in self.entries:
-            lines.append("%d,%s,%s,%r,%r" % (
-                e.nu,
-                _sci3(e.f_error) if e.f_error is not None else "",
-                _sci3(e.d_error) if e.d_error is not None else "",
-                e.d_value,
-                e.f_value,
-            ))
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self) -> dict:
-        records = []
-        for e in self.entries:
-            records.append({
-                "nu": e.nu,
-                "F_error": _round3(e.f_error) if e.f_error is not None else None,
-                "D_error": _round3(e.d_error) if e.d_error is not None else None,
-                "D_value": e.d_value,
-                "F_value": e.f_value,
-            })
-        return {
-            "integrand": self.integrand,
-            "grid": self.grid.descriptor,
-            "m": self.m,
-            "j": self.j,
-            "exponents": list(self.exponents),
-            "reference": self.reference,
-            "entries": records,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
-
-
-def _sci3(value: float) -> str:
-    return "%.2e" % value
-
-
-def _round3(value: float) -> float:
-    return float(_sci3(value))
-
 
 def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
                j: int = 0, reference: float | None = None) -> ExtrapolationTable:
@@ -303,22 +262,23 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
     gives for its member alone, bit for bit.  Every member is parsed and
     sampled before any window is solved; after the sweep, the first
     member with a singular window raises its error.  The
-    parameters are checked before anything is sampled: m >= 1,
-    0 <= j <= ``_MAX_START``, nu_max >= 0, m and the unknowns m*nu_max at
-    most ``_MAX_UNKNOWNS``, m at most ``_MAX_M``, and m integral
+    parameters are checked before anything is sampled: nu_max >= 0,
+    1 <= m <= ``_MAX_M`` (below ``_MAX_UNKNOWNS``), the unknowns m*nu_max
+    at most ``_MAX_UNKNOWNS``, 0 <= j <= ``_MAX_START``, and m integral
     exponents, else :class:`ValueError`.
     """
     if nu_max < 0:
         raise ValueError("nu_max must be non-negative")
     if m < 1:
         raise ValueError("m must be at least 1")
-    # m also bounds the derivative rows taken at each point (nu_max = 0 too).
-    if max(m, m * nu_max) > _MAX_UNKNOWNS:
-        raise ValueError("too many unknowns: m = %d, m*nu_max = %d; each must be "
-                         "at most %d" % (m, m * nu_max, _MAX_UNKNOWNS))
+    # m <= _MAX_M < _MAX_UNKNOWNS also bounds the derivative rows taken at
+    # each point (nu_max = 0 too).
     if m > _MAX_M:
         raise ValueError("m must be at most %d, got %d: the derivative rows "
                          "take k! up to (m-1)!, beyond the float range" % (_MAX_M, m))
+    if m * nu_max > _MAX_UNKNOWNS:
+        raise ValueError("too many unknowns: m = %d, m*nu_max = %d; each must be "
+                         "at most %d" % (m, m * nu_max, _MAX_UNKNOWNS))
     if j < 0:
         raise ValueError("the start index j must be non-negative")
     if j > _MAX_START:
@@ -384,7 +344,7 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
     tables = []
     for (ast, grid, reference, F), g, rhs, values in zip(sampled, rows, rhss, swept):
         if values is None:
-            values = _exact_d(np.column_stack((np.ones(size), g.T)), rhs, m)
+            values = _exact_d(g, rhs, m)
         entries = []
         for nu, d_value in enumerate(values):
             f_value = F[j + m * nu]

@@ -29,6 +29,15 @@ class RationalParseError(ValueError):
     """A rational-function string that does not follow the text format."""
 
 
+# The largest power that rational text may build, estimated from its base
+# before it is built: at most _MAX_POWER_TERMS terms in its numerator or
+# denominator, and at most _MAX_POWER_BITS coefficient bits in all (terms
+# times the bits of the largest).  Near the bounds a power takes about 1 s
+# (x86-64): (x+1)^499, 500 terms of up to 499 bits, takes 0.8 s.
+_MAX_POWER_TERMS = 500
+_MAX_POWER_BITS = 1_000_000
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -586,7 +595,27 @@ def _integer_root(value: int, degree: int) -> int:
     return root
 
 
-def _monomial_power(base, exponent: Fraction) -> GeneralizedPolynomial:
+def _check_power(value, k: int, node: expr.Expr) -> None:
+    """Refuse value**k (k >= 0) before it is built if it would be too large.
+
+    A base of t terms gives about k*(t-1)+1 terms, each with about k times
+    the bits of the base's largest coefficient, plus log2(t).
+    """
+    for p in ((value,) if isinstance(value, GeneralizedPolynomial)
+              else (value.numerator, value.denominator)):
+        if p.terms:
+            spread = len(p.terms) - 1
+            largest = max(max(abs(c.numerator), c.denominator) for c in p.terms.values())
+            terms = k * spread + 1
+            bits = terms * k * (largest.bit_length() - 1 + spread.bit_length())
+            if terms > _MAX_POWER_TERMS or bits > _MAX_POWER_BITS:
+                raise RationalParseError(
+                    "power too large in '%s': about %d terms and %d coefficient bits, "
+                    "beyond %d terms or %d bits" % (expr.to_text(node), terms, bits,
+                                                   _MAX_POWER_TERMS, _MAX_POWER_BITS))
+
+
+def _monomial_power(base, exponent: Fraction, node: expr.Expr) -> GeneralizedPolynomial:
     # Fractional powers are only defined here for pure monomials c*x**e
     # (e >= 0, as the canonical rational has no denominator then) whose
     # coefficient has an exact rational root.
@@ -600,6 +629,7 @@ def _monomial_power(base, exponent: Fraction) -> GeneralizedPolynomial:
     (n, c), = base.terms.items()
     q = exponent.denominator
     root = Fraction(_integer_root(c.numerator, q), _integer_root(c.denominator, q))
+    _check_power(GeneralizedPolynomial.constant(root), abs(exponent.numerator), node)
     coeff = root ** exponent.numerator
     e = Fraction(n, base.step_denominator) * exponent
     return GeneralizedPolynomial.monomial(coeff, e.numerator, e.denominator)
@@ -627,16 +657,18 @@ def _lower(node: expr.Expr):
         value = _lower(node.base)
         k = node.exponent.numerator
         if node.exponent.denominator != 1:
-            value = _monomial_power(value, node.exponent)
+            value = _monomial_power(value, node.exponent, node)
         elif k < 0 and value.is_zero:
             raise RationalParseError(
                 "negative power of zero in '%s'" % expr.to_text(node))
-        elif k < 0 and isinstance(value, GeneralizedPolynomial):
-            value = GeneralizedRational(GeneralizedPolynomial.one(), value ** -k)
         else:
-            value = value ** k
+            _check_power(value, abs(k), node)
+            if k < 0 and isinstance(value, GeneralizedPolynomial):
+                value = GeneralizedRational(GeneralizedPolynomial.one(), value ** -k)
+            else:
+                value = value ** k
     elif isinstance(node, expr.Call) and node.func == "sqrt":
-        value = _monomial_power(_lower(node.arg), Fraction(1, 2))
+        value = _monomial_power(_lower(node.arg), Fraction(1, 2), node)
     else:
         raise RationalParseError(
             "'%s' is not a rational function of x" % expr.to_text(node))

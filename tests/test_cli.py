@@ -75,6 +75,32 @@ class TestReproduceTable:
         assert err.startswith("tolerance failure: integrand f, nu=10: D error ")
         assert err.endswith(" above 0e+00\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name, nu, value, detail", [
+        ("REFERENCE_PHI_ERRORS", 3, 2.80e-3,
+         "integrand phi, nu=3: F error 2.663e-03 does not match reference 2.80e-03 "
+         "to two digits"),
+        ("REFERENCE_F_ERRORS", 0, 3.30e-1,
+         "integrand f, nu=0: F error 3.439e-01 does not match reference 3.30e-01 "
+         "to two digits"),
+        # D errors more and less than a factor of 100 from the reference.
+        ("REFERENCE_F_D_ERRORS", 2, 1e-5,
+         "integrand f, nu=2: D error 6.956e-03 outside factor 100 of reference 1.00e-05"),
+        ("REFERENCE_PHI_D_ERRORS", 7, 1e-8,
+         "integrand phi, nu=7: D error 3.949e-11 outside factor 100 of reference 1.00e-08"),
+    ])
+    def test_reference_mismatch_exit_1(self, capsys, monkeypatch, name, nu, value, detail):
+        reference = list(getattr(cli, name))
+        reference[nu] = value
+        monkeypatch.setattr(cli, name, tuple(reference))
+        code, out, err = run(capsys, "reproduce-table")
+        assert code == 1 and out == ""
+        assert err == "tolerance failure: %s\n" % detail
+
+    def test_nu_max_beyond_the_reference_exit_3(self, capsys):
+        code, out, err = run(capsys, "reproduce-table", "--nu-max", "11")
+        assert code == 3 and out == ""
+        assert err == "invalid input: the reference table covers nu = 0..10\n"
+
     def test_csv_and_json_agree(self, capsys):
         code, csv_out, _ = run(capsys, "reproduce-table", "--format", "csv")
         assert code == 0
@@ -176,6 +202,17 @@ class TestCheckB1:
     def test_parse_error(self, capsys):
         code, out, err = run(capsys, "check-b1", "--f=1//x")
         assert code == 2 and out == ""
+
+    def test_zero_function_exit_3(self, capsys):
+        code, out, err = run(capsys, "check-b1", "--f=0")
+        assert code == 3 and out == ""
+        assert err == "invalid input: the zero function is excluded\n"
+
+    def test_third_root_grid_exit_2(self, capsys):
+        code, out, err = run(capsys, "check-b1", "--f=x^(1/3)+1")
+        assert code == 2 and out == ""
+        assert err == ("parse error: check-b1 accepts exponent grids no finer than 1/2, "
+                       "got 1/3\n")
 
     def test_coefficient_beyond_float_range(self, capsys):
         code, out, err = run(capsys, "check-b1", "--f=sqrt(1%s*x)" % ("0" * 400))
@@ -318,6 +355,21 @@ class TestAccelerate:
                              "--grid", "linear:1.0")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("integrand, detail", [
+        ("x$2", "unexpected character '$' (position 1)"),
+        ("x x", "unexpected 'x' (position 2)"),
+    ])
+    def test_token_errors_exit_2(self, capsys, integrand, detail):
+        code, out, err = run(capsys, "accelerate", "--integrand", integrand,
+                             "--m", "1", "--grid", "linear:1.0")
+        assert code == 2 and out == ""
+        assert err == "parse error: %s\n" % detail
+
+    def test_unknown_exponent_mode_exit_3(self, capsys):
+        code, out, err = run(capsys, "accelerate", "--integrand", "f", "--exponents", "foo")
+        assert code == 3 and out == ""
+        assert err == "invalid input: exponent mode must be 'friendly' or 'rho:e0,e1,...'\n"
+
     def test_ambiguous_exponent_exit_2(self, capsys):
         # x^1/2 is x^(1/2) or (x^1)/2; compose reads it as the latter.
         code, out, err = run(capsys, "accelerate", "--integrand", "x^1/2*exp(-x)",
@@ -372,6 +424,37 @@ class TestAccelerate:
         assert target.read_text().startswith("nu,")
 
 
+class TestOutputFormats:
+    @staticmethod
+    def formats(capsys, *argv):
+        """The CSV rows and the JSON entries of one accelerate run."""
+        argv = ("accelerate", "--integrand", "sinc(x)^2", "--m", "3",
+                "--grid", "linear:1.6") + argv
+        code, csv_out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and err == ""
+        code, json_out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        return csv_out, list(csv.DictReader(io.StringIO(csv_out))), \
+            json.loads(json_out)["entries"]
+
+    def test_csv_json_numeric_equivalence(self, capsys):
+        csv_out, rows, records = self.formats(capsys, "--nu-max", "10", "--reference", "pi/2")
+        assert len(rows) == len(records) == 11
+        for row, record in zip(rows, records):
+            assert int(row["nu"]) == record["nu"]
+            assert float(row["F_error"]) == record["F_error"]
+            assert float(row["D_error"]) == record["D_error"]
+            assert float(row["D_value"]) == record["D_value"]
+            assert float(row["F_value"]) == record["F_value"]
+        assert csv_out.startswith("nu,F_error,D_error,D_value,F_value\n")
+        assert list(records[0]) == ["nu", "F_error", "D_error", "D_value", "F_value"]
+
+    def test_errors_blank_without_reference(self, capsys):
+        _, rows, records = self.formats(capsys, "--nu-max", "2")
+        assert all(row["F_error"] == "" and row["D_error"] == "" for row in rows)
+        assert all(r["F_error"] is None for r in records)
+
+
 def run_fresh(*argv):
     """The CLI in a fresh interpreter, so a traceback on stderr cannot go
     unseen, and a timeout turns a hang into a failure."""
@@ -380,10 +463,16 @@ def run_fresh(*argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+DEEP = "(" * 5000 + "x" + ")" * 5000
+
+
 @pytest.mark.parametrize("argv", [
     ("accelerate", "--integrand=" + "+".join(["exp(-x)"] * 1500),
      "--grid", "linear:1", "--m", "1"),
     ("compose", "--p=" + "(" * 1200 + "x" + ")" * 1200, "--g=x"),
+    ("accelerate", "--integrand=" + DEEP, "--grid", "linear:1", "--m", "1"),
+    ("check-b1", "--f=" + DEEP),
+    ("compose", "--p=" + DEEP, "--g=x"),
 ])
 def test_deep_input_exit_3(argv):
     result = run_fresh(*argv)
@@ -407,6 +496,18 @@ def test_huge_integer_power_compose():
     result = run_fresh("compose", "--p=x^1000000000", "--g=x^2")
     assert result.returncode == 0 and result.stderr == ""
     assert result.stdout.splitlines()[:2] == ["pi_1 = x^1999999999/2", "r = (1999999999)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("compose", "--p=(x+1)^100000", "--g=x"),
+    ("check-b1", "--f=(x+1)^100000"),
+])
+def test_oversized_power_exit_2(capsys, argv):
+    # Refused from its estimated size before it is built.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("parse error: power too large in '(x+1)^100000': about 100001 terms "
+                   "and 10000100000 coefficient bits, beyond 500 terms or 1000000 bits\n")
 
 
 class TestSharedParser:

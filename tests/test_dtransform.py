@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 import random
 import sys
@@ -78,14 +76,20 @@ def oracle_windows(matrix, rhs, m):
     return values, None
 
 
-def assert_exact_windows(matrix, rhs, m):
+def full_matrix(g):
+    """The matrix of one system as the sweep reads it: a column of ones for
+    D, then the unknown g_{p+1} at every sample as column p+1."""
+    return np.column_stack((np.ones(g.shape[1]), g.T))
+
+
+def assert_exact_windows(g, rhs, m):
     """_exact_d gives every window the oracle's D, or the first failure."""
-    values, failure = oracle_windows(matrix, rhs, m)
+    values, failure = oracle_windows(full_matrix(g), rhs, m)
     if failure is None:
-        assert dtransform._exact_d(matrix, rhs, m) == values
+        assert dtransform._exact_d(g, rhs, m) == values
     else:
         with pytest.raises(SingularSystemError) as info:
-            dtransform._exact_d(matrix, rhs, m)
+            dtransform._exact_d(g, rhs, m)
         assert (info.value.nu, str(info.value)) == (failure[0], "window nu=%d: %s" % failure)
     return failure
 
@@ -128,9 +132,10 @@ class TestSweepAndExactPath:
         assert len(table.entries) == 1
         assert table.entries[0].d_value == table.entries[0].f_value == cum.F[2]
 
-    def test_identity_system(self):
-        # Window 0 is the 1x1 corner, window 1 the whole identity.
-        assert dtransform._exact_d(np.eye(2), np.array([3.5, -1.0]), 1) == [3.5, 3.5]
+    def test_triangular_system(self):
+        # Window 0 is the first sample; in window 1, g_1 is 0 there.
+        assert dtransform._exact_d(np.array([[0.0, 1.0]]), np.array([3.5, -1.0]), 1) == \
+            [3.5, 3.5]
 
     def test_exact_model_is_reproduced(self):
         # F(x) = 1 - 1/x fits the model with D = 1, beta_10 = -1 exactly:
@@ -141,8 +146,7 @@ class TestSweepAndExactPath:
             rhs = np.array([[1.0 - 1.0 / x for x in xs]])
             d = dtransform._fs_sweep(g, rhs, 1)[0][1]
             assert abs(d - 1.0) <= 1e-13
-            assert dtransform._exact_d(np.column_stack((np.ones(2), g[0, 0])), rhs[0], 1) == \
-                [rhs[0, 0], d]
+            assert dtransform._exact_d(g[0], rhs[0], 1) == [rhs[0, 0], d]
 
     def test_build_matches_element_loop(self, monkeypatch):
         # The rows handed to the sweep are the reference assembly's
@@ -216,20 +220,20 @@ class TestSweepAndExactPath:
         assert str(info.value) == "window nu=28: matrix has a zero or non-finite column"
 
     def test_pivot_off_the_diagonal_in_every_column(self):
-        # The exact path eliminates the columns 1..n-1 and then D's.  In
-        # that order the rows are those of an upper triangular matrix
-        # rotated by one, so at every step the only non-zero entry of the
+        # The exact path eliminates the unknowns g_1..g_{n-1} and then D's
+        # column of ones.  In that order the rows are those of an upper
+        # triangular matrix rotated by one, so at every step the only non-zero entry of the
         # column is one row down: each step swaps, also where that row is
         # the last of the window being built (m=1), and every window's D
         # is still exact, rounded.
         rng = np.random.default_rng(8)
         for n in (2, 3, 9, 17):
             upper = np.triu(rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8, n))
+            upper[:, -1] = 1.0
             rotated = upper[np.roll(np.arange(n), 1)]
-            matrix = np.column_stack((rotated[:, -1], rotated[:, :-1]))
             rhs = rng.standard_normal(n)
             for m in {1, n - 1}:
-                assert assert_exact_windows(matrix, rhs, m) is None
+                assert assert_exact_windows(rotated[:, :-1].T, rhs, m) is None
 
     def test_singular_messages(self):
         # Each window's checks run in a fixed order (column, right-hand
@@ -237,59 +241,59 @@ class TestSweepAndExactPath:
         column, right, singular = ("matrix has a zero or non-finite column",
                                    "right-hand side is not finite", "matrix is singular")
         inf, nan = np.inf, np.nan
-        for matrix, rhs, m, nu, text in (
-                ([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], 1, 1, singular),
-                ([[2.0, 1.0, 0.5], [4.0, 2.0, 1.0], [1.0, 3.0, 0.0]], [1.0] * 3, 2, 1, singular),
-                ([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0], 1, 1, column),
-                ([[1.0, inf], [1.0, 2.0]], [1.0, 1.0], 1, 1, column),
-                ([[1.0, nan], [1.0, 2.0]], [1.0, 1.0], 1, 1, column),
-                ([[0.0, 1.0], [1.0, 2.0]], [1.0, 1.0], 1, 0, column),
-                ([[1.0, 0.0], [0.0, 1.0]], [1.0, inf], 1, 1, right),
-                ([[1.0, 0.0], [0.0, 1.0]], [nan, 1.0], 1, 0, right),
+        # Each system is its rows g_{p+1}, D's column of ones implied.
+        for g, rhs, m, nu, text in (
+                ([[1.0, 1.0]], [1.0, 1.0], 1, 1, singular),
+                ([[1.0, 2.0, 3.0], [0.5, 1.0, 1.5]], [1.0] * 3, 2, 1, singular),
+                ([[0.0, 0.0]], [1.0, 1.0], 1, 1, column),
+                ([[inf, 2.0]], [1.0, 1.0], 1, 1, column),
+                ([[nan, 2.0]], [1.0, 1.0], 1, 1, column),
+                ([[0.0, 1.0]], [1.0, inf], 1, 1, right),
+                ([[0.0, 1.0]], [nan, 1.0], 1, 0, right),
                 # A zero column outranks a non-finite right-hand side, and
                 # that outranks a singular matrix.
-                ([[1.0, 0.0], [1.0, 0.0]], [1.0, inf], 1, 1, column),
-                ([[1.0, 1.0], [1.0, 1.0]], [1.0, inf], 1, 1, right),
+                ([[0.0, 0.0]], [1.0, inf], 1, 1, column),
+                ([[1.0, 1.0]], [1.0, inf], 1, 1, right),
                 # Repeated rows: window 1 is singular before window 2 reads
                 # the infinity, and the failure of window 1 is reported.
-                ([[1.0, 2.0, 3.0], [1.0, 2.0, 5.0], [1.0, inf, 1.0]], [1.0] * 3, 1, 1, singular),
+                ([[2.0, 2.0, inf], [3.0, 5.0, 1.0]], [1.0] * 3, 1, 1, singular),
                 # A column that is zero in window 1 only: window 1 fails.
-                ([[1.0, 0.0, 1.0], [1.0, 0.0, 2.0], [1.0, 1.0, 3.0]], [1.0] * 3, 1, 1, column)):
+                ([[0.0, 0.0, 1.0], [1.0, 2.0, 3.0]], [1.0] * 3, 1, 1, column)):
             with pytest.raises(SingularSystemError) as info:
-                dtransform._exact_d(np.array(matrix), np.array(rhs), m)
+                dtransform._exact_d(np.array(g), np.array(rhs), m)
             assert (info.value.nu, str(info.value)) == (nu, "window nu=%d: %s" % (nu, text))
-            assert assert_exact_windows(np.array(matrix), np.array(rhs), m) == (nu, text)
+            assert assert_exact_windows(np.array(g), np.array(rhs), m) == (nu, text)
         # A tiny pivot is solved, not reported as singular.
-        matrix, rhs = np.array([[1.0, 1.0], [0.0, 1e-305]]), np.array([1.0, 2.0])
-        assert dtransform._exact_d(matrix, rhs, 1) == \
-            [1.0, float(exact_first_unknown(matrix, rhs))]
+        g, rhs = np.array([[1e-305, 3e-305]]), np.array([1.0, 2.0])
+        assert dtransform._exact_d(g, rhs, 1) == \
+            [1.0, float(exact_first_unknown(full_matrix(g), rhs))]
 
     def test_d_beyond_the_float_range(self):
         # Two nearly equal rows put D of window 1 near 4.5e315: no float
         # holds it, and the window says so instead of rounding it to inf.
-        matrix = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]])
+        g = np.array([[1.0, 1.0 + 2.0 ** -52]])
         rhs = np.array([1e300, 0.0])
-        assert abs(exact_first_unknown(matrix, rhs)) > sys.float_info.max
+        assert abs(exact_first_unknown(full_matrix(g), rhs)) > sys.float_info.max
         with pytest.raises(SingularSystemError) as info:
-            dtransform._exact_d(matrix, rhs, 1)
+            dtransform._exact_d(g, rhs, 1)
         assert (info.value.nu, str(info.value)) == (
             1, "window nu=1: D is beyond the float range")
 
     def test_exact_fallback_is_exactly_rounded(self):
-        # One Bareiss elimination on the float entries, columns spread over
+        # One Bareiss elimination on the float entries, unknowns spread over
         # 10^+-30, gives every window the exact D, rounded: the same float
-        # as the rational oracle, every time.  A repeated row makes the
-        # first window that holds both rows singular.
+        # as the rational oracle, every time.  A repeated sample makes the
+        # first window that holds both samples singular.
         rng = np.random.default_rng(13)
         singular = 0
         for trial in range(80):
             m = int(rng.integers(1, 4))
             n = m * int(rng.integers(0, 4)) + 1
-            matrix = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-30, 30, n)
+            g = rng.standard_normal((n - 1, n)) * 10.0 ** rng.uniform(-30, 30, (n - 1, 1))
             if trial % 4 == 3 and n > 1:
-                matrix[int(rng.integers(1, n))] = matrix[0]
+                g[:, int(rng.integers(1, n))] = g[:, 0]
             rhs = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
-            failure = assert_exact_windows(matrix, rhs, m)
+            failure = assert_exact_windows(g, rhs, m)
             if failure is not None:
                 assert failure[1] == "matrix is singular"
                 singular += 1
@@ -305,14 +309,13 @@ class TestSweepAndExactPath:
         for trial in range(300):
             m = int(rng.integers(1, 4))
             n = m * int(rng.integers(1, 4)) + 1
-            matrix = rng.choice([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, 0.5], (n, n))
-            matrix[:, 0] = rng.choice([1.0, 1.0, 1.0, 0.0, 3.0], n)
+            g = rng.choice([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, 0.5], (n - 1, n))
             rhs = rng.choice([0.0, 1.0, -2.0, 0.25], n)
             if trial % 10 == 9:
-                matrix[rng.integers(0, n), rng.integers(0, n)] = rng.choice([np.inf, np.nan])
+                g[rng.integers(0, n - 1), rng.integers(0, n)] = rng.choice([np.inf, np.nan])
             if trial % 10 == 4:
                 rhs[rng.integers(0, n)] = np.inf
-            failure = assert_exact_windows(matrix, rhs, m)
+            failure = assert_exact_windows(g, rhs, m)
             failures.add(None if failure is None else failure[1])
         assert failures == {None, "matrix has a zero or non-finite column",
                             "right-hand side is not finite", "matrix is singular"}
@@ -336,8 +339,7 @@ class TestSweepAndExactPath:
             assert len(values) == n // m + 1
             for nu, d in enumerate(values):
                 size = m * nu + 1
-                matrix = np.column_stack([np.ones(size)] + [row[:size] for row in g[:m * nu]])
-                exact = float(exact_first_unknown(matrix, rhs[:size]))
+                exact = float(exact_first_unknown(full_matrix(g[:m * nu, :size]), rhs[:size]))
                 assert abs(d - exact) <= math.ulp(exact)
                 exact_hits += d == exact
                 total += 1
@@ -479,20 +481,20 @@ class TestDSequence:
         exact_calls = []
         real_exact = dtransform._exact_d
 
-        def recording_exact(matrix, rhs, m):
-            exact_calls.append((matrix.shape, len(rhs), m))
-            return real_exact(matrix, rhs, m)
+        def recording_exact(g, rhs, m):
+            exact_calls.append((g.shape, len(rhs), m))
+            return real_exact(g, rhs, m)
 
         monkeypatch.setattr(dtransform, "_exact_d", recording_exact)
         grid = grid_from_descriptor("linear:1.0", 13)
         assert grid.points[1] == 2.0
         d_sequences([("1/(1+x^2)", grid, None), ("(x-2)*exp(-x)", grid, None),
                      ("1/(1+x)^2", grid, None)], 2, 6)
-        assert exact_calls == [((13, 13), 13, 2)]
+        assert exact_calls == [((12, 13), 13, 2)]
         for m in (1, 2):
             exact_calls.clear()
             table = d_sequence("(x-2)*exp(-x)", grid, m, 6)
-            assert exact_calls == [((6 * m + 1, 6 * m + 1), 6 * m + 1, m)]
+            assert exact_calls == [((6 * m, 6 * m + 1), 6 * m + 1, m)]
             rows = sample_rows("(x-2)*exp(-x)", grid, m)
             for nu, entry in enumerate(table.entries):
                 exact = exact_first_unknown(*element_loop_system(friendly_exponents(m), nu, rows))
@@ -537,7 +539,7 @@ class TestDSequence:
             exact = exact_first_unknown(matrix, rhs)
             if exact is None:
                 with pytest.raises(SingularSystemError) as alone:
-                    real_exact(matrix, rhs, max(len(rhs) - 1, 1))
+                    real_exact(matrix[:, 1:].T, rhs, max(len(rhs) - 1, 1))
                 with pytest.raises(SingularSystemError) as info:
                     d_sequence(source, grid, m, nu_max)
                 assert info.value.nu == nu
@@ -641,7 +643,7 @@ class TestDSequence:
         monkeypatch.setattr(dtransform, "grid_from_descriptor", not_built)
         monkeypatch.setattr(dtransform, "cumulative", not_built)
         bound = dtransform._MAX_UNKNOWNS
-        for m, nu_max in ((1, bound + 1), (3, bound // 3 + 1), (bound + 1, 0)):
+        for m, nu_max in ((1, bound + 1), (3, bound // 3 + 1)):
             message = ("too many unknowns: m = %d, m*nu_max = %d; each must be at most %d"
                        % (m, m * nu_max, bound))
             with pytest.raises(ValueError) as info:
@@ -650,12 +652,14 @@ class TestDSequence:
         # At the bound the parameters pass, and the grid is built.
         with pytest.raises(AssertionError, match="^grid or quadrature built$"):
             d_sequence("exp(-x)", "linear:1.0", 1, bound)
-        # m itself stops where (m-1)! leaves the float range.
+        # m itself stops where (m-1)! leaves the float range, below the
+        # unknowns' bound, and m beyond both is refused by its own bound.
         top = dtransform._MAX_M
         float(math.factorial(top - 1))
         with pytest.raises(OverflowError):
             float(math.factorial(top))
-        for m, nu_max in ((top + 1, 0), (top + 1, 1), (bound, 0)):
+        assert top < bound
+        for m, nu_max in ((top + 1, 0), (top + 1, 1), (bound, 0), (bound + 1, 0)):
             with pytest.raises(ValueError) as info:
                 d_sequence("exp(-x)", "linear:1.0", m, nu_max)
             assert str(info.value) == ("m must be at most %d, got %d: the derivative rows "
@@ -698,7 +702,7 @@ class TestDSequence:
         table = d_sequence("sinc(x)^2", "linear:1.6", 2, 3,
                            exponents=(np.int64(1), np.int32(0)))
         assert table == d_sequence("sinc(x)^2", "linear:1.6", 2, 3, exponents=(1, 0))
-        assert table.to_json_obj()["exponents"] == [1, 0]
+        assert table.exponents == (1, 0)
         assert all(type(e) is int for e in table.exponents)
 
     def test_only_the_samples_read_are_taken(self):
@@ -780,25 +784,3 @@ class TestExactSampleOracle:
                     errors.append(float(abs(d - references[name])))
                 assert ["%.2e" % error for error in errors[6:]] == \
                     ["%.2e" % error for error in self.EXACT_ERRORS[name]]
-
-
-class TestOutputFormats:
-    def test_csv_json_numeric_equivalence(self):
-        table = demo_table()
-        rows = list(csv.DictReader(io.StringIO(table.to_csv())))
-        records = table.to_json_obj()["entries"]
-        assert len(rows) == len(records) == 11
-        for row, record in zip(rows, records):
-            assert int(row["nu"]) == record["nu"]
-            assert float(row["F_error"]) == record["F_error"]
-            assert float(row["D_error"]) == record["D_error"]
-            assert float(row["D_value"]) == record["D_value"]
-            assert float(row["F_value"]) == record["F_value"]
-        assert table.to_csv().startswith("nu,F_error,D_error,D_value,F_value\n")
-        assert list(records[0]) == ["nu", "F_error", "D_error", "D_value", "F_value"]
-
-    def test_errors_blank_without_reference(self):
-        table = d_sequence("sinc(x)^2", "linear:1.6", 3, 2)
-        rows = list(csv.DictReader(io.StringIO(table.to_csv())))
-        assert all(row["F_error"] == "" and row["D_error"] == "" for row in rows)
-        assert all(r["F_error"] is None for r in table.to_json_obj()["entries"])

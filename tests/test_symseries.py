@@ -464,6 +464,31 @@ class TestTextFormat:
         assert parse_rational("(8*x^3)^(1/3)") == R("2*x")
         assert parse_rational("(x/8)^(1/3)") == R("x^(1/3)/2")
 
+    def test_oversized_power_refused_before_it_is_built(self):
+        # The size of a power is estimated from its base: k*(t-1)+1 terms,
+        # each about k times the largest coefficient's bits plus log2(t).
+        terms, bits = symseries._MAX_POWER_TERMS, symseries._MAX_POWER_BITS
+        for text, size in (
+                ("2^10000000000", "1 terms and 10000000000 coefficient bits"),
+                ("2^%d" % (bits + 1), "1 terms and %d coefficient bits" % (bits + 1)),
+                ("(x+1)^%d" % terms, "%d terms and %d coefficient bits"
+                 % (terms + 1, (terms + 1) * terms)),
+                ("(x+1)^(-100000)", "100001 terms and 10000100000 coefficient bits"),
+                ("1/(x^2+3)^2000", "2001 terms and 8004000 coefficient bits"),
+                ("(4*x)^(1000000001/2)", "1 terms and 1000000001 coefficient bits")):
+            start = time.perf_counter()
+            with pytest.raises(RationalParseError) as info:
+                parse_rational(text)
+            assert time.perf_counter() - start < 1.0
+            node = text[2:] if text.startswith("1/") else text
+            assert str(info.value) == ("power too large in '%s': about %s, beyond %d terms "
+                                       "or %d bits" % (node, size, terms, bits))
+        # Inside the bounds: the largest power of x+1, a long power of a
+        # monomial, and powers of x of any size.
+        assert len(R("(x+1)^%d" % (terms - 1)).numerator.terms) == terms
+        assert R("2^%d" % bits).numerator.terms == {0: 2 ** bits}
+        assert R("x^1000000000") == X ** 1000000000
+
     def test_fractional_power_requires_monomial(self):
         assert parse_rational("x^(3/2)") == R("x") * R("sqrt(x)")
         assert parse_rational("sqrt(4*x^2)") == R("2*x")

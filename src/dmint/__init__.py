@@ -34,7 +34,7 @@ _EXPORTS = {
         "verify_b1_membership",
     ),
     "expr": ("ExprSyntaxError", "SingularSystemError", "parse"),
-    "exprtaylor": ("ExprDomainError", "Jet", "derivatives", "evaluate"),
+    "exprtaylor": ("ExprDomainError", "derivatives", "evaluate"),
     "quad": (
         "CumulativeIntegrals",
         "QuadratureError",

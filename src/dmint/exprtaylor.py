@@ -1,17 +1,19 @@
 """Truncated-Taylor (jet) evaluation and differentiation of expressions.
 
-A jet of order m carries the Taylor coefficients c_0..c_{m-1} of a
-function at many expansion points at once, each coefficient an array
-with one element per point; the k-th derivative is k! * c_k.  Jet
-arithmetic is exact truncated-series arithmetic in double precision, so
-one walk of the tree on the jet (x0, 1, 0, ...) yields the first m
-derivatives at every point to roundoff; :func:`evaluate` is that walk
-at order 1.  Each element goes through exactly the operations of a
-one-point jet: a sum of products is ``math.fsum`` at each point, and
+A jet of order m is one float array of shape (m, points): row k holds
+the Taylor coefficient c_k of a function at every expansion point, and
+the k-th derivative is k! * c_k.  Jet arithmetic is exact
+truncated-series arithmetic in double precision, so one walk of the
+tree on the jet (x0, 1, 0, ...) yields the first m derivatives at every
+point to roundoff; :func:`evaluate` is that walk at order 1.  A sum or
+difference of jets is numpy's, row by row; between arrays ``*`` is the
+elementwise product, and the truncated (Cauchy) product is
+:func:`_jet_mul`.  Each element goes through exactly the operations of
+a one-point jet: a sum of products is ``math.fsum`` at each point, and
 the elementary functions are the math module's, applied element by
 element (the square root, correctly rounded by IEEE 754, is numpy's).
-An array of points therefore gives, bit for bit, what each
-point gives alone.
+An array of points therefore gives, bit for bit, what each point gives
+alone.
 
 The trees come from :mod:`dmint.expr`, the package's one grammar.
 """
@@ -23,7 +25,6 @@ import math
 import numpy as np
 
 from .expr import BinOp, Call, Expr, Neg, Num, PiConst, Pow, Var, to_text
-from .symseries import _power
 
 
 class ExprDomainError(ValueError):
@@ -38,61 +39,19 @@ class ExprDomainError(ValueError):
 
 
 # -- jets --------------------------------------------------------------------
+# No jet function writes into an operand: one jet of x serves every x of
+# the tree.
 
 
-class Jet:
-    """Truncated Taylor coefficients c_0..c_{m-1} at many expansion points.
-
-    Every coefficient is a 1-D float array with one element per point, and
-    every element goes through exactly the operations of a scalar jet.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def variable(cls, x0, order: int) -> "Jet":
-        """The jet (x0, 1, 0, ...) at a point or at every element of an array."""
-        x = np.asarray(x0, dtype=float).ravel()
-        return cls([x, np.ones_like(x)][:order] + [np.zeros_like(x)] * (order - 2))
-
-    @classmethod
-    def constant(cls, value: float, order: int, size: int) -> "Jet":
-        coeffs = [np.full(size, float(value))]
-        if order > 1:
-            coeffs += [np.zeros(size)] * (order - 1)
-        return cls(coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def size(self) -> int:
-        return len(self.coeffs[0])
-
-    def __add__(self, other: "Jet") -> "Jet":
-        return Jet(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        return Jet(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "Jet":
-        return Jet(-a for a in self.coeffs)
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        a, b = self.coeffs, other.coeffs
-        return Jet(_fsum([a[i] * b[k - i] for i in range(k + 1)])
-                   for k in range(len(a)))
-
-    def __repr__(self):
-        return "Jet(%r)" % (self.coeffs,)
+def _constant(value, like: np.ndarray) -> np.ndarray:
+    """The jet (float(value), 0, 0, ...) of the shape of ``like``."""
+    out = np.zeros_like(like)
+    out[0] = float(value)
+    return out
 
 
-def _fsum(terms):
-    """``math.fsum`` at each point over a list of coefficient arrays.
+def _fsum(terms: np.ndarray):
+    """``math.fsum`` over the rows of ``terms``, at each point (column).
 
     One term gives ``term + 0.0``, which is what fsum gives (it maps -0.0
     to 0.0); no terms give 0.0.  Two terms whose sum is finite everywhere
@@ -101,14 +60,13 @@ def _fsum(terms):
     and on inf - inf.
     """
     if len(terms) < 2:
-        return terms[0] + 0.0 if terms else 0.0
+        return terms[0] + 0.0 if len(terms) else 0.0
     if len(terms) == 2:
         total = terms[0] + terms[1]
         if np.isfinite(total).all():
             total += 0.0
             return total
-    columns = zip(*[term.tolist() for term in terms])
-    return np.fromiter(map(math.fsum, columns), float, len(terms[0]))
+    return np.fromiter(map(math.fsum, terms.T.tolist()), float, terms.shape[1])
 
 
 def _apply(fn, value):
@@ -121,60 +79,75 @@ def _apply(fn, value):
     return np.fromiter(map(fn, value.tolist()), float, value.size)
 
 
-def _jet_div(a: Jet, b: Jet) -> Jet:
-    if (b.coeffs[0] == 0.0).any():
+def _jet_mul(a, b):
+    """The truncated product: c_k is the fsum of a_i * b_(k-i), i = 0..k."""
+    out = np.empty_like(a)
+    for k in range(len(a)):
+        out[k] = _fsum(a[:k + 1] * b[k::-1])
+    return out
+
+
+def _jet_div(a, b):
+    if (b[0] == 0.0).any():
         raise ZeroDivisionError("division by zero")
-    out = []
-    for k in range(a.order):
-        acc = a.coeffs[k] - _fsum([out[i] * b.coeffs[k - i] for i in range(k)])
-        out.append(acc / b.coeffs[0])
-    return Jet(out)
+    out = np.empty_like(a)
+    for k in range(len(a)):
+        out[k] = (a[k] - _fsum(out[:k] * b[k:0:-1])) / b[0]
+    return out
 
 
-def _jet_exp(u: Jet) -> Jet:
-    out = [_apply(math.exp, u.coeffs[0])]
-    for k in range(1, u.order):
-        out.append(_fsum([j * u.coeffs[j] * out[k - j] for j in range(1, k + 1)]) / k)
-    return Jet(out)
+def _jet_exp(u):
+    ju = np.arange(len(u))[:, None] * u  # row j is j * u_j
+    out = np.empty_like(u)
+    out[0] = _apply(math.exp, u[0])
+    for k in range(1, len(u)):
+        out[k] = _fsum(ju[1:k + 1] * out[k - 1::-1]) / k
+    return out
 
 
-def _jet_log(u: Jet) -> Jet:
-    if (u.coeffs[0] <= 0.0).any():
+def _jet_log(u):
+    if (u[0] <= 0.0).any():
         raise ValueError("log of a non-positive value")
-    out = [_apply(math.log, u.coeffs[0])]
-    for k in range(1, u.order):
-        acc = k * u.coeffs[k] - _fsum([j * out[j] * u.coeffs[k - j] for j in range(1, k)])
-        out.append(acc / (k * u.coeffs[0]))
-    return Jet(out)
+    out = np.empty_like(u)
+    out[0] = _apply(math.log, u[0])
+    for k in range(1, len(u)):
+        acc = k * u[k] - _fsum(np.arange(1, k)[:, None] * out[1:k] * u[k - 1:0:-1])
+        out[k] = acc / (k * u[0])
+    return out
 
 
-def _jet_sin_cos(u: Jet, sin_order: int, cos_order: int) -> tuple[Jet, Jet]:
+def _jet_sin_cos(u, sin_order: int, cos_order: int):
     """sin(u) to ``sin_order`` coefficients and cos(u) to ``cos_order``.
 
     Coefficient k of either reads the other only below k, so a caller that
     needs one of them to order K asks for the other to order K - 1.
     """
-    s = [_apply(math.sin, u.coeffs[0])] if sin_order else []
-    c = [_apply(math.cos, u.coeffs[0])] if cos_order else []
+    ju = np.arange(len(u))[:, None] * u  # row j is j * u_j
+    s = np.empty((sin_order, u.shape[1]))
+    c = np.empty((cos_order, u.shape[1]))
+    if sin_order:
+        s[0] = _apply(math.sin, u[0])
+    if cos_order:
+        c[0] = _apply(math.cos, u[0])
     for k in range(1, max(sin_order, cos_order)):
         if k < sin_order:
-            s.append(_fsum([j * u.coeffs[j] * c[k - j] for j in range(1, k + 1)]) / k)
+            s[k] = _fsum(ju[1:k + 1] * c[k - 1::-1]) / k
         if k < cos_order:
-            c.append(-_fsum([j * u.coeffs[j] * s[k - j] for j in range(1, k + 1)]) / k)
-    return Jet(s), Jet(c)
+            c[k] = -_fsum(ju[1:k + 1] * s[k - 1::-1]) / k
+    return s, c
 
 
-def _jet_sqrt(u: Jet) -> Jet:
-    if (u.coeffs[0] < 0.0).any():
+def _jet_sqrt(u):
+    if (u[0] < 0.0).any():
         raise ValueError("sqrt of a negative value")
+    out = np.empty_like(u)
     # IEEE 754 rounds a square root correctly, so numpy's is the math module's.
-    out = [np.sqrt(u.coeffs[0])]
-    if u.order > 1 and (out[0] == 0.0).any():
+    out[0] = np.sqrt(u[0])
+    if len(u) > 1 and (out[0] == 0.0).any():
         raise ValueError("sqrt is not differentiable at 0")
-    for k in range(1, u.order):
-        acc = u.coeffs[k] - _fsum([out[i] * out[k - i] for i in range(1, k)])
-        out.append(acc / (2.0 * out[0]))
-    return Jet(out)
+    for k in range(1, len(u)):
+        out[k] = (u[k] - _fsum(out[1:k] * out[k - 1:0:-1])) / (2.0 * out[0])
+    return out
 
 
 # sinc(z) = sin(z)/z continued by 1 at z = 0.  Near zero the quotient form
@@ -183,41 +156,39 @@ def _jet_sqrt(u: Jet) -> Jet:
 _SINC_TERMS = [(-1.0) ** n / math.factorial(2 * n + 1) for n in range(12)]
 
 
-def _jet_sinc(u: Jet) -> Jet:
+def _jet_sinc(u):
     # Each point takes its own branch; grid points often all take the quotient.
-    big = abs(u.coeffs[0]) >= 0.5
+    big = abs(u[0]) >= 0.5
     if big.all():
         return _sinc_quotient(u)
-    quotient = _sinc_quotient(Jet(c[big] for c in u.coeffs))
-    series = _sinc_series(Jet(c[~big] for c in u.coeffs))
-    out = [np.empty(u.size) for _ in range(u.order)]
-    for c, q, s in zip(out, quotient.coeffs, series.coeffs):
-        c[big], c[~big] = q, s
-    return Jet(out)
+    out = np.empty_like(u)
+    out[:, big] = _sinc_quotient(u[:, big])
+    out[:, ~big] = _sinc_series(u[:, ~big])
+    return out
 
 
-def _sinc_quotient(u: Jet) -> Jet:
-    s, _ = _jet_sin_cos(u, u.order, u.order - 1)
+def _sinc_quotient(u):
+    s, _ = _jet_sin_cos(u, len(u), len(u) - 1)
     return _jet_div(s, u)
 
 
-def _sinc_series(u: Jet) -> Jet:
-    square = u * u
-    acc = Jet.constant(_SINC_TERMS[-1], u.order, u.size)
+def _sinc_series(u):
+    square = _jet_mul(u, u)
+    acc = _constant(_SINC_TERMS[-1], u)
     for coeff in reversed(_SINC_TERMS[:-1]):
         # acc * square plus the constant jet (coeff, 0, 0, ...).  Adding its
         # zero coefficients would only map -0.0 to 0.0, which the product's
         # fsum has done already.
-        acc = acc * square
-        acc.coeffs[0] += coeff
+        acc = _jet_mul(acc, square)
+        acc[0] += coeff
     return acc
 
 
 # The one operation of each operator and named function.
 _JET_OPS = {
-    "+": Jet.__add__, "-": Jet.__sub__, "*": Jet.__mul__, "/": _jet_div,
-    "sin": lambda u: _jet_sin_cos(u, u.order, u.order - 1)[0],
-    "cos": lambda u: _jet_sin_cos(u, u.order - 1, u.order)[1],
+    "+": np.add, "-": np.subtract, "*": _jet_mul, "/": _jet_div,
+    "sin": lambda u: _jet_sin_cos(u, len(u), len(u) - 1)[0],
+    "cos": lambda u: _jet_sin_cos(u, len(u) - 1, len(u))[1],
     "exp": _jet_exp,
     "log": _jet_log,
     "sqrt": _jet_sqrt,
@@ -225,7 +196,7 @@ _JET_OPS = {
 }
 
 
-def _jet_pow(u: Jet, e) -> Jet:
+def _jet_pow(u, e):
     """u**e for a rational e; raises only the reason it fails.
 
     An integer e is square and multiply on 1 * u, about 2*log2|e| jet
@@ -238,33 +209,41 @@ def _jet_pow(u: Jet, e) -> Jet:
     ("fractional power of a non-positive value") and OverflowError.
     """
     if e.denominator != 1:
-        if (u.coeffs[0] <= 0.0).any():
+        if (u[0] <= 0.0).any():
             raise ValueError("fractional power of a non-positive value")
-        return _jet_exp(Jet.constant(float(e), u.order, u.size) * _jet_log(u))
-    one = Jet.constant(1.0, u.order, u.size)
+        return _jet_exp(_jet_mul(_constant(e, u), _jet_log(u)))
+    one = _constant(1.0, u)
     k = abs(e.numerator)
+    if not k:
+        return one
     # The factor is 1 * u, the first product of multiplying k times onto 1;
-    # from k = 1 on, square and multiply never makes the identity.
-    power = _power(one * u, k, None) if k else one
-    if e >= 0:
+    # square and multiply never multiplies by the identity after it.
+    power, factor = None, _jet_mul(one, u)
+    while k:
+        if k & 1:
+            power = factor if power is None else _jet_mul(power, factor)
+        k >>= 1
+        if k:
+            factor = _jet_mul(factor, factor)
+    if e > 0:
         return power
-    if (power.coeffs[0] == 0.0).any():
+    if (power[0] == 0.0).any():
         raise ZeroDivisionError("zero raised to a negative power")
     return _jet_div(one, power)
 
 
-def _jet_eval(node: Expr, x: Jet) -> Jet:
+def _jet_eval(node: Expr, x: np.ndarray) -> np.ndarray:
     # The operands first, outside the try: an operand's ExprDomainError
     # passes as it is, and what this node's one operation raises names it.
     if isinstance(node, Var):
         return x
     if isinstance(node, (Num, PiConst)):
         value = math.pi if isinstance(node, PiConst) else node.value
-        op, args = Jet.constant, (value, x.order, x.size)
+        op, args = _constant, (value, x)
     elif isinstance(node, BinOp):
         op, args = _JET_OPS[node.op], (_jet_eval(node.left, x), _jet_eval(node.right, x))
     elif isinstance(node, Neg):
-        op, args = Jet.__neg__, (_jet_eval(node.operand, x),)
+        op, args = np.negative, (_jet_eval(node.operand, x),)
     elif isinstance(node, Pow):
         op, args = _jet_pow, (_jet_eval(node.base, x), node.exponent)
     elif isinstance(node, Call):
@@ -304,8 +283,11 @@ def derivatives(ast: Expr, x0, count: int):
     if count < 1:
         raise ValueError("count must be at least 1")
     with np.errstate(all="ignore"):
-        coeffs = _jet_eval(ast, Jet.variable(x0, count)).coeffs
-        rows = np.array([_factorial(k) * c for k, c in enumerate(coeffs)])
+        points = np.asarray(x0, dtype=float).ravel()
+        x = np.zeros((count, points.size))  # the jet (x0, 1, 0, ...)
+        x[0], x[1:2] = points, 1.0
+        factorials = np.array([_factorial(k) for k in range(count)])[:, None]
+        rows = factorials * _jet_eval(ast, x)
     return rows[:, 0].tolist() if np.ndim(x0) == 0 else rows
 
 

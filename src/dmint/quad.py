@@ -27,7 +27,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
 
 
 class QuadratureError(ValueError):
@@ -130,10 +129,10 @@ def _gauss_legendre(q):
 
 # (nodes, weights) of the 32-point rule, which gives every panel's value.
 _RULE = _gauss_legendre(32)
-# Row k - 28 is (2k+1)/2 * P_k at the nodes, k = 28..31.  The rule is exact
-# on P_j*P_k for j + k <= 63, so the products w*f(x) times its transpose
-# are the top four Legendre coefficients of f's interpolant on the panel.
-_TAIL = (np.arange(28, 32) + 0.5)[:, None] * legvander(_RULE[0], 31)[:, 28:].T
+# Row k - 28 is (2k+1)/2 * P_k at the nodes, k = 28..31, by the recurrence.
+# The rule is exact on P_j*P_k for j + k <= 63, so the products w*f(x) times
+# its transpose are the top four Legendre coefficients of f's interpolant.
+_TAIL = np.array([(k + 0.5) * _legendre(k, _RULE[0])[0] for k in range(28, 32)])
 
 
 def _values(f, x):

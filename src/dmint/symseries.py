@@ -29,11 +29,12 @@ class RationalParseError(ValueError):
     """A rational-function string that does not follow the text format."""
 
 
-# The largest power that rational text may build, estimated from its base
-# before it is built: at most _MAX_POWER_TERMS terms in its numerator or
-# denominator, and at most _MAX_POWER_BITS coefficient bits in all (terms
-# times the bits of the largest).  Near the bounds a power takes about 1 s
-# (x86-64): (x+1)^499, 500 terms of up to 499 bits, takes 0.8 s.
+# The largest power or product that rational text may build, estimated from
+# its base or its factors before it is built: at most _MAX_POWER_TERMS terms
+# in its numerator or denominator, and at most _MAX_POWER_BITS coefficient
+# bits in all (terms times the bits of the largest).  Near the bounds a
+# power takes about 1 s (x86-64): (x+1)^499, 500 terms of up to 499 bits,
+# takes 0.8 s.
 _MAX_POWER_TERMS = 500
 _MAX_POWER_BITS = 1_000_000
 
@@ -595,24 +596,55 @@ def _integer_root(value: int, degree: int) -> int:
     return root
 
 
+def _size(p: GeneralizedPolynomial) -> tuple[int, int]:
+    """A nonzero polynomial's terms less one, and its coefficient bits.
+
+    The bits are those of its largest coefficient plus log2 of its terms,
+    which bounds the growth of a coefficient through one product.
+    """
+    spread = len(p.terms) - 1
+    largest = max(max(abs(c.numerator), c.denominator) for c in p.terms.values())
+    return spread, largest.bit_length() - 1 + spread.bit_length()
+
+
+def _check_size(spread: int, bits: int, what: str, node: expr.Expr) -> None:
+    terms = spread + 1
+    if terms > _MAX_POWER_TERMS or terms * bits > _MAX_POWER_BITS:
+        raise RationalParseError(
+            "%s too large in '%s': about %d terms and %d coefficient bits, "
+            "beyond %d terms or %d bits" % (what, expr.to_text(node), terms, terms * bits,
+                                           _MAX_POWER_TERMS, _MAX_POWER_BITS))
+
+
+def _parts(value) -> tuple:
+    if isinstance(value, GeneralizedPolynomial):
+        return (value,)
+    return value.numerator, value.denominator
+
+
 def _check_power(value, k: int, node: expr.Expr) -> None:
     """Refuse value**k (k >= 0) before it is built if it would be too large.
 
     A base of t terms gives about k*(t-1)+1 terms, each with about k times
     the bits of the base's largest coefficient, plus log2(t).
     """
-    for p in ((value,) if isinstance(value, GeneralizedPolynomial)
-              else (value.numerator, value.denominator)):
+    for p in _parts(value):
         if p.terms:
-            spread = len(p.terms) - 1
-            largest = max(max(abs(c.numerator), c.denominator) for c in p.terms.values())
-            terms = k * spread + 1
-            bits = terms * k * (largest.bit_length() - 1 + spread.bit_length())
-            if terms > _MAX_POWER_TERMS or bits > _MAX_POWER_BITS:
-                raise RationalParseError(
-                    "power too large in '%s': about %d terms and %d coefficient bits, "
-                    "beyond %d terms or %d bits" % (expr.to_text(node), terms, bits,
-                                                   _MAX_POWER_TERMS, _MAX_POWER_BITS))
+            spread, bits = _size(p)
+            _check_size(k * spread, k * bits, "power", node)
+
+
+def _check_product(left, right, node: expr.Expr) -> None:
+    """Refuse left*right before it is built if it would be too large.
+
+    Numerator meets numerator and denominator meets denominator; a product
+    of polynomials has about the sum of their spreads plus one terms, each
+    with about the sum of their coefficient bits.
+    """
+    for p, q in zip(_parts(left), _parts(right)):
+        if p.terms and q.terms:
+            (p_spread, p_bits), (q_spread, q_bits) = _size(p), _size(q)
+            _check_size(p_spread + q_spread, p_bits + q_bits, "product", node)
 
 
 def _monomial_power(base, exponent: Fraction, node: expr.Expr) -> GeneralizedPolynomial:
@@ -679,6 +711,7 @@ def _lower(node: expr.Expr):
         elif op.op == "-":
             value = value - rhs
         elif op.op == "*":
+            _check_product(value, rhs, op)
             value = value * rhs
         elif rhs.is_zero:
             raise RationalParseError("division by zero in '%s'" % expr.to_text(op))

@@ -510,6 +510,13 @@ def test_oversized_power_exit_2(capsys, argv):
                    "and 10000100000 coefficient bits, beyond 500 terms or 1000000 bits\n")
 
 
+def test_oversized_product_exit_2(capsys):
+    code, out, err = run(capsys, "compose", "--p=(x+1)^250*(x+1)^251", "--g=x")
+    assert code == 2 and out == ""
+    assert err == ("parse error: product too large in '(x+1)^250*(x+1)^251': about 502 "
+                   "terms and 254514 coefficient bits, beyond 500 terms or 1000000 bits\n")
+
+
 class TestSharedParser:
     """main() builds its parser once; no state may carry between calls."""
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -18,7 +19,8 @@ from dmint.expr import (
     parse,
     to_text,
 )
-from dmint.exprtaylor import ExprDomainError, Jet, _fsum, _jet_sqrt, derivatives, evaluate
+from dmint.exprtaylor import ExprDomainError, _fsum, _jet_sqrt, derivatives, evaluate
+from dmint.quad import grid_from_descriptor
 
 from support import bell_eval, exact_poly_derivatives, fd5_first, fd5_second
 
@@ -208,6 +210,27 @@ class TestIntegerPowers:
         assert [v.hex() for v in cube.ravel()] == [v.hex() for v in product.ravel()]
 
 
+class TestPortableBits:
+    # Sums, products, quotients, integer powers and sqrt take only IEEE 754
+    # operations and math.fsum, which no libm moves, so these rows hash the
+    # same on every platform.  The array-vs-point tests compare two paths of
+    # the same jet code; this one sees a regrouped product, such as a power
+    # |e| >= 4 taken another way than square and multiply.
+    SOURCES = ("1/(1+x^2)", "(2+x)^(-7)", "sqrt(1+x^2)*x^5", "(x-3)^4/(x^2+1)^5",
+               "x^13-2*x^6+1", "-(1-x)^9/(x+2)^5")
+
+    def test_derivative_rows_hash(self):
+        points = np.array(grid_from_descriptor("linear:1.6", 91).points)
+        digest = hashlib.sha256()
+        for source in self.SOURCES:
+            node = parse(source)
+            for count in range(1, 7):
+                rows = derivatives(node, points, count)
+                digest.update(" ".join(v.hex() for v in rows.ravel().tolist()).encode())
+        assert digest.hexdigest() == (
+            "8d6dcbd240f315de6fcf5c68a23b44d857076ddfe1787b1db6d4cad7326bb47f")
+
+
 class TestEvaluate:
     def test_sinc_at_zero(self):
         assert evaluate(parse("sinc(x)"), 0.0) == 1.0
@@ -364,7 +387,7 @@ class TestTwoTermFsum:
 
     @staticmethod
     def assert_fsum_bits(a, b):
-        got = _fsum([np.array(a), np.array(b)])
+        got = _fsum(np.array([a, b]))
         assert [v.hex() for v in got.tolist()] == [
             math.fsum((x, y)).hex() for x, y in zip(a, b)]
 
@@ -392,7 +415,7 @@ class TestTwoTermFsum:
         a = [math.inf, -math.inf, math.nan, 1.0, math.inf]
         b = [1.0, 2.0, 1.0, 2.0, math.inf]
         with np.errstate(invalid="ignore"):
-            got = _fsum([np.array(a), np.array(b)])
+            got = _fsum(np.array([a, b]))
         assert [repr(v) for v in got.tolist()] == [
             repr(math.fsum((x, y))) for x, y in zip(a, b)]
 
@@ -405,7 +428,7 @@ class TestTwoTermFsum:
         with pytest.raises(error) as expected:
             math.fsum((a, b))
         with np.errstate(all="ignore"), pytest.raises(error) as got:
-            _fsum([np.array([1.0, a]), np.array([2.0, b])])
+            _fsum(np.array([[1.0, a], [2.0, b]]))
         assert str(got.value) == str(expected.value)
 
 
@@ -416,7 +439,7 @@ class TestJetSqrt:
                   + [10.0 ** rng.uniform(-320.0, 308.0) for _ in range(1000)]
                   + [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072009e-308,
                      1.7976931348623157e308, math.inf, math.nan])
-        got = _jet_sqrt(Jet.variable(np.array(values), 1)).coeffs[0]
+        got = _jet_sqrt(np.array([values]))[0]
         assert [v.hex() for v in got.tolist()] == [math.sqrt(v).hex() for v in values]
 
 

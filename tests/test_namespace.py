@@ -17,7 +17,7 @@ PUBLIC_NAMES = (
     "l_matrix",
     "B1Report", "CompositionResult", "OdeCoefficients", "OrderBounds",
     "compose_ode", "order_bounds", "rho_bounds", "verify_b1_membership",
-    "ExprDomainError", "ExprSyntaxError", "Jet", "derivatives", "evaluate", "parse",
+    "ExprDomainError", "ExprSyntaxError", "derivatives", "evaluate", "parse",
     "CumulativeIntegrals", "QuadratureError", "SampleGrid", "cumulative",
     "grid_from_descriptor",
     "ExtrapolationTable", "SingularSystemError",
@@ -80,6 +80,23 @@ def test_import_loads_no_submodule():
         """)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "['dmint']\n['dmint', 'dmint.expr']\nFalse\n"
+
+
+def test_numeric_half_loads_no_exact_arithmetic():
+    # Jets and the quadrature rule need numpy's arrays only: the numeric
+    # half loads neither the exact half nor numpy.polynomial.
+    result = run_python("""
+        import sys
+        import numpy
+        before = set(sys.modules)
+        import dmint.dtransform
+        loaded = set(sys.modules) - before
+        print(sorted(m for m in loaded if m.startswith("dmint")))
+        print(sorted(m for m in loaded if m.startswith("numpy.polynomial")))
+        """)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ("['dmint', 'dmint.dtransform', 'dmint.expr', "
+                             "'dmint.exprtaylor', 'dmint.quad']\n[]\n")
 
 
 def test_exact_half_runs_without_numpy():

@@ -489,6 +489,27 @@ class TestTextFormat:
         assert R("2^%d" % bits).numerator.terms == {0: 2 ** bits}
         assert R("x^1000000000") == X ** 1000000000
 
+    def test_oversized_product_refused_before_it_is_built(self):
+        # A product of polynomials is estimated from its factors: the sum of
+        # their spreads plus one terms, each with the sum of their bits;
+        # numerator meets numerator and denominator meets denominator.
+        terms, bits = symseries._MAX_POWER_TERMS, symseries._MAX_POWER_BITS
+        for text, node, size in (
+                ("(x+1)^250*(x+1)^250*(x+1)^250*(x+1)^250", "(x+1)^250*(x+1)^250",
+                 "501 terms and 253506 coefficient bits"),
+                ("1/(x+1)^300*(1/(x+1)^300)", "1/(x+1)^300*(1/(x+1)^300)",
+                 "601 terms and 365408 coefficient bits"),
+                ("3^1000000*3^1000000", "3^1000000*3^1000000",
+                 "1 terms and 3169924 coefficient bits")):
+            start = time.perf_counter()
+            with pytest.raises(RationalParseError) as info:
+                parse_rational(text)
+            assert time.perf_counter() - start < 1.0
+            assert str(info.value) == ("product too large in '%s': about %s, beyond %d "
+                                       "terms or %d bits" % (node, size, terms, bits))
+        # Inside the bounds: the largest product of powers of x+1.
+        assert len(R("(x+1)^249*(x+1)^250").numerator.terms) == terms
+
     def test_fractional_power_requires_monomial(self):
         assert parse_rational("x^(3/2)") == R("x") * R("sqrt(x)")
         assert parse_rational("sqrt(4*x^2)") == R("2*x")

@@ -29,6 +29,8 @@ step, with the same operations on every element.  A sequence whose sweep
 divides by zero (at a sample where the integrand vanishes, say) is solved
 instead by one exact fraction-free elimination (Bareiss, Math. Comp. 22,
 1968) of the same entries, which also decides whether a window is singular.
+A sample at which every unknown's row is 0 reads F(x_l) = D, so it would
+fix D in every window that holds it: such a sequence is refused.
 """
 
 from __future__ import annotations
@@ -244,7 +246,8 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     are assembled once, in the i-major order, and one double-double FS
     sweep over them gives D for every window.  If the sweep divides by
     zero or by a non-finite value, one exact elimination over the same rows
-    solves every window instead.  A window whose exact matrix is singular
+    solves every window instead.  A window whose exact matrix is singular,
+    or the first window holding a sample at which every unknown's row is 0,
     raises :class:`SingularSystemError` carrying its ``nu``, the smallest
     that fails.  This is :func:`d_sequences` with one member.
     """
@@ -344,6 +347,17 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
     tables = []
     for (ast, grid, reference, F), g, rhs, values in zip(sampled, rows, rhss, swept):
         if values is None:
+            # A sample where every unknown's row is 0 reads F(x_l) = D, so
+            # it fixes D in every window that holds it (and breaks the sweep).
+            zero = np.flatnonzero(~g.any(axis=0))
+            if nu_max and zero.size:
+                nu = max(1, -(-int(zero[0]) // m))
+                # An earlier, or the same, singular window keeps its error.
+                _exact_d(g[:m * nu, :m * nu + 1], rhs[:m * nu + 1], m)
+                x = grid.points[j + zero[0]]
+                raise SingularSystemError(
+                    "window nu=%d: every unknown's row vanishes at the sample x=%r, which "
+                    "fixes D = F(%r); another grid avoids it" % (nu, x, x), nu)
             values = _exact_d(g, rhs, m)
         entries = []
         for nu, d_value in enumerate(values):

@@ -32,9 +32,10 @@ class RationalParseError(ValueError):
 # The largest power or product that rational text may build, estimated from
 # its base or its factors before it is built: at most _MAX_POWER_TERMS terms
 # in its numerator or denominator, and at most _MAX_POWER_BITS coefficient
-# bits in all (terms times the bits of the largest).  Near the bounds a
-# power takes about 1 s (x86-64): (x+1)^499, 500 terms of up to 499 bits,
-# takes 0.8 s.
+# bits in all (terms times the bits of the largest), unless it is no larger
+# than its base or its larger factor, which the text already holds.  Near
+# the bounds a power takes about 1 s (x86-64): (x+1)^499, 500 terms of up
+# to 499 bits, takes 0.8 s.
 _MAX_POWER_TERMS = 500
 _MAX_POWER_BITS = 1_000_000
 
@@ -596,55 +597,37 @@ def _integer_root(value: int, degree: int) -> int:
     return root
 
 
-def _size(p: GeneralizedPolynomial) -> tuple[int, int]:
-    """A nonzero polynomial's terms less one, and its coefficient bits.
+def _check_size(what: str, node: expr.Expr, k: int, *operands) -> None:
+    """Refuse operand**k, or the product of two operands (k = 1), before it
+    is built, where it would be too large and larger than its base or its
+    larger factor, on the same measure.
 
-    The bits are those of its largest coefficient plus log2 of its terms,
-    which bounds the growth of a coefficient through one product.
+    Numerator meets numerator and denominator meets denominator.  A
+    polynomial of t terms has spread t-1, and as coefficient bits those of
+    its largest coefficient plus log2(t), which bounds the growth of a
+    coefficient through one product.  The result has about k times the sum
+    of the spreads, plus one, terms, each with about k times the sum of the
+    bits.  Its size is measured as terms, and as terms times bits.
     """
-    spread = len(p.terms) - 1
-    largest = max(max(abs(c.numerator), c.denominator) for c in p.terms.values())
-    return spread, largest.bit_length() - 1 + spread.bit_length()
-
-
-def _check_size(spread: int, bits: int, what: str, node: expr.Expr) -> None:
-    terms = spread + 1
-    if terms > _MAX_POWER_TERMS or terms * bits > _MAX_POWER_BITS:
-        raise RationalParseError(
-            "%s too large in '%s': about %d terms and %d coefficient bits, "
-            "beyond %d terms or %d bits" % (what, expr.to_text(node), terms, terms * bits,
-                                           _MAX_POWER_TERMS, _MAX_POWER_BITS))
-
-
-def _parts(value) -> tuple:
-    if isinstance(value, GeneralizedPolynomial):
-        return (value,)
-    return value.numerator, value.denominator
-
-
-def _check_power(value, k: int, node: expr.Expr) -> None:
-    """Refuse value**k (k >= 0) before it is built if it would be too large.
-
-    A base of t terms gives about k*(t-1)+1 terms, each with about k times
-    the bits of the base's largest coefficient, plus log2(t).
-    """
-    for p in _parts(value):
-        if p.terms:
-            spread, bits = _size(p)
-            _check_size(k * spread, k * bits, "power", node)
-
-
-def _check_product(left, right, node: expr.Expr) -> None:
-    """Refuse left*right before it is built if it would be too large.
-
-    Numerator meets numerator and denominator meets denominator; a product
-    of polynomials has about the sum of their spreads plus one terms, each
-    with about the sum of their coefficient bits.
-    """
-    for p, q in zip(_parts(left), _parts(right)):
-        if p.terms and q.terms:
-            (p_spread, p_bits), (q_spread, q_bits) = _size(p), _size(q)
-            _check_size(p_spread + q_spread, p_bits + q_bits, "product", node)
+    for polys in zip(*[(v,) if isinstance(v, GeneralizedPolynomial)
+                       else (v.numerator, v.denominator) for v in operands]):
+        terms, bits, base_terms, base_size = 1, 0, 0, 0
+        for p in polys:
+            t = len(p.terms)
+            if not t:
+                break
+            largest = max(max(abs(c.numerator), c.denominator) for c in p.terms.values())
+            b = largest.bit_length() - 1 + (t - 1).bit_length()
+            terms, bits = terms + k * (t - 1), bits + k * b
+            base_terms, base_size = max(base_terms, t), max(base_size, t * b)
+        else:
+            if ((terms > _MAX_POWER_TERMS and terms > base_terms)
+                    or (terms * bits > _MAX_POWER_BITS and terms * bits > base_size)):
+                raise RationalParseError(
+                    "%s too large in '%s': about %d terms and %d coefficient bits, "
+                    "beyond %d terms or %d bits" % (what, expr.to_text(node), terms,
+                                                   terms * bits, _MAX_POWER_TERMS,
+                                                   _MAX_POWER_BITS))
 
 
 def _monomial_power(base, exponent: Fraction, node: expr.Expr) -> GeneralizedPolynomial:
@@ -661,7 +644,7 @@ def _monomial_power(base, exponent: Fraction, node: expr.Expr) -> GeneralizedPol
     (n, c), = base.terms.items()
     q = exponent.denominator
     root = Fraction(_integer_root(c.numerator, q), _integer_root(c.denominator, q))
-    _check_power(GeneralizedPolynomial.constant(root), abs(exponent.numerator), node)
+    _check_size("power", node, abs(exponent.numerator), GeneralizedPolynomial.constant(root))
     coeff = root ** exponent.numerator
     e = Fraction(n, base.step_denominator) * exponent
     return GeneralizedPolynomial.monomial(coeff, e.numerator, e.denominator)
@@ -694,7 +677,7 @@ def _lower(node: expr.Expr):
             raise RationalParseError(
                 "negative power of zero in '%s'" % expr.to_text(node))
         else:
-            _check_power(value, abs(k), node)
+            _check_size("power", node, abs(k), value)
             if k < 0 and isinstance(value, GeneralizedPolynomial):
                 value = GeneralizedRational(GeneralizedPolynomial.one(), value ** -k)
             else:
@@ -711,7 +694,7 @@ def _lower(node: expr.Expr):
         elif op.op == "-":
             value = value - rhs
         elif op.op == "*":
-            _check_product(value, rhs, op)
+            _check_size("product", op, 1, value, rhs)
             value = value * rhs
         elif rhs.is_zero:
             raise RationalParseError("division by zero in '%s'" % expr.to_text(op))

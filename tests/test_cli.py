@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -59,6 +60,20 @@ class TestReproduceTable:
             monkeypatch.setattr(dtransform, name, counting)
         assert run(capsys, "reproduce-table")[0] == 0
         assert calls == {"_fs_sweep": 1, "derivatives": 2}
+
+    def test_each_d_value_is_its_integrand_alone(self, capsys):
+        # reproduce-table sweeps f and phi together; each D_value, as
+        # printed, is the one accelerate gives for that integrand alone.
+        code, out, err = run(capsys, "reproduce-table", "--format", "csv")
+        assert code == 0 and err == ""
+        table = list(csv.DictReader(io.StringIO(out)))
+        for name in ("f", "phi"):
+            code, out, err = run(capsys, "accelerate", "--integrand", name,
+                                 "--nu-max", "10", "--format", "csv")
+            assert code == 0 and err == ""
+            alone = [row["D_value"] for row in csv.DictReader(io.StringIO(out))]
+            assert len(alone) == 11
+            assert [row["D_value"] for row in table if row["integrand"] == name] == alone
 
     def test_unwritable_output_exit_3(self, capsys, tmp_path):
         target = tmp_path / "missing" / "table.txt"
@@ -193,6 +208,16 @@ class TestCheckB1:
         assert "integer_step: no" in out
         assert "member: no" in out
 
+    def test_root_of_large_degree_exit_2(self, capsys):
+        # The root of degree 10^9 is found without building 2^(10^9 - 1),
+        # so the grid refusal comes at once.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-b1", "--f=x^(1/1000000000)")
+        assert time.perf_counter() - start < 10
+        assert code == 2 and out == ""
+        assert err == ("parse error: check-b1 accepts exponent grids no finer than 1/2, "
+                       "got 1/1000000000\n")
+
     def test_power_function(self, capsys):
         code, out, err = run(capsys, "check-b1", "--f=x^(-2)")
         assert code == 0
@@ -282,7 +307,7 @@ class TestAccelerate:
         code, out, err = run(capsys, "accelerate", "--integrand", "0",
                              "--m", "2", "--grid", "linear:1.0", "--nu-max", "3")
         assert code == 4 and out == ""
-        assert "nu=1" in err
+        assert err == "numerical failure: window nu=1: matrix has a zero or non-finite column\n"
 
     @pytest.mark.parametrize("argv, detail", [
         (("--integrand", "exp(x^2)*exp(-x^2)", "--m", "1", "--grid", "linear:10",
@@ -325,6 +350,20 @@ class TestAccelerate:
         assert code == 4 and out == ""
         assert err == "numerical failure: %s\n" % detail
 
+    @pytest.mark.parametrize("integrand, m, x", [
+        ("(x-2)*exp(-x)", "1", "2.0"),
+        ("(x-2)^2*exp(-x)", "2", "2.0"),
+        ("log(x)*exp(-x)", "1", "1.0"),
+    ])
+    def test_vanishing_sample_exit_4(self, capsys, integrand, m, x):
+        # f, ..., f^(m-1) all vanish at the sample x, so every unknown's
+        # row is 0 there and each window holding it would read D = F(x).
+        code, out, err = run(capsys, "accelerate", "--integrand", integrand, "--m", m,
+                             "--grid", "linear:1.0", "--nu-max", "8")
+        assert code == 4 and out == ""
+        assert err == ("numerical failure: window nu=1: every unknown's row vanishes at the "
+                       "sample x=%s, which fixes D = F(%s); another grid avoids it\n" % (x, x))
+
     @pytest.mark.parametrize("argv, detail", [
         (("--integrand", "exp(-x)", "--m", "0", "--grid", "linear:1.0"),
          "m must be at least 1"),
@@ -336,9 +375,23 @@ class TestAccelerate:
         (("--integrand", "exp(-x)", "--m", "172", "--grid", "linear:1.0", "--nu-max", "1"),
          "m must be at most 171, got 172: the derivative rows take k! up to (m-1)!, "
          "beyond the float range"),
+        # An oversized system or start index, refused before its grid is built.
+        (("--integrand", "exp(-x)", "--m", "1", "--grid", "linear:1.0",
+          "--nu-max", "100000000"),
+         "too many unknowns: m = 1, m*nu_max = 100000000; each must be at most 300"),
+        (("--integrand", "exp(-x)", "--m", "1", "--grid", "linear:1.0", "--nu-max", "2",
+          "--j", "100000000"),
+         "the start index j must be at most 10000, got 100000000"),
+        # A failed quadrature names its first failing panel and node, as
+        # integrating panel after panel would.
+        (("--integrand", "log(3-x)", "--m", "1", "--grid", "linear:1.0", "--nu-max", "3"),
+         "panel 3: integrand failed at node x=3.001368069075259 in panel [3.0, 4.0]: "
+         "log of a non-positive value in 'log(3-x)'"),
     ])
     def test_precondition_messages(self, capsys, argv, detail):
+        start = time.perf_counter()
         code, out, err = run(capsys, "accelerate", *argv)
+        assert time.perf_counter() - start < 10
         assert code == 3 and out == ""
         assert err == "invalid input: %s\n" % detail
 
@@ -457,10 +510,23 @@ class TestOutputFormats:
 
 def run_fresh(*argv):
     """The CLI in a fresh interpreter, so a traceback on stderr cannot go
-    unseen, and a timeout turns a hang into a failure."""
+    unseen, with warnings as errors as in-process, and a timeout turns a
+    hang into a failure."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dmint.__file__)))
-    return subprocess.run([sys.executable, "-m", "dmint.cli", *argv],
+    return subprocess.run([sys.executable, "-W", "error", "-m", "dmint.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_exact_fallback_of_a_long_sequence():
+    # (x-2)*exp(-x) vanishes at the sample x=2 and its derivative does
+    # not: the sweep breaks at its first step and one exact elimination
+    # solves all 21 windows, within the timeout and with no warning.  D at
+    # nu=20 is the integral, -1.
+    result = run_fresh("accelerate", "--integrand", "(x-2)*exp(-x)", "--m", "3",
+                       "--grid", "linear:1.0", "--nu-max", "20", "--format", "csv")
+    assert result.returncode == 0 and result.stderr == ""
+    rows = list(csv.DictReader(io.StringIO(result.stdout)))
+    assert len(rows) == 21 and abs(float(rows[20]["D_value"]) + 1) <= 1e-12
 
 
 DEEP = "(" * 5000 + "x" + ")" * 5000

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from support import exact_first_unknown
 
 PI_HALF = math.pi / 2
 PHI_REF = 2 * math.sqrt(math.pi) / 3
+VANISHING = ("window nu=%d: every unknown's row vanishes at the sample x=%r, which "
+             "fixes D = F(%r); another grid avoids it")
 
 
 def element_loop_system(exponents, nu, samples):
@@ -491,23 +494,27 @@ class TestDSequence:
         d_sequences([("1/(1+x^2)", grid, None), ("(x-2)*exp(-x)", grid, None),
                      ("1/(1+x)^2", grid, None)], 2, 6)
         assert exact_calls == [((12, 13), 13, 2)]
-        for m in (1, 2):
-            exact_calls.clear()
-            table = d_sequence("(x-2)*exp(-x)", grid, m, 6)
-            assert exact_calls == [((6 * m, 6 * m + 1), 6 * m + 1, m)]
-            rows = sample_rows("(x-2)*exp(-x)", grid, m)
-            for nu, entry in enumerate(table.entries):
-                exact = exact_first_unknown(*element_loop_system(friendly_exponents(m), nu, rows))
-                assert entry.d_value == float(exact)
-                if nu == 0:
-                    assert entry.d_value == rows[0][1]
-                elif m == 1:
-                    # The row at x=2 reads F(2) = D.
-                    assert entry.d_value == rows[1][1]
-                elif nu >= 2:
-                    # The model is exact from nu=2: D is the integral, -1.
-                    assert abs(entry.d_value + 1.0) <= 2 * math.ulp(1.0)
+        exact_calls.clear()
+        table = d_sequence("(x-2)*exp(-x)", grid, 2, 6)
+        assert exact_calls == [((12, 13), 13, 2)]
+        rows = sample_rows("(x-2)*exp(-x)", grid, 2)
+        for nu, entry in enumerate(table.entries):
+            exact = exact_first_unknown(*element_loop_system((1, 2), nu, rows))
+            assert entry.d_value == float(exact)
+            if nu == 0:
+                assert entry.d_value == rows[0][1]
+            elif nu >= 2:
+                # The model is exact from nu=2: D is the integral, -1.
+                assert abs(entry.d_value + 1.0) <= 2 * math.ulp(1.0)
         assert table.entries[5].d_value == -1.0
+        # At m=1 the row at x=2 is the sample's only row, so every window
+        # holding it reads F(2) = D: the exact elimination of window 1
+        # finds no singular window, and the sequence is refused there.
+        exact_calls.clear()
+        with pytest.raises(SingularSystemError) as info:
+            d_sequence("(x-2)*exp(-x)", grid, 1, 6)
+        assert exact_calls == [((1, 2), 2, 1)]
+        assert (info.value.nu, str(info.value)) == (1, VANISHING % (1, 2.0, 2.0))
 
     @pytest.mark.parametrize("source, m", [
         ("(x-2)*exp(-x)", 1),
@@ -533,17 +540,28 @@ class TestDSequence:
         nu_max = 24 // m
         grid = grid_from_descriptor("linear:1.0", m * nu_max + 1)
         rows = sample_rows(source, grid, m)
+        # The first sample at which every unknown's row is 0, if any, and
+        # the first window that holds it.
+        full = element_loop_system(friendly_exponents(m), nu_max, rows)[0]
+        vanishing = [l for l, row in enumerate(full[:, 1:]) if not row.any()]
+        refused = max(1, -(-vanishing[0] // m)) if vanishing else None
         expected = []
         for nu in range(nu_max + 1):
             matrix, rhs = element_loop_system(friendly_exponents(m), nu, rows)
             exact = exact_first_unknown(matrix, rhs)
-            if exact is None:
-                with pytest.raises(SingularSystemError) as alone:
-                    real_exact(matrix[:, 1:].T, rhs, max(len(rhs) - 1, 1))
+            if exact is None or nu == refused:
+                if exact is None:
+                    with pytest.raises(SingularSystemError) as alone:
+                        real_exact(matrix[:, 1:].T, rhs, max(len(rhs) - 1, 1))
+                    text = "window nu=%d: %s" % (nu, str(alone.value).split(": ")[1])
+                else:
+                    # The window is regular, and its D is the sample's F.
+                    x, F, _ = rows[vanishing[0]]
+                    assert exact == Fraction(F)
+                    text = VANISHING % (nu, x, x)
                 with pytest.raises(SingularSystemError) as info:
                     d_sequence(source, grid, m, nu_max)
-                assert info.value.nu == nu
-                assert str(info.value) == "window nu=%d: %s" % (nu, str(alone.value).split(": ")[1])
+                assert (info.value.nu, str(info.value)) == (nu, text)
                 break
             expected.append(float(exact))
         else:
@@ -616,12 +634,13 @@ class TestDSequence:
             2, "window nu=2: matrix has a zero or non-finite column")
 
     def test_singular_window_keeps_its_number_and_text(self):
-        # The integrand vanishes at x=2 and x=3, so from nu=2 two rows read
-        # D = F(2) and D = F(3): the exact elimination finds it singular.
+        # The integrand vanishes at x=2 and x=3.  From nu=1 the row at x=2
+        # reads D = F(2), so window 1 is refused, before window 2, where
+        # D = F(3) as well makes the matrix singular.
         with pytest.raises(SingularSystemError) as info:
             d_sequence("(x-2)*(x-3)*exp(-x)", "linear:1.0", 1, 5)
-        assert info.value.nu == 2
-        assert str(info.value) == "window nu=2: matrix is singular"
+        assert info.value.nu == 1
+        assert str(info.value) == VANISHING % (1, 2.0, 2.0)
 
     def test_m_checked_before_sampling(self, monkeypatch):
         def no_quadrature(*args, **kwargs):

@@ -510,6 +510,19 @@ class TestTextFormat:
         # Inside the bounds: the largest product of powers of x+1.
         assert len(R("(x+1)^249*(x+1)^250").numerator.terms) == terms
 
+    def test_no_growth_is_no_refusal(self):
+        # A written-out sum past the term bound is read as it is, and so are
+        # a power and a product of it that grow it on neither measure.
+        t = "+".join("x^%d" % k for k in range(1, 602))
+        value = parse_rational(t)
+        assert len(value.numerator.terms) == 601
+        assert parse_rational("(%s)^1" % t) == value
+        assert parse_rational("2*(%s)" % t) == R("2") * value
+        with pytest.raises(RationalParseError) as info:
+            parse_rational("(%s)^2" % t)
+        assert str(info.value).endswith(")^2': about 1201 terms and 24020 coefficient bits, "
+                                        "beyond 500 terms or 1000000 bits")
+
     def test_fractional_power_requires_monomial(self):
         assert parse_rational("x^(3/2)") == R("x") * R("sqrt(x)")
         assert parse_rational("sqrt(4*x^2)") == R("2*x")

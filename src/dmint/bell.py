@@ -18,7 +18,8 @@ def l_matrix(g: GeneralizedPolynomial, m: int) -> dict[tuple[int, int], Generali
     g must pass :func:`dmint.symseries.substitution_polynomial` and have
     degree >= 1.  The entries come from a recurrence on polynomials and
     equal B_{n,k} at the derivatives of g exactly.  The diagonal satisfies
-    L[k,k] = (g')**k.
+    L[k,k] = (g')**k.  Raises SizeBudgetError for work beyond the size
+    budget.
     """
     g = substitution_polynomial(g)
     if g.lead_exponent < 1:

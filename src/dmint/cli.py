@@ -10,8 +10,9 @@ Subcommands:
 * ``accelerate``: run the transformation on a user-supplied integrand.
 
 Exit codes: 0 success, 1 tolerance failure, 2 parse error, 3 precondition
-violation, 4 numerical failure.  On non-zero exit nothing is written to
-stdout; a single diagnostic line goes to stderr.
+violation (including exact work beyond the size budget), 4 numerical
+failure.  On non-zero exit nothing is written to stdout; a single
+diagnostic line goes to stderr.
 """
 
 from __future__ import annotations

@@ -127,7 +127,8 @@ def compose_ode(ode: OdeCoefficients, g) -> CompositionResult:
         pi_m = p_m(g) / (g')**m
         pi_k = (p_k(g) - sum_{n>k} pi_n L[n,k]) / L[k,k]
 
-    with every step exact over generalized rationals.
+    with every step exact over generalized rationals.  Raises
+    SizeBudgetError for work beyond the size budget.
     """
     g = substitution_polynomial(g)
     m = ode.m
@@ -219,6 +220,7 @@ def verify_b1_membership(f: GeneralizedRational) -> B1Report:
 
     p_1 = f/f' is computed exactly; membership requires p_1 to have an
     integer-step expansion with integer leading exponent at most 1.
+    Raises SizeBudgetError for work beyond the size budget.
     """
     if f.is_zero:
         raise ValueError("the zero function is excluded")

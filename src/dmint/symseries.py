@@ -13,7 +13,8 @@ monic, all exponents are non-negative, and the exponent grid of each
 polynomial is as coarse as its terms allow.  Canonical form makes equality
 structural and lets tests assert exact identities, and it gives a value's
 order at infinity with no expansion: ``lead_exponent`` and
-``integer_step`` read it from the two term maps.
+``integer_step`` read it from the two term maps.  Every product and every
+gcd is held to one size budget, and work beyond it raises SizeBudgetError.
 """
 
 from __future__ import annotations
@@ -29,15 +30,33 @@ class RationalParseError(ValueError):
     """A rational-function string that does not follow the text format."""
 
 
-# The largest power or product that rational text may build, estimated from
-# its base or its factors before it is built: at most _MAX_POWER_TERMS terms
-# in its numerator or denominator, and at most _MAX_POWER_BITS coefficient
-# bits in all (terms times the bits of the largest), unless it is no larger
-# than its base or its larger factor, which the text already holds.  Near
-# the bounds a power takes about 1 s (x86-64): (x+1)^499, 500 terms of up
-# to 499 bits, takes 0.8 s.
-_MAX_POWER_TERMS = 500
-_MAX_POWER_BITS = 1_000_000
+class SizeBudgetError(ValueError):
+    """Exact work refused because its result would pass the size budget."""
+
+
+# The size budget of every polynomial product, estimated from its factors as
+# t1+t2-1 terms with the sum of their bits, and of every dense gcd list: at
+# most _MAX_TERMS terms and _MAX_BITS coefficient bits in all (terms times
+# bits), unless no larger than its larger factor.  (x+1)^499, near both
+# bounds, takes 0.8 s (x86-64).
+_MAX_TERMS = 500
+_MAX_BITS = 1_000_000
+
+
+def _bits(coefficients, terms: int) -> int:
+    # The largest coefficient's bits plus log2(terms), which bounds the
+    # growth of a coefficient through one product.  a | b has the bits of
+    # the larger of a and b.
+    largest = max(abs(c.numerator) | c.denominator for c in coefficients)
+    return largest.bit_length() - 1 + (terms - 1).bit_length()
+
+
+def _refuse_oversized(what: str, terms: int, bits: int, base_terms: int, base_size: int):
+    if ((terms > _MAX_TERMS and terms > base_terms)
+            or (terms * bits > _MAX_BITS and terms * bits > base_size)):
+        raise SizeBudgetError(
+            "%s too large (about %d terms and %d coefficient bits, beyond %d terms "
+            "or %d bits)" % (what, terms, terms * bits, _MAX_TERMS, _MAX_BITS))
 
 
 def _as_fraction(value) -> Fraction:
@@ -154,6 +173,11 @@ class GeneralizedPolynomial:
     def __mul__(self, other):
         if not isinstance(other, GeneralizedPolynomial):
             return NotImplemented
+        t1, t2 = len(self.terms), len(other.terms)
+        if t1 and t2:
+            b1, b2 = _bits(self.terms.values(), t1), _bits(other.terms.values(), t2)
+            _refuse_oversized("product", t1 + t2 - 1, b1 + b2,
+                              max(t1, t2), max(t1 * b1, t2 * b2))
         d = math.lcm(self.step_denominator, other.step_denominator)
         a = self.rescaled_terms(d)
         b = other.rescaled_terms(d)
@@ -189,8 +213,7 @@ class GeneralizedPolynomial:
         current = 0
         for n in sorted(self.terms):
             if n > current:
-                # A gap of 1, the only one in a dense input, costs one product.
-                power = power * (g if n - current == 1 else g ** (n - current))
+                power = power * g ** (n - current)
                 current = n
             result = result + power.scaled(self.terms[n])
         return result
@@ -464,8 +487,12 @@ def _canonical_pair(num: GeneralizedPolynomial, den: GeneralizedPolynomial):
     # When one side is a single term c*t**n the gcd is 1: after the shift
     # either n == 0 or the other side has a non-zero constant term, which
     # t**n does not divide.  The dense lists, as long as the degree, are
-    # then skipped.
+    # then skipped.  A dense list's length counts as its terms, and it is
+    # bounded on bits only, so a sparse (x^600+1)/(x+1) is read.
     if len(nt) > 1 and len(dt) > 1:
+        for t in (nt, dt):
+            length = max(t) + 1
+            _refuse_oversized("gcd list", length, _bits(t.values(), length), length, 0)
         a, b = _dense(nt), _dense(dt)
         g = _poly_gcd(a, b)
         if len(g) > 1:
@@ -505,6 +532,7 @@ def compose_poly(a: GeneralizedRational, g: GeneralizedPolynomial) -> Generalize
     Both the rational function and g must live on the integer exponent
     grid; g must additionally have a positive leading coefficient, i.e.
     tend to +infinity.  Composition with fractional powers is rejected.
+    Raises SizeBudgetError for a result beyond the size budget.
     """
     g = substitution_polynomial(g)
     return GeneralizedRational(a.numerator.substitute(g), a.denominator.substitute(g))
@@ -597,40 +625,7 @@ def _integer_root(value: int, degree: int) -> int:
     return root
 
 
-def _check_size(what: str, node: expr.Expr, k: int, *operands) -> None:
-    """Refuse operand**k, or the product of two operands (k = 1), before it
-    is built, where it would be too large and larger than its base or its
-    larger factor, on the same measure.
-
-    Numerator meets numerator and denominator meets denominator.  A
-    polynomial of t terms has spread t-1, and as coefficient bits those of
-    its largest coefficient plus log2(t), which bounds the growth of a
-    coefficient through one product.  The result has about k times the sum
-    of the spreads, plus one, terms, each with about k times the sum of the
-    bits.  Its size is measured as terms, and as terms times bits.
-    """
-    for polys in zip(*[(v,) if isinstance(v, GeneralizedPolynomial)
-                       else (v.numerator, v.denominator) for v in operands]):
-        terms, bits, base_terms, base_size = 1, 0, 0, 0
-        for p in polys:
-            t = len(p.terms)
-            if not t:
-                break
-            largest = max(max(abs(c.numerator), c.denominator) for c in p.terms.values())
-            b = largest.bit_length() - 1 + (t - 1).bit_length()
-            terms, bits = terms + k * (t - 1), bits + k * b
-            base_terms, base_size = max(base_terms, t), max(base_size, t * b)
-        else:
-            if ((terms > _MAX_POWER_TERMS and terms > base_terms)
-                    or (terms * bits > _MAX_POWER_BITS and terms * bits > base_size)):
-                raise RationalParseError(
-                    "%s too large in '%s': about %d terms and %d coefficient bits, "
-                    "beyond %d terms or %d bits" % (what, expr.to_text(node), terms,
-                                                   terms * bits, _MAX_POWER_TERMS,
-                                                   _MAX_POWER_BITS))
-
-
-def _monomial_power(base, exponent: Fraction, node: expr.Expr) -> GeneralizedPolynomial:
+def _monomial_power(base, exponent: Fraction) -> GeneralizedPolynomial:
     # Fractional powers are only defined here for pure monomials c*x**e
     # (e >= 0, as the canonical rational has no denominator then) whose
     # coefficient has an exact rational root.
@@ -644,8 +639,7 @@ def _monomial_power(base, exponent: Fraction, node: expr.Expr) -> GeneralizedPol
     (n, c), = base.terms.items()
     q = exponent.denominator
     root = Fraction(_integer_root(c.numerator, q), _integer_root(c.denominator, q))
-    _check_size("power", node, abs(exponent.numerator), GeneralizedPolynomial.constant(root))
-    coeff = root ** exponent.numerator
+    coeff = (GeneralizedRational(root) ** exponent.numerator).numerator.lead_coefficient
     e = Fraction(n, base.step_denominator) * exponent
     return GeneralizedPolynomial.monomial(coeff, e.numerator, e.denominator)
 
@@ -657,52 +651,53 @@ def _lower(node: expr.Expr):
     # is canonicalized only there; canonical form is unique, so the end
     # result is the one an all-rational walk gives.  A left-nested chain
     # such as a long sum is walked in a loop, so its length is not bounded
-    # by the recursion limit.
+    # by the recursion limit.  Work beyond the size budget is refused as
+    # ``<reason> in '<node>'``, naming the node whose own operation it is.
     chain = []
     while isinstance(node, expr.BinOp):
         chain.append(node)
         node = node.left
-    if isinstance(node, expr.Num):
-        value = GeneralizedPolynomial.constant(node.value)
-    elif isinstance(node, expr.Var):
-        value = GeneralizedPolynomial.variable()
-    elif isinstance(node, expr.Neg):
-        value = -_lower(node.operand)
-    elif isinstance(node, expr.Pow):
-        value = _lower(node.base)
-        k = node.exponent.numerator
-        if node.exponent.denominator != 1:
-            value = _monomial_power(value, node.exponent, node)
-        elif k < 0 and value.is_zero:
-            raise RationalParseError(
-                "negative power of zero in '%s'" % expr.to_text(node))
-        else:
-            _check_size("power", node, abs(k), value)
-            if k < 0 and isinstance(value, GeneralizedPolynomial):
-                value = GeneralizedRational(GeneralizedPolynomial.one(), value ** -k)
+    where = node
+    try:
+        if isinstance(node, expr.Num):
+            value = GeneralizedPolynomial.constant(node.value)
+        elif isinstance(node, expr.Var):
+            value = GeneralizedPolynomial.variable()
+        elif isinstance(node, expr.Neg):
+            value = -_lower(node.operand)
+        elif isinstance(node, expr.Pow):
+            value = _lower(node.base)
+            k = node.exponent.numerator
+            if node.exponent.denominator != 1:
+                value = _monomial_power(value, node.exponent)
+            elif k < 0 and value.is_zero:
+                raise RationalParseError(
+                    "negative power of zero in '%s'" % expr.to_text(node))
             else:
-                value = value ** k
-    elif isinstance(node, expr.Call) and node.func == "sqrt":
-        value = _monomial_power(_lower(node.arg), Fraction(1, 2), node)
-    else:
-        raise RationalParseError(
-            "'%s' is not a rational function of x" % expr.to_text(node))
-    for op in reversed(chain):
-        rhs = _lower(op.right)
-        if op.op == "+":
-            value = value + rhs
-        elif op.op == "-":
-            value = value - rhs
-        elif op.op == "*":
-            _check_size("product", op, 1, value, rhs)
-            value = value * rhs
-        elif rhs.is_zero:
-            raise RationalParseError("division by zero in '%s'" % expr.to_text(op))
-        elif (isinstance(value, GeneralizedPolynomial)
-              and isinstance(rhs, GeneralizedPolynomial)):
-            value = GeneralizedRational(value, rhs)
+                value = (_coerce(value) if k < 0 else value) ** k
+        elif isinstance(node, expr.Call) and node.func == "sqrt":
+            value = _monomial_power(_lower(node.arg), Fraction(1, 2))
         else:
-            value = value / rhs
+            raise RationalParseError(
+                "'%s' is not a rational function of x" % expr.to_text(node))
+        for op in reversed(chain):
+            rhs = _lower(op.right)
+            where = op
+            if op.op == "+":
+                value = value + rhs
+            elif op.op == "-":
+                value = value - rhs
+            elif op.op == "*":
+                value = value * rhs
+            elif rhs.is_zero:
+                raise RationalParseError("division by zero in '%s'" % expr.to_text(op))
+            elif (isinstance(value, GeneralizedPolynomial)
+                  and isinstance(rhs, GeneralizedPolynomial)):
+                value = GeneralizedRational(value, rhs)
+            else:
+                value = value / rhs
+    except SizeBudgetError as exc:
+        raise RationalParseError("%s in '%s'" % (exc, expr.to_text(where))) from exc
     return value
 
 

@@ -508,13 +508,13 @@ class TestOutputFormats:
         assert all(r["F_error"] is None for r in records)
 
 
-def run_fresh(*argv):
+def run_fresh(*argv, timeout=60):
     """The CLI in a fresh interpreter, so a traceback on stderr cannot go
     unseen, with warnings as errors as in-process, and a timeout turns a
     hang into a failure."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dmint.__file__)))
     return subprocess.run([sys.executable, "-W", "error", "-m", "dmint.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_exact_fallback_of_a_long_sequence():
@@ -564,23 +564,48 @@ def test_huge_integer_power_compose():
     assert result.stdout.splitlines()[:2] == ["pi_1 = x^1999999999/2", "r = (1999999999)"]
 
 
+BUDGET = "beyond 500 terms or 1000000 bits)"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # Substituting x+1 into x^1000000000 squares x+1 up to 513 terms.
+    (("compose", "--p=x^1000000000", "--g=x+1"), 3,
+     "invalid input: product too large (about 513 terms and 266760 coefficient bits, "
+     + BUDGET),
+    # The substituted numerator and denominator share a gcd list 2*10^7 long.
+    (("compose", "--p=(x^2+1)/(x+1)", "--g=x^10000000+1"), 3,
+     "invalid input: gcd list too large (about 20000001 terms and 520000026 "
+     "coefficient bits, " + BUDGET),
+    (("check-b1", "--f=(x^10000000+1)/(x+1)"), 2,
+     "parse error: gcd list too large (about 10000001 terms and 240000024 coefficient "
+     "bits, " + BUDGET + " in '(x^10000000+1)/(x+1)'"),
+], ids=["compose-power", "compose-gcd-list", "check-b1-gcd-list"])
+def test_exact_work_beyond_the_budget(argv, code, err):
+    # Refused inside the exact arithmetic with the command's exit code, 2
+    # while reading text and 3 in the work after it, and one diagnostic
+    # line; unbounded, each of these runs for minutes.
+    result = run_fresh(*argv, timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (code, "", err + "\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("compose", "--p=(x+1)^100000", "--g=x"),
     ("check-b1", "--f=(x+1)^100000"),
 ])
 def test_oversized_power_exit_2(capsys, argv):
-    # Refused from its estimated size before it is built.
+    # Refused by the first product of its square and multiply that passes
+    # the budget, before the power is built.
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == ("parse error: power too large in '(x+1)^100000': about 100001 terms "
-                   "and 10000100000 coefficient bits, beyond 500 terms or 1000000 bits\n")
+    assert err == ("parse error: product too large (about 513 terms and 266760 coefficient "
+                   "bits, " + BUDGET + " in '(x+1)^100000'\n")
 
 
 def test_oversized_product_exit_2(capsys):
     code, out, err = run(capsys, "compose", "--p=(x+1)^250*(x+1)^251", "--g=x")
     assert code == 2 and out == ""
-    assert err == ("parse error: product too large in '(x+1)^250*(x+1)^251': about 502 "
-                   "terms and 254514 coefficient bits, beyond 500 terms or 1000000 bits\n")
+    assert err == ("parse error: product too large (about 502 terms and 254514 coefficient "
+                   "bits, " + BUDGET + " in '(x+1)^250*(x+1)^251'\n")
 
 
 class TestSharedParser:

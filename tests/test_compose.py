@@ -17,6 +17,7 @@ from dmint.exprtaylor import derivatives
 from dmint.symseries import (
     GeneralizedPolynomial,
     GeneralizedRational,
+    SizeBudgetError,
     compose_poly,
     parse_rational,
 )
@@ -173,6 +174,29 @@ class TestB1Membership:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             verify_b1_membership(R("5"))
+
+
+class TestSizeBudget:
+    """Exact work past the size budget is refused by the product that
+    would build it, whichever entry point asks for it."""
+
+    def test_compose_ode(self):
+        ode = OdeCoefficients([R("x^1000000000")])
+        with pytest.raises(SizeBudgetError, match=r"^product too large \(about 513 terms"):
+            compose_ode(ode, R("x+1"))
+
+    def test_l_matrix(self):
+        # L[k,k] = (g')**k: 170, 339 and then 508 terms.
+        g = GeneralizedPolynomial({k: 1 for k in range(1, 171)})
+        assert len(l_matrix(g, 2)[(2, 2)].numerator.terms) == 339
+        with pytest.raises(SizeBudgetError, match=r"^product too large \(about 508 terms"):
+            l_matrix(g, 3)
+
+    def test_verify_b1_membership(self):
+        # f' has the denominator's square, 601 terms.
+        f = GeneralizedRational(1, GeneralizedPolynomial({k: 1 for k in range(301)}))
+        with pytest.raises(SizeBudgetError, match=r"^product too large \(about 601 terms"):
+            verify_b1_membership(f)
 
 
 class TestRandomProperties:

@@ -465,24 +465,26 @@ class TestTextFormat:
         assert parse_rational("(x/8)^(1/3)") == R("x^(1/3)/2")
 
     def test_oversized_power_refused_before_it_is_built(self):
-        # The size of a power is estimated from its base: k*(t-1)+1 terms,
-        # each about k times the largest coefficient's bits plus log2(t).
-        terms, bits = symseries._MAX_POWER_TERMS, symseries._MAX_POWER_BITS
+        # A power is square and multiply, so the product's estimate refuses
+        # it: t1+t2-1 terms, each with the sum of the factors' bits (the
+        # largest coefficient's plus log2 of the terms).  3^1000000 has
+        # 1584961 real bits, so it is refused as a power.
+        terms, bits = symseries._MAX_TERMS, symseries._MAX_BITS
         for text, size in (
-                ("2^10000000000", "1 terms and 10000000000 coefficient bits"),
+                ("2^10000000000", "1 terms and 1048576 coefficient bits"),
                 ("2^%d" % (bits + 1), "1 terms and %d coefficient bits" % (bits + 1)),
-                ("(x+1)^%d" % terms, "%d terms and %d coefficient bits"
-                 % (terms + 1, (terms + 1) * terms)),
-                ("(x+1)^(-100000)", "100001 terms and 10000100000 coefficient bits"),
-                ("1/(x^2+3)^2000", "2001 terms and 8004000 coefficient bits"),
-                ("(4*x)^(1000000001/2)", "1 terms and 1000000001 coefficient bits")):
+                ("3^1000000", "1 terms and 1584961 coefficient bits"),
+                ("(x+1)^%d" % terms, "%d terms and 254007 coefficient bits" % (terms + 1)),
+                ("(x+1)^(-100000)", "513 terms and 266760 coefficient bits"),
+                ("1/(x^2+3)^2000", "513 terms and 529416 coefficient bits"),
+                ("(4*x)^(1000000001/2)", "1 terms and 1048576 coefficient bits")):
             start = time.perf_counter()
             with pytest.raises(RationalParseError) as info:
                 parse_rational(text)
             assert time.perf_counter() - start < 1.0
             node = text[2:] if text.startswith("1/") else text
-            assert str(info.value) == ("power too large in '%s': about %s, beyond %d terms "
-                                       "or %d bits" % (node, size, terms, bits))
+            assert str(info.value) == ("product too large (about %s, beyond %d terms "
+                                       "or %d bits) in '%s'" % (size, terms, bits, node))
         # Inside the bounds: the largest power of x+1, a long power of a
         # monomial, and powers of x of any size.
         assert len(R("(x+1)^%d" % (terms - 1)).numerator.terms) == terms
@@ -490,25 +492,41 @@ class TestTextFormat:
         assert R("x^1000000000") == X ** 1000000000
 
     def test_oversized_product_refused_before_it_is_built(self):
-        # A product of polynomials is estimated from its factors: the sum of
-        # their spreads plus one terms, each with the sum of their bits;
-        # numerator meets numerator and denominator meets denominator.
-        terms, bits = symseries._MAX_POWER_TERMS, symseries._MAX_POWER_BITS
+        # Numerator meets numerator and denominator meets denominator, and
+        # a sum of quotients builds the product of their denominators.
+        # 3^1000000 is refused as a power before its product is reached.
+        terms, bits = symseries._MAX_TERMS, symseries._MAX_BITS
         for text, node, size in (
                 ("(x+1)^250*(x+1)^250*(x+1)^250*(x+1)^250", "(x+1)^250*(x+1)^250",
                  "501 terms and 253506 coefficient bits"),
                 ("1/(x+1)^300*(1/(x+1)^300)", "1/(x+1)^300*(1/(x+1)^300)",
                  "601 terms and 365408 coefficient bits"),
-                ("3^1000000*3^1000000", "3^1000000*3^1000000",
-                 "1 terms and 3169924 coefficient bits")):
+                ("1/(x+1)^300+1/(x+2)^300", "1/(x+1)^300+1/(x+2)^300",
+                 "601 terms and 471184 coefficient bits"),
+                ("3^1000000*3^1000000", "3^1000000",
+                 "1 terms and 1584961 coefficient bits")):
             start = time.perf_counter()
             with pytest.raises(RationalParseError) as info:
                 parse_rational(text)
             assert time.perf_counter() - start < 1.0
-            assert str(info.value) == ("product too large in '%s': about %s, beyond %d "
-                                       "terms or %d bits" % (node, size, terms, bits))
+            assert str(info.value) == ("product too large (about %s, beyond %d terms "
+                                       "or %d bits) in '%s'" % (size, terms, bits, node))
         # Inside the bounds: the largest product of powers of x+1.
         assert len(R("(x+1)^249*(x+1)^250").numerator.terms) == terms
+
+    def test_oversized_gcd_list_refused_before_it_is_built(self):
+        # The gcd's dense lists are bounded on bits only, their length
+        # counting as terms: a sparse quotient past the term bound is read,
+        # and (x^100000+1)/(x+1), a list of 1.7e6 bits, is refused.
+        assert to_text(parse_rational("(x^600+1)/(x+1)")) == "(x^600+1)/(x+1)"
+        assert len(parse_rational("(x^601+1)/(x+1)").numerator.terms) == 601
+        start = time.perf_counter()
+        with pytest.raises(RationalParseError) as info:
+            parse_rational("(x^100000+1)/(x+1)")
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == (
+            "gcd list too large (about 100001 terms and 1700017 coefficient bits, beyond "
+            "500 terms or 1000000 bits) in '(x^100000+1)/(x+1)'")
 
     def test_no_growth_is_no_refusal(self):
         # A written-out sum past the term bound is read as it is, and so are
@@ -520,8 +538,10 @@ class TestTextFormat:
         assert parse_rational("2*(%s)" % t) == R("2") * value
         with pytest.raises(RationalParseError) as info:
             parse_rational("(%s)^2" % t)
-        assert str(info.value).endswith(")^2': about 1201 terms and 24020 coefficient bits, "
-                                        "beyond 500 terms or 1000000 bits")
+        assert str(info.value).startswith("product too large (about 1201 terms and 24020 "
+                                          "coefficient bits, beyond 500 terms or 1000000 "
+                                          "bits) in '(x^1+x^2+")
+        assert str(info.value).endswith(")^2'")
 
     def test_fractional_power_requires_monomial(self):
         assert parse_rational("x^(3/2)") == R("x") * R("sqrt(x)")

@@ -28,9 +28,16 @@ systems of several integrands are swept as one batch, each to the last
 step, with the same operations on every element.  A sequence whose sweep
 divides by zero (at a sample where the integrand vanishes, say) is solved
 instead by one exact fraction-free elimination (Bareiss, Math. Comp. 22,
-1968) of the same entries, which also decides whether a window is singular.
-A sample at which every unknown's row is 0 reads F(x_l) = D, so it would
-fix D in every window that holds it: such a sequence is refused.
+1968) of the same entries, the one judge of such a sequence.  Window by
+window, in order, it refuses the first window with
+  1. a zero or non-finite column,
+  2. a non-finite sample F,
+  3. an exactly singular matrix,
+  4. a sample at which every unknown's row is 0, which reads F(x_l) = D
+     and so would fix D in every window that holds it,
+  5. a D beyond the float range,
+checked in that order within a window.  An elimination whose estimated
+work passes a fixed budget is refused before it starts.
 """
 
 from __future__ import annotations
@@ -64,6 +71,13 @@ _MAX_M = 171
 # any window is checked, at about 3.6 KB a point: a run at j = 10 000
 # peaks at 65 MB, against 30 MB at j = 0 (x86-64).
 _MAX_START = 10_000
+
+# The most work, rows times the sum of the integer columns' bit lengths, one
+# exact elimination may take.  Its time grows about as the square of this
+# estimate: (x-2)*exp(-x) at m=3 reads 6.6e5 at nu_max=20 and takes 0.9 s,
+# and 9.8e5 at nu_max=23, 2.2 s (x86-64); exp(-x) at m=171, nu_max=1 reads
+# 1.5e7 and ran past 300 s.
+_MAX_EXACT_WORK = 1_000_000
 
 
 def _power(x: float, p: int) -> float:
@@ -145,20 +159,28 @@ def _fs_sweep(g, rhs, m):
     return [column.tolist() if np.isfinite(column).all() else None for column in d.T]
 
 
-def _exact_d(g, rhs, m) -> list[float]:
+def _exact_d(g, rhs, m, points) -> list[float]:
     """D of each nested window of one system, exactly rounded.
 
-    ``g[p, :]`` holds the unknown g_{p+1} at every sample and ``rhs`` the
-    samples F, as :func:`_fs_sweep` reads one system; D's coefficient is 1
-    at every sample.  Window nu is the leading m*nu unknowns at the leading
-    m*nu+1 samples.  One fraction-free elimination (Bareiss 1968) serves
-    all: each column scaled by a power of two to integers, D's last, and
-    each pivot the first non-zero row of the window being built, so D_nu
-    is the quotient of row m*nu.  Raises :class:`SingularSystemError` with
-    the nu of the first window with a zero or non-finite column, a
-    non-finite right-hand side, an exactly singular matrix or a D beyond
-    the float range, checked in that order.
+    ``g[p, :]`` holds the unknown g_{p+1} at every sample ``points[l]`` and
+    ``rhs`` the samples F, as :func:`_fs_sweep` reads one system; D's
+    coefficient is 1 at every sample.  Window nu is the leading m*nu
+    unknowns at the leading m*nu+1 samples.  One fraction-free elimination
+    (Bareiss 1968) serves all: each column scaled by a power of two to
+    integers, D's last, and each pivot the first non-zero row of the window
+    being built, so D_nu is the quotient of row m*nu.  Raises
+    :class:`SingularSystemError` with the nu of the first window with a
+    zero or non-finite column, a non-finite F, an exactly singular matrix,
+    a sample where every unknown's row is 0 (it fixes D = F(x_l)) or a D
+    beyond the float range, checked in that order, and :class:`ValueError`
+    before eliminating work beyond ``_MAX_EXACT_WORK``.
     """
+    # The first window holding a sample where every unknown's row is 0 is
+    # the last one judged (window nu_max + 1, none, without such a sample).
+    zero = np.flatnonzero(~g.any(axis=0))
+    vanishing = max(1, -(-int(zero[0]) // m)) if zero.size else len(g) // m + 1
+    g, rhs = g[:m * vanishing, :m * vanishing + 1], rhs[:m * vanishing + 1]
+
     def check(nu, singular):
         n = m * nu + 1
         window = g[:n - 1, :n]
@@ -168,6 +190,9 @@ def _exact_d(g, rhs, m) -> list[float]:
             text = "right-hand side is not finite"
         elif singular:
             text = "matrix is singular"
+        elif nu == vanishing:
+            text = ("every unknown's row vanishes at the sample x={0!r}, which fixes "
+                    "D = F({0!r}); another grid avoids it".format(points[zero[0]]))
         else:
             return
         raise SingularSystemError("window nu=%d: %s" % (nu, text), nu)
@@ -179,6 +204,10 @@ def _exact_d(g, rhs, m) -> list[float]:
         den = max(d for _, d in ratios)
         columns.append([num * (den // d) for num, d in ratios])
         denominators.append(den)
+    bits = sum(max(map(abs, column)).bit_length() for column in columns)
+    if len(rhs) * bits > _MAX_EXACT_WORK:
+        raise ValueError("exact elimination too large (%d rows times %d column bits, %d in "
+                         "all, beyond %d)" % (len(rhs), bits, len(rhs) * bits, _MAX_EXACT_WORK))
     rows = [list(row) for row in zip(*columns)]
     values, previous = [], 1
     for k in range(len(rows)):
@@ -246,10 +275,10 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     are assembled once, in the i-major order, and one double-double FS
     sweep over them gives D for every window.  If the sweep divides by
     zero or by a non-finite value, one exact elimination over the same rows
-    solves every window instead.  A window whose exact matrix is singular,
-    or the first window holding a sample at which every unknown's row is 0,
-    raises :class:`SingularSystemError` carrying its ``nu``, the smallest
-    that fails.  This is :func:`d_sequences` with one member.
+    solves every window instead, and judges them: the first window it
+    refuses (see :func:`_exact_d`) raises :class:`SingularSystemError`
+    carrying its ``nu``, and an elimination beyond its work budget raises
+    :class:`ValueError`.  This is :func:`d_sequences` with one member.
     """
     return d_sequences([(integrand, grid, reference)], m, nu_max, exponents, j)[0]
 
@@ -347,18 +376,7 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
     tables = []
     for (ast, grid, reference, F), g, rhs, values in zip(sampled, rows, rhss, swept):
         if values is None:
-            # A sample where every unknown's row is 0 reads F(x_l) = D, so
-            # it fixes D in every window that holds it (and breaks the sweep).
-            zero = np.flatnonzero(~g.any(axis=0))
-            if nu_max and zero.size:
-                nu = max(1, -(-int(zero[0]) // m))
-                # An earlier, or the same, singular window keeps its error.
-                _exact_d(g[:m * nu, :m * nu + 1], rhs[:m * nu + 1], m)
-                x = grid.points[j + zero[0]]
-                raise SingularSystemError(
-                    "window nu=%d: every unknown's row vanishes at the sample x=%r, which "
-                    "fixes D = F(%r); another grid avoids it" % (nu, x, x), nu)
-            values = _exact_d(g, rhs, m)
+            values = _exact_d(g, rhs, m, grid.points[j:])
         entries = []
         for nu, d_value in enumerate(values):
             f_value = F[j + m * nu]

@@ -387,6 +387,14 @@ class TestAccelerate:
         (("--integrand", "log(3-x)", "--m", "1", "--grid", "linear:1.0", "--nu-max", "3"),
          "panel 3: integrand failed at node x=3.001368069075259 in panel [3.0, 4.0]: "
          "log of a non-positive value in 'log(3-x)'"),
+        # Row entries underflow to 0 and break the sweep; the exact
+        # elimination that would replace it is refused from its estimate.
+        (("--integrand", "exp(-x)", "--m", "171", "--grid", "linear:1.0", "--nu-max", "1"),
+         "exact elimination too large (172 rows times 89268 column bits, 15354096 in all, "
+         "beyond 1000000)"),
+        (("--integrand", "exp(-x)", "--m", "1", "--grid", "linear:1.0", "--nu-max", "300"),
+         "exact elimination too large (301 rows times 300035 column bits, 90310535 in all, "
+         "beyond 1000000)"),
     ])
     def test_precondition_messages(self, capsys, argv, detail):
         start = time.perf_counter()

@@ -1,12 +1,14 @@
+import importlib.util
 import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dmint import dtransform
+from dmint import cli, dtransform
 from dmint.cli import BUILTIN_INTEGRANDS
 from dmint.dtransform import (
     SingularSystemError,
@@ -25,6 +27,8 @@ PI_HALF = math.pi / 2
 PHI_REF = 2 * math.sqrt(math.pi) / 3
 VANISHING = ("window nu=%d: every unknown's row vanishes at the sample x=%r, which "
              "fixes D = F(%r); another grid avoids it")
+# The sample points handed to _exact_d when a test calls it directly.
+POINTS = tuple(float(l) for l in range(1, 100))
 
 
 def element_loop_system(exponents, nu, samples):
@@ -65,6 +69,8 @@ def oracle_windows(matrix, rhs, m):
     """Each nested window's D by the rational oracle, rounded, up to the
     first window that fails, and that window's (nu, message) or None."""
     values = []
+    # The samples at which every unknown's row is 0, over all the unknowns.
+    vanishing = [l for l, row in enumerate(matrix[:, 1:]) if not row.any()]
     for nu in range((len(rhs) - 1) // m + 1):
         n = m * nu + 1
         window = matrix[:n, :n]
@@ -75,6 +81,9 @@ def oracle_windows(matrix, rhs, m):
         exact = exact_first_unknown(window, rhs[:n])
         if exact is None:
             return values, (nu, "matrix is singular")
+        if nu and vanishing and vanishing[0] < n:
+            x = POINTS[vanishing[0]]
+            return values, (nu, (VANISHING % (nu, x, x)).partition(": ")[2])
         values.append(float(exact))
     return values, None
 
@@ -89,10 +98,10 @@ def assert_exact_windows(g, rhs, m):
     """_exact_d gives every window the oracle's D, or the first failure."""
     values, failure = oracle_windows(full_matrix(g), rhs, m)
     if failure is None:
-        assert dtransform._exact_d(g, rhs, m) == values
+        assert dtransform._exact_d(g, rhs, m, POINTS) == values
     else:
         with pytest.raises(SingularSystemError) as info:
-            dtransform._exact_d(g, rhs, m)
+            dtransform._exact_d(g, rhs, m, POINTS)
         assert (info.value.nu, str(info.value)) == (failure[0], "window nu=%d: %s" % failure)
     return failure
 
@@ -136,9 +145,11 @@ class TestSweepAndExactPath:
         assert table.entries[0].d_value == table.entries[0].f_value == cum.F[2]
 
     def test_triangular_system(self):
-        # Window 0 is the first sample; in window 1, g_1 is 0 there.
-        assert dtransform._exact_d(np.array([[0.0, 1.0]]), np.array([3.5, -1.0]), 1) == \
-            [3.5, 3.5]
+        # Window 0 is the first sample; in window 1, g_1 is 0 there, so that
+        # sample reads F(x_0) = D and window 1 is refused.
+        with pytest.raises(SingularSystemError) as info:
+            dtransform._exact_d(np.array([[0.0, 1.0]]), np.array([3.5, -1.0]), 1, POINTS)
+        assert (info.value.nu, str(info.value)) == (1, VANISHING % (1, 1.0, 1.0))
 
     def test_exact_model_is_reproduced(self):
         # F(x) = 1 - 1/x fits the model with D = 1, beta_10 = -1 exactly:
@@ -149,7 +160,7 @@ class TestSweepAndExactPath:
             rhs = np.array([[1.0 - 1.0 / x for x in xs]])
             d = dtransform._fs_sweep(g, rhs, 1)[0][1]
             assert abs(d - 1.0) <= 1e-13
-            assert dtransform._exact_d(g[0], rhs[0], 1) == [rhs[0, 0], d]
+            assert dtransform._exact_d(g[0], rhs[0], 1, xs) == [rhs[0, 0], d]
 
     def test_build_matches_element_loop(self, monkeypatch):
         # The rows handed to the sweep are the reference assembly's
@@ -228,7 +239,9 @@ class TestSweepAndExactPath:
         # triangular matrix rotated by one, so at every step the only non-zero entry of the
         # column is one row down: each step swaps, also where that row is
         # the last of the window being built (m=1), and every window's D
-        # is still exact, rounded.
+        # is still exact, rounded.  m more unknowns, and m more samples,
+        # make the last window; they are non-zero at the first sample, so
+        # that sample does not fix D.
         rng = np.random.default_rng(8)
         for n in (2, 3, 9, 17):
             upper = np.triu(rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8, 8, n))
@@ -236,13 +249,16 @@ class TestSweepAndExactPath:
             rotated = upper[np.roll(np.arange(n), 1)]
             rhs = rng.standard_normal(n)
             for m in {1, n - 1}:
-                assert assert_exact_windows(rotated[:, :-1].T, rhs, m) is None
+                g = np.vstack((np.hstack((rotated[:, :-1].T, rng.standard_normal((n - 1, m)))),
+                               rng.standard_normal((m, n + m))))
+                assert assert_exact_windows(g, np.append(rhs, rng.standard_normal(m)), m) is None
 
     def test_singular_messages(self):
         # Each window's checks run in a fixed order (column, right-hand
         # side, singularity), and the first window that fails names itself.
         column, right, singular = ("matrix has a zero or non-finite column",
                                    "right-hand side is not finite", "matrix is singular")
+        vanishing = (VANISHING % (1, 1.0, 1.0)).partition(": ")[2]
         inf, nan = np.inf, np.nan
         # Each system is its rows g_{p+1}, D's column of ones implied.
         for g, rhs, m, nu, text in (
@@ -261,14 +277,18 @@ class TestSweepAndExactPath:
                 # the infinity, and the failure of window 1 is reported.
                 ([[2.0, 2.0, inf], [3.0, 5.0, 1.0]], [1.0] * 3, 1, 1, singular),
                 # A column that is zero in window 1 only: window 1 fails.
-                ([[0.0, 0.0, 1.0], [1.0, 2.0, 3.0]], [1.0] * 3, 1, 1, column)):
+                ([[0.0, 0.0, 1.0], [1.0, 2.0, 3.0]], [1.0] * 3, 1, 1, column),
+                # Every unknown's row is 0 at the first sample: the first
+                # window holding it fails, unless it is singular on its own.
+                ([[0.0, 1.0, 2.0], [0.0, 3.0, 5.0]], [1.0] * 3, 1, 1, vanishing),
+                ([[0.0, 1.0, 1.0], [0.0, 2.0, 2.0]], [1.0] * 3, 2, 1, singular)):
             with pytest.raises(SingularSystemError) as info:
-                dtransform._exact_d(np.array(g), np.array(rhs), m)
+                dtransform._exact_d(np.array(g), np.array(rhs), m, POINTS)
             assert (info.value.nu, str(info.value)) == (nu, "window nu=%d: %s" % (nu, text))
             assert assert_exact_windows(np.array(g), np.array(rhs), m) == (nu, text)
         # A tiny pivot is solved, not reported as singular.
         g, rhs = np.array([[1e-305, 3e-305]]), np.array([1.0, 2.0])
-        assert dtransform._exact_d(g, rhs, 1) == \
+        assert dtransform._exact_d(g, rhs, 1, POINTS) == \
             [1.0, float(exact_first_unknown(full_matrix(g), rhs))]
 
     def test_d_beyond_the_float_range(self):
@@ -278,7 +298,7 @@ class TestSweepAndExactPath:
         rhs = np.array([1e300, 0.0])
         assert abs(exact_first_unknown(full_matrix(g), rhs)) > sys.float_info.max
         with pytest.raises(SingularSystemError) as info:
-            dtransform._exact_d(g, rhs, 1)
+            dtransform._exact_d(g, rhs, 1, POINTS)
         assert (info.value.nu, str(info.value)) == (
             1, "window nu=1: D is beyond the float range")
 
@@ -319,9 +339,10 @@ class TestSweepAndExactPath:
             if trial % 10 == 4:
                 rhs[rng.integers(0, n)] = np.inf
             failure = assert_exact_windows(g, rhs, m)
-            failures.add(None if failure is None else failure[1])
+            failures.add(None if failure is None else failure[1].partition(" at the sample")[0])
         assert failures == {None, "matrix has a zero or non-finite column",
-                            "right-hand side is not finite", "matrix is singular"}
+                            "right-hand side is not finite", "matrix is singular",
+                            "every unknown's row vanishes"}
 
     def test_sweep_windows_match_window_by_window(self):
         # The sweep gives every nested window of one system at once; each
@@ -484,9 +505,9 @@ class TestDSequence:
         exact_calls = []
         real_exact = dtransform._exact_d
 
-        def recording_exact(g, rhs, m):
+        def recording_exact(g, rhs, m, points):
             exact_calls.append((g.shape, len(rhs), m))
-            return real_exact(g, rhs, m)
+            return real_exact(g, rhs, m, points)
 
         monkeypatch.setattr(dtransform, "_exact_d", recording_exact)
         grid = grid_from_descriptor("linear:1.0", 13)
@@ -508,12 +529,12 @@ class TestDSequence:
                 assert abs(entry.d_value + 1.0) <= 2 * math.ulp(1.0)
         assert table.entries[5].d_value == -1.0
         # At m=1 the row at x=2 is the sample's only row, so every window
-        # holding it reads F(2) = D: the exact elimination of window 1
-        # finds no singular window, and the sequence is refused there.
+        # holding it reads F(2) = D: the one exact elimination finds
+        # window 1 regular and refuses the sequence there.
         exact_calls.clear()
         with pytest.raises(SingularSystemError) as info:
             d_sequence("(x-2)*exp(-x)", grid, 1, 6)
-        assert exact_calls == [((1, 2), 2, 1)]
+        assert exact_calls == [((6, 7), 7, 1)]
         assert (info.value.nu, str(info.value)) == (1, VANISHING % (1, 2.0, 2.0))
 
     @pytest.mark.parametrize("source, m", [
@@ -552,7 +573,7 @@ class TestDSequence:
             if exact is None or nu == refused:
                 if exact is None:
                     with pytest.raises(SingularSystemError) as alone:
-                        real_exact(matrix[:, 1:].T, rhs, max(len(rhs) - 1, 1))
+                        real_exact(matrix[:, 1:].T, rhs, max(len(rhs) - 1, 1), POINTS)
                     text = "window nu=%d: %s" % (nu, str(alone.value).split(": ")[1])
                 else:
                     # The window is regular, and its D is the sample's F.
@@ -766,6 +787,27 @@ class TestDSequence:
     def test_nonzero_start_index(self):
         table = d_sequence("sinc(x)^2", "linear:1.6", 3, 3, j=2, reference=PI_HALF)
         assert table.entries[3].d_error < 1e-2
+
+
+def test_no_benchmark_sequence_takes_the_exact_path(monkeypatch):
+    # Every sequence the benchmark's numeric workloads run sweeps: the demo
+    # table's two at nu_max=10 and the accel-deep catalogue at each of its
+    # nu_max.  A change that sends one down the exact path fails here, where
+    # the benchmark would show it only as a latency cliff.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    exact_calls = []
+    real_exact = dtransform._exact_d
+    monkeypatch.setattr(dtransform, "_exact_d",
+                        lambda g, *args: exact_calls.append(g.shape) or real_exact(g, *args))
+    cli._run_demo_tables(10)
+    members = [(integrand, grid, None) for integrand, grid, *_ in workloads.CATALOGUE]
+    for nu_max in workloads.NU_MAX_RANGE:
+        assert len(d_sequences(members, workloads.ACCEL_M, nu_max)) == len(members)
+    assert exact_calls == []
 
 
 class TestExactSampleOracle:

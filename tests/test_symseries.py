@@ -466,9 +466,9 @@ class TestTextFormat:
 
     def test_oversized_power_refused_before_it_is_built(self):
         # A power is square and multiply, so the product's estimate refuses
-        # it: t1+t2-1 terms, each with the sum of the factors' bits (the
-        # largest coefficient's plus log2 of the terms).  3^1000000 has
-        # 1584961 real bits, so it is refused as a power.
+        # it: t1+t2-1 terms for dense factors, each with the sum of the
+        # factors' bits (the largest coefficient's plus log2 of the terms).
+        # 3^1000000 has 1584961 real bits, so it is refused as a power.
         terms, bits = symseries._MAX_TERMS, symseries._MAX_BITS
         for text, size in (
                 ("2^10000000000", "1 terms and 1048576 coefficient bits"),
@@ -495,8 +495,17 @@ class TestTextFormat:
         # Numerator meets numerator and denominator meets denominator, and
         # a sum of quotients builds the product of their denominators.
         # 3^1000000 is refused as a power before its product is reached.
+        # Sparse factors, or factors on two exponent grids, are counted as
+        # t1*t2 terms where their exponents' span on the common grid allows
+        # that many.
         terms, bits = symseries._MAX_TERMS, symseries._MAX_BITS
+        sparse = "(%s)*(%s)" % ("+".join("x^%d" % (250 * k) for k in range(1, 251)),
+                                "+".join(["1"] + ["x^%d" % k for k in range(1, 250)]))
+        grids = "(%s)*(%s)" % ("+".join("x^%d" % k for k in range(1, 251)),
+                               "+".join("x^(%d/251)" % k for k in range(1, 251)))
         for text, node, size in (
+                (sparse, sparse, "62500 terms and 1000000 coefficient bits"),
+                (grids, grids, "62500 terms and 1000000 coefficient bits"),
                 ("(x+1)^250*(x+1)^250*(x+1)^250*(x+1)^250", "(x+1)^250*(x+1)^250",
                  "501 terms and 253506 coefficient bits"),
                 ("1/(x+1)^300*(1/(x+1)^300)", "1/(x+1)^300*(1/(x+1)^300)",
@@ -511,8 +520,10 @@ class TestTextFormat:
             assert time.perf_counter() - start < 1.0
             assert str(info.value) == ("product too large (about %s, beyond %d terms "
                                        "or %d bits) in '%s'" % (size, terms, bits, node))
-        # Inside the bounds: the largest product of powers of x+1.
+        # Inside the bounds: the largest product of powers of x+1, and a
+        # power whose factors' exponents lie on the even grid.
         assert len(R("(x+1)^249*(x+1)^250").numerator.terms) == terms
+        assert len(R("(x^2+3)^300").numerator.terms) == 301
 
     def test_oversized_gcd_list_refused_before_it_is_built(self):
         # The gcd's dense lists are bounded on bits only, their length

@@ -12,7 +12,9 @@ Subcommands:
 Exit codes: 0 success, 1 tolerance failure, 2 parse error, 3 precondition
 violation (including exact work beyond the size budget), 4 numerical
 failure.  On non-zero exit nothing is written to stdout; a single
-diagnostic line goes to stderr.
+diagnostic line goes to stderr.  On exit 0, ``reproduce-table`` and
+``accelerate`` write one stderr line only where a quadrature panel misses
+its tolerance after bisection, naming every such panel.
 """
 
 from __future__ import annotations
@@ -162,6 +164,21 @@ def _demo_pretty_lines(tables) -> list[str]:
     return lines
 
 
+def _warn_unresolved_panels(tables):
+    """One stderr line naming every panel whose bisected halves still miss
+    the quadrature's tail tolerance; stdout and the exit code stay as they are."""
+    named = []
+    for table in tables:
+        edges = (0.0,) + table.grid.points
+        named += ["[%r, %r] of '%s' (tail %.1e of its value)"
+                  % (edges[i], edges[i + 1], table.integrand, ratio)
+                  for i, ratio in table.unresolved_panels]
+    if named:
+        from .quad import TAIL_TOLERANCE
+        print("warning: quadrature tolerance %g missed after bisection, so F and D may be "
+              "off: panel %s" % (TAIL_TOLERANCE, "; ".join(named)), file=sys.stderr)
+
+
 def _emit(lines: list[str], path: str | None):
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
@@ -188,6 +205,7 @@ def _cmd_reproduce_table(args) -> int:
     else:
         lines = _demo_pretty_lines(tables)
     _emit(lines, args.output)
+    _warn_unresolved_panels(tables.values())
     return 0
 
 
@@ -285,6 +303,7 @@ def _cmd_accelerate(args) -> int:
                 row += "  %s  %s" % (_d_notation(e.d_error), _d_notation(e.f_error))
             lines.append(row)
     _emit(lines, args.output)
+    _warn_unresolved_panels([table])
     return 0
 
 

@@ -15,8 +15,8 @@ m*nu+1 samples and, for each k, the terms i < nu.  :func:`d_sequences`
 therefore assembles the rows of the nu_max system once per integrand, in
 float64, straight from the samples and in the i-major order (beta_ki with
 k inside i): row p = i*m + k - 1 holds x_l**(e_k - i) * f^(k-1)(x_l) at
-every sample l, the power taken by the platform's ``math.pow``, each
-distinct power once.  Window nu then reads the first m*nu rows at the first
+every sample l, the power taken by libm's pow in :mod:`dmint.exprtaylor`,
+which owns every libm call.  Window nu then reads the first m*nu rows at the first
 m*nu+1 samples, so one sweep of the FS-algorithm (Ford & Sidi, SIAM J.
 Numer. Anal. 24, 1987) gives every window's D, without pivoting, in
 O(N^3).  The sweep runs in double-double arithmetic (Dekker, Numer. Math.
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Expr, SingularSystemError, parse, to_text
-from .exprtaylor import ExprDomainError, derivatives, evaluate
+from .exprtaylor import ExprDomainError, derivatives, evaluate, power_table
 from .quad import SampleGrid, cumulative, grid_from_descriptor
 
 
@@ -78,17 +78,6 @@ _MAX_START = 10_000
 # and 9.8e5 at nu_max=23, 2.2 s (x86-64); exp(-x) at m=171, nu_max=1 reads
 # 1.5e7 and ran past 300 s.
 _MAX_EXACT_WORK = 1_000_000
-
-
-def _power(x: float, p: int) -> float:
-    """math.pow, or inf where the power leaves the float range (as numpy's).
-
-    Only a power table in which math.pow raises is taken with it.
-    """
-    try:
-        return math.pow(x, p)
-    except (OverflowError, ValueError):
-        return math.inf
 
 
 # Double-double arithmetic (Dekker 1971) on float64 arrays: a value is a
@@ -250,7 +239,12 @@ class TableEntry:
 
 @dataclass(frozen=True, slots=True)
 class ExtrapolationTable:
-    """Extrapolations D for nu = 0..nu_max plus grid and integrand context."""
+    """Extrapolations D for nu = 0..nu_max plus grid and integrand context.
+
+    ``unresolved_panels`` are the quadrature's panels whose bisected halves
+    miss its tail tolerance, as :class:`dmint.quad.CumulativeIntegrals`
+    gives them: F from panel i on, and every D, may be off by more.
+    """
 
     entries: tuple[TableEntry, ...]
     m: int
@@ -259,6 +253,7 @@ class ExtrapolationTable:
     integrand: str
     exponents: tuple[int, ...]
     reference: float | None
+    unresolved_panels: tuple[tuple[int, float], ...] = ()
 
 
 def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
@@ -322,13 +317,10 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
         exps = tuple(map(operator.index, exps))
     except TypeError:
         raise ValueError("exponents must be integers, got %r" % (exps,)) from None
-    size = m * nu_max + 1
-    needed = j + size
+    needed = j + m * nu_max + 1
     # Row p = i*m + k of the sweep reads x**(exps[k] - i) times f^(k)(x).
-    powers = sorted({e - i for e in exps for i in range(nu_max)})
-    power_of_row = [powers.index(e - i) for i in range(nu_max) for e in exps]
+    row_powers = [e - i for i in range(nu_max) for e in exps]
     k_of_row = list(range(m)) * nu_max
-    exponent_args = [p for p in powers for _ in range(size)]
     sampled, systems = [], []
     for integrand, grid, reference in members:
         if isinstance(integrand, str):
@@ -356,33 +348,25 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
             for x in read:
                 derivatives(ast, x, m)
             raise
-        # The math module's power, as element by element (numpy's own pow
-        # differs from it in the last bit on some machines), and one product.
-        bases = read * len(powers)
-        try:
-            table = list(map(math.pow, bases, exponent_args))
-        except (OverflowError, ValueError):
-            table = list(map(_power, bases, exponent_args))
-        table = np.reshape(table, (len(powers), size))
-        sampled.append((ast, grid, reference, cum.F))
+        sampled.append((ast, grid, reference, cum))
         # A product beyond the float range is inf, as in the sweep.
         with np.errstate(all="ignore"):
-            systems.append((table[power_of_row] * derivs[k_of_row], cum.F[j:]))
+            systems.append((power_table(read, row_powers) * derivs[k_of_row], cum.F[j:]))
     if not systems:
         return []
 
     rows, rhss = (np.array(parts) for parts in zip(*systems))
     swept = _fs_sweep(rows, rhss, m)
     tables = []
-    for (ast, grid, reference, F), g, rhs, values in zip(sampled, rows, rhss, swept):
+    for (ast, grid, reference, cum), g, rhs, values in zip(sampled, rows, rhss, swept):
         if values is None:
             values = _exact_d(g, rhs, m, grid.points[j:])
         entries = []
         for nu, d_value in enumerate(values):
-            f_value = F[j + m * nu]
+            f_value = cum.F[j + m * nu]
             d_error = abs(d_value - reference) if reference is not None else None
             f_error = abs(f_value - reference) if reference is not None else None
             entries.append(TableEntry(nu, d_value, f_value, d_error, f_error))
         tables.append(ExtrapolationTable(tuple(entries), m, j, grid, to_text(ast),
-                                         exps, reference))
+                                         exps, reference, cum.unresolved_panels))
     return tables

@@ -10,10 +10,12 @@ difference of jets is numpy's, row by row; between arrays ``*`` is the
 elementwise product, and the truncated (Cauchy) product is
 :func:`_jet_mul`.  Each element goes through exactly the operations of
 a one-point jet: a sum of products is ``math.fsum`` at each point, and
-the elementary functions are the math module's, applied element by
-element (the square root, correctly rounded by IEEE 754, is numpy's).
-An array of points therefore gives, bit for bit, what each point gives
-alone.
+the elementary functions are libm's, element by element (the square
+root, correctly rounded by IEEE 754, is numpy's).  An array of points
+therefore gives, bit for bit, what each point gives alone.  The module
+owns every libm call that a sample value depends on, pow for the D^(m)
+rows (:func:`power_table`) included: each reads the one table
+:data:`LIBM` at call time, where another libm can stand in.
 
 The trees come from :mod:`dmint.expr`, the package's one grammar.
 """
@@ -36,6 +38,36 @@ class ExprDomainError(ValueError):
     leaves the float range (exp, a fractional power, a sum of jet
     products, a literal).  ``__cause__`` is the operation's own error.
     """
+
+
+# Every libm call that a sample value depends on reads this table at call time.
+LIBM = {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos, "pow": math.pow}
+
+
+def _apply(name, value):
+    """``LIBM[name]`` element by element: numpy's own differ from libm in the last bit."""
+    return np.fromiter(map(LIBM[name], value.tolist()), float, value.size)
+
+
+def power_table(points, exponents) -> np.ndarray:
+    """x**p by libm's pow, row i for ``exponents[i]`` and column l for ``points[l]``.
+
+    Each distinct power once; inf beyond the float range, as numpy's.
+    """
+    row = {p: n for n, p in enumerate(sorted(set(exponents)))}
+    bases, args = list(points) * len(row), [p for p in row for _ in points]
+    try:
+        table = np.fromiter(map(LIBM["pow"], bases, args), float, len(bases))
+    except OverflowError:
+        table = np.fromiter(map(_pow_or_inf, bases, args), float, len(bases))
+    return table.reshape(len(row), len(points))[[row[p] for p in exponents]]
+
+
+def _pow_or_inf(x, p):
+    try:
+        return LIBM["pow"](x, p)
+    except OverflowError:
+        return math.inf
 
 
 # -- jets --------------------------------------------------------------------
@@ -69,16 +101,6 @@ def _fsum(terms: np.ndarray):
     return np.fromiter(map(math.fsum, terms.T.tolist()), float, terms.shape[1])
 
 
-def _apply(fn, value):
-    """A math-module function of a coefficient, element by element.
-
-    numpy's own exp and log differ from the C library's in the last bit
-    on a few percent of inputs; calling the math function on each element
-    keeps array and scalar evaluations identical.  Its errors propagate.
-    """
-    return np.fromiter(map(fn, value.tolist()), float, value.size)
-
-
 def _jet_mul(a, b):
     """The truncated product: c_k is the fsum of a_i * b_(k-i), i = 0..k."""
     out = np.empty_like(a)
@@ -99,7 +121,7 @@ def _jet_div(a, b):
 def _jet_exp(u):
     ju = np.arange(len(u))[:, None] * u  # row j is j * u_j
     out = np.empty_like(u)
-    out[0] = _apply(math.exp, u[0])
+    out[0] = _apply("exp", u[0])
     for k in range(1, len(u)):
         out[k] = _fsum(ju[1:k + 1] * out[k - 1::-1]) / k
     return out
@@ -109,7 +131,7 @@ def _jet_log(u):
     if (u[0] <= 0.0).any():
         raise ValueError("log of a non-positive value")
     out = np.empty_like(u)
-    out[0] = _apply(math.log, u[0])
+    out[0] = _apply("log", u[0])
     for k in range(1, len(u)):
         acc = k * u[k] - _fsum(np.arange(1, k)[:, None] * out[1:k] * u[k - 1:0:-1])
         out[k] = acc / (k * u[0])
@@ -126,9 +148,9 @@ def _jet_sin_cos(u, sin_order: int, cos_order: int):
     s = np.empty((sin_order, u.shape[1]))
     c = np.empty((cos_order, u.shape[1]))
     if sin_order:
-        s[0] = _apply(math.sin, u[0])
+        s[0] = _apply("sin", u[0])
     if cos_order:
-        c[0] = _apply(math.cos, u[0])
+        c[0] = _apply("cos", u[0])
     for k in range(1, max(sin_order, cos_order)):
         if k < sin_order:
             s[k] = _fsum(ju[1:k + 1] * c[k - 1::-1]) / k

@@ -7,7 +7,8 @@ The rule is the only one used; its nodes and weights are built once, at
 import, by Newton iteration on the Legendre polynomial.  It judges itself:
 the same 32 products give the top Legendre coefficients of the panel's
 interpolant (a null rule, Berntsen & Espelid, ACM TOMS 17, 1991), and a
-panel whose tail is large is bisected once.
+panel whose tail is large is bisected once.  The halves are judged by the
+same rule, and a panel whose halves still miss it is reported, not refined.
 
 Integrands take an array of nodes and return the array of their values.
 :func:`cumulative` calls f once for the nodes of all panels, panel after
@@ -90,10 +91,16 @@ def grid_from_descriptor(descriptor: str, count: int) -> SampleGrid:
 
 @dataclass(frozen=True, slots=True)
 class CumulativeIntegrals:
-    """Panel integrals chi_0..chi_L and their prefix sums F(x_0)..F(x_L)."""
+    """Panel integrals chi_0..chi_L and their prefix sums F(x_0)..F(x_L).
+
+    ``unresolved_panels`` holds (i, ratio) for each panel i whose bisected
+    halves still miss the tail tolerance, ratio the larger of the halves'
+    tails over their values.
+    """
 
     chi: tuple[float, ...]
     F: tuple[float, ...]
+    unresolved_panels: tuple[tuple[int, float], ...] = ()
 
 
 def _legendre(q, x):
@@ -227,20 +234,38 @@ def _rule(f, lefts, rights):
     return sums, tails
 
 
-def _panels(f, lefts, rights) -> list[float]:
-    # Accept the rule's value; where its tail is above 1e-10 of it, bisect
+# A panel meets the rule's tolerance where its tail is at most this share of
+# its value.
+TAIL_TOLERANCE = 1e-10
+
+
+def _above(sums, tails):
+    """Whether each tail is above the tolerance of its panel's value."""
+    return tails > TAIL_TOLERANCE * np.maximum(np.abs(sums), 1e-30)
+
+
+def _panels(f, lefts, rights):
+    # Accept the rule's value; where its tail is above the tolerance, bisect
     # once and integrate the halves.  One level only: panels are expected
-    # to be smooth.  The panels are one call of f, the halves one more.
+    # to be smooth, and one whose halves still miss the tolerance is returned
+    # as (panel, larger half's tail over its value) with the values.  The
+    # panels are one call of f, the halves one more.
     chi, tails = _rule(f, lefts, rights)
-    flagged = np.flatnonzero(tails > 1e-10 * np.maximum(np.abs(chi), 1e-30)).tolist()
+    flagged = np.flatnonzero(_above(chi, tails)).tolist()
+    unresolved = []
     if flagged:
         a, b = lefts[flagged], rights[flagged]
         mid = 0.5 * (a + b)
-        halves, _ = _rule(f, np.column_stack((a, mid)).ravel(),
-                          np.column_stack((mid, b)).ravel())
+        halves, tails = _rule(f, np.column_stack((a, mid)).ravel(),
+                              np.column_stack((mid, b)).ravel())
+        missed = _above(halves, tails).reshape(-1, 2).any(axis=1)
+        with np.errstate(over="ignore"):
+            ratios = (tails / np.maximum(np.abs(halves), 1e-30)).reshape(-1, 2).max(axis=1)
         for n, i in enumerate(flagged):
             chi[i] = halves[2 * n] + halves[2 * n + 1]
-    return chi
+            if missed[n]:
+                unresolved.append((i, float(ratios[n])))
+    return chi, tuple(unresolved)
 
 
 def cumulative(f, grid: SampleGrid) -> CumulativeIntegrals:
@@ -251,18 +276,20 @@ def cumulative(f, grid: SampleGrid) -> CumulativeIntegrals:
     some panel's Legendre tail asks for bisecting it.  The values are those
     of integrating the panels one at a time, and the prefix sums are formed
     in index order, so F[l] equals the plain left-to-right sum of
-    chi[0..l].  Batching changes no bits: each panel keeps its own
-    ``math.fsum``, and :func:`dmint.exprtaylor.evaluate` computes each
-    element as it would a single point.  If the batch fails, the panels
-    are replayed one at a time (one call of f for the panel, one for its
-    halves) and the first failure is raised as ``panel i: ...``, the error
-    a panel-by-panel integration hits first, since a panel's nodes come
-    before its sum; if none fails alone, the batch's error stands.  Only
-    the error raised is bisected to its first failing node.
+    chi[0..l].  A bisected panel whose halves' tails are still above the
+    tolerance is named in ``unresolved_panels``.  Batching changes no bits:
+    each panel keeps its own ``math.fsum``, and
+    :func:`dmint.exprtaylor.evaluate` computes each element as it would a
+    single point.  If the batch fails, the panels are replayed one at a
+    time (one call of f for the panel, one for its halves) and the first
+    failure is raised as ``panel i: ...``, the error a panel-by-panel
+    integration hits first, since a panel's nodes come before its sum; if
+    none fails alone, the batch's error stands.  Only the error raised is
+    bisected to its first failing node.
     """
     edges = np.array((0.0,) + grid.points)
     try:
-        chi = _panels(f, edges[:-1], edges[1:])
+        chi, unresolved = _panels(f, edges[:-1], edges[1:])
     except _RuleFailure as batch:
         for i in range(len(grid.points)):
             try:
@@ -273,4 +300,4 @@ def cumulative(f, grid: SampleGrid) -> CumulativeIntegrals:
         message, error = batch.locate()
         raise QuadratureError(message) from error
     F = tuple(itertools.accumulate(chi, initial=0.0))[1:]
-    return CumulativeIntegrals(tuple(chi), F)
+    return CumulativeIntegrals(tuple(chi), F, unresolved)

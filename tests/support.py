@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
+import importlib.util
+import io
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
-from dmint import expr, symseries
+from dmint import cli, expr, symseries
 from dmint.compose import OdeCoefficients
 from dmint.symseries import GeneralizedPolynomial, GeneralizedRational, RationalParseError
 
@@ -311,3 +318,58 @@ def exact_first_unknown(matrix, rhs) -> Fraction | None:
         tail = sum((rows[col][k] * x[k] for k in range(col + 1, n)), Fraction(0))
         x[col] = (rows[col][n] - tail) / rows[col][col]
     return x[0]
+
+
+# The benchmark's workloads and the digests of the demo table and of the
+# accel-deep catalogue, which tier-1 pins under a correctly rounded libm and CI
+# reports for each platform's own.
+
+
+@functools.cache
+def benchmark_workloads():
+    """``perfbench/workloads.py``, loaded read-only: its ``CATALOGUE``,
+    ``ACCEL_M`` and ``NU_MAX_RANGE`` are the accel-deep design."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
+
+
+def demo_digests() -> dict[str, str]:
+    """sha256 of the ``reproduce-table --format csv`` output, and of every D
+    and F (in hex) of the accel-deep catalogue at its m, nu_max 20 and 30,
+    one ``d_sequence`` each."""
+    from dmint import d_sequence
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["reproduce-table", "--format", "csv"])
+    workloads = benchmark_workloads()
+    accel = hashlib.sha256()
+    for integrand, grid, *_ in workloads.CATALOGUE:
+        for nu_max in (20, 30):
+            entries = d_sequence(integrand, grid, workloads.ACCEL_M, nu_max).entries
+            accel.update(" ".join("%s %s" % (e.d_value.hex(), e.f_value.hex())
+                                  for e in entries).encode())
+    return {"reproduce-table CSV": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "accel-deep (D, F)": accel.hexdigest()}
+
+
+# demo_digests with this platform's libm on x86-64 Linux (glibc).
+NATIVE_DIGESTS = {
+    "reproduce-table CSV": "09f53648c9a5db808d0a100ce539790e3f43b7d3ae7948c686b2a74fa0d42c0a",
+    "accel-deep (D, F)": "73f125d19064b76f9e6e1c9b72de83cb4a3c302c9cbca3302b77e8df478e8132",
+}
+
+
+def report_platform_digests():
+    """Print this platform's :func:`demo_digests` and whether each is the
+    x86-64 Linux value; a platform whose libm rounds otherwise differs, so
+    nothing here fails."""
+    for name, digest in demo_digests().items():
+        verdict = "matches" if digest == NATIVE_DIGESTS[name] else "differs from"
+        print("%s sha256 %s %s the x86-64 Linux value" % (name, digest, verdict))

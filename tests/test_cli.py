@@ -297,6 +297,24 @@ class TestAccelerate:
         assert payload["exponents"] == [1, 0, 1]
         assert payload["entries"][5]["D_error"] < 1e-6
 
+    def test_unresolved_panel_is_named_on_stderr(self, capsys, tmp_path):
+        # Panel 0's left half keeps a Legendre tail of 1.8e-1 of its value,
+        # and D settles 1.1% away from sqrt(pi).  The run exits 0 with its
+        # table, and says so in one stderr line, also with --output.
+        argv = ["accelerate", "--integrand", "x^(-1/2)*exp(-x)", "--m", "1",
+                "--grid", "linear:1.0"]
+        line = ("warning: quadrature tolerance 1e-10 missed after bisection, so F and D "
+                "may be off: panel [0.0, 1.0] of 'x^(-1/2)*exp(-x)' (tail 1.8e-01 of its "
+                "value)\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, line)
+        rows = out.splitlines()[2:]
+        assert len(rows) == 11 and all(row.split()[1].startswith("1.7535087566")
+                                       for row in rows[9:])
+        path = tmp_path / "table.txt"
+        assert run(capsys, *argv, "--output", str(path)) == (0, "", line)
+        assert path.read_text() == out
+
     def test_exponent_count_checked_once(self, capsys):
         code, out, err = run(capsys, "accelerate", "--integrand", "f",
                              "--exponents", "rho:1,2")

@@ -1,14 +1,12 @@
-import importlib.util
 import math
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dmint import cli, dtransform
+from dmint import cli, dtransform, exprtaylor
 from dmint.cli import BUILTIN_INTEGRANDS
 from dmint.dtransform import (
     SingularSystemError,
@@ -18,10 +16,10 @@ from dmint.dtransform import (
 )
 
 from dmint.expr import parse
-from dmint.exprtaylor import ExprDomainError, derivatives, evaluate
+from dmint.exprtaylor import ExprDomainError, derivatives, evaluate, power_table
 from dmint.quad import SampleGrid, cumulative, grid_from_descriptor
 
-from support import exact_first_unknown
+from support import benchmark_workloads, exact_first_unknown
 
 PI_HALF = math.pi / 2
 PHI_REF = 2 * math.sqrt(math.pi) / 3
@@ -225,8 +223,9 @@ class TestSweepAndExactPath:
     def test_power_beyond_the_float_range_is_inf(self):
         # 1e-12**-26 overflows: row i=27 holds inf at the first sample, so
         # window nu=28 is the first with a non-finite column.
-        assert dtransform._power(1e-12, -26) == math.inf
-        assert math.isfinite(dtransform._power(1e-12, -25))
+        table = power_table([1e-12, 2e-12], [-26, -25, -26])
+        assert table[:, 0].tolist() == [math.inf, math.pow(1e-12, -25), math.inf]
+        assert table[:, 1].tolist() == [math.pow(2e-12, p) for p in (-26, -25, -26)]
         grid = SampleGrid(tuple(1e-12 * (l + 1) for l in range(32)))
         with pytest.raises(SingularSystemError) as info:
             d_sequence("exp(-x)", grid, 1, 31)
@@ -592,17 +591,17 @@ class TestDSequence:
 
     def test_one_assembly_per_sequence(self, monkeypatch):
         # One sweep, and each distinct power e_k - i (here -8..3) taken
-        # once at each of the 31 samples by math.pow; no power overflows,
-        # so the _power fallback is not run.
+        # once at each of the 31 samples by the owner's pow; no power
+        # overflows, so the element-by-element fallback is not run.
         powers = []
-        real_pow = math.pow
+        real_pow = exprtaylor.LIBM["pow"]
 
         def recording_pow(x, p):
             powers.append((x, p))
             return real_pow(x, p)
 
-        monkeypatch.setattr(math, "pow", recording_pow)
-        monkeypatch.setattr(dtransform, "_power", None)
+        monkeypatch.setitem(exprtaylor.LIBM, "pow", recording_pow)
+        monkeypatch.setattr(exprtaylor, "_pow_or_inf", None)
         calls = recording_sweep(monkeypatch)
         d_sequence("sinc(x)^2", "linear:1.6", 3, 10)
         assert len(calls) == 1
@@ -793,21 +792,20 @@ def test_no_benchmark_sequence_takes_the_exact_path(monkeypatch):
     # Every sequence the benchmark's numeric workloads run sweeps: the demo
     # table's two at nu_max=10 and the accel-deep catalogue at each of its
     # nu_max.  A change that sends one down the exact path fails here, where
-    # the benchmark would show it only as a latency cliff.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
-    spec.loader.exec_module(workloads)
+    # the benchmark would show it only as a latency cliff.  Nor does any of
+    # them leave a quadrature panel above its tolerance (no stderr line).
+    workloads = benchmark_workloads()
     exact_calls = []
     real_exact = dtransform._exact_d
     monkeypatch.setattr(dtransform, "_exact_d",
                         lambda g, *args: exact_calls.append(g.shape) or real_exact(g, *args))
-    cli._run_demo_tables(10)
+    tables = list(cli._run_demo_tables(10).values())
     members = [(integrand, grid, None) for integrand, grid, *_ in workloads.CATALOGUE]
     for nu_max in workloads.NU_MAX_RANGE:
-        assert len(d_sequences(members, workloads.ACCEL_M, nu_max)) == len(members)
+        tables += d_sequences(members, workloads.ACCEL_M, nu_max)
+    assert len(tables) == 2 + len(members) * len(workloads.NU_MAX_RANGE)
     assert exact_calls == []
+    assert [table.unresolved_panels for table in tables if table.unresolved_panels] == []
 
 
 class TestExactSampleOracle:

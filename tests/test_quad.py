@@ -329,6 +329,25 @@ class TestCumulative:
         assert len(calls) <= 2
         assert np.searchsorted(grid.points, halves.mean(axis=1)).tolist() == self.BISECTED[case]
 
+    # The panels whose halves still miss the tolerance after the one
+    # bisection, each with the larger of its halves' tail ratios: every
+    # panel that BISECTED names is one.
+    UNRESOLVED = {
+        ("x^(-1/2)*exp(-x)", "linear:1.0", 8): [(0, "1.8e-01")],
+        ("x^(1/2)*exp(-x)", "linear:1.0", 8): [(0, "5.7e-04")],
+        ("x^(1/3)*exp(-x)", "linear:1.0", 8): [(0, "1.2e-03")],
+        ("x^(3/2)*exp(-x)", "linear:1.0", 8): [(0, "4.1e-06")],
+        ("log(x)*exp(-x)", "linear:1.0", 8): [(0, "1.6e-02")],
+    }
+
+    @pytest.mark.parametrize("case", {**BISECTED, **UNRESOLVED},
+                             ids=lambda case: "%s-%s-%d" % case)
+    def test_unresolved_panels(self, case):
+        source, descriptor, count = case
+        result = cumulative(make_eval(source), grid_from_descriptor(descriptor, count))
+        assert [(i, "%.1e" % ratio) for i, ratio in result.unresolved_panels] == \
+            self.UNRESOLVED.get(case, [])
+
     def test_one_integrand_call_per_rule(self):
         # The 32 nodes of every panel in one call; no panel of f needs
         # bisecting.

@@ -7,6 +7,7 @@ import shlex
 
 import pytest
 
+import support
 from dmint.cli import main
 
 WORKFLOW = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
@@ -28,6 +29,16 @@ def test_workflow_keeps_its_steps(steps):
     assert script.startswith("python -m pip install .\n")
     for command in ("reproduce-table", "compose", "check-b1", "accelerate"):
         assert re.search(r"^dmint %s\b" % command, script, re.M), command
+
+
+def test_digest_step_is_one_support_call(steps, capsys):
+    # The step runs the helper that tier-1's digest pin uses, and reports
+    # without failing.
+    assert steps["Platform digests"] == (
+        "PYTHONPATH=tests python -c 'import support; support.report_platform_digests()'")
+    support.report_platform_digests()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" sha256 ")[0] for line in lines] == list(support.NATIVE_DIGESTS)
 
 
 @pytest.mark.parametrize("command", ["compose", "check-b1"])

@@ -252,7 +252,11 @@ def _parse_reference(text: str) -> float:
     ast = expr.parse(text)
     if expr.has_variable(ast):
         raise expr.ExprSyntaxError("reference value must not contain x", 0)
-    return exprtaylor.evaluate(ast, 1.0)
+    value = exprtaylor.evaluate(ast, 1.0)
+    # inf and nan have no JSON form, and no error is measured against them.
+    if not math.isfinite(value):
+        raise ValueError("reference value must be finite, got %r" % value)
+    return value
 
 
 def _parse_exponents(text: str):

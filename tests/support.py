@@ -11,7 +11,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 
 from dmint import cli, expr, symseries
@@ -110,12 +110,12 @@ def _reference_monomial_power(base, exponent):
         GeneralizedPolynomial.monomial(root ** exponent.numerator, e.numerator, e.denominator))
 
 
-def _reference_lower(node):
+def reference_lower(node):
     # Every sub-expression, down to x and each literal, is a canonical
     # GeneralizedRational, and each operation is the rational one.
     if isinstance(node, expr.BinOp):
-        value = _reference_lower(node.left)
-        rhs = _reference_lower(node.right)
+        value = reference_lower(node.left)
+        rhs = reference_lower(node.right)
         if node.op == "+":
             return value + rhs
         if node.op == "-":
@@ -130,16 +130,16 @@ def _reference_lower(node):
     if isinstance(node, expr.Var):
         return GeneralizedRational.variable()
     if isinstance(node, expr.Neg):
-        return -_reference_lower(node.operand)
+        return -reference_lower(node.operand)
     if isinstance(node, expr.Pow):
-        value = _reference_lower(node.base)
+        value = reference_lower(node.base)
         if node.exponent.denominator != 1:
             return _reference_monomial_power(value, node.exponent)
         if node.exponent < 0 and value.is_zero:
             raise RationalParseError("negative power of zero in '%s'" % expr.to_text(node))
         return value ** node.exponent.numerator
     if isinstance(node, expr.Call) and node.func == "sqrt":
-        return _reference_monomial_power(_reference_lower(node.arg), Fraction(1, 2))
+        return _reference_monomial_power(reference_lower(node.arg), Fraction(1, 2))
     raise RationalParseError("'%s' is not a rational function of x" % expr.to_text(node))
 
 
@@ -153,7 +153,32 @@ def reference_parse_rational(text):
         ast = expr._Parser(text, rational=True).parse()
     except expr.ExprSyntaxError as exc:
         raise RationalParseError(str(exc)) from exc
-    return _reference_lower(ast)
+    return reference_lower(ast)
+
+
+def assert_canonical(r: GeneralizedRational, num: GeneralizedPolynomial,
+                     den: GeneralizedPolynomial):
+    """r is num/den in canonical form, checked without dmint's gcd.
+
+    r is the same function (cross-multiplied, the products agree), its
+    denominator is monic, and on their common exponent grid both sides are
+    polynomials whose gcd, by Euclid over Fractions, is a constant.
+    """
+    assert r.numerator * den == num * r.denominator
+    assert r.denominator.lead_coefficient == 1
+    step = lcm(r.numerator.step_denominator, r.denominator.step_denominator)
+    a, b = (side.rescaled_terms(step) for side in (r.numerator, r.denominator))
+    assert min(a, default=0) >= 0 and min(b) >= 0
+    # Dense lists, constant term first, with no zero at the top.
+    a, b = ([t.get(n, Fraction(0)) for n in range(max(t, default=-1) + 1)] for t in (a, b))
+    while b:
+        while len(a) >= len(b):
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            a = [c - q * b[n - shift] if n >= shift else c for n, c in enumerate(a[:-1])]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    assert len(a) == 1
 
 
 # The partial Bell polynomials by enumeration of their multi-indices: the

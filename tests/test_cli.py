@@ -49,17 +49,14 @@ class TestReproduceTable:
 
     def test_one_sweep_for_both_integrands(self, capsys, monkeypatch):
         from dmint import dtransform
-        calls = {"_fs_sweep": 0, "derivatives": 0}
-        for name in calls:
-            real = getattr(dtransform, name)
-
-            def counting(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(dtransform, name, counting)
+        sweeps, derivatives = [], []
+        real_sweep, real_derivatives = dtransform._fs_sweep, dtransform.derivatives
+        monkeypatch.setattr(dtransform, "_fs_sweep",
+                            lambda *args: sweeps.append(1) or real_sweep(*args))
+        monkeypatch.setattr(dtransform, "derivatives",
+                            lambda *args: derivatives.append(1) or real_derivatives(*args))
         assert run(capsys, "reproduce-table")[0] == 0
-        assert calls == {"_fs_sweep": 1, "derivatives": 2}
+        assert (len(sweeps), len(derivatives)) == (1, 2)
 
     def test_each_d_value_is_its_integrand_alone(self, capsys):
         # reproduce-table sweeps f and phi together; each D_value, as
@@ -229,9 +226,12 @@ class TestCheckB1:
         assert code == 2 and out == ""
 
     def test_zero_function_exit_3(self, capsys):
-        code, out, err = run(capsys, "check-b1", "--f=0")
-        assert code == 3 and out == ""
-        assert err == "invalid input: the zero function is excluded\n"
+        # A constant has no order-1 coefficient either.
+        for f, detail in (("0", "the zero function is excluded"),
+                          ("7", "constant functions have no order-1 coefficient")):
+            code, out, err = run(capsys, "check-b1", "--f=" + f)
+            assert code == 3 and out == ""
+            assert err == "invalid input: %s\n" % detail
 
     def test_third_root_grid_exit_2(self, capsys):
         code, out, err = run(capsys, "check-b1", "--f=x^(1/3)+1")
@@ -413,6 +413,19 @@ class TestAccelerate:
         (("--integrand", "exp(-x)", "--m", "1", "--grid", "linear:1.0", "--nu-max", "300"),
          "exact elimination too large (301 rows times 300035 column bits, 90310535 in all, "
          "beyond 1000000)"),
+        (("--integrand", "exp(-x)", "--nu-max", "1"),
+         "--grid is required for non-builtin integrands"),
+        (("--integrand", "exp(-x)", "--m", "1", "--grid", "linear:1,2,3"),
+         "linear grids take one or two parameters"),
+        (("--integrand", "exp(-x)", "--m", "1", "--grid", "cubic:1"),
+         "unrecognized grid descriptor 'cubic:1'"),
+        (("--integrand", "exp(-x)", "--m", "1", "--grid", "linear:1.0.0"),
+         "bad number in grid descriptor 'linear:1.0.0'"),
+        # inf and nan have no JSON form.
+        (("--integrand", "f", "--reference", "10^400", "--format", "json"),
+         "reference value must be finite, got inf"),
+        (("--integrand", "f", "--reference", "10^400-10^400", "--format", "json"),
+         "reference value must be finite, got nan"),
     ])
     def test_precondition_messages(self, capsys, argv, detail):
         start = time.perf_counter()
@@ -434,13 +447,15 @@ class TestAccelerate:
                              "--grid", "linear:1.0")
         assert code == 2 and out == ""
 
-    @pytest.mark.parametrize("integrand, detail", [
-        ("x$2", "unexpected character '$' (position 1)"),
-        ("x x", "unexpected 'x' (position 2)"),
-    ])
-    def test_token_errors_exit_2(self, capsys, integrand, detail):
-        code, out, err = run(capsys, "accelerate", "--integrand", integrand,
-                             "--m", "1", "--grid", "linear:1.0")
+    # Each case is named by the text at fault, the last of its arguments.
+    @pytest.mark.parametrize("argv, detail", [
+        (("--integrand", "x$2"), "unexpected character '$' (position 1)"),
+        (("--integrand", "x x"), "unexpected 'x' (position 2)"),
+        (("--integrand", "f", "--reference", "x+1"),
+         "reference value must not contain x (position 0)"),
+    ], ids=lambda value: value[-1] if isinstance(value, tuple) else None)
+    def test_token_errors_exit_2(self, capsys, argv, detail):
+        code, out, err = run(capsys, "accelerate", *argv, "--m", "1", "--grid", "linear:1.0")
         assert code == 2 and out == ""
         assert err == "parse error: %s\n" % detail
 
@@ -456,16 +471,6 @@ class TestAccelerate:
         assert code == 2 and out == ""
         assert err == ("parse error: ambiguous exponent: write x^(1/2) or (x^1)/2 "
                        "(position 3)\n")
-
-    def test_reference_must_be_constant(self, capsys):
-        code, out, err = run(capsys, "accelerate", "--integrand", "f",
-                             "--nu-max", "1", "--reference", "x+1")
-        assert code == 2 and out == ""
-
-    def test_missing_grid_for_custom_integrand(self, capsys):
-        code, out, err = run(capsys, "accelerate", "--integrand", "exp(-x)",
-                             "--nu-max", "1")
-        assert code == 3 and out == ""
 
     def test_pretty_table(self, capsys):
         argv = ("accelerate", "--integrand", "exp(-x)", "--m", "1",

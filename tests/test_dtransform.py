@@ -1,12 +1,11 @@
 import math
 import random
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dmint import cli, dtransform, exprtaylor
+from dmint import dtransform, exprtaylor
 from dmint.cli import BUILTIN_INTEGRANDS
 from dmint.dtransform import (
     SingularSystemError,
@@ -17,7 +16,7 @@ from dmint.dtransform import (
 
 from dmint.expr import parse
 from dmint.exprtaylor import ExprDomainError, derivatives, evaluate, power_table
-from dmint.quad import SampleGrid, cumulative, grid_from_descriptor
+from dmint.quad import QuadratureError, SampleGrid, cumulative, grid_from_descriptor
 
 from support import benchmark_workloads, exact_first_unknown
 
@@ -33,7 +32,8 @@ def element_loop_system(exponents, nu, samples):
     """Reference assembly: every entry on its own, x**(e_k-i) * f^(k-1)(x).
 
     ``samples`` are (x, F, derivatives) triples, the first m*nu+1 of
-    which make the window; the unknowns are D, then beta_ki k-major.
+    which make the window; the unknowns are D, then beta_ki i-major, so
+    that every smaller window is a leading block.
     """
     size = len(exponents) * nu + 1
     matrix = np.zeros((size, size))
@@ -41,8 +41,8 @@ def element_loop_system(exponents, nu, samples):
     for row, (x, F, derivs) in enumerate(samples[:size]):
         matrix[row, 0] = 1.0
         col = 1
-        for e, base in zip(exponents, derivs):
-            for i in range(nu):
+        for i in range(nu):
+            for e, base in zip(exponents, derivs):
                 matrix[row, col] = float(x) ** (e - i) * float(base)
                 col += 1
         rhs[row] = F
@@ -63,9 +63,10 @@ def sample_rows(source, grid, m):
     return [(x, F, derivatives(node, x, m)) for x, F in zip(grid.points, cum.F)]
 
 
-def oracle_windows(matrix, rhs, m):
+def oracle_windows(matrix, rhs, m, points=POINTS):
     """Each nested window's D by the rational oracle, rounded, up to the
-    first window that fails, and that window's (nu, message) or None."""
+    first window that fails, and that window's (nu, message) or None;
+    row l is the sample at ``points[l]``."""
     values = []
     # The samples at which every unknown's row is 0, over all the unknowns.
     vanishing = [l for l, row in enumerate(matrix[:, 1:]) if not row.any()]
@@ -80,7 +81,7 @@ def oracle_windows(matrix, rhs, m):
         if exact is None:
             return values, (nu, "matrix is singular")
         if nu and vanishing and vanishing[0] < n:
-            x = POINTS[vanishing[0]]
+            x = points[vanishing[0]]
             return values, (nu, (VANISHING % (nu, x, x)).partition(": ")[2])
         values.append(float(exact))
     return values, None
@@ -104,33 +105,15 @@ def assert_exact_windows(g, rhs, m):
     return failure
 
 
-def recording_sweep(monkeypatch):
-    """Replace the sweep by one that records the rows and samples it gets."""
-    calls = []
-    real_sweep = dtransform._fs_sweep
-
-    def recording(g, rhs, m):
-        calls.append((g, rhs, m))
-        return real_sweep(g, rhs, m)
-
-    monkeypatch.setattr(dtransform, "_fs_sweep", recording)
-    return calls
+# An integrand that fails as soon as it is sampled, and a grid that fails
+# as soon as it is built, with the errors they raise.
+UNSAMPLEABLE, UNBUILDABLE = "log(x-100)", "linear:-1.0"
+QUADRATURE_FAILS = "^panel 0: integrand failed at node "
+GRID_FAILS = "^the first grid point must be positive$"
 
 
 def demo_table(**kwargs):
     return d_sequence("sinc(x)^2", "linear:1.6", 3, 10, reference=PI_HALF, **kwargs)
-
-
-class TestSweepInputs:
-    def test_shapes(self, monkeypatch):
-        # Per member, the sweep reads the m*nu_max rows g_1..g_N at the
-        # m*nu_max+1 samples l = j..j+N, and those samples F.
-        calls = recording_sweep(monkeypatch)
-        d_sequences([("sinc(x)^2", "linear:1.6", None)] * 2, 3, 2, j=1)
-        d_sequence("exp(-x)", "linear:1.0", 1, 0, j=2)
-        assert [(g.shape, rhs.shape, m) for g, rhs, m in calls] == \
-            [((2, 6, 7), (2, 7), 3), ((1, 0, 1), (1, 1), 1)]
-        assert friendly_exponents(4) == (1, 2, 3, 4)
 
 
 class TestSweepAndExactPath:
@@ -145,44 +128,39 @@ class TestSweepAndExactPath:
     def test_triangular_system(self):
         # Window 0 is the first sample; in window 1, g_1 is 0 there, so that
         # sample reads F(x_0) = D and window 1 is refused.
-        with pytest.raises(SingularSystemError) as info:
-            dtransform._exact_d(np.array([[0.0, 1.0]]), np.array([3.5, -1.0]), 1, POINTS)
-        assert (info.value.nu, str(info.value)) == (1, VANISHING % (1, 1.0, 1.0))
+        vanishing = (VANISHING % (1, 1.0, 1.0)).partition(": ")[2]
+        g, rhs = np.array([[0.0, 1.0]]), np.array([3.5, -1.0])
+        assert assert_exact_windows(g, rhs, 1) == (1, vanishing)
 
     def test_exact_model_is_reproduced(self):
         # F(x) = 1 - 1/x fits the model with D = 1, beta_10 = -1 exactly:
-        # the sweep and the exact fallback both give D = 1 on its rows.
+        # the exact fallback gives the oracle's D on its rows (the sweep's
+        # is criterion 5 of the acceptance suite).
         for j in range(21):
             xs = [float(j + 1 + t) for t in range(2)]
-            g = np.array([[[x * x ** -2.0 for x in xs]]])
-            rhs = np.array([[1.0 - 1.0 / x for x in xs]])
-            d = dtransform._fs_sweep(g, rhs, 1)[0][1]
-            assert abs(d - 1.0) <= 1e-13
-            assert dtransform._exact_d(g[0], rhs[0], 1, xs) == [rhs[0, 0], d]
+            g, rhs = np.array([[x * x ** -2.0 for x in xs]]), np.array([1.0 - 1.0 / x for x in xs])
+            assert assert_exact_windows(g, rhs, 1) is None
 
-    def test_build_matches_element_loop(self, monkeypatch):
-        # The rows handed to the sweep are the reference assembly's
-        # columns taken in the i-major order, bit for bit.
-        calls = recording_sweep(monkeypatch)
+    def test_build_matches_element_loop(self):
+        # Random m, nu_max, j, exponents and grids: every window's D is the
+        # exact D of the reference assembly's system.  A fault in the rows
+        # (a power, a derivative, a sample or the order) moves D far more
+        # than the sweep's rounding, which on these draws reaches 8 ulp
+        # (window 4 of 1/(1+x)^2 at m=1, exponents (2,), j=2).
         rng = random.Random(11)
         sources = ("sinc(x)^2", "cos(x)/(1+x^2)", "x^(1/2)*exp(-x)", "1/(1+x)^2")
         for _ in range(40):
-            m, nu, j = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 3)
+            m, nu_max, j = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 3)
             exponents = tuple(rng.randint(-3, 4) for _ in range(m))
             source = rng.choice(sources)
             grid = grid_from_descriptor(rng.choice(("linear:1.6", "sqrtlinear:1.6")),
-                                        j + m * nu + 1)
-            calls.clear()
-            try:
-                d_sequence(source, grid, m, nu, exponents=exponents, j=j)
-            except SingularSystemError:
-                pass  # the rows were handed over before the window failed
-            (g, rhs, swept_m), = calls
-            matrix, ref_rhs = element_loop_system(exponents, nu, sample_rows(source, grid, m)[j:])
-            order = [1 + k * nu + i for i in range(nu) for k in range(m)]
-            assert swept_m == m and g.dtype == rhs.dtype == np.float64
-            assert np.array_equal(g[0], matrix[:, order].T)
-            assert np.array_equal(rhs[0], ref_rhs)
+                                        j + m * nu_max + 1)
+            table = d_sequence(source, grid, m, nu_max, exponents=exponents, j=j)
+            assert table.exponents == exponents and len(table.entries) == nu_max + 1
+            rows = sample_rows(source, grid, m)[j:]
+            for nu, entry in enumerate(table.entries):
+                exact = float(exact_first_unknown(*element_loop_system(exponents, nu, rows)))
+                assert abs(entry.d_value - exact) <= 1e-12 * abs(exact)
 
     def test_sample_count_mismatch(self):
         # The windows read samples j..j+m*nu_max: one point fewer is refused
@@ -281,14 +259,9 @@ class TestSweepAndExactPath:
                 # window holding it fails, unless it is singular on its own.
                 ([[0.0, 1.0, 2.0], [0.0, 3.0, 5.0]], [1.0] * 3, 1, 1, vanishing),
                 ([[0.0, 1.0, 1.0], [0.0, 2.0, 2.0]], [1.0] * 3, 2, 1, singular)):
-            with pytest.raises(SingularSystemError) as info:
-                dtransform._exact_d(np.array(g), np.array(rhs), m, POINTS)
-            assert (info.value.nu, str(info.value)) == (nu, "window nu=%d: %s" % (nu, text))
             assert assert_exact_windows(np.array(g), np.array(rhs), m) == (nu, text)
         # A tiny pivot is solved, not reported as singular.
-        g, rhs = np.array([[1e-305, 3e-305]]), np.array([1.0, 2.0])
-        assert dtransform._exact_d(g, rhs, 1, POINTS) == \
-            [1.0, float(exact_first_unknown(full_matrix(g), rhs))]
+        assert assert_exact_windows(np.array([[1e-305, 3e-305]]), np.array([1.0, 2.0]), 1) is None
 
     def test_d_beyond_the_float_range(self):
         # Two nearly equal rows put D of window 1 near 4.5e315: no float
@@ -432,15 +405,11 @@ class TestDSequence:
     def test_exponent_modes_agree(self):
         friendly = demo_table()
         rho = demo_table(exponents=(1, 0, 1))
+        assert friendly.exponents == (1, 2, 3)
         assert friendly.entries[10].d_value == pytest.approx(PI_HALF, abs=1e-9)
         assert rho.entries[10].d_value == pytest.approx(PI_HALF, abs=1e-9)
         e_f, e_r = friendly.entries[10].d_error, rho.entries[10].d_error
         assert max(e_f / e_r, e_r / e_f) <= 100.0
-
-    def test_zero_integrand_fails_loudly(self):
-        with pytest.raises(SingularSystemError) as info:
-            d_sequence("0", "linear:1.0", 2, 3)
-        assert info.value.nu == 1
 
     @pytest.mark.parametrize("source, grid, m, nu_max, exponents, j", [
         ("sinc(x)^2", "linear:1.6", 3, 10, None, 0),
@@ -478,15 +447,13 @@ class TestDSequence:
         ("0", "linear:1.0", 2, 3, 1, "matrix has a zero or non-finite column"),
     ])
     def test_smallest_singular_window_raises(self, source, grid, m, nu_max, nu, text):
-        # The error is that of the first window that is singular on its own.
+        # The error is that of the first window the rational oracle refuses.
         with pytest.raises(SingularSystemError) as info:
             d_sequence(source, grid, m, nu_max)
-        assert info.value.nu == nu
-        assert str(info.value) == "window nu=%d: %s" % (nu, text)
+        assert (info.value.nu, str(info.value)) == (nu, "window nu=%d: %s" % (nu, text))
         rows = sample_rows(source, grid_from_descriptor(grid, m * nu_max + 1), m)
-        windows = [element_loop_system(friendly_exponents(m), k, rows) for k in range(nu + 1)]
-        assert [exact_first_unknown(*window) is None for window in windows] == \
-            [False] * nu + [True]
+        system = element_loop_system(friendly_exponents(m), nu_max, rows)
+        assert oracle_windows(*system, m)[1] == (nu, text)
 
     @pytest.mark.parametrize("m, nu_max, nu", [(2, 30, 27), (3, 30, 20), (4, 30, 15), (3, 25, 20)])
     def test_exp_cos_windows_are_regular(self, m, nu_max, nu):
@@ -496,44 +463,25 @@ class TestDSequence:
         assert len(table.entries) == nu_max + 1
         assert abs(table.entries[nu].d_value - 0.5) <= 1e-12
 
-    def test_vanishing_sample_takes_the_exact_path(self, monkeypatch):
+    def test_vanishing_sample_takes_the_exact_path(self):
         # (x-2)*exp(-x) vanishes at the grid point x=2, so g_1 has a zero
         # and the sweep breaks at its first division: one exact elimination
         # of the whole nu_max system solves every window of the sequence,
-        # and only of that member in a batch.
-        exact_calls = []
-        real_exact = dtransform._exact_d
-
-        def recording_exact(g, rhs, m, points):
-            exact_calls.append((g.shape, len(rhs), m))
-            return real_exact(g, rhs, m, points)
-
-        monkeypatch.setattr(dtransform, "_exact_d", recording_exact)
+        # each D the rational oracle's, rounded.
         grid = grid_from_descriptor("linear:1.0", 13)
         assert grid.points[1] == 2.0
-        d_sequences([("1/(1+x^2)", grid, None), ("(x-2)*exp(-x)", grid, None),
-                     ("1/(1+x)^2", grid, None)], 2, 6)
-        assert exact_calls == [((12, 13), 13, 2)]
-        exact_calls.clear()
         table = d_sequence("(x-2)*exp(-x)", grid, 2, 6)
-        assert exact_calls == [((12, 13), 13, 2)]
         rows = sample_rows("(x-2)*exp(-x)", grid, 2)
-        for nu, entry in enumerate(table.entries):
-            exact = exact_first_unknown(*element_loop_system((1, 2), nu, rows))
-            assert entry.d_value == float(exact)
-            if nu == 0:
-                assert entry.d_value == rows[0][1]
-            elif nu >= 2:
-                # The model is exact from nu=2: D is the integral, -1.
-                assert abs(entry.d_value + 1.0) <= 2 * math.ulp(1.0)
-        assert table.entries[5].d_value == -1.0
+        values, failure = oracle_windows(*element_loop_system((1, 2), 6, rows), 2, grid.points)
+        assert [entry.d_value for entry in table.entries] == values and failure is None
+        assert values[0] == rows[0][1] and values[5] == -1.0
+        # The model is exact from nu=2: D is the integral, -1.
+        assert all(abs(d + 1.0) <= 2 * math.ulp(1.0) for d in values[2:])
         # At m=1 the row at x=2 is the sample's only row, so every window
         # holding it reads F(2) = D: the one exact elimination finds
         # window 1 regular and refuses the sequence there.
-        exact_calls.clear()
         with pytest.raises(SingularSystemError) as info:
             d_sequence("(x-2)*exp(-x)", grid, 1, 6)
-        assert exact_calls == [((6, 7), 7, 1)]
         assert (info.value.nu, str(info.value)) == (1, VANISHING % (1, 2.0, 2.0))
 
     @pytest.mark.parametrize("source, m", [
@@ -547,52 +495,27 @@ class TestDSequence:
         ("0", 2),
         ("exp(-x)", 4),
     ])
-    def test_breaking_sequences_match_the_rational_oracle(self, monkeypatch, source, m):
+    def test_breaking_sequences_match_the_rational_oracle(self, source, m):
         # Each of these sweeps breaks, at a sample where the integrand
         # vanishes or on a singular window, so the one exact elimination
         # solves the sequence: every window is the rational oracle's D,
-        # rounded, up to the first singular one, which raises the message
-        # it raises when solved on its own.
-        exact_calls = []
-        real_exact = dtransform._exact_d
-        monkeypatch.setattr(dtransform, "_exact_d",
-                            lambda *args: exact_calls.append(1) or real_exact(*args))
+        # rounded, up to the first window the oracle refuses, whose message
+        # the sequence raises.
         nu_max = 24 // m
         grid = grid_from_descriptor("linear:1.0", m * nu_max + 1)
-        rows = sample_rows(source, grid, m)
-        # The first sample at which every unknown's row is 0, if any, and
-        # the first window that holds it.
-        full = element_loop_system(friendly_exponents(m), nu_max, rows)[0]
-        vanishing = [l for l, row in enumerate(full[:, 1:]) if not row.any()]
-        refused = max(1, -(-vanishing[0] // m)) if vanishing else None
-        expected = []
-        for nu in range(nu_max + 1):
-            matrix, rhs = element_loop_system(friendly_exponents(m), nu, rows)
-            exact = exact_first_unknown(matrix, rhs)
-            if exact is None or nu == refused:
-                if exact is None:
-                    with pytest.raises(SingularSystemError) as alone:
-                        real_exact(matrix[:, 1:].T, rhs, max(len(rhs) - 1, 1), POINTS)
-                    text = "window nu=%d: %s" % (nu, str(alone.value).split(": ")[1])
-                else:
-                    # The window is regular, and its D is the sample's F.
-                    x, F, _ = rows[vanishing[0]]
-                    assert exact == Fraction(F)
-                    text = VANISHING % (nu, x, x)
-                with pytest.raises(SingularSystemError) as info:
-                    d_sequence(source, grid, m, nu_max)
-                assert (info.value.nu, str(info.value)) == (nu, text)
-                break
-            expected.append(float(exact))
+        system = element_loop_system(friendly_exponents(m), nu_max, sample_rows(source, grid, m))
+        values, failure = oracle_windows(*system, m, grid.points)
+        if failure is None:
+            assert [e.d_value for e in d_sequence(source, grid, m, nu_max).entries] == values
         else:
-            table = d_sequence(source, grid, m, nu_max)
-            assert [entry.d_value for entry in table.entries] == expected
-        assert exact_calls == [1]
+            with pytest.raises(SingularSystemError) as info:
+                d_sequence(source, grid, m, nu_max)
+            assert (info.value.nu, str(info.value)) == (failure[0], "window nu=%d: %s" % failure)
 
     def test_one_assembly_per_sequence(self, monkeypatch):
-        # One sweep, and each distinct power e_k - i (here -8..3) taken
-        # once at each of the 31 samples by the owner's pow; no power
-        # overflows, so the element-by-element fallback is not run.
+        # Each distinct power e_k - i (here -8..3) taken once at each of
+        # the 31 samples by the owner's pow: a second assembly, or the
+        # element-by-element fallback after an overflow, would repeat one.
         powers = []
         real_pow = exprtaylor.LIBM["pow"]
 
@@ -601,10 +524,7 @@ class TestDSequence:
             return real_pow(x, p)
 
         monkeypatch.setitem(exprtaylor.LIBM, "pow", recording_pow)
-        monkeypatch.setattr(exprtaylor, "_pow_or_inf", None)
-        calls = recording_sweep(monkeypatch)
         d_sequence("sinc(x)^2", "linear:1.6", 3, 10)
-        assert len(calls) == 1
         points = grid_from_descriptor("linear:1.6", 31).points
         assert sorted(powers) == sorted((x, p) for x in points for p in range(-8, 4))
 
@@ -662,82 +582,66 @@ class TestDSequence:
         assert info.value.nu == 1
         assert str(info.value) == VANISHING % (1, 2.0, 2.0)
 
-    def test_m_checked_before_sampling(self, monkeypatch):
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("quadrature ran")
-
-        monkeypatch.setattr(dtransform, "cumulative", no_quadrature)
+    def test_m_checked_before_sampling(self):
+        # log(x-100) fails as soon as it is sampled: a parameter refused by
+        # name was checked before the quadrature ran.
         for m in (0, -1):
             with pytest.raises(ValueError, match="^m must be at least 1$"):
-                d_sequence("exp(-x)", "linear:1.0", m, 3)
+                d_sequence(UNSAMPLEABLE, "linear:1.0", m, 3)
         with pytest.raises(ValueError, match="^the start index j must be non-negative$"):
-            d_sequence("exp(-x)", "linear:1.0", 1, 3, j=-1)
+            d_sequence(UNSAMPLEABLE, "linear:1.0", 1, 3, j=-1)
+        with pytest.raises(QuadratureError, match=QUADRATURE_FAILS):
+            d_sequence(UNSAMPLEABLE, "linear:1.0", 1, 3, j=0)
 
-    def test_unknowns_bounded_before_sampling(self, monkeypatch):
-        # An oversized system is refused before its grid, quadrature or
-        # power table is built.
-        def not_built(*args, **kwargs):
-            raise AssertionError("grid or quadrature built")
-
-        monkeypatch.setattr(dtransform, "grid_from_descriptor", not_built)
-        monkeypatch.setattr(dtransform, "cumulative", not_built)
-        bound = dtransform._MAX_UNKNOWNS
+    def test_unknowns_bounded_before_sampling(self):
+        # An oversized system is refused before its grid is built:
+        # linear:-1.0 fails as soon as it is built.  The bounds are the
+        # documented 300 unknowns, m at most 171 and j at most 10 000.
+        bound = 300
         for m, nu_max in ((1, bound + 1), (3, bound // 3 + 1)):
             message = ("too many unknowns: m = %d, m*nu_max = %d; each must be at most %d"
                        % (m, m * nu_max, bound))
             with pytest.raises(ValueError) as info:
-                d_sequence("exp(-x)", "linear:1.0", m, nu_max)
+                d_sequence(UNSAMPLEABLE, UNBUILDABLE, m, nu_max)
             assert str(info.value) == message
-        # At the bound the parameters pass, and the grid is built.
-        with pytest.raises(AssertionError, match="^grid or quadrature built$"):
-            d_sequence("exp(-x)", "linear:1.0", 1, bound)
         # m itself stops where (m-1)! leaves the float range, below the
         # unknowns' bound, and m beyond both is refused by its own bound.
-        top = dtransform._MAX_M
+        top = 171
         float(math.factorial(top - 1))
         with pytest.raises(OverflowError):
             float(math.factorial(top))
-        assert top < bound
         for m, nu_max in ((top + 1, 0), (top + 1, 1), (bound, 0), (bound + 1, 0)):
             with pytest.raises(ValueError) as info:
-                d_sequence("exp(-x)", "linear:1.0", m, nu_max)
+                d_sequence(UNSAMPLEABLE, UNBUILDABLE, m, nu_max)
             assert str(info.value) == ("m must be at most %d, got %d: the derivative rows "
                                        "take k! up to (m-1)!, beyond the float range"
                                        % (top, m))
-        with pytest.raises(AssertionError, match="^grid or quadrature built$"):
-            d_sequence("exp(-x)", "linear:1.0", top, 1)
         # So is a start index j: every point below x_j would be integrated.
-        start = dtransform._MAX_START
-        for j in (start + 1, 10 ** 8):
-            with pytest.raises(ValueError) as info:
-                d_sequence("exp(-x)", "linear:1.0", 1, 2, j=j)
-            assert str(info.value) == "the start index j must be at most %d, got %d" % (start, j)
-        with pytest.raises(AssertionError, match="^grid or quadrature built$"):
-            d_sequence("exp(-x)", "linear:1.0", 1, 2, j=start)
+        start = 10_000
+        with pytest.raises(ValueError) as info:
+            d_sequence(UNSAMPLEABLE, UNBUILDABLE, 1, 2, j=start + 1)
+        assert str(info.value) == "the start index j must be at most 10000, got 10001"
+        # At each bound the parameters pass, and the grid is built.
+        for m, nu_max, j in ((1, bound, 0), (top, 1, 0), (1, 2, start)):
+            with pytest.raises(ValueError, match=GRID_FAILS):
+                d_sequence(UNSAMPLEABLE, UNBUILDABLE, m, nu_max, j=j)
+        with pytest.raises(QuadratureError, match=QUADRATURE_FAILS):
+            d_sequence(UNSAMPLEABLE, "linear:1.0", top, 1)
 
-    def test_exponent_count_checked_before_sampling(self, monkeypatch):
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("quadrature ran")
-
-        monkeypatch.setattr(dtransform, "cumulative", no_quadrature)
+    def test_exponent_count_checked_before_sampling(self):
         with pytest.raises(ValueError, match="^need 2 exponents, got 3$"):
-            d_sequence("exp(-x)", "linear:1.0", 2, 3, exponents=(1, 2, 3))
+            d_sequence(UNSAMPLEABLE, "linear:1.0", 2, 3, exponents=(1, 2, 3))
         with pytest.raises(ValueError, match="^nu_max must be non-negative$"):
-            d_sequence("exp(-x)", "linear:1.0", 2, -1)
+            d_sequence(UNSAMPLEABLE, "linear:1.0", 2, -1)
+        with pytest.raises(QuadratureError, match=QUADRATURE_FAILS):
+            d_sequence(UNSAMPLEABLE, "linear:1.0", 2, 0, exponents=(1, 2))
 
-    def test_non_integral_exponents_rejected_before_sampling(self, monkeypatch):
+    def test_non_integral_exponents_rejected_before_sampling(self):
         # 1.5 - i would become 1 - i, and two columns would coincide.
-        real_cumulative = dtransform.cumulative
-
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("quadrature ran")
-
-        monkeypatch.setattr(dtransform, "cumulative", no_quadrature)
         for exponents in ((1.5,), (2.0,), ("1",)):
             with pytest.raises(ValueError, match="^exponents must be integers, got "):
-                d_sequence("exp(-x)*cos(x)", "linear:1.0", 1, 4, exponents=exponents)
+                d_sequence(UNSAMPLEABLE, "linear:1.0", 1, 4, exponents=exponents)
         # numpy integers pass, and the table records plain ints.
-        monkeypatch.setattr(dtransform, "cumulative", real_cumulative)
         table = d_sequence("sinc(x)^2", "linear:1.6", 2, 3,
                            exponents=(np.int64(1), np.int32(0)))
         assert table == d_sequence("sinc(x)^2", "linear:1.6", 2, 3, exponents=(1, 0))
@@ -799,7 +703,7 @@ def test_no_benchmark_sequence_takes_the_exact_path(monkeypatch):
     real_exact = dtransform._exact_d
     monkeypatch.setattr(dtransform, "_exact_d",
                         lambda g, *args: exact_calls.append(g.shape) or real_exact(g, *args))
-    tables = list(cli._run_demo_tables(10).values())
+    tables = d_sequences([BUILTIN_INTEGRANDS[name] for name in ("f", "phi")], 3, 10)
     members = [(integrand, grid, None) for integrand, grid, *_ in workloads.CATALOGUE]
     for nu_max in workloads.NU_MAX_RANGE:
         tables += d_sequences(members, workloads.ACCEL_M, nu_max)

@@ -1,9 +1,12 @@
-"""The lazy package namespace and the numpy-free exact half."""
+"""The lazy package namespace, the numpy-free exact half, and what tests reach past it."""
 
+import ast
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +141,83 @@ def test_exact_half_runs_without_numpy():
         0
         2
         """)
+
+
+# Every private name of a dmint module that tests/test_*.py reads, and every
+# monkeypatch call, named by its method, as "<file>::<function>: <target>"
+# under the reason it stays.  The tests pin what dmint outputs; these pin
+# how, where no output shows it yet.  tests/support.py is exempt.
+COUPLING = {
+    "a system that no integrand's samples reach: random, hand-built or an exact model": (
+        "test_acceptance::test_criterion_5_exact_model: _fs_sweep",
+        "test_dtransform::assert_exact_windows: _exact_d",
+        "test_dtransform::test_d_beyond_the_float_range: _exact_d",
+        "test_dtransform::test_sweep_windows_match_window_by_window: _fs_sweep",
+        "test_dtransform::test_batched_sweep_matches_one_system_at_a_time: _fs_sweep"),
+    "a performance shape that no output shows yet": (
+        "test_cli::test_one_sweep_for_both_integrands: _fs_sweep",
+        "test_cli::test_one_sweep_for_both_integrands: setattr(dtransform, '_fs_sweep')",
+        "test_cli::test_one_sweep_for_both_integrands: setattr(dtransform, 'derivatives')",
+        "test_cli::test_builtin_integrands_parsed_once: _builtin_ast",
+        "test_cli::test_builtin_integrands_parsed_once: setattr(expr, 'parse')",
+        "test_dtransform::test_one_derivatives_call_per_sequence: "
+        "setattr(dtransform, 'derivatives')",
+        "test_dtransform::test_grid_sampled_as_given_or_cut_to_the_points_read: "
+        "setattr(dtransform, 'cumulative')",
+        "test_dtransform::test_no_benchmark_sequence_takes_the_exact_path: _exact_d",
+        "test_dtransform::test_no_benchmark_sequence_takes_the_exact_path: "
+        "setattr(dtransform, '_exact_d')",
+        "test_symseries::test_negation_keeps_the_pair_without_reducing: "
+        "setattr(symseries, '_canonical_pair')",
+        "test_symseries::count_products: setattr(cls, '__mul__')"),
+    "a public table swapped: cli's tolerances, exprtaylor.LIBM, or math's own to show a bypass": (
+        "test_cli::test_reference_mismatch_exit_1: setattr(cli, name)",
+        "test_cli::test_tolerance_failure_exit_1: setattr(cli, 'D_FLAT_LIMIT_NU10')",
+        "test_dtransform::test_one_assembly_per_sequence: setitem(exprtaylor.LIBM, 'pow')",
+        "test_libm::test_correctly_rounded_libm_gives_the_platform_independent_digests: "
+        "setitem(exprtaylor.LIBM, name)",
+        "test_libm::test_no_libm_call_bypasses_the_owner: setitem(exprtaylor.LIBM, name)",
+        "test_libm::test_no_libm_call_bypasses_the_owner: setattr(math, name)"),
+    "the handler lookup by name that perfbench's tracer relies on": (
+        "test_cli::test_handler_looked_up_at_call_time: setattr(cli, '_cmd_reproduce_table')",),
+    "a numeric kernel against its reference bit for bit, which no expression isolates": (
+        "test_exprtaylor::<module>: _fsum",
+        "test_exprtaylor::<module>: _jet_sqrt",
+        "test_quad::<module>: _RULE",
+        "test_quad::<module>: _TAIL",
+        "test_quad::<module>: _gauss_legendre"),
+}
+MODULES = {info.name for info in pkgutil.iter_modules(dmint.__path__)}
+
+
+def coupling(path):
+    """The COUPLING entries that one test file holds."""
+    found = set()
+
+    def visit(node, scope):
+        scope = node.name if isinstance(node, ast.FunctionDef) else scope
+        targets = []
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dmint":
+            targets = [a.name for a in node.names if a.name[0] == "_"]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in MODULES and node.attr.startswith("_")
+              and not node.attr.startswith("__")):
+            targets = [node.attr]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("setattr", "setitem")
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "monkeypatch"):
+            arguments = ", ".join(map(ast.unparse, node.args[:2]))
+            targets = ["%s(%s)" % (node.func.attr, arguments)]
+        found.update("%s::%s: %s" % (path.stem, scope, target) for target in targets)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_private_references_and_patches_are_allowlisted():
+    found = set().union(*map(coupling, Path(__file__).parent.glob("test_*.py")))
+    allowed = {entry for entries in COUPLING.values() for entry in entries}
+    assert sorted(found - allowed) == [], "add each to COUPLING under its reason"
+    assert sorted(allowed - found) == [], "take out of COUPLING what is gone"

@@ -6,7 +6,8 @@ exact half (``symseries``, ``bell``, ``compose``) and the parser (``expr``)
 do not load numpy; the numeric names (jets, quadrature over the fixed
 32-point Gauss-Legendre rule, the D^(m) transformation) do.  The order of
 a rational function at infinity is ``GeneralizedRational.lead_exponent``
-with ``integer_step``, read from the canonical pair.
+with ``integer_step``, read from the canonical pair.  ``collect_counts()``
+counts dmint's own work in a block: parses, sweeps, row walks, products.
 """
 
 from importlib import import_module
@@ -49,10 +50,11 @@ _EXPORTS = {
         "d_sequences",
         "friendly_exponents",
     ),
+    "_stats": ("collect_counts",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_MODULE_OF) + sorted(_EXPORTS)
+__all__ = sorted(_MODULE_OF) + sorted(m for m in _EXPORTS if not m.startswith("_"))
 
 
 def __getattr__(name: str):

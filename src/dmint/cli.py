@@ -219,13 +219,11 @@ def _cmd_compose(args) -> int:
         lines.append("pi_%d = %s" % (k, "0" if pik is None else symseries.to_text(pik)))
     lines.append("r = (%s)" % ", ".join(
         "-" if rk is None else str(rk) for rk in result.r))
-    lines.append("recursive bounds: %s" % ", ".join(
-        "r_%d <= %d" % (k, bound)
-        for k, bound in enumerate(result.r_bound_recursive, start=1)
-        if bound is not None))
-    lines.append("closed bounds: %s" % ", ".join(
-        "r_%d <= %d" % (k, bound)
-        for k, bound in enumerate(result.r_bound_closed, start=1)))
+    for name, bounds in (("recursive", result.r_bound_recursive),
+                         ("closed", result.r_bound_closed)):
+        lines.append("%s bounds: %s" % (name, ", ".join(
+            "r_%d <= %d" % (k, bound) for k, bound in enumerate(bounds, start=1)
+            if bound is not None)))
     _emit(lines, args.output)
     return 0
 

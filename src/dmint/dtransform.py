@@ -22,22 +22,16 @@ Numer. Anal. 24, 1987) gives every window's D, without pivoting, in
 O(N^3).  The sweep runs in double-double arithmetic (Dekker, Numer. Math.
 18, 1971), about 106 bits: on every window the tests check against exact
 rational elimination, D is the exact solution of its float64 system,
-rounded.  The sweep uses only IEEE additions, multiplications and
-divisions, so given rows give the same bits on every platform.  The
-systems of several integrands are swept as one batch, each to the last
-step, with the same operations on every element.  A sequence whose sweep
-divides by zero (at a sample where the integrand vanishes, say) is solved
-instead by one exact fraction-free elimination (Bareiss, Math. Comp. 22,
-1968) of the same entries, the one judge of such a sequence.  Window by
-window, in order, it refuses the first window with
-  1. a zero or non-finite column,
-  2. a non-finite sample F,
-  3. an exactly singular matrix,
-  4. a sample at which every unknown's row is 0, which reads F(x_l) = D
-     and so would fix D in every window that holds it,
-  5. a D beyond the float range,
-checked in that order within a window.  An elimination whose estimated
-work passes a fixed budget is refused before it starts.
+rounded, but for two windows of 1/(1+x)^2, 8 ulp off at nu=4 (linear:1.6,
+m=1, exponents (2,), j=2) and 1 ulp at nu=3 (sqrtlinear:1.6, m=4,
+exponents (-1, 3, 3, -2), j=1).  The sweep uses only IEEE additions,
+multiplications and divisions, so given rows give the same bits on every
+platform.  The systems of several integrands are swept as one batch, each
+to the last step, with the same operations on every element.  A sequence
+whose sweep divides by zero (at a sample where the integrand vanishes,
+say) is solved instead by one exact fraction-free elimination (Bareiss,
+Math. Comp. 22, 1968) of the same entries, :func:`_exact_d`, the one
+judge of such a sequence.
 """
 
 from __future__ import annotations
@@ -48,9 +42,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import exprtaylor
+from ._stats import count
 from .expr import Expr, SingularSystemError, parse, to_text
-from .exprtaylor import ExprDomainError, derivatives, evaluate, power_table
+from .exprtaylor import ExprDomainError, evaluate, power_table
 from .quad import SampleGrid, cumulative, grid_from_descriptor
+
+
+def derivatives(ast, x0, m):
+    """:func:`dmint.exprtaylor.derivatives`, each walk counted; the
+    quadrature's walks of the integrand are not."""
+    count("dtransform.row_walks")
+    count("dtransform.row_samples", np.size(x0))
+    return exprtaylor.derivatives(ast, x0, m)
 
 
 def friendly_exponents(m: int) -> tuple[int, ...]:
@@ -130,8 +134,9 @@ def _fs_sweep(g, rhs, m):
     differences carry into the last window's D.  Returns one D list per
     system, or None for a system with a non-finite D.
     """
-    count, n, size = g.shape
-    hi = np.concatenate((rhs[:, None], np.ones((count, 1, size)), g[:, ::-1]), axis=1)
+    count("dtransform.sweeps")
+    systems, n, size = g.shape
+    hi = np.concatenate((rhs[:, None], np.ones((systems, 1, size)), g[:, ::-1]), axis=1)
     lo = np.zeros_like(hi)
     heads = []  # rows F and 1 of column 0, (hi, lo), at every m-th step
     with np.errstate(all="ignore"):
@@ -164,6 +169,7 @@ def _exact_d(g, rhs, m, points) -> list[float]:
     beyond the float range, checked in that order, and :class:`ValueError`
     before eliminating work beyond ``_MAX_EXACT_WORK``.
     """
+    count("dtransform.exact_sequences")
     # The first window holding a sample where every unknown's row is 0 is
     # the last one judged (window nu_max + 1, none, without such a sample).
     zero = np.flatnonzero(~g.any(axis=0))
@@ -263,16 +269,11 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     ``integrand`` is an expression AST or source text; ``grid`` is a
     SampleGrid or a descriptor string, and must provide j + m*nu_max + 1
     points; only those are sampled, and the table keeps the grid given.
-    ``exponents`` are m integers (numpy integers too), e_1..e_m.  One
-    sampling pass (quadrature prefix sums, derivative rows from one jet
-    walk) feeds every window; each window nu uses samples l = j..j+m*nu
-    with tail lengths n = (nu, ..., nu).  The rows of the nu_max system
-    are assembled once, in the i-major order, and one double-double FS
-    sweep over them gives D for every window.  If the sweep divides by
-    zero or by a non-finite value, one exact elimination over the same rows
-    solves every window instead, and judges them: the first window it
-    refuses (see :func:`_exact_d`) raises :class:`SingularSystemError`
-    carrying its ``nu``, and an elimination beyond its work budget raises
+    ``exponents`` are m integers (numpy integers too), e_1..e_m.  Window
+    nu uses samples l = j..j+m*nu with tail lengths n = (nu, ..., nu).
+    Where the sweep breaks, the first window the exact elimination refuses
+    (see :func:`_exact_d`) raises :class:`SingularSystemError` carrying its
+    ``nu``, and an elimination beyond its work budget raises
     :class:`ValueError`.  This is :func:`d_sequences` with one member.
     """
     return d_sequences([(integrand, grid, reference)], m, nu_max, exponents, j)[0]
@@ -334,11 +335,9 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
         elif len(grid.points) < needed:
             raise ValueError("grid too short: need %d points, have %d"
                              % (needed, len(grid.points)))
-        # Only the samples the windows read: a later point may fail.  A
-        # grid of exactly those points, checked once already, goes as it is.
+        # Only the samples the windows read: a later point may fail.
         points = grid.points[:needed]
-        cum = cumulative(lambda t: evaluate(ast, t), grid if len(points) == len(grid.points)
-                         else SampleGrid(points, grid.descriptor))
+        cum = cumulative(lambda t: evaluate(ast, t), SampleGrid(points, grid.descriptor))
         # The rows read the samples from j on.
         read = points[j:]
         try:

@@ -32,6 +32,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._stats import count
+
 
 class ExprSyntaxError(ValueError):
     """Syntax error with the offending source position."""
@@ -227,6 +229,7 @@ class _Parser:
 
 def parse(source: str) -> Expr:
     """Parse an integrand expression into its AST; ``x^1/2`` is refused."""
+    count("expr.parse")
     return _Parser(source).parse()
 
 

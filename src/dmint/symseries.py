@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import expr
+from ._stats import count
 
 
 class RationalParseError(ValueError):
@@ -174,6 +175,7 @@ class GeneralizedPolynomial:
     def __mul__(self, other):
         if not isinstance(other, GeneralizedPolynomial):
             return NotImplemented
+        count("symseries.polynomial_products")
         d = math.lcm(self.step_denominator, other.step_denominator)
         a = self.rescaled_terms(d)
         b = other.rescaled_terms(d)
@@ -408,6 +410,7 @@ class GeneralizedRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        count("symseries.rational_products")
         return GeneralizedRational(self.numerator * other.numerator,
                                    self.denominator * other.denominator)
 
@@ -478,6 +481,7 @@ def _coerce(value):
 
 
 def _canonical_pair(num: GeneralizedPolynomial, den: GeneralizedPolynomial):
+    count("symseries.canonical_pairs")
     if den.is_zero:
         raise ZeroDivisionError("denominator is the zero function")
     if num.is_zero:
@@ -526,7 +530,9 @@ def substitution_polynomial(g) -> GeneralizedPolynomial:
         g = g.numerator
     if not isinstance(g, GeneralizedPolynomial):
         raise TypeError("g must be a generalized polynomial")
-    if g.is_zero or g.step_denominator != 1 or min(g.terms) < 0:
+    if g.is_zero:
+        raise ValueError("g must not be the zero polynomial")
+    if g.step_denominator != 1 or min(g.terms) < 0:
         raise ValueError("g must have non-negative integer exponents")
     if g.lead_coefficient <= 0:
         raise ValueError("g must tend to +infinity (positive leading coefficient)")

@@ -15,6 +15,7 @@ from math import factorial, lcm
 from pathlib import Path
 
 from dmint import cli, expr, symseries
+from dmint.bell import l_matrix
 from dmint.compose import OdeCoefficients
 from dmint.symseries import GeneralizedPolynomial, GeneralizedRational, RationalParseError
 
@@ -75,6 +76,20 @@ def random_bm_instance(rng, m, s):
                                                                GeneralizedPolynomial(p[1]))
                     for p in p_terms]
     return OdeCoefficients(coefficients), GeneralizedPolynomial(g_terms)
+
+
+def reconstruction_failure(ode, g, result):
+    """The first k at which p_k(g) != sum_{n>=k} pi_n L[n,k], or None."""
+    table = l_matrix(g, ode.m)
+    for k in range(1, ode.m + 1):
+        total = GeneralizedRational.zero()
+        for n in range(k, ode.m + 1):
+            if result.pi[n - 1] is not None:
+                total = total + result.pi[n - 1] * table[(n, k)]
+        pk = ode.p[k - 1]
+        if total != (GeneralizedRational.zero() if pk is None else symseries.compose_poly(pk, g)):
+            return k
+    return None
 
 
 def compose_batch_texts(count=200, seed=1234):

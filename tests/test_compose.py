@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from dmint.symseries import (
     parse_rational,
 )
 
-from support import random_bm_instance
+from support import random_bm_instance, reconstruction_failure
 
 R = parse_rational
 X_SQUARED = GeneralizedPolynomial({2: 1})
@@ -31,20 +30,6 @@ X_POLY = GeneralizedPolynomial({1: 1})
 
 def demo_ode():
     return OdeCoefficients([R("-(2*x^2+3)/(4*x)"), R("-3/4"), R("-x/8")])
-
-
-def reconstruction_holds(ode, g, result):
-    table = l_matrix(g, ode.m)
-    for k in range(1, ode.m + 1):
-        total = GeneralizedRational.zero()
-        for n in range(k, ode.m + 1):
-            if result.pi[n - 1] is not None:
-                total = total + result.pi[n - 1] * table[(n, k)]
-        pk = ode.p[k - 1]
-        target = GeneralizedRational.zero() if pk is None else compose_poly(pk, g)
-        if total != target:
-            return False
-    return True
 
 
 class TestWorkedComposition:
@@ -58,7 +43,7 @@ class TestWorkedComposition:
 
     def test_reconstruction(self):
         ode = demo_ode()
-        assert reconstruction_holds(ode, X_SQUARED, compose_ode(ode, X_SQUARED))
+        assert reconstruction_failure(ode, X_SQUARED, compose_ode(ode, X_SQUARED)) is None
 
     def test_identity_substitution_echoes(self):
         ode = demo_ode()
@@ -95,13 +80,6 @@ class TestValidation:
         with pytest.raises(error) as info:
             OdeCoefficients(coefficients)
         assert type(info.value) is error and str(info.value) == message
-
-    def test_degenerate_g_rejected(self):
-        ode = demo_ode()
-        with pytest.raises(ValueError):
-            compose_ode(ode, GeneralizedPolynomial({0: 2}))
-        with pytest.raises(ValueError):
-            compose_ode(ode, GeneralizedPolynomial({2: -1}))
 
 
 class TestOrderBounds:
@@ -207,7 +185,7 @@ class TestRandomProperties:
             s = rng.randint(1, 3)
             ode, g = random_bm_instance(rng, m, s)
             result = compose_ode(ode, g)
-            assert reconstruction_holds(ode, g, result)
+            assert reconstruction_failure(ode, g, result) is None
             # exact top order
             assert result.r[m - 1] == s * (ode.i[m - 1] - m) + m
             for k in range(1, m + 1):

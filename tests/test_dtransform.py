@@ -5,15 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from dmint import dtransform, exprtaylor
+from dmint import collect_counts, dtransform, exprtaylor
 from dmint.cli import BUILTIN_INTEGRANDS
-from dmint.dtransform import (
-    SingularSystemError,
-    d_sequence,
-    d_sequences,
-    friendly_exponents,
-)
-
+from dmint.dtransform import SingularSystemError, d_sequence, d_sequences, friendly_exponents
 from dmint.expr import parse
 from dmint.exprtaylor import ExprDomainError, derivatives, evaluate, power_table
 from dmint.quad import QuadratureError, SampleGrid, cumulative, grid_from_descriptor
@@ -49,11 +43,11 @@ def element_loop_system(exponents, nu, samples):
     return matrix, rhs
 
 
-def assert_exactly_rounded(d, matrix, rhs):
-    """d is within one ulp of the exact first unknown of the float system."""
+def assert_exactly_rounded(d, matrix, rhs, ulps=1):
+    """d is within ``ulps`` ulp of the exact first unknown of the float system."""
     exact = exact_first_unknown(matrix, rhs)
     assert exact is not None
-    assert abs(d - float(exact)) <= math.ulp(float(exact))
+    assert abs(d - float(exact)) <= ulps * math.ulp(float(exact))
 
 
 def sample_rows(source, grid, m):
@@ -117,14 +111,6 @@ def demo_table(**kwargs):
 
 
 class TestSweepAndExactPath:
-    def test_trivial_window_returns_first_sample(self):
-        # The window nu=0 is the sample F(x_j) itself, bit for bit.
-        table = d_sequence("sinc(x)^2", "linear:1.6", 3, 0, j=2)
-        node = parse("sinc(x)^2")
-        cum = cumulative(lambda t: evaluate(node, t), grid_from_descriptor("linear:1.6", 3))
-        assert len(table.entries) == 1
-        assert table.entries[0].d_value == table.entries[0].f_value == cum.F[2]
-
     def test_triangular_system(self):
         # Window 0 is the first sample; in window 1, g_1 is 0 there, so that
         # sample reads F(x_0) = D and window 1 is refused.
@@ -145,8 +131,8 @@ class TestSweepAndExactPath:
         # Random m, nu_max, j, exponents and grids: every window's D is the
         # exact D of the reference assembly's system.  A fault in the rows
         # (a power, a derivative, a sample or the order) moves D far more
-        # than the sweep's rounding, which on these draws reaches 8 ulp
-        # (window 4 of 1/(1+x)^2 at m=1, exponents (2,), j=2).
+        # than the sweep's rounding, which misses exact rounding on two
+        # windows of these draws; they are checked last, each in ulps.
         rng = random.Random(11)
         sources = ("sinc(x)^2", "cos(x)/(1+x^2)", "x^(1/2)*exp(-x)", "1/(1+x)^2")
         for _ in range(40):
@@ -161,6 +147,15 @@ class TestSweepAndExactPath:
             for nu, entry in enumerate(table.entries):
                 exact = float(exact_first_unknown(*element_loop_system(exponents, nu, rows)))
                 assert abs(entry.d_value - exact) <= 1e-12 * abs(exact)
+        # Each within the distance measured there: 8 ulp and 1 ulp.
+        for source, descriptor, exponents, j, nu, ulps in (
+                ("1/(1+x)^2", "linear:1.6", (2,), 2, 4, 8),
+                ("1/(1+x)^2", "sqrtlinear:1.6", (-1, 3, 3, -2), 1, 3, 1)):
+            m = len(exponents)
+            grid = grid_from_descriptor(descriptor, j + m * nu + 1)
+            d = d_sequence(source, grid, m, nu, exponents=exponents, j=j).entries[nu].d_value
+            rows = sample_rows(source, grid, m)[j:]
+            assert_exactly_rounded(d, *element_loop_system(exponents, nu, rows), ulps=ulps)
 
     def test_sample_count_mismatch(self):
         # The windows read samples j..j+m*nu_max: one point fewer is refused
@@ -170,21 +165,18 @@ class TestSweepAndExactPath:
         with pytest.raises(ValueError, match="^grid too short: need 9 points, have 8$"):
             d_sequence("sinc(x)^2", short, 2, 3, j=2)
         assert len(d_sequence("sinc(x)^2", grid, 2, 3, j=2).entries) == 4
+        with pytest.raises(ValueError, match="^grid too short: need 31 points, have 5$"):
+            d_sequence("sinc(x)^2", grid_from_descriptor("linear:1.6", 5), 3, 10)
 
-    def test_grid_sampled_as_given_or_cut_to_the_points_read(self, monkeypatch):
-        # A grid with exactly the points the windows read goes to the
-        # quadrature as it is; a longer one is cut to them.
-        grids = []
-        real_cumulative = dtransform.cumulative
-        monkeypatch.setattr(dtransform, "cumulative",
-                            lambda f, grid: grids.append(grid) or real_cumulative(f, grid))
+    def test_grid_sampled_as_given_or_cut_to_the_points_read(self):
+        # A grid of exactly the points the windows read, a longer one and
+        # its descriptor give the same windows, bit for bit.
         exact = grid_from_descriptor("linear:1.6", 7)
         longer = grid_from_descriptor("linear:1.6", 9)
-        d_sequence("sinc(x)^2", exact, 3, 2)
-        d_sequence("sinc(x)^2", longer, 3, 2)
-        d_sequence("sinc(x)^2", "linear:1.6", 3, 2)
-        assert grids[0] is exact
-        assert grids[1] == SampleGrid(longer.points[:7], "linear:1.6") == grids[2]
+        tables = [d_sequence("sinc(x)^2", grid, 3, 2) for grid in (exact, longer, "linear:1.6")]
+        entries = [[(e.d_value.hex(), e.f_value.hex()) for e in t.entries] for t in tables]
+        assert entries[0] == entries[1] == entries[2]
+        assert [t.grid for t in tables] == [exact, longer, exact]
 
     def test_derivatives_only_at_the_samples_read(self):
         # |x - 1.6| has no derivative at the first sample, which the windows
@@ -384,12 +376,14 @@ class TestSweepAndExactPath:
 
 class TestDSequence:
     def test_first_entry_is_first_sample(self):
-        table = demo_table()
+        # The window nu=0 is the sample F(x_j) itself, bit for bit, also
+        # where it is the only window.
         node = parse("sinc(x)^2")
-        grid = grid_from_descriptor("linear:1.6", 31)
-        cum = cumulative(lambda t: evaluate(node, t), grid)
-        assert table.entries[0].d_value == cum.F[0]
-        assert table.entries[0].f_value == cum.F[0]
+        F = cumulative(lambda t: evaluate(node, t), grid_from_descriptor("linear:1.6", 31)).F
+        only = d_sequence("sinc(x)^2", "linear:1.6", 3, 0, j=2)
+        assert len(only.entries) == 1
+        for table, j in ((demo_table(), 0), (only, 2)):
+            assert table.entries[0].d_value == table.entries[0].f_value == F[j]
 
     def test_demo_window_three(self):
         table = demo_table()
@@ -663,17 +657,12 @@ class TestDSequence:
         ("x^(1/2)*exp(-x)", "sqrtlinear:2", 2, 2),
         ("exp(-x)", "linear:1.0", 1, 0),
     ])
-    def test_one_derivatives_call_per_sequence(self, monkeypatch, source, grid, m, j):
-        calls = []
-
-        def counting(ast, x0, count):
-            calls.append((np.shape(x0), count))
-            return derivatives(ast, x0, count)
-
-        monkeypatch.setattr(dtransform, "derivatives", counting)
-        table = d_sequence(source, grid, m, 4, j=j)
+    def test_one_derivatives_call_per_sequence(self, source, grid, m, j):
+        with collect_counts() as counts:
+            table = d_sequence(source, grid, m, 4, j=j)
         # At the samples the windows read, j on.
-        assert calls == [((len(table.grid.points) - j,), m)]
+        assert counts["dtransform.row_walks"] == 1
+        assert counts["dtransform.row_samples"] == len(table.grid.points) - j
 
     def test_failing_sample_point_named_as_point_by_point(self):
         # The array walk fails first in 1/(x-3.2); the first grid point
@@ -681,34 +670,28 @@ class TestDSequence:
         with pytest.raises(ExprDomainError, match="^division by zero in '1/\\(x-1.6\\)'$"):
             d_sequence("1/(x-3.2)+1/(x-1.6)", "linear:1.6", 2, 2)
 
-    def test_grid_length_guard(self):
-        from dmint.quad import grid_from_descriptor
-        short = grid_from_descriptor("linear:1.6", 5)
-        with pytest.raises(ValueError):
-            d_sequence("sinc(x)^2", short, 3, 10)
-
     def test_nonzero_start_index(self):
         table = d_sequence("sinc(x)^2", "linear:1.6", 3, 3, j=2, reference=PI_HALF)
         assert table.entries[3].d_error < 1e-2
 
 
-def test_no_benchmark_sequence_takes_the_exact_path(monkeypatch):
+def test_no_benchmark_sequence_takes_the_exact_path():
     # Every sequence the benchmark's numeric workloads run sweeps: the demo
     # table's two at nu_max=10 and the accel-deep catalogue at each of its
     # nu_max.  A change that sends one down the exact path fails here, where
     # the benchmark would show it only as a latency cliff.  Nor does any of
     # them leave a quadrature panel above its tolerance (no stderr line).
+    # A sequence whose sweep breaks at step 0 is counted.
     workloads = benchmark_workloads()
-    exact_calls = []
-    real_exact = dtransform._exact_d
-    monkeypatch.setattr(dtransform, "_exact_d",
-                        lambda g, *args: exact_calls.append(g.shape) or real_exact(g, *args))
-    tables = d_sequences([BUILTIN_INTEGRANDS[name] for name in ("f", "phi")], 3, 10)
-    members = [(integrand, grid, None) for integrand, grid, *_ in workloads.CATALOGUE]
-    for nu_max in workloads.NU_MAX_RANGE:
-        tables += d_sequences(members, workloads.ACCEL_M, nu_max)
+    with collect_counts() as counts:
+        tables = d_sequences([BUILTIN_INTEGRANDS[name] for name in ("f", "phi")], 3, 10)
+        members = [(integrand, grid, None) for integrand, grid, *_ in workloads.CATALOGUE]
+        for nu_max in workloads.NU_MAX_RANGE:
+            tables += d_sequences(members, workloads.ACCEL_M, nu_max)
+        assert counts["dtransform.exact_sequences"] == 0
+        d_sequence("(x-2)*exp(-x)", "linear:1.0", 3, 10)
+    assert counts["dtransform.exact_sequences"] == 1
     assert len(tables) == 2 + len(members) * len(workloads.NU_MAX_RANGE)
-    assert exact_calls == []
     assert [table.unresolved_panels for table in tables if table.unresolved_panels] == []
 
 

@@ -272,11 +272,10 @@ def _parse_exponents(text: str):
 def _cmd_accelerate(args) -> int:
     from . import dtransform
     if args.integrand in BUILTIN_INTEGRANDS:
-        source, default_grid, default_reference = BUILTIN_INTEGRANDS[args.integrand]
+        _, default_grid, default_reference = BUILTIN_INTEGRANDS[args.integrand]
         grid = args.grid or default_grid
         reference = default_reference
     else:
-        source = args.integrand
         grid = args.grid
         reference = None
         if grid is None:
@@ -284,7 +283,8 @@ def _cmd_accelerate(args) -> int:
     if args.reference is not None:
         reference = _parse_reference(args.reference)
     exponents = _parse_exponents(args.exponents)
-    ast = expr.parse(source)
+    ast = (_builtin_ast(args.integrand) if args.integrand in BUILTIN_INTEGRANDS
+           else expr.parse(args.integrand))
     table = dtransform.d_sequence(ast, grid, args.m, args.nu_max,
                                   exponents=exponents, j=args.j,
                                   reference=reference)

@@ -7,7 +7,6 @@ import functools
 import hashlib
 import importlib.util
 import io
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,20 +19,15 @@ from dmint.compose import OdeCoefficients
 from dmint.symseries import GeneralizedPolynomial, GeneralizedRational, RationalParseError
 
 
-def random_int_terms(rng, degree, coeff_range=3):
-    """Term map of a dense integer polynomial of exactly the given degree."""
+def random_int_poly(rng, degree, coeff_range=3):
+    """Dense integer polynomial of exactly the given degree."""
     lead = rng.choice([c for c in range(-coeff_range, coeff_range + 1) if c])
     terms = {degree: lead}
     for n in range(degree):
         c = rng.randint(-coeff_range, coeff_range)
         if c:
             terms[n] = c
-    return terms
-
-
-def random_int_poly(rng, degree, coeff_range=3):
-    """Dense integer polynomial of exactly the given degree."""
-    return GeneralizedPolynomial(random_int_terms(rng, degree, coeff_range))
+    return GeneralizedPolynomial(terms)
 
 
 def random_rational(rng, max_degree=4, half_grid=False):
@@ -49,32 +43,23 @@ def random_rational(rng, max_degree=4, half_grid=False):
     return GeneralizedRational(num, den)
 
 
-def random_bm_terms(rng, m, s):
-    """Term maps of a class-B instance: per k None or (numerator, denominator),
-    orders forced <= k, and a degree-s g with a positive leading coefficient."""
-    p_terms = []
+def random_bm_instance(rng, m, s):
+    """A class-B coefficient list (orders forced <= k) and a degree-s g with a
+    positive leading coefficient."""
+    coefficients = []
     for k in range(1, m + 1):
         if k < m and rng.random() < 0.25:
-            p_terms.append(None)
+            coefficients.append(None)
             continue
         den_deg = rng.randint(0, 2)
         ik = rng.randint(max(-den_deg, k - 3), k)
-        numerator = random_int_terms(rng, den_deg + ik)
-        p_terms.append((numerator, random_int_terms(rng, den_deg)))
+        numerator = random_int_poly(rng, den_deg + ik)
+        coefficients.append(GeneralizedRational(numerator, random_int_poly(rng, den_deg)))
     g_terms = {s: rng.randint(1, 3)}
     for n in range(s):
         c = rng.randint(-3, 3)
         if c:
             g_terms[n] = c
-    return p_terms, g_terms
-
-
-def random_bm_instance(rng, m, s):
-    """A class-B coefficient list (orders forced <= k) and a degree-s g."""
-    p_terms, g_terms = random_bm_terms(rng, m, s)
-    coefficients = [None if p is None else GeneralizedRational(GeneralizedPolynomial(p[0]),
-                                                               GeneralizedPolynomial(p[1]))
-                    for p in p_terms]
     return OdeCoefficients(coefficients), GeneralizedPolynomial(g_terms)
 
 
@@ -90,23 +75,6 @@ def reconstruction_failure(ode, g, result):
         if total != (GeneralizedRational.zero() if pk is None else symseries.compose_poly(pk, g)):
             return k
     return None
-
-
-def compose_batch_texts(count=200, seed=1234):
-    """The p_k and g texts of the seeded class-B batch that the
-    reconstruction oracle draws (m in 1..4, s in 1..3), each present p_k as
-    ``(numerator)/(denominator)``: one (p_texts, g_text) pair per instance."""
-    rng = random.Random(seed)
-    batch = []
-    for _ in range(count):
-        m = rng.randint(1, 4)
-        s = rng.randint(1, 3)
-        p_terms, g_terms = random_bm_terms(rng, m, s)
-        p_texts = tuple("(%s)/(%s)" % (symseries._format_polynomial(p[0], 1),
-                                       symseries._format_polynomial(p[1], 1))
-                        for p in p_terms if p is not None)
-        batch.append((p_texts, symseries._format_polynomial(g_terms, 1)))
-    return batch
 
 
 def _reference_monomial_power(base, exponent):

@@ -6,9 +6,7 @@ import pytest
 from dmint.bell import l_matrix
 from dmint.symseries import GeneralizedPolynomial, GeneralizedRational, parse_rational
 
-from support import bell_eval, enumerate_indices, partitions_by_block_count, random_int_poly
-
-BELL_NUMBERS = (1, 2, 5, 15, 52, 203, 877, 4140)
+from support import bell_eval, enumerate_indices, random_int_poly
 
 
 class TestEnumeration:
@@ -55,15 +53,6 @@ class TestBellEval:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             bell_eval(4, 2, [1.0, 2.0])
-
-    def test_bell_numbers_against_set_partitions(self):
-        for n in range(1, 9):
-            counts = partitions_by_block_count(n)
-            ones = [Fraction(1)] * n
-            per_k = [bell_eval(n, k, ones[: n - k + 1]) for k in range(1, n + 1)]
-            for k, value in enumerate(per_k, 1):
-                assert value == counts.get(k, 0)
-            assert sum(per_k) == BELL_NUMBERS[n - 1]
 
     def test_numeric_and_symbolic_agree(self):
         rng = random.Random(1)

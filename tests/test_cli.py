@@ -666,6 +666,7 @@ class TestSharedParser:
         with dmint.collect_counts() as counts:
             for _ in range(3):
                 assert run(capsys, "reproduce-table", "--nu-max", "2")[0] == 0
+                assert run(capsys, "accelerate", "--integrand", "f", "--nu-max", "2")[0] == 0
             builtin = counts["expr.parse"]
             dmint.parse("x")
         assert builtin <= 2 and counts["expr.parse"] == builtin + 1

@@ -22,7 +22,7 @@ from dmint.expr import (
 from dmint.exprtaylor import ExprDomainError, _fsum, _jet_sqrt, derivatives, evaluate
 from dmint.quad import grid_from_descriptor
 
-from support import bell_eval, exact_poly_derivatives, fd5_first, fd5_second
+from support import bell_eval, exact_poly_derivatives
 
 
 class TestParsing:
@@ -147,19 +147,6 @@ class TestDerivatives:
             got = derivatives(node, float(x0), degree + 2)
             for g, e in zip(got, exact):
                 assert g == pytest.approx(float(e), rel=1e-12, abs=1e-9)
-
-    def test_against_finite_differences(self):
-        h = 1e-4
-        for source in ("(sin(x)/x)^2", "sin(x^2)^2/x^4"):
-            node = parse(source)
-            f = lambda t: evaluate(node, t)
-            for x0 in [1.6 * j for j in range(1, 12)]:
-                d = derivatives(node, x0, 3)
-                fd1 = fd5_first(f, x0, h)
-                fd2 = fd5_second(f, x0, h)
-                assert d[0] == pytest.approx(f(x0), rel=1e-15)
-                assert d[1] == pytest.approx(fd1, rel=1e-6)
-                assert d[2] == pytest.approx(fd2, rel=1e-6)
 
     def test_chain_rule_against_bell_assembly(self):
         cases = [

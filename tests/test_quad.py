@@ -474,10 +474,3 @@ class TestCumulative:
         grid = grid_from_descriptor("linear:1.0", 2)
         with pytest.raises(TypeError):
             cumulative(lambda t: 1.0, grid)
-
-    def test_panel_error_names_panel(self):
-        grid = grid_from_descriptor("linear:1.0", 4)
-        f = make_eval("log(3-x)")
-        with pytest.raises(QuadratureError) as info:
-            cumulative(f, grid)
-        assert "panel" in str(info.value)

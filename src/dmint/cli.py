@@ -295,12 +295,12 @@ def _cmd_accelerate(args) -> int:
     else:
         lines = ["integrand: %s   grid: %s   m: %d" % (table.integrand,
                                                        table.grid.descriptor, table.m)]
-        header = " nu   D_value                F(x_{j+m*nu})"
+        header = " nu   D_value                    F(x_{j+m*nu})"
         if reference is not None:
             header += "          |D-I|     |F-I|"
         lines.append(header)
         for e in table.entries:
-            row = " %2d   %-20.17g   %-20.17g" % (e.nu, e.d_value, e.f_value)
+            row = " %2d   %-24.17g   %-24.17g" % (e.nu, e.d_value, e.f_value)
             if reference is not None:
                 row += "  %s  %s" % (_d_notation(e.d_error), _d_notation(e.f_error))
             lines.append(row)

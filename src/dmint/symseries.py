@@ -240,6 +240,9 @@ class GeneralizedPolynomial:
                 and self.terms == other.terms)
 
     def __hash__(self):
+        # A constant hashes as its Fraction, as the rationals equal to it do.
+        if set(self.terms) <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash((self.step_denominator, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
@@ -455,6 +458,9 @@ class GeneralizedRational:
                 and self.denominator == other.denominator)
 
     def __hash__(self):
+        # Equal to a polynomial, int or Fraction only over the denominator 1.
+        if self.denominator.terms == {0: 1}:
+            return hash(self.numerator)
         return hash((self.numerator, self.denominator))
 
     def __str__(self):

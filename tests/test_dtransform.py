@@ -389,13 +389,6 @@ class TestDSequence:
         table = demo_table()
         assert table.entries[3].d_error == pytest.approx(1.69e-4, rel=0.05)
 
-    def test_extrapolation_beats_plain_tail(self):
-        for source, grid, ref in (("sinc(x)^2", "linear:1.6", PI_HALF),
-                                  ("sinc(x^2)^2", "sqrtlinear:1.6", PHI_REF)):
-            table = d_sequence(source, grid, 3, 10, reference=ref)
-            for entry in table.entries[2:]:
-                assert entry.d_error < entry.f_error
-
     def test_exponent_modes_agree(self):
         friendly = demo_table()
         rho = demo_table(exponents=(1, 0, 1))

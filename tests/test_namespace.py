@@ -1,4 +1,5 @@
-"""The lazy package namespace, the numpy-free exact half, and what tests reach past it."""
+"""The lazy package namespace, the public refusals that no other test reaches,
+the numpy-free exact half, and what tests reach past it."""
 
 import ast
 import os
@@ -70,6 +71,48 @@ class TestPublicApi:
         cls = getattr(dmint, name)
         assert "__slots__" in vars(cls)
         assert all("__dict__" not in vars(klass) for klass in cls.__mro__)
+
+
+# Each refusal of a public name that no other tier-1 test raises, named by
+# its call: the exception class and the whole text.
+REFUSALS = {
+    "d_sequence(1.5)": (lambda: dmint.d_sequence(1.5, "linear:1.0", 1, 1), TypeError,
+                        "integrand must be expression text or a parsed AST"),
+    "derivatives(ast, x, 0)": (lambda: dmint.derivatives(dmint.parse("x"), 1.0, 0),
+                               ValueError, "count must be at least 1"),
+    "l_matrix(g, 0)": (lambda: dmint.l_matrix(dmint.GeneralizedPolynomial.variable(), 0),
+                       ValueError, "m must be at least 1"),
+    "order_bounds(pattern of 2, m 1)": (
+        lambda: dmint.order_bounds(dmint.OdeCoefficients([dmint.parse_rational("x")]), 1,
+                                   [False, False]),
+        ValueError, "pi zero pattern must have length m"),
+    "order_bounds(pi_m zero)": (
+        lambda: dmint.order_bounds(dmint.OdeCoefficients([dmint.parse_rational("x")]), 1,
+                                   [True]),
+        ValueError, "pi_m never vanishes"),
+    "GeneralizedPolynomial({0: 0.5})": (lambda: dmint.GeneralizedPolynomial({0: 0.5}),
+                                        TypeError,
+                                        "coefficients must be exact rationals, got 0.5"),
+    "GeneralizedPolynomial({1: 1}, 0)": (lambda: dmint.GeneralizedPolynomial({1: 1}, 0),
+                                         ValueError,
+                                         "step denominator must be a positive integer"),
+    "rescaled_terms(coarser)": (
+        lambda: dmint.GeneralizedPolynomial({1: 1}, 2).rescaled_terms(1),
+        ValueError, "cannot rescale to a coarser or unrelated grid"),
+    "P ** -1": (lambda: dmint.GeneralizedPolynomial.variable() ** -1, ValueError,
+                "polynomial powers must be non-negative integers"),
+    "R ** 0.5": (lambda: dmint.GeneralizedRational.variable() ** 0.5, ValueError,
+                 "rational-function powers must be integers"),
+    "GeneralizedRational(0.5)": (lambda: dmint.GeneralizedRational(0.5), TypeError,
+                                 "expected polynomial or exact scalar, got 0.5"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_public_refusal(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_import_loads_no_submodule():

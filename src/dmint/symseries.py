@@ -234,10 +234,12 @@ class GeneralizedPolynomial:
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, GeneralizedPolynomial):
-            return NotImplemented
-        return (self.step_denominator == other.step_denominator
-                and self.terms == other.terms)
+        if isinstance(other, GeneralizedPolynomial):
+            return (self.step_denominator == other.step_denominator
+                    and self.terms == other.terms)
+        if isinstance(other, (int, Fraction)):
+            return set(self.terms) <= {0} and self.terms.get(0, 0) == other
+        return NotImplemented
 
     def __hash__(self):
         # A constant hashes as its Fraction, as the rationals equal to it do.

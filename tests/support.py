@@ -14,9 +14,13 @@ from math import factorial, lcm
 from pathlib import Path
 
 from dmint import cli, expr, symseries
-from dmint.bell import l_matrix
 from dmint.compose import OdeCoefficients
-from dmint.symseries import GeneralizedPolynomial, GeneralizedRational, RationalParseError
+from dmint.symseries import (
+    GeneralizedPolynomial,
+    GeneralizedRational,
+    RationalParseError,
+    parse_rational,
+)
 
 
 def random_int_poly(rng, degree, coeff_range=3):
@@ -41,40 +45,6 @@ def random_rational(rng, max_degree=4, half_grid=False):
         shifted[2 * num_deg + 1] = 1
         num = GeneralizedPolynomial(shifted, 2)
     return GeneralizedRational(num, den)
-
-
-def random_bm_instance(rng, m, s):
-    """A class-B coefficient list (orders forced <= k) and a degree-s g with a
-    positive leading coefficient."""
-    coefficients = []
-    for k in range(1, m + 1):
-        if k < m and rng.random() < 0.25:
-            coefficients.append(None)
-            continue
-        den_deg = rng.randint(0, 2)
-        ik = rng.randint(max(-den_deg, k - 3), k)
-        numerator = random_int_poly(rng, den_deg + ik)
-        coefficients.append(GeneralizedRational(numerator, random_int_poly(rng, den_deg)))
-    g_terms = {s: rng.randint(1, 3)}
-    for n in range(s):
-        c = rng.randint(-3, 3)
-        if c:
-            g_terms[n] = c
-    return OdeCoefficients(coefficients), GeneralizedPolynomial(g_terms)
-
-
-def reconstruction_failure(ode, g, result):
-    """The first k at which p_k(g) != sum_{n>=k} pi_n L[n,k], or None."""
-    table = l_matrix(g, ode.m)
-    for k in range(1, ode.m + 1):
-        total = GeneralizedRational.zero()
-        for n in range(k, ode.m + 1):
-            if result.pi[n - 1] is not None:
-                total = total + result.pi[n - 1] * table[(n, k)]
-        pk = ode.p[k - 1]
-        if total != (GeneralizedRational.zero() if pk is None else symseries.compose_poly(pk, g)):
-            return k
-    return None
 
 
 def _reference_monomial_power(base, exponent):
@@ -335,8 +305,14 @@ def exact_first_unknown(matrix, rhs) -> Fraction | None:
 
 @functools.cache
 def benchmark_workloads():
-    """``perfbench/workloads.py``, loaded read-only: its ``CATALOGUE``,
-    ``ACCEL_M`` and ``NU_MAX_RANGE`` are the accel-deep design."""
+    """``perfbench/workloads.py``, loaded read-only.
+
+    Its ``CATALOGUE``, ``ACCEL_M`` and ``NU_MAX_RANGE`` are the accel-deep
+    design.  ``compose_batch`` is tier-1's one class-B generator,
+    ``_check_reconstruction`` its one compose oracle (integer polynomials
+    of its own, cross-multiplied, no gcd, so none of dmint's arithmetic
+    judges dmint's) and ``to_text_digest`` the digest of the pi_k texts.
+    """
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -346,6 +322,15 @@ def benchmark_workloads():
     finally:
         del sys.modules[spec.name]
     return workloads
+
+
+def compose_batch_odes():
+    """Each instance of the benchmark's compose batch with its ODE and g,
+    parsed from their text as ``dmint compose`` reads them."""
+    for inp in benchmark_workloads().compose_batch():
+        ode = OdeCoefficients([None if text == "0" else parse_rational(text)
+                               for text in inp.p_text])
+        yield inp, ode, parse_rational(inp.g_text)
 
 
 def demo_digests() -> dict[str, str]:

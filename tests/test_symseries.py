@@ -298,12 +298,15 @@ class TestCanonicalForm:
 
     def test_equal_values_hash_equal(self):
         # A rational over the denominator 1 equals its numerator and, when
-        # that is constant, its int or Fraction; each pair is one set member.
+        # that is constant, its int or Fraction, as a constant polynomial
+        # does; each pair is one set member.
         P = GeneralizedPolynomial
         for value, equal in ((ONE, 1), (ONE, P.one()), (ZERO, 0), (ZERO, P.zero()),
                              (R("3/2"), Fraction(3, 2)), (R("3/2"), P.constant(Fraction(3, 2))),
-                             (R("x"), P.variable())):
+                             (R("x"), P.variable()), (P.one(), 1), (P.zero(), 0),
+                             (P.constant(Fraction(3, 2)), Fraction(3, 2))):
             assert value == equal and len({value, equal}) == 1
+        assert len({1, ONE, P.one()}) == 1
 
     def test_denominator_is_monic(self):
         for r in _random_rationals(40, 3):

@@ -234,10 +234,14 @@ def parse(source: str) -> Expr:
 
 
 def has_variable(node: Expr) -> bool:
-    """Whether x occurs anywhere in the expression."""
-    return isinstance(node, Var) or any(
-        isinstance(child, Expr) and has_variable(child)
-        for child in vars(node).values())
+    """Whether x occurs anywhere in the expression, at any depth."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            return True
+        stack.extend(child for child in vars(node).values() if isinstance(child, Expr))
+    return False
 
 
 # -- printing ----------------------------------------------------------------
@@ -250,6 +254,12 @@ _BARE_EXPONENT_SUFFIX = re.compile(r"\^\d+$")
 
 
 def _render(node: Expr, context: int) -> str:
+    # A left-nested chain such as a long sum is walked in a loop, so its
+    # length is not bounded by the recursion limit.
+    chain = []
+    while isinstance(node, BinOp):
+        chain.append(node)
+        node = node.left
     if isinstance(node, Num):
         text, prec = _render_number(node.value)
     elif isinstance(node, PiConst):
@@ -269,17 +279,17 @@ def _render(node: Expr, context: int) -> str:
         else:
             suffix = "^(%d/%d)" % (e.numerator, e.denominator)
         text, prec = _render(node.base, _ATOM) + suffix, _POWER
-    elif isinstance(node, BinOp):
-        prec = _PRECEDENCE[node.op]
-        left = _render(node.left, prec)
-        right = _render(node.right, prec + 1)
-        if node.op == "/" and _BARE_EXPONENT_SUFFIX.search(left) \
+    else:
+        raise TypeError("unknown node %r" % (node,))
+    for op in reversed(chain):
+        left = "(%s)" % text if prec < _PRECEDENCE[op.op] else text
+        prec = _PRECEDENCE[op.op]
+        right = _render(op.right, prec + 1)
+        if op.op == "/" and _BARE_EXPONENT_SUFFIX.search(left) \
                 and right[:1] in "0123456789.":
             # "x^2/3" is an ambiguous exponent to the integrand parser.
             right = "(%s)" % right
-        text = "%s%s%s" % (left, node.op, right)
-    else:
-        raise TypeError("unknown node %r" % (node,))
+        text = "%s%s%s" % (left, op.op, right)
     if prec < context:
         return "(%s)" % text
     return text

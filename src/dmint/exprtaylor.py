@@ -257,21 +257,33 @@ def _jet_pow(u, e):
 def _jet_eval(node: Expr, x: np.ndarray) -> np.ndarray:
     # The operands first, outside the try: an operand's ExprDomainError
     # passes as it is, and what this node's one operation raises names it.
+    # A left-nested chain such as a long sum is walked in a loop, left
+    # operand, right operand, operation, so its length is not bounded by
+    # the recursion limit.
+    chain = []
+    while isinstance(node, BinOp):
+        chain.append(node)
+        node = node.left
     if isinstance(node, Var):
-        return x
-    if isinstance(node, (Num, PiConst)):
-        value = math.pi if isinstance(node, PiConst) else node.value
-        op, args = _constant, (value, x)
-    elif isinstance(node, BinOp):
-        op, args = _JET_OPS[node.op], (_jet_eval(node.left, x), _jet_eval(node.right, x))
+        value = x
+    elif isinstance(node, (Num, PiConst)):
+        constant = math.pi if isinstance(node, PiConst) else node.value
+        value = _named(node, _constant, constant, x)
     elif isinstance(node, Neg):
-        op, args = np.negative, (_jet_eval(node.operand, x),)
+        value = _named(node, np.negative, _jet_eval(node.operand, x))
     elif isinstance(node, Pow):
-        op, args = _jet_pow, (_jet_eval(node.base, x), node.exponent)
+        value = _named(node, _jet_pow, _jet_eval(node.base, x), node.exponent)
     elif isinstance(node, Call):
-        op, args = _JET_OPS[node.func], (_jet_eval(node.arg, x),)
+        value = _named(node, _JET_OPS[node.func], _jet_eval(node.arg, x))
     else:
         raise TypeError("unknown node %r" % (node,))
+    for op in reversed(chain):
+        value = _named(op, _JET_OPS[op.op], value, _jet_eval(op.right, x))
+    return value
+
+
+def _named(node: Expr, op, *args):
+    """``op(*args)``, the one operation of ``node``; a failure names the node."""
     try:
         return op(*args)
     except OverflowError as exc:

@@ -9,6 +9,7 @@ lines alongside the pytest verdicts.
 """
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from support import (
     fd5_first,
     fd5_second,
     partitions_by_block_count,
+    random_int_poly,
 )
 
 COMPOSE_TEXT_DIGEST = "e64bfd39a764591cacc81a55f46a45f39eea845ff26d3457e1f4d8175ad68b61"
@@ -182,8 +184,16 @@ def test_criterion_6_bell_suite():
         counts = partitions_by_block_count(n)
         total = 0
         for k in range(1, n + 1):
-            for index in enumerate_indices(n, k):
-                coeff = index.coefficient()
+            indices = enumerate_indices(n, k)
+            # Each multi-index once, in ascending order, of length n-k+1,
+            # with k blocks of total size n.
+            if [index.j for index in indices] != sorted({index.j for index in indices}):
+                ok, detail = False, "indices repeated or out of order at (%d,%d)" % (n, k)
+            for index in indices:
+                j, coeff = index.j, index.coefficient()
+                if not (len(j) == n - k + 1 and sum(j) == k
+                        and sum(i * ji for i, ji in enumerate(j, 1)) == n):
+                    ok, detail = False, "index %s outside B_{%d,%d}" % (j, n, k)
                 if not (isinstance(coeff, int) and coeff > 0):
                     ok, detail = False, "bad coefficient at (%d,%d)" % (n, k)
             value = bell_eval(n, k, [Fraction(1)] * (n - k + 1))
@@ -192,14 +202,19 @@ def test_criterion_6_bell_suite():
             total += value
         if total != bell_numbers[n - 1]:
             ok, detail = False, "bell number mismatch at n=%d" % n
+    # The lead exponent of L[n,k] is at most s*k - n, with equality when
+    # n - k + 1 <= s, for g = x^s and for a random g of degree s.
+    rng = random.Random(3)
     for s in (1, 2, 3):
-        g = GeneralizedPolynomial({s: 1})
-        table = l_matrix(g, 8)
-        for (n, k), value in table.items():
-            if value.is_zero:
-                continue
-            if value.lead_exponent > s * k - n:
-                ok, detail = False, "exponent bound broken at (%d,%d,s=%d)" % (n, k, s)
+        for g in (GeneralizedPolynomial({s: 1}), random_int_poly(rng, s)):
+            if g.lead_coefficient < 0:
+                g = g.scaled(-1)
+            for (n, k), value in l_matrix(g, 8).items():
+                if value.is_zero:
+                    continue
+                gamma = value.lead_exponent
+                if gamma > s * k - n or (n - k + 1 <= s and gamma != s * k - n):
+                    ok, detail = False, "exponent bound broken at (%d,%d,s=%d)" % (n, k, s)
     report(6, "bell polynomial suite", ok, detail)
 
 
@@ -220,17 +235,22 @@ def test_criterion_7_derivative_feed():
                 if abs(got - want) > rel * abs(want):
                     ok = False
                     detail = "%s at x=%.1f" % (source, x0)
-    outer, inner, composed = map(parse, ("sinc(x)^2", "x^2", "sinc(x^2)^2"))
-    for x0 in (1.3, 2.9):
-        inner_vals = derivatives(inner, x0, 6)
-        outer_vals = derivatives(outer, inner_vals[0], 6)
-        composed_vals = derivatives(composed, x0, 6)
-        for n in range(1, 5):
-            assembled = sum(bell_eval(n, k, inner_vals[1: n - k + 2]) * outer_vals[k]
-                            for k in range(1, n + 1))
-            if abs(composed_vals[n] - assembled) > 1e-10 * abs(assembled):
-                ok = False
-                detail = "chain rule at x=%.1f n=%d" % (x0, n)
+    # The chain rule: the jets of outer(inner(x)) against the Bell assembly
+    # of the outer and inner jets.
+    for sources in (("sinc(x)^2", "x^2", "sinc(x^2)^2"),
+                    ("exp(-x)", "x^2+x", "exp(-(x^2+x))"),
+                    ("log(x)/x", "x^2+1", "log(x^2+1)/(x^2+1)")):
+        outer, inner, composed = map(parse, sources)
+        for x0 in (1.3, 2.7, 2.9):
+            inner_vals = derivatives(inner, x0, 6)
+            outer_vals = derivatives(outer, inner_vals[0], 6)
+            composed_vals = derivatives(composed, x0, 6)
+            for n in range(1, 6):
+                assembled = sum(bell_eval(n, k, inner_vals[1: n - k + 2]) * outer_vals[k]
+                                for k in range(1, n + 1))
+                if abs(composed_vals[n] - assembled) > 1e-10 * abs(assembled):
+                    ok = False
+                    detail = "chain rule for %s at x=%.1f n=%d" % (sources[2], x0, n)
     report(7, "derivative feed", ok, detail)
 
 
@@ -242,6 +262,7 @@ def test_criterion_8_first_order_membership_demo():
           and member.gamma == 1
           and not non_member.member
           and not non_member.integer_step
+          and non_member.gamma == 1
           and non_member.p1 == R("-2/3") * (R("x") + R("sqrt(x)")))
     report(8, "first-order membership demo", ok)
 

@@ -459,8 +459,6 @@ DEEP = "(" * 5000 + "x" + ")" * 5000
 
 
 @pytest.mark.parametrize("argv", [
-    ("accelerate", "--integrand=" + "+".join(["exp(-x)"] * 1500),
-     "--grid", "linear:1", "--m", "1"),
     ("compose", "--p=" + "(" * 1200 + "x" + ")" * 1200, "--g=x"),
     ("accelerate", "--integrand=" + DEEP, "--grid", "linear:1", "--m", "1"),
     ("check-b1", "--f=" + DEEP),
@@ -470,6 +468,24 @@ def test_deep_input_exit_3(argv):
     result = run_fresh(*argv)
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr == "invalid input: expression nested too deeply\n"
+
+
+def test_flat_sum_of_any_length():
+    # A flat sum is a left-nested chain as deep as it is long; every walk of
+    # it is a loop, so only nesting meets the recursion limit.
+    source = "+".join(["exp(-x)"] * 1500)
+    result = run_fresh("accelerate", "--integrand=" + source, "--grid", "linear:1", "--m", "1",
+                       "--reference=" + "+".join(["1"] * 1500))
+    assert result.returncode == 0 and result.stderr == ""
+    assert result.stdout.startswith("integrand: %s   grid: linear:1" % source)
+    node = dmint.parse(source)
+    for x0 in (0.5, 1.7, 3.0):
+        total = 0.0
+        for _ in range(1500):
+            total += math.exp(-x0)
+        assert dmint.evaluate(node, x0) == total
+    text = source + "-" + source
+    assert dmint.expr.to_text(dmint.parse(text)) == text
 
 
 def test_huge_integer_power_integrand_exit_3():

@@ -31,12 +31,6 @@ def demo_ode():
 
 
 class TestWorkedComposition:
-    def test_identity_substitution_echoes(self):
-        ode = demo_ode()
-        result = compose_ode(ode, X_POLY)
-        assert result.pi == ode.p
-        assert result.r == ode.i
-
     def test_two_term_hand_solve(self):
         ode = OdeCoefficients([None, R("1")])
         result = compose_ode(ode, X_SQUARED)
@@ -164,9 +158,11 @@ class TestRandomProperties:
             assert list(compose_ode(ode, g).pi) == [None if e.is_zero else e for e in expect]
 
     def test_identity_g_property(self):
-        for _, ode, _ in compose_batch_odes():
+        # g = x echoes every ODE: the demo's and the batch's.
+        for ode in [demo_ode()] + [ode for _, ode, _ in compose_batch_odes()]:
             result = compose_ode(ode, X_POLY)
             assert result.pi == ode.p
+            assert result.r == ode.i
 
 
 BAD_G = {

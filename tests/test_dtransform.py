@@ -111,13 +111,6 @@ def demo_table(**kwargs):
 
 
 class TestSweepAndExactPath:
-    def test_triangular_system(self):
-        # Window 0 is the first sample; in window 1, g_1 is 0 there, so that
-        # sample reads F(x_0) = D and window 1 is refused.
-        vanishing = (VANISHING % (1, 1.0, 1.0)).partition(": ")[2]
-        g, rhs = np.array([[0.0, 1.0]]), np.array([3.5, -1.0])
-        assert assert_exact_windows(g, rhs, 1) == (1, vanishing)
-
     def test_exact_model_is_reproduced(self):
         # F(x) = 1 - 1/x fits the model with D = 1, beta_10 = -1 exactly:
         # the exact fallback gives the oracle's D on its rows (the sweep's
@@ -238,6 +231,9 @@ class TestSweepAndExactPath:
                 ([[nan, 2.0]], [1.0, 1.0], 1, 1, column),
                 ([[0.0, 1.0]], [1.0, inf], 1, 1, right),
                 ([[0.0, 1.0]], [nan, 1.0], 1, 0, right),
+                # Window 0 is the first sample; in window 1, g_1 is 0 there,
+                # so that sample reads F(x_0) = D and window 1 is refused.
+                ([[0.0, 1.0]], [3.5, -1.0], 1, 1, vanishing),
                 # A zero column outranks a non-finite right-hand side, and
                 # that outranks a singular matrix.
                 ([[0.0, 0.0]], [1.0, inf], 1, 1, column),
@@ -254,17 +250,6 @@ class TestSweepAndExactPath:
             assert assert_exact_windows(np.array(g), np.array(rhs), m) == (nu, text)
         # A tiny pivot is solved, not reported as singular.
         assert assert_exact_windows(np.array([[1e-305, 3e-305]]), np.array([1.0, 2.0]), 1) is None
-
-    def test_d_beyond_the_float_range(self):
-        # Two nearly equal rows put D of window 1 near 4.5e315: no float
-        # holds it, and the window says so instead of rounding it to inf.
-        g = np.array([[1.0, 1.0 + 2.0 ** -52]])
-        rhs = np.array([1e300, 0.0])
-        assert abs(exact_first_unknown(full_matrix(g), rhs)) > sys.float_info.max
-        with pytest.raises(SingularSystemError) as info:
-            dtransform._exact_d(g, rhs, 1, POINTS)
-        assert (info.value.nu, str(info.value)) == (
-            1, "window nu=1: D is beyond the float range")
 
     def test_exact_fallback_is_exactly_rounded(self):
         # One Bareiss elimination on the float entries, unknowns spread over

@@ -204,7 +204,6 @@ COUPLING = {
     "a system that no integrand's samples reach: random, hand-built or an exact model": (
         "test_acceptance::test_criterion_5_exact_model: _fs_sweep",
         "test_dtransform::assert_exact_windows: _exact_d",
-        "test_dtransform::test_d_beyond_the_float_range: _exact_d",
         "test_dtransform::test_sweep_windows_match_window_by_window: _fs_sweep",
         "test_dtransform::test_batched_sweep_matches_one_system_at_a_time: _fs_sweep"),
     "a public table swapped: cli's tolerances, exprtaylor.LIBM, or math's own to show a bypass": (
@@ -219,7 +218,6 @@ COUPLING = {
         "test_cli::test_handler_looked_up_at_call_time: setattr(cli, '_cmd_reproduce_table')",),
     "a numeric kernel against its reference bit for bit, which no expression isolates": (
         "test_exprtaylor::<module>: _fsum",
-        "test_exprtaylor::<module>: _jet_sqrt",
         "test_quad::<module>: _RULE",
         "test_quad::<module>: _TAIL",
         "test_quad::<module>: _gauss_legendre"),

@@ -424,6 +424,10 @@ class TestCumulative:
                             evaluate(parse("sqrt((x-0.00365)^2-0.000001)"), t)), "linear:1.0",
          "panel 0: integrand failed at node x=0.0035971221136829046 in panel "
          "[0.0, 0.5]: sqrt of a negative value in 'sqrt((x-0.00365)^2-0.000001)'"),
+        # The step at 12 flags panel [10, 20], whose own nodes miss the
+        # spikes; its half [10, 15] holds all of them and overflows.
+        (lambda t: np.where(np.isin(t, 12.5 + 2.5 * _RULE[0]), 1e308, 1.0 * (t > 12)),
+         "linear:10", "panel 1: quadrature sum beyond the float range in panel [10.0, 15.0]"),
     ])
     def test_sum_overflow_is_a_panel_error(self, f, descriptor, message):
         grid = grid_from_descriptor(descriptor, 4)

@@ -181,11 +181,6 @@ class TestProfile:
         assert a.lead_exponent == -1
         assert a.integer_step
 
-    def test_half_grid_membership_failure(self):
-        a = R("-2/3") * (X + R("sqrt(x)"))
-        assert a.lead_exponent == 1
-        assert not a.integer_step
-
     def test_monomial(self):
         a = R("x^2")
         assert a.lead_exponent == 2 and a.integer_step

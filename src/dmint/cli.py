@@ -73,31 +73,32 @@ def _matches_two_digits(value: float, reference: float) -> bool:
     return abs(value - reference) <= 0.5 * 10.0 ** (exponent - 1)
 
 
-def _sci3(value, blank: str = "") -> str:
-    """An error to three significant digits, as the reference table gives
-    it; ``blank`` stands in where there is no reference."""
-    return blank if value is None else "%.2e" % value
+def _sci3(value: float, reference: float | None, blank: str = "") -> str:
+    """The error |value - I| to three significant digits, as the reference
+    table gives it; ``blank`` stands in where there is no reference I."""
+    return blank if reference is None else "%.2e" % abs(value - reference)
 
 
-def _d_notation(value) -> str:
-    return _sci3(value, " " * 8).replace("e", "D")
+def _d_notation(value, reference) -> str:
+    return _sci3(value, reference, " " * 8).replace("e", "D")
 
 
-def _rounded(value):
+def _rounded(value, reference):
     """An error as JSON gives it: the float of its three-digit text."""
-    return None if value is None else float(_sci3(value))
+    return None if reference is None else float(_sci3(value, reference))
 
 
 CSV_HEADER = "nu,F_error,D_error,D_value,F_value"
 
 
-def _csv_rows(table, prefix: str = "") -> list[str]:
+def _csv_rows(table, reference, prefix: str = "") -> list[str]:
     """One CSV row per entry of an extrapolation table, each led by ``prefix``."""
-    return ["%s%d,%s,%s,%r,%r" % (prefix, e.nu, _sci3(e.f_error), _sci3(e.d_error),
-                                 e.d_value, e.f_value) for e in table.entries]
+    return ["%s%d,%s,%s,%r,%r" % (prefix, e.nu, _sci3(e.f_value, reference),
+                                 _sci3(e.d_value, reference), e.d_value, e.f_value)
+            for e in table.entries]
 
 
-def _json_obj(table) -> dict:
+def _json_obj(table, reference) -> dict:
     """An extrapolation table and its context as one JSON object."""
     return {
         "integrand": table.integrand,
@@ -105,9 +106,9 @@ def _json_obj(table) -> dict:
         "m": table.m,
         "j": table.j,
         "exponents": list(table.exponents),
-        "reference": table.reference,
-        "entries": [{"nu": e.nu, "F_error": _rounded(e.f_error),
-                     "D_error": _rounded(e.d_error), "D_value": e.d_value,
+        "reference": reference,
+        "entries": [{"nu": e.nu, "F_error": _rounded(e.f_value, reference),
+                     "D_error": _rounded(e.d_value, reference), "D_value": e.d_value,
                      "F_value": e.f_value} for e in table.entries],
     }
 
@@ -121,7 +122,7 @@ def _builtin_ast(name: str) -> expr.Expr:
 def _run_demo_tables(nu_max: int):
     from . import dtransform
     names = ("f", "phi")
-    members = [(_builtin_ast(name),) + BUILTIN_INTEGRANDS[name][1:] for name in names]
+    members = [(_builtin_ast(name), BUILTIN_INTEGRANDS[name][1]) for name in names]
     tables = dtransform.d_sequences(members, 3, nu_max)
     return dict(zip(names, tables))
 
@@ -130,25 +131,26 @@ def _check_demo_tolerances(tables):
     """Return None if all tolerances hold, else a description of the
     first violated row."""
     references = {
-        "f": (REFERENCE_F_ERRORS, REFERENCE_F_D_ERRORS),
-        "phi": (REFERENCE_PHI_ERRORS, REFERENCE_PHI_D_ERRORS),
+        "f": (REFERENCE_F_ERRORS, REFERENCE_F_D_ERRORS, BUILTIN_INTEGRANDS["f"][2]),
+        "phi": (REFERENCE_PHI_ERRORS, REFERENCE_PHI_D_ERRORS, BUILTIN_INTEGRANDS["phi"][2]),
     }
     for name in ("f", "phi"):
-        f_ref, d_ref = references[name]
+        f_ref, d_ref, exact = references[name]
         for entry in tables[name].entries:
             nu = entry.nu
-            if not _matches_two_digits(entry.f_error, f_ref[nu]):
+            f_error, d_error = abs(entry.f_value - exact), abs(entry.d_value - exact)
+            if not _matches_two_digits(f_error, f_ref[nu]):
                 return ("integrand %s, nu=%d: F error %.3e does not match "
-                        "reference %.2e to two digits" % (name, nu, entry.f_error, f_ref[nu]))
+                        "reference %.2e to two digits" % (name, nu, f_error, f_ref[nu]))
             if nu <= 7:
-                ratio = entry.d_error / d_ref[nu]
+                ratio = d_error / d_ref[nu]
                 if ratio > D_RATIO_LIMIT or ratio < 1.0 / D_RATIO_LIMIT:
                     return ("integrand %s, nu=%d: D error %.3e outside factor "
-                            "%g of reference %.2e" % (name, nu, entry.d_error,
+                            "%g of reference %.2e" % (name, nu, d_error,
                                                       D_RATIO_LIMIT, d_ref[nu]))
-            if nu == 10 and entry.d_error > D_FLAT_LIMIT_NU10:
+            if nu == 10 and d_error > D_FLAT_LIMIT_NU10:
                 return ("integrand %s, nu=10: D error %.3e above %.0e"
-                        % (name, entry.d_error, D_FLAT_LIMIT_NU10))
+                        % (name, d_error, D_FLAT_LIMIT_NU10))
     return None
 
 
@@ -157,10 +159,11 @@ def _demo_pretty_lines(tables) -> list[str]:
              "I[phi] (grid sqrtlinear:1.6)",
              "",
              " nu  |F(x_3v)-I[f]|  |D[f]-I[f]|   |Phi(x_3v)-I[phi]|  |D[phi]-I[phi]|"]
+    i_f, i_phi = BUILTIN_INTEGRANDS["f"][2], BUILTIN_INTEGRANDS["phi"][2]
     for ef, ep in zip(tables["f"].entries, tables["phi"].entries):
         lines.append(" %2d     %s      %s          %s         %s" % (
-            ef.nu, _d_notation(ef.f_error), _d_notation(ef.d_error),
-            _d_notation(ep.f_error), _d_notation(ep.d_error)))
+            ef.nu, _d_notation(ef.f_value, i_f), _d_notation(ef.d_value, i_f),
+            _d_notation(ep.f_value, i_phi), _d_notation(ep.d_value, i_phi)))
     return lines
 
 
@@ -198,10 +201,10 @@ def _cmd_reproduce_table(args) -> int:
     if args.format == "csv":
         lines = ["integrand," + CSV_HEADER]
         for name, table in tables.items():
-            lines += _csv_rows(table, name + ",")
+            lines += _csv_rows(table, BUILTIN_INTEGRANDS[name][2], name + ",")
     elif args.format == "json":
-        lines = [json.dumps({name: _json_obj(table) for name, table in tables.items()},
-                            indent=2)]
+        lines = [json.dumps({name: _json_obj(table, BUILTIN_INTEGRANDS[name][2])
+                             for name, table in tables.items()}, indent=2)]
     else:
         lines = _demo_pretty_lines(tables)
     _emit(lines, args.output)
@@ -286,12 +289,11 @@ def _cmd_accelerate(args) -> int:
     ast = (_builtin_ast(args.integrand) if args.integrand in BUILTIN_INTEGRANDS
            else expr.parse(args.integrand))
     table = dtransform.d_sequence(ast, grid, args.m, args.nu_max,
-                                  exponents=exponents, j=args.j,
-                                  reference=reference)
+                                  exponents=exponents, j=args.j)
     if args.format == "json":
-        lines = [json.dumps(_json_obj(table), indent=2)]
+        lines = [json.dumps(_json_obj(table, reference), indent=2)]
     elif args.format == "csv":
-        lines = [CSV_HEADER] + _csv_rows(table)
+        lines = [CSV_HEADER] + _csv_rows(table, reference)
     else:
         lines = ["integrand: %s   grid: %s   m: %d" % (table.integrand,
                                                        table.grid.descriptor, table.m)]
@@ -302,7 +304,8 @@ def _cmd_accelerate(args) -> int:
         for e in table.entries:
             row = " %2d   %-24.17g   %-24.17g" % (e.nu, e.d_value, e.f_value)
             if reference is not None:
-                row += "  %s  %s" % (_d_notation(e.d_error), _d_notation(e.f_error))
+                row += "  %s  %s" % (_d_notation(e.d_value, reference),
+                                     _d_notation(e.f_value, reference))
             lines.append(row)
     _emit(lines, args.output)
     _warn_unresolved_panels([table])

@@ -239,8 +239,6 @@ class TableEntry:
     nu: int
     d_value: float
     f_value: float
-    d_error: float | None
-    f_error: float | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,17 +256,16 @@ class ExtrapolationTable:
     grid: SampleGrid
     integrand: str
     exponents: tuple[int, ...]
-    reference: float | None
     unresolved_panels: tuple[tuple[int, float], ...] = ()
 
 
-def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
-               j: int = 0, reference: float | None = None) -> ExtrapolationTable:
+def d_sequence(integrand, grid: str, m: int, nu_max: int, exponents=None,
+               j: int = 0) -> ExtrapolationTable:
     """Run the transformation for nu = 0..nu_max on one integrand.
 
     ``integrand`` is an expression AST or source text; ``grid`` is a
-    SampleGrid or a descriptor string, and must provide j + m*nu_max + 1
-    points; only those are sampled, and the table keeps the grid given.
+    descriptor string such as ``linear:1.6``, from which the j + m*nu_max + 1
+    points the windows read are built, sampled and kept in the table.
     ``exponents`` are m integers (numpy integers too), e_1..e_m.  Window
     nu uses samples l = j..j+m*nu with tail lengths n = (nu, ..., nu).
     Where the sweep breaks, the first window the exact elimination refuses
@@ -276,14 +273,14 @@ def d_sequence(integrand, grid, m: int, nu_max: int, exponents=None,
     ``nu``, and an elimination beyond its work budget raises
     :class:`ValueError`.  This is :func:`d_sequences` with one member.
     """
-    return d_sequences([(integrand, grid, reference)], m, nu_max, exponents, j)[0]
+    return d_sequences([(integrand, grid)], m, nu_max, exponents, j)[0]
 
 
 def d_sequences(members, m: int, nu_max: int, exponents=None,
                 j: int = 0) -> list[ExtrapolationTable]:
     """:func:`d_sequence` for several integrands, with one sweep for all.
 
-    ``members`` lists ``(integrand, grid, reference)`` triples; the other
+    ``members`` lists ``(integrand, grid)`` pairs; the other
     parameters are shared, so every member's nu_max system has one shape
     and a single FS sweep serves them all; a member whose sweep breaks
     does not stop the others'.  Each table is the one :func:`d_sequence`
@@ -323,23 +320,20 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
     row_powers = [e - i for i in range(nu_max) for e in exps]
     k_of_row = list(range(m)) * nu_max
     sampled, systems = [], []
-    for integrand, grid, reference in members:
+    for integrand, grid in members:
         if isinstance(integrand, str):
             ast = parse(integrand)
         elif isinstance(integrand, Expr):
             ast = integrand
         else:
             raise TypeError("integrand must be expression text or a parsed AST")
-        if isinstance(grid, str):
-            grid = grid_from_descriptor(grid, needed)
-        elif len(grid.points) < needed:
-            raise ValueError("grid too short: need %d points, have %d"
-                             % (needed, len(grid.points)))
-        # Only the samples the windows read: a later point may fail.
-        points = grid.points[:needed]
-        cum = cumulative(lambda t: evaluate(ast, t), SampleGrid(points, grid.descriptor))
+        if not isinstance(grid, str):
+            raise TypeError("grid must be a descriptor string, such as 'linear:1.6'")
+        # Only the points the windows read: a later point may fail.
+        grid = grid_from_descriptor(grid, needed)
+        cum = cumulative(lambda t: evaluate(ast, t), grid)
         # The rows read the samples from j on.
-        read = points[j:]
+        read = grid.points[j:]
         try:
             derivs = derivatives(ast, np.array(read), m)
         except ExprDomainError:
@@ -347,7 +341,7 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
             for x in read:
                 derivatives(ast, x, m)
             raise
-        sampled.append((ast, grid, reference, cum))
+        sampled.append((ast, grid, cum))
         # A product beyond the float range is inf, as in the sweep.
         with np.errstate(all="ignore"):
             systems.append((power_table(read, row_powers) * derivs[k_of_row], cum.F[j:]))
@@ -357,15 +351,13 @@ def d_sequences(members, m: int, nu_max: int, exponents=None,
     rows, rhss = (np.array(parts) for parts in zip(*systems))
     swept = _fs_sweep(rows, rhss, m)
     tables = []
-    for (ast, grid, reference, cum), g, rhs, values in zip(sampled, rows, rhss, swept):
+    for (ast, grid, cum), g, rhs, values in zip(sampled, rows, rhss, swept):
         if values is None:
             values = _exact_d(g, rhs, m, grid.points[j:])
         entries = []
         for nu, d_value in enumerate(values):
             f_value = cum.F[j + m * nu]
-            d_error = abs(d_value - reference) if reference is not None else None
-            f_error = abs(f_value - reference) if reference is not None else None
-            entries.append(TableEntry(nu, d_value, f_value, d_error, f_error))
+            entries.append(TableEntry(nu, d_value, f_value))
         tables.append(ExtrapolationTable(tuple(entries), m, j, grid, to_text(ast),
-                                         exps, reference, cum.unresolved_panels))
+                                         exps, cum.unresolved_panels))
     return tables

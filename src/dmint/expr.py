@@ -24,6 +24,11 @@ The tree is evaluated by :mod:`dmint.exprtaylor` (jets, numpy) and
 lowered to an exact rational function by :mod:`dmint.symseries`.  This
 module imports neither numpy nor either of them, so the exact half of the
 package starts without numpy.
+
+The tree's generated ``==``, ``hash`` and ``repr`` recurse: at the default
+recursion limit they raise RecursionError on a flat sum of about 330 terms
+or more (``hash`` about 500), a chain every walk here reads in a loop.  The
+package compares, hashes and prints no user tree; compare by to_text.
 """
 
 from __future__ import annotations

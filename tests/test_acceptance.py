@@ -55,8 +55,8 @@ def report(number, label, ok, detail=""):
 @pytest.fixture(scope="module")
 def demo_tables():
     start = time.monotonic()
-    f_table = d_sequence("sinc(x)^2", "linear:1.6", 3, 10, reference=PI_HALF)
-    phi_table = d_sequence("sinc(x^2)^2", "sqrtlinear:1.6", 3, 10, reference=PHI_REF)
+    f_table = d_sequence("sinc(x)^2", "linear:1.6", 3, 10)
+    phi_table = d_sequence("sinc(x^2)^2", "sqrtlinear:1.6", 3, 10)
     elapsed = time.monotonic() - start
     return f_table, phi_table, elapsed
 
@@ -129,13 +129,15 @@ def test_criterion_3_table_f_columns(demo_tables):
     f_table, phi_table, _ = demo_tables
     ok = True
     detail = ""
-    for name, table, reference in (("f", f_table, REFERENCE_F_ERRORS),
-                                   ("phi", phi_table, REFERENCE_PHI_ERRORS)):
+    # |F - I| against pi/2 and 2*sqrt(pi)/3, measured here.
+    for name, table, exact, reference in (("f", f_table, PI_HALF, REFERENCE_F_ERRORS),
+                                          ("phi", phi_table, PHI_REF, REFERENCE_PHI_ERRORS)):
         for entry in table.entries:
-            if not _two_digit_match(entry.f_error, reference[entry.nu]):
+            f_error = abs(entry.f_value - exact)
+            if not _two_digit_match(f_error, reference[entry.nu]):
                 ok = False
                 detail = "%s nu=%d: %.4e vs %.2e" % (
-                    name, entry.nu, entry.f_error, reference[entry.nu])
+                    name, entry.nu, f_error, reference[entry.nu])
                 break
     report(3, "finite-range error columns", ok, detail)
 
@@ -144,22 +146,24 @@ def test_criterion_4_table_d_columns(demo_tables):
     f_table, phi_table, elapsed = demo_tables
     ok = elapsed < 60.0
     detail = "(%.2f s)" % elapsed
-    for name, table, reference in (("f", f_table, REFERENCE_F_D_ERRORS),
-                                   ("phi", phi_table, REFERENCE_PHI_D_ERRORS)):
+    # |D - I| and |F - I| against pi/2 and 2*sqrt(pi)/3, measured here.
+    for name, table, exact, reference in (("f", f_table, PI_HALF, REFERENCE_F_D_ERRORS),
+                                          ("phi", phi_table, PHI_REF, REFERENCE_PHI_D_ERRORS)):
         for entry in table.entries:
+            d_error, f_error = abs(entry.d_value - exact), abs(entry.f_value - exact)
             if entry.nu <= 7:
-                ratio = entry.d_error / reference[entry.nu]
+                ratio = d_error / reference[entry.nu]
                 if not (1.0 / 100.0 <= ratio <= 100.0):
                     ok = False
                     detail = "%s nu=%d: ratio %.1f" % (name, entry.nu, ratio)
-            if entry.nu == 10 and entry.d_error > 1e-10:
+            if entry.nu == 10 and d_error > 1e-10:
                 ok = False
-                detail = "%s nu=10: %.3e" % (name, entry.d_error)
+                detail = "%s nu=10: %.3e" % (name, d_error)
             # A factor of 100 from the reference does not put D below F.
-            if entry.nu >= 2 and not entry.d_error < entry.f_error:
+            if entry.nu >= 2 and not d_error < f_error:
                 ok = False
                 detail = "%s nu=%d: D error %.3e not below F's %.3e" % (
-                    name, entry.nu, entry.d_error, entry.f_error)
+                    name, entry.nu, d_error, f_error)
     report(4, "extrapolated error columns", ok, detail)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -432,6 +433,76 @@ class TestOutputFormats:
         _, rows, records = self.formats(capsys, "--nu-max", "2")
         assert all(row["F_error"] == "" and row["D_error"] == "" for row in rows)
         assert all(r["F_error"] is None for r in records)
+
+
+POWERS = ("2", "3", "-1", "(1/2)", "(-3/2)", "(2/3)")
+
+
+def random_text(rng, depth, leaves, functions=()):
+    """Expression text of + - * /, integer and (p/q) powers and ``functions``
+    over ``leaves``; one text in ten loses its last character."""
+    def node(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        kind = rng.randrange(3 if functions else 2)
+        if kind == 0:
+            return "(%s)%s(%s)" % (node(depth - 1), rng.choice("+-*/"), node(depth - 1))
+        if kind == 1:
+            return "(%s)^%s" % (node(depth - 1), rng.choice(POWERS))
+        return "%s(%s)" % (rng.choice(functions), node(depth - 1))
+
+    text = node(depth)
+    return text[:-1] if rng.random() < 0.1 else text
+
+
+def random_argv(rng):
+    """One argument list that argparse accepts, for any of three commands."""
+    draw = rng.random()
+    if draw < 0.6:
+        integrand = random_text(rng, 3, ("x", "1", "2", "0.5", "pi"), dmint.expr.FUNCTIONS)
+        if rng.random() < 0.5:
+            integrand = "exp(-x)*" + integrand
+        argv = ["accelerate", "--integrand=" + integrand, "--m=%d" % rng.randint(1, 3),
+                "--nu-max=%d" % rng.randint(0, 8),
+                "--grid=" + rng.choice(("linear:1.0", "linear:1.6", "sqrtlinear:1.6",
+                                        "linear:-1", "cubic:1")),
+                "--format=" + rng.choice(("pretty", "csv", "json"))]
+        reference = rng.choice((None, "1", "pi/2", "10^400"))
+        return argv if reference is None else argv + ["--reference=" + reference]
+    if draw < 0.8:
+        return ["check-b1", "--f=" + random_text(rng, 3, ("x", "1", "2", "3"))]
+    p = ["--p=" + random_text(rng, 2, ("x", "1", "2")) for _ in range(rng.randint(1, 3))]
+    return ["compose", *p, "--g=" + rng.choice(("x", "x^2", "x+1", "2*x^2-x", "3", "0"))]
+
+
+def test_every_run_keeps_the_exit_code_contract(capsys):
+    # About 300 generated runs of accelerate, check-b1 and compose: each
+    # exits 0..4 with no exception escaping main.  A refusal writes one
+    # stderr line and no stdout; a success writes at most the panel
+    # warning, and its JSON holds no NaN or Infinity.
+    def reject(constant):
+        raise ValueError("JSON constant %s" % constant)
+
+    rng = random.Random(39)
+    codes = set()
+    for _ in range(300):
+        argv = random_argv(rng)
+        try:
+            code = main(argv)
+        except Exception as exc:
+            pytest.fail("%r escaped main on %r" % (exc, argv))
+        out, err = capsys.readouterr()
+        codes.add(code)
+        assert code in range(5), argv
+        if code:
+            assert out == "" and err.endswith("\n") and err.count("\n") == 1, argv
+        else:
+            assert err == "" or (err.startswith("warning: quadrature tolerance ")
+                                 and err.count("\n") == 1), argv
+            if "--format=json" in argv:
+                json.loads(out, parse_constant=reject)
+    # Successes, parse errors, invalid inputs and numerical failures all occur.
+    assert codes == {0, 2, 3, 4}
 
 
 def run_fresh(*argv, timeout=60):

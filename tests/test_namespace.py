@@ -78,6 +78,9 @@ class TestPublicApi:
 REFUSALS = {
     "d_sequence(1.5)": (lambda: dmint.d_sequence(1.5, "linear:1.0", 1, 1), TypeError,
                         "integrand must be expression text or a parsed AST"),
+    "d_sequence(SampleGrid)": (
+        lambda: dmint.d_sequence("exp(-x)", dmint.SampleGrid((1.0, 2.0)), 1, 1), TypeError,
+        "grid must be a descriptor string, such as 'linear:1.6'"),
     "derivatives(ast, x, 0)": (lambda: dmint.derivatives(dmint.parse("x"), 1.0, 0),
                                ValueError, "count must be at least 1"),
     "l_matrix(g, 0)": (lambda: dmint.l_matrix(dmint.GeneralizedPolynomial.variable(), 0),

@@ -15,15 +15,13 @@ from .symseries import GeneralizedPolynomial, GeneralizedRational, substitution_
 def l_matrix(g: GeneralizedPolynomial, m: int) -> dict[tuple[int, int], GeneralizedRational]:
     """Table L[n,k] = B_{n,k}(g', g'', ..., g^(n-k+1)) for 1 <= k <= n <= m.
 
-    g must pass :func:`dmint.symseries.substitution_polynomial` and have
-    degree >= 1.  The entries come from a recurrence on polynomials and
-    equal B_{n,k} at the derivatives of g exactly.  The diagonal satisfies
-    L[k,k] = (g')**k.  Raises SizeBudgetError for work beyond the size
-    budget.
+    g must pass :func:`dmint.symseries.substitution_polynomial`, which
+    also asks for degree >= 1.  The entries come from a recurrence on
+    polynomials and equal B_{n,k} at the derivatives of g exactly.  The
+    diagonal satisfies L[k,k] = (g')**k.  Raises SizeBudgetError for work
+    beyond the size budget.
     """
     g = substitution_polynomial(g)
-    if g.lead_exponent < 1:
-        raise ValueError("g must have degree at least 1")
     if m < 1:
         raise ValueError("m must be at least 1")
     # Differentiating f(g)^(n) = sum_k f^(k)(g) L[n,k] once more gives

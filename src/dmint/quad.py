@@ -16,8 +16,9 @@ panel, and once more for the halves of any panel whose tail is large.
 Each panel is still summed on its own with ``math.fsum``, so for an
 integrand that acts element by element (as
 :func:`dmint.exprtaylor.evaluate` does, bit for bit) the results are
-exactly those of integrating panel after panel, node by node.  A failure
-is replayed panel by panel to name the first failing panel.
+exactly those of integrating panel after panel, node by node.  The rule
+names a failure where it finds it, and a failed batch is replayed panel
+by panel to name the first failing panel.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 
 
 class QuadratureError(ValueError):
-    """Evaluator failure inside a panel; carries the offending node."""
+    """A panel the rule cannot sum: its message names the first failing node,
+    or the panel whose sum leaves the float range."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,38 +182,15 @@ def _first_failure(f, x, error):
     return hi - 1, error
 
 
-class _RuleFailure(Exception):
-    """The rule's call of f failed: args are (f, nodes, error, lefts, rights).
-
-    Naming the failing node costs a bisection, so it is left to
-    :meth:`locate` for the failures whose message is read.
-    """
-
-    def locate(self):
-        """The message naming the first failing node, and f's error there."""
-        f, x, error, lefts, rights = self.args
-        index, error = _first_failure(f, x, error)
-        panel = index // len(_RULE[0])
-        return ("integrand failed at node x=%r in panel [%r, %r]: %s"
-                % (float(x[index]), float(lefts[panel]), float(rights[panel]), error)), error
-
-
-class _SumOverflow(_RuleFailure):
-    """A panel's value left the float range: args are (left, right)."""
-
-    def locate(self):
-        return "quadrature sum beyond the float range in panel [%r, %r]" % self.args, None
-
-
 def _rule(f, lefts, rights):
     """32-point values of the panels [lefts[i], rights[i]] and their tails.
 
     The nodes of all panels go to f in one array, panel after panel.  A
     panel's tail is twice its half-width times the largest of the Legendre
-    coefficients a_28..a_31 of f's interpolant.  A failure raises
-    :class:`_RuleFailure`, a value beyond the float range (in ``math.fsum``
-    or in the scaling by the half-width) :class:`_SumOverflow` naming its
-    panel.
+    coefficients a_28..a_31 of f's interpolant.  A failure raises a
+    :class:`QuadratureError` naming its panel: where f fails, the first
+    failing node, from f's error there; where a value leaves the float
+    range (in ``math.fsum`` or in the scaling by the half-width), the sum.
     """
     nodes, weights = _RULE
     mid = 0.5 * (lefts + rights)
@@ -219,7 +198,10 @@ def _rule(f, lefts, rights):
     x = (mid[:, None] + halfwidth[:, None] * nodes).ravel()
     values, error = _values(f, x)
     if error is not None:
-        raise _RuleFailure(f, x, error, lefts, rights)
+        index, error = _first_failure(f, x, error)
+        panel = index // len(nodes)
+        raise QuadratureError("integrand failed at node x=%r in panel [%r, %r]: %s" % (
+            float(x[index]), float(lefts[panel]), float(rights[panel]), error)) from error
     products = weights * values.reshape(-1, len(nodes))
     sums = []
     for panel, (h, row) in enumerate(zip(halfwidth.tolist(), products.tolist())):
@@ -228,7 +210,8 @@ def _rule(f, lefts, rights):
         except OverflowError:
             sums.append(math.inf)
         if math.isinf(sums[-1]):
-            raise _SumOverflow(float(lefts[panel]), float(rights[panel]))
+            raise QuadratureError("quadrature sum beyond the float range in panel [%r, %r]"
+                                  % (float(lefts[panel]), float(rights[panel]))) from None
     with np.errstate(over="ignore", invalid="ignore"):
         tails = 2.0 * halfwidth * abs(products @ _TAIL.T).max(axis=1)
     return sums, tails
@@ -284,20 +267,18 @@ def cumulative(f, grid: SampleGrid) -> CumulativeIntegrals:
     time (one call of f for the panel, one for its halves) and the first
     failure is raised as ``panel i: ...``, the error a panel-by-panel
     integration hits first, since a panel's nodes come before its sum; if
-    none fails alone, the batch's error stands.  Only the error raised is
-    bisected to its first failing node.
+    none fails alone, the batch's error stands.  Each failed call of f,
+    the batch's included, is bisected to its first failing node.
     """
     edges = np.array((0.0,) + grid.points)
     try:
         chi, unresolved = _panels(f, edges[:-1], edges[1:])
-    except _RuleFailure as batch:
+    except QuadratureError:
         for i in range(len(grid.points)):
             try:
                 _panels(f, edges[i:i + 1], edges[i + 1:i + 2])
-            except _RuleFailure as failure:
-                message, error = failure.locate()
-                raise QuadratureError("panel %d: %s" % (i, message)) from error
-        message, error = batch.locate()
-        raise QuadratureError(message) from error
+            except QuadratureError as failure:
+                raise QuadratureError("panel %d: %s" % (i, failure)) from failure.__cause__
+        raise
     F = tuple(itertools.accumulate(chi, initial=0.0))[1:]
     return CumulativeIntegrals(tuple(chi), F, unresolved)

@@ -530,7 +530,8 @@ def substitution_polynomial(g) -> GeneralizedPolynomial:
     """The polynomial g after checking that it may replace x in a composition.
 
     g (a polynomial, or a rational with denominator 1) must have
-    non-negative integer exponents and a positive leading coefficient.
+    non-negative integer exponents, a positive leading coefficient and
+    degree at least 1, so that it tends to +infinity.
     """
     if isinstance(g, GeneralizedRational):
         if g.denominator != GeneralizedPolynomial.one():
@@ -544,6 +545,8 @@ def substitution_polynomial(g) -> GeneralizedPolynomial:
         raise ValueError("g must have non-negative integer exponents")
     if g.lead_coefficient <= 0:
         raise ValueError("g must tend to +infinity (positive leading coefficient)")
+    if g.lead_exponent < 1:
+        raise ValueError("g must have degree at least 1")
     return g
 
 
@@ -551,8 +554,9 @@ def compose_poly(a: GeneralizedRational, g: GeneralizedPolynomial) -> Generalize
     """Exact substitution a(g(x)) for an integer-exponent polynomial g.
 
     Both the rational function and g must live on the integer exponent
-    grid; g must additionally have a positive leading coefficient, i.e.
-    tend to +infinity.  Composition with fractional powers is rejected.
+    grid; g must pass :func:`substitution_polynomial`, so it has degree at
+    least 1 and tends to +infinity.  Composition with fractional powers is
+    rejected.
     Raises SizeBudgetError for a result beyond the size budget.
     """
     g = substitution_polynomial(g)
@@ -642,7 +646,7 @@ def _integer_root(value: int, degree: int) -> int:
                 break
             root = step
     if root ** degree != value:
-        raise RationalParseError("coefficient %d has no exact %d-th root" % (value, degree))
+        raise RationalParseError("coefficient %d has no exact root of degree %d" % (value, degree))
     return root
 
 

@@ -434,6 +434,10 @@ class TestCumulative:
         with pytest.raises(QuadratureError) as info:
             cumulative(f, grid)
         assert str(info.value) == scalar_message(f, grid) == message
+        # An overflow has no cause; a failing node has f's error.  Either
+        # hides the batch's error it was replayed from.
+        assert (info.value.__cause__ is None) == ("beyond the float range" in message)
+        assert info.value.__suppress_context__
 
     def test_batch_error_stands_when_no_panel_fails_alone(self):
         # An integrand that fails on long arrays only: the batch fails,
@@ -452,10 +456,11 @@ class TestCumulative:
         assert str(info.value) == (
             "integrand failed at node x=1.001368069075259 in panel [1.0, 2.0]: "
             "too many nodes")
-        # The batch (four panels), the four panels (one call each), then
-        # the bisection of the batch to its first failing node, the first
-        # of panel 1.
-        assert calls == [128] + [32] * 4 + [64, 32, 48, 40, 36, 34, 33]
+        cause = info.value.__cause__
+        assert type(cause) is ValueError and str(cause) == "too many nodes"
+        # The batch (four panels) and its bisection to its first failing
+        # node, the first of panel 1, then the four panels (one call each).
+        assert calls == [128, 64, 32, 48, 40, 36, 34, 33, 32, 32, 32, 32]
 
     def test_replay_stops_at_the_first_failing_panel(self):
         calls = []
@@ -469,10 +474,10 @@ class TestCumulative:
         with pytest.raises(QuadratureError, match="^panel 2: ") as info:
             cumulative(f, grid)
         assert str(info.value) == scalar_message(make_eval("log(2.1-x)"), grid)
-        # The batch's call, not bisected; panel 0, panel 1 (then its
-        # halves); panel 2, whose call fails, and its bisection.  Panels 3
-        # to 5 are not replayed.
-        assert calls == [192, 32, 32, 64, 32, 16, 8, 4, 6, 7]
+        # The batch's call and its bisection to node 70, in panel 2; panel
+        # 0, panel 1 (then its halves); panel 2, whose call fails, and its
+        # bisection.  Panels 3 to 5 are not replayed.
+        assert calls == [192, 96, 48, 72, 60, 66, 69, 70, 71, 32, 32, 64, 32, 16, 8, 4, 6, 7]
 
     def test_integrand_must_return_an_array(self):
         grid = grid_from_descriptor("linear:1.0", 2)

@@ -433,6 +433,9 @@ class TestTextFormat:
         for bad in ("sqrt(%d*x^2)" % (square + 1), "(%d*x^3)^(1/3)" % (cube - 1)):
             with pytest.raises(RationalParseError, match="exact"):
                 parse_rational(bad)
+        with pytest.raises(RationalParseError,
+                           match="^coefficient 2 has no exact root of degree 2$"):
+            parse_rational("2^(1/2)")
 
     def test_root_of_large_degree(self):
         # A coefficient below 2**q has no q-th root but 0 or 1, found
@@ -441,7 +444,7 @@ class TestTextFormat:
         assert parse_rational("x^(1/1000000000)") == R("x^(1/1000000000)")
         assert time.perf_counter() - start < 1.0
         with pytest.raises(RationalParseError,
-                           match="^coefficient 2 has no exact 1000000000-th root$"):
+                           match="^coefficient 2 has no exact root of degree 1000000000$"):
             parse_rational("(2*x)^(1/1000000000)")
         assert parse_rational("(8*x^3)^(1/3)") == R("2*x")
         assert parse_rational("(x/8)^(1/3)") == R("x^(1/3)/2")

@@ -32,18 +32,22 @@ from . import expr, symseries
 # them; the exact commands (compose, check-b1) start without numpy.
 
 
-# Reference error decay for the two demo integrals on their standard
-# grids: |F(x_{3nu}) - I| and |D - I| for nu = 0..10, published to three
+# The two demo integrals, each as (source, standard grid, I, published
+# |F(x_{3nu}) - I|, published |D - I|), the errors for nu = 0..10 to three
 # significant digits.  I[f] = pi/2 for f = sinc(x)^2 on x_l = 1.6(l+1);
 # I[phi] = 2*sqrt(pi)/3 for phi = sinc(x^2)^2 on x_l = sqrt(1.6(l+1)).
-REFERENCE_F_ERRORS = (3.44e-1, 7.86e-2, 4.40e-2, 3.17e-2, 2.37e-2, 1.98e-2,
-                      1.62e-2, 1.44e-2, 1.23e-2, 1.13e-2, 9.98e-3)
-REFERENCE_F_D_ERRORS = (3.44e-1, 7.06e-2, 6.96e-3, 1.69e-4, 5.70e-7, 2.48e-7,
-                        1.32e-8, 1.04e-10, 7.15e-11, 3.88e-12, 4.83e-13)
-REFERENCE_PHI_ERRORS = (9.64e-2, 1.03e-2, 4.36e-3, 2.66e-3, 1.72e-3, 1.32e-3,
-                        9.73e-4, 8.14e-4, 6.47e-4, 5.65e-4, 4.70e-4)
-REFERENCE_PHI_D_ERRORS = (9.64e-2, 7.06e-3, 8.89e-4, 8.63e-7, 1.88e-6, 5.73e-8,
-                          9.57e-9, 4.62e-11, 1.65e-10, 1.09e-11, 3.58e-13)
+BUILTIN_INTEGRANDS = {
+    "f": ("sinc(x)^2", "linear:1.6", math.pi / 2,
+          (3.44e-1, 7.86e-2, 4.40e-2, 3.17e-2, 2.37e-2, 1.98e-2,
+           1.62e-2, 1.44e-2, 1.23e-2, 1.13e-2, 9.98e-3),
+          (3.44e-1, 7.06e-2, 6.96e-3, 1.69e-4, 5.70e-7, 2.48e-7,
+           1.32e-8, 1.04e-10, 7.15e-11, 3.88e-12, 4.83e-13)),
+    "phi": ("sinc(x^2)^2", "sqrtlinear:1.6", 2.0 * math.sqrt(math.pi) / 3.0,
+            (9.64e-2, 1.03e-2, 4.36e-3, 2.66e-3, 1.72e-3, 1.32e-3,
+             9.73e-4, 8.14e-4, 6.47e-4, 5.65e-4, 4.70e-4),
+            (9.64e-2, 7.06e-3, 8.89e-4, 8.63e-7, 1.88e-6, 5.73e-8,
+             9.57e-9, 4.62e-11, 1.65e-10, 1.09e-11, 3.58e-13)),
+}
 
 # Checked tolerances: F errors must agree with the reference to two
 # significant digits at every nu; D errors must stay within a factor of
@@ -51,12 +55,6 @@ REFERENCE_PHI_D_ERRORS = (9.64e-2, 7.06e-3, 8.89e-4, 8.63e-7, 1.88e-6, 5.73e-8,
 # reference was produced by a different solver at undisclosed precision).
 D_RATIO_LIMIT = 100.0
 D_FLAT_LIMIT_NU10 = 1e-10
-
-BUILTIN_INTEGRANDS = {
-    "f": ("sinc(x)^2", "linear:1.6", math.pi / 2),
-    "phi": ("sinc(x^2)^2", "sqrtlinear:1.6", 2.0 * math.sqrt(math.pi) / 3.0),
-}
-
 
 RATIONAL_TEXT_HELP = ("rational text; fractional exponents go in parentheses, "
                       "x^(1/2); x^3/2 means (x^3)/2")
@@ -73,29 +71,36 @@ def _matches_two_digits(value: float, reference: float) -> bool:
     return abs(value - reference) <= 0.5 * 10.0 ** (exponent - 1)
 
 
-def _sci3(value: float, reference: float | None, blank: str = "") -> str:
+def _error(value: float, reference: float | None) -> str:
     """The error |value - I| to three significant digits, as the reference
-    table gives it; ``blank`` stands in where there is no reference I."""
-    return blank if reference is None else "%.2e" % abs(value - reference)
+    table gives it, or "" where there is no reference I."""
+    return "" if reference is None else "%.2e" % abs(value - reference)
 
 
 def _d_notation(value, reference) -> str:
-    return _sci3(value, reference, " " * 8).replace("e", "D")
+    return _error(value, reference).replace("e", "D")
 
 
-def _rounded(value, reference):
-    """An error as JSON gives it: the float of its three-digit text."""
-    return None if reference is None else float(_sci3(value, reference))
-
-
-CSV_HEADER = "nu,F_error,D_error,D_value,F_value"
+# The fields of a table entry, each as (name, its text against the reference
+# I), in output order.  CSV writes the texts, JSON the numbers they read.
+FIELDS = (
+    ("nu", lambda e, reference: "%d" % e.nu),
+    ("F_error", lambda e, reference: _error(e.f_value, reference)),
+    ("D_error", lambda e, reference: _error(e.d_value, reference)),
+    ("D_value", lambda e, reference: repr(e.d_value)),
+    ("F_value", lambda e, reference: repr(e.f_value)),
+)
+CSV_HEADER = ",".join(name for name, _ in FIELDS)
 
 
 def _csv_rows(table, reference, prefix: str = "") -> list[str]:
     """One CSV row per entry of an extrapolation table, each led by ``prefix``."""
-    return ["%s%d,%s,%s,%r,%r" % (prefix, e.nu, _sci3(e.f_value, reference),
-                                 _sci3(e.d_value, reference), e.d_value, e.f_value)
-            for e in table.entries]
+    return [prefix + ",".join(text(e, reference) for _, text in FIELDS) for e in table.entries]
+
+
+def _json_number(text: str):
+    """The number a field's text reads, an int for nu's digits, or None for no text."""
+    return None if not text else int(text) if text.isdigit() else float(text)
 
 
 def _json_obj(table, reference) -> dict:
@@ -107,9 +112,8 @@ def _json_obj(table, reference) -> dict:
         "j": table.j,
         "exponents": list(table.exponents),
         "reference": reference,
-        "entries": [{"nu": e.nu, "F_error": _rounded(e.f_value, reference),
-                     "D_error": _rounded(e.d_value, reference), "D_value": e.d_value,
-                     "F_value": e.f_value} for e in table.entries],
+        "entries": [{name: _json_number(text(e, reference)) for name, text in FIELDS}
+                    for e in table.entries],
     }
 
 
@@ -130,13 +134,9 @@ def _run_demo_tables(nu_max: int):
 def _check_demo_tolerances(tables):
     """Return None if all tolerances hold, else a description of the
     first violated row."""
-    references = {
-        "f": (REFERENCE_F_ERRORS, REFERENCE_F_D_ERRORS, BUILTIN_INTEGRANDS["f"][2]),
-        "phi": (REFERENCE_PHI_ERRORS, REFERENCE_PHI_D_ERRORS, BUILTIN_INTEGRANDS["phi"][2]),
-    }
-    for name in ("f", "phi"):
-        f_ref, d_ref, exact = references[name]
-        for entry in tables[name].entries:
+    for name, table in tables.items():
+        _, _, exact, f_ref, d_ref = BUILTIN_INTEGRANDS[name]
+        for entry in table.entries:
             nu = entry.nu
             f_error, d_error = abs(entry.f_value - exact), abs(entry.d_value - exact)
             if not _matches_two_digits(f_error, f_ref[nu]):
@@ -274,20 +274,17 @@ def _parse_exponents(text: str):
 
 def _cmd_accelerate(args) -> int:
     from . import dtransform
-    if args.integrand in BUILTIN_INTEGRANDS:
-        _, default_grid, default_reference = BUILTIN_INTEGRANDS[args.integrand]
-        grid = args.grid or default_grid
-        reference = default_reference
-    else:
-        grid = args.grid
-        reference = None
+    builtin = BUILTIN_INTEGRANDS.get(args.integrand)
+    if builtin is None:
+        grid, reference = args.grid, None
         if grid is None:
             raise ValueError("--grid is required for non-builtin integrands")
+    else:
+        grid, reference = args.grid or builtin[1], builtin[2]
     if args.reference is not None:
         reference = _parse_reference(args.reference)
     exponents = _parse_exponents(args.exponents)
-    ast = (_builtin_ast(args.integrand) if args.integrand in BUILTIN_INTEGRANDS
-           else expr.parse(args.integrand))
+    ast = expr.parse(args.integrand) if builtin is None else _builtin_ast(args.integrand)
     table = dtransform.d_sequence(ast, grid, args.m, args.nu_max,
                                   exponents=exponents, j=args.j)
     if args.format == "json":
@@ -295,6 +292,8 @@ def _cmd_accelerate(args) -> int:
     elif args.format == "csv":
         lines = [CSV_HEADER] + _csv_rows(table, reference)
     else:
+        # By hand, not from FIELDS: D comes before F and values before
+        # errors, and the header is not aligned to the columns.
         lines = ["integrand: %s   grid: %s   m: %d" % (table.integrand,
                                                        table.grid.descriptor, table.m)]
         header = " nu   D_value                    F(x_{j+m*nu})"

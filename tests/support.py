@@ -334,13 +334,16 @@ def compose_batch_odes():
 
 
 def demo_digests() -> dict[str, str]:
-    """sha256 of the ``reproduce-table --format csv`` output, and of every D
-    and F (in hex) of the accel-deep catalogue at its m, nu_max 20 and 30,
+    """sha256 of the ``reproduce-table`` output in each format, and of every
+    D and F (in hex) of the accel-deep catalogue at its m, nu_max 20 and 30,
     one ``d_sequence`` each."""
     from dmint import d_sequence
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli.main(["reproduce-table", "--format", "csv"])
+    digests = {}
+    for name, fmt in (("CSV", "csv"), ("JSON", "json"), ("pretty", "pretty")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["reproduce-table", "--format", fmt])
+        digests["reproduce-table " + name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     workloads = benchmark_workloads()
     accel = hashlib.sha256()
     for integrand, grid, *_ in workloads.CATALOGUE:
@@ -348,13 +351,15 @@ def demo_digests() -> dict[str, str]:
             entries = d_sequence(integrand, grid, workloads.ACCEL_M, nu_max).entries
             accel.update(" ".join("%s %s" % (e.d_value.hex(), e.f_value.hex())
                                   for e in entries).encode())
-    return {"reproduce-table CSV": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            "accel-deep (D, F)": accel.hexdigest()}
+    digests["accel-deep (D, F)"] = accel.hexdigest()
+    return digests
 
 
 # demo_digests with this platform's libm on x86-64 Linux (glibc).
 NATIVE_DIGESTS = {
     "reproduce-table CSV": "09f53648c9a5db808d0a100ce539790e3f43b7d3ae7948c686b2a74fa0d42c0a",
+    "reproduce-table JSON": "65347c1fab617dfe66521cb08a25ed8735d02d1c3c6bd79598222e4381e76113",
+    "reproduce-table pretty": "281b78cb94e96d49734c3ba65c0b0945b615f5b2beae315a50bf3c39f3003e2d",
     "accel-deep (D, F)": "73f125d19064b76f9e6e1c9b72de83cb4a3c302c9cbca3302b77e8df478e8132",
 }
 

@@ -18,12 +18,7 @@ import pytest
 
 from dmint import collect_counts, dtransform
 from dmint.bell import l_matrix
-from dmint.cli import (
-    REFERENCE_F_D_ERRORS,
-    REFERENCE_F_ERRORS,
-    REFERENCE_PHI_D_ERRORS,
-    REFERENCE_PHI_ERRORS,
-)
+from dmint.cli import BUILTIN_INTEGRANDS
 from dmint.compose import OdeCoefficients, compose_ode, rho_bounds, verify_b1_membership
 from dmint.dtransform import d_sequence
 from dmint.expr import parse
@@ -130,8 +125,8 @@ def test_criterion_3_table_f_columns(demo_tables):
     ok = True
     detail = ""
     # |F - I| against pi/2 and 2*sqrt(pi)/3, measured here.
-    for name, table, exact, reference in (("f", f_table, PI_HALF, REFERENCE_F_ERRORS),
-                                          ("phi", phi_table, PHI_REF, REFERENCE_PHI_ERRORS)):
+    for name, table, exact in (("f", f_table, PI_HALF), ("phi", phi_table, PHI_REF)):
+        reference = BUILTIN_INTEGRANDS[name][3]
         for entry in table.entries:
             f_error = abs(entry.f_value - exact)
             if not _two_digit_match(f_error, reference[entry.nu]):
@@ -147,8 +142,8 @@ def test_criterion_4_table_d_columns(demo_tables):
     ok = elapsed < 60.0
     detail = "(%.2f s)" % elapsed
     # |D - I| and |F - I| against pi/2 and 2*sqrt(pi)/3, measured here.
-    for name, table, exact, reference in (("f", f_table, PI_HALF, REFERENCE_F_D_ERRORS),
-                                          ("phi", phi_table, PHI_REF, REFERENCE_PHI_D_ERRORS)):
+    for name, table, exact in (("f", f_table, PI_HALF), ("phi", phi_table, PHI_REF)):
+        reference = BUILTIN_INTEGRANDS[name][4]
         for entry in table.entries:
             d_error, f_error = abs(entry.d_value - exact), abs(entry.f_value - exact)
             if entry.nu <= 7:

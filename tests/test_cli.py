@@ -82,23 +82,26 @@ class TestReproduceTable:
         assert err.startswith("tolerance failure: integrand f, nu=10: D error ")
         assert err.endswith(" above 0e+00\n") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("name, nu, value, detail", [
-        ("REFERENCE_PHI_ERRORS", 3, 2.80e-3,
+    @pytest.mark.parametrize("name, error, nu, value, detail", [
+        ("phi", "F", 3, 2.80e-3,
          "integrand phi, nu=3: F error 2.663e-03 does not match reference 2.80e-03 "
          "to two digits"),
-        ("REFERENCE_F_ERRORS", 0, 3.30e-1,
+        ("f", "F", 0, 3.30e-1,
          "integrand f, nu=0: F error 3.439e-01 does not match reference 3.30e-01 "
          "to two digits"),
         # D errors more and less than a factor of 100 from the reference.
-        ("REFERENCE_F_D_ERRORS", 2, 1e-5,
+        ("f", "D", 2, 1e-5,
          "integrand f, nu=2: D error 6.956e-03 outside factor 100 of reference 1.00e-05"),
-        ("REFERENCE_PHI_D_ERRORS", 7, 1e-8,
+        ("phi", "D", 7, 1e-8,
          "integrand phi, nu=7: D error 3.949e-11 outside factor 100 of reference 1.00e-08"),
     ])
-    def test_reference_mismatch_exit_1(self, capsys, monkeypatch, name, nu, value, detail):
-        reference = list(getattr(cli, name))
-        reference[nu] = value
-        monkeypatch.setattr(cli, name, tuple(reference))
+    def test_reference_mismatch_exit_1(self, capsys, monkeypatch, name, error, nu, value,
+                                       detail):
+        # A builtin's record ends with its published |F - I| and |D - I|.
+        record = list(cli.BUILTIN_INTEGRANDS[name])
+        column = {"F": 3, "D": 4}[error]
+        record[column] = record[column][:nu] + (value,) + record[column][nu + 1:]
+        monkeypatch.setitem(cli.BUILTIN_INTEGRANDS, name, tuple(record))
         code, out, err = run(capsys, "reproduce-table")
         assert code == 1 and out == ""
         assert err == "tolerance failure: %s\n" % detail

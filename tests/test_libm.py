@@ -16,10 +16,13 @@ from dmint.dtransform import d_sequence
 
 from support import benchmark_workloads, demo_digests
 
-# demo_digests with every LIBM function correctly rounded.  The CSV is the
-# x86-64 Linux one; 185 of the 572 accel-deep D move (none of the F).
+# demo_digests with every LIBM function correctly rounded.  The three table
+# digests are the x86-64 Linux ones; 185 of the 572 accel-deep D move (none
+# of the F).
 CORRECTLY_ROUNDED_DIGESTS = {
     "reproduce-table CSV": "09f53648c9a5db808d0a100ce539790e3f43b7d3ae7948c686b2a74fa0d42c0a",
+    "reproduce-table JSON": "65347c1fab617dfe66521cb08a25ed8735d02d1c3c6bd79598222e4381e76113",
+    "reproduce-table pretty": "281b78cb94e96d49734c3ba65c0b0945b615f5b2beae315a50bf3c39f3003e2d",
     "accel-deep (D, F)": "19437be26921b3db58cba60aa4bd9d22402f52cd3c075d91ef22b8695e117d9d",
 }
 

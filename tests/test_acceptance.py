@@ -8,6 +8,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -37,6 +38,7 @@ from support import (
 )
 
 COMPOSE_TEXT_DIGEST = "e64bfd39a764591cacc81a55f46a45f39eea845ff26d3457e1f4d8175ad68b61"
+COMPOSE_BOUNDS_DIGEST = "4b52a9ac97e11e2e01716c49db785d87b5fe7f394a80a7b255b7289190708b60"
 PI_HALF = math.pi / 2
 PHI_REF = 2 * math.sqrt(math.pi) / 3
 R = parse_rational
@@ -102,6 +104,11 @@ def test_criterion_2_reconstruction_oracle():
     # benchmark prints.
     digest = workloads.to_text_digest(["0" if pi is None else to_text(pi) for pi in result.pi]
                                       for _, _, result in composed)
+    # Every order, both bound families and rho, one instance per line.
+    bounds_digest = hashlib.sha256("".join(
+        "%r %r %r %r\n" % (result.r, result.r_bound_recursive, result.r_bound_closed,
+                           rho_bounds(ode))
+        for _, ode, result in composed).encode()).hexdigest()
     elapsed = time.monotonic() - start
     seen = {(inp.m, max(inp.g_terms)) for inp, _, _ in composed}
     detail = next(("instance %d: %s" % failure for failure in failures if failure[1]), "")
@@ -109,6 +116,8 @@ def test_criterion_2_reconstruction_oracle():
         detail = "the oracle did dmint's work: %s" % {k: v for k, v in counts.items() if v}
     if not detail and digest != COMPOSE_TEXT_DIGEST:
         detail = "to_text digest %s" % digest
+    if not detail and bounds_digest != COMPOSE_BOUNDS_DIGEST:
+        detail = "bounds digest %s" % bounds_digest
     ok = not detail and len(composed) == 200 and len(seen) == 12 and elapsed < 30.0
     report(2, "reconstruction oracle", ok,
            detail or "(%d instances over %d (m,s) combos, %.2f s)"

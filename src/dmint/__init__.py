@@ -28,9 +28,7 @@ _EXPORTS = {
         "B1Report",
         "CompositionResult",
         "OdeCoefficients",
-        "OrderBounds",
         "compose_ode",
-        "order_bounds",
         "rho_bounds",
         "verify_b1_membership",
     ),

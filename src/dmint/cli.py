@@ -73,8 +73,14 @@ def _matches_two_digits(value: float, reference: float) -> bool:
 
 def _error(value: float, reference: float | None) -> str:
     """The error |value - I| to three significant digits, as the reference
-    table gives it, or "" where there is no reference I."""
-    return "" if reference is None else "%.2e" % abs(value - reference)
+    table gives it, or "" where there is no reference I.  An error beyond
+    the float range is refused: JSON could not hold it."""
+    if reference is None:
+        return ""
+    if math.isinf(value - reference):
+        raise ValueError("an error against the reference %r is beyond the float range"
+                         % reference)
+    return "%.2e" % abs(value - reference)
 
 
 def _d_notation(value, reference) -> str:

@@ -91,21 +91,20 @@ class OdeCoefficients:
 
 
 @dataclass(frozen=True, slots=True)
-class OrderBounds:
-    """Exact top order plus the two bound families for the composed system."""
-
-    r_m: int
-    recursive: tuple[int | None, ...]
-    closed: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class CompositionResult:
     """Composed coefficients pi_1..pi_m with exact orders and bounds.
 
     ``pi[k-1]`` is None when pi_k vanishes identically (decided by exact
     canonicalization, never numerically); ``r[k-1]`` is the exact integer
-    leading exponent of a non-zero pi_k.
+    leading exponent of a non-zero pi_k.  The closed bound on r_k is k plus
+    the largest s*(i_n - n) over the non-zero p_n with n >= k; at k = m it
+    is r_m = s*(i_m - m) + m, which pi_m attains.  The recursive bound
+    starts there, and for k < m it is
+
+        max{s*(i_k - k), rbar_{k+1} - (k+1), ..., rbar_m - m} + k
+
+    where the first term is absent when p_k vanishes and rbar_n - n is
+    absent when pi_n vanishes; it is None where pi_k vanishes.
     """
 
     pi: tuple[GeneralizedRational | None, ...]
@@ -149,60 +148,34 @@ def compose_ode(ode: OdeCoefficients, g) -> CompositionResult:
         if pik is not None and order is None:
             raise AssertionError("composed coefficient pi_%d has non-integer order" % k)
         orders.append(order)
-    bounds = order_bounds(ode, s, [pik is None for pik in pi])
-    return CompositionResult(tuple(pi), tuple(orders),
-                             bounds.recursive, bounds.closed, s)
-
-
-def order_bounds(ode: OdeCoefficients, s: int, pi_is_zero) -> OrderBounds:
-    """Exact r_m and the two bound families for the composed orders.
-
-    r_m = s*(i_m - m) + m always.  The recursive bound for k < m is
-    max{s*(i_k - k), rbar_{k+1} - (k+1), ..., rbar_m - m} + k where the
-    first term is absent when p_k vanishes and rbar_n - n is absent when
-    pi_n vanishes.  The closed bound is max over n >= k with p_n non-zero
-    of s*(i_n - n), plus k.
-    """
-    m = ode.m
-    pi_is_zero = list(pi_is_zero)
-    if len(pi_is_zero) != m:
-        raise ValueError("pi zero pattern must have length m")
-    if pi_is_zero[-1]:
-        raise ValueError("pi_m never vanishes")
-    r_m = s * (ode.i[m - 1] - m) + m
+    closed = _closed_bounds(ode, s)
     recursive: list[int | None] = [None] * m
-    recursive[m - 1] = r_m
+    recursive[m - 1] = closed[m - 1]
     for k in range(m - 1, 0, -1):
-        candidates = []
+        if pi[k - 1] is None:
+            continue
+        candidates = [recursive[n - 1] - n for n in range(k + 1, m + 1) if pi[n - 1] is not None]
         if ode.p[k - 1] is not None:
             candidates.append(s * (ode.i[k - 1] - k))
-        for n in range(k + 1, m + 1):
-            if not pi_is_zero[n - 1]:
-                candidates.append(recursive[n - 1] - n)
-        recursive[k - 1] = max(candidates) + k if not pi_is_zero[k - 1] else None
-    closed: list[int] = []
-    for k in range(1, m + 1):
-        best = max(s * (ode.i[n - 1] - n)
-                   for n in range(k, m + 1) if ode.p[n - 1] is not None)
-        closed.append(best + k)
-    return OrderBounds(r_m, tuple(recursive), tuple(closed))
+        recursive[k - 1] = max(candidates) + k
+    return CompositionResult(tuple(pi), tuple(orders), tuple(recursive), closed, s)
+
+
+def _closed_bounds(ode: OdeCoefficients, s: int) -> tuple[int, ...]:
+    """For k = 1..m, k plus the largest s*(i_n - n) over the non-zero p_n
+    with n >= k."""
+    return tuple(k + max(s * (ode.i[n - 1] - n)
+                         for n in range(k, ode.m + 1) if ode.p[n - 1] is not None)
+                 for k in range(1, ode.m + 1))
 
 
 def rho_bounds(ode: OdeCoefficients) -> tuple[int, ...]:
     """Upper bounds for the tail-expansion exponents of int_x^inf f.
 
-    rhobar_k = max over n in k+1..m with p_n non-zero of (i_n - n), plus
-    k + 1; for a class-B system this never exceeds k + 1.
+    rhobar_k is k plus the largest i_n - n over the non-zero p_n with
+    n >= k: the closed bounds at s = 1, so rhobar_k <= k in class B.
     """
-    m = ode.m
-    out = []
-    for k in range(m):
-        best = max(ode.i[n - 1] - n
-                   for n in range(k + 1, m + 1) if ode.p[n - 1] is not None)
-        out.append(best + k + 1)
-    if ode.is_class_b:
-        assert all(out[k] <= k + 1 for k in range(m))
-    return tuple(out)
+    return _closed_bounds(ode, 1)
 
 
 @dataclass(frozen=True, slots=True)

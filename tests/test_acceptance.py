@@ -277,7 +277,9 @@ def test_criterion_8_first_order_membership_demo():
 
 def test_criterion_9_rho_bounds():
     ode = OdeCoefficients([R("-(2*x^2+3)/(4*x)"), R("-3/4"), R("-x/8")])
-    ok = rho_bounds(ode) == (1, 0, 1)
+    # rho is the closed family of order bounds at s = 1, that of f(x) itself.
+    identity = compose_ode(ode, GeneralizedPolynomial({1: 1}))
+    ok = rho_bounds(ode) == identity.r_bound_closed == (1, 0, 1)
     for inp, instance, _ in compose_batch_odes():
         bounds = rho_bounds(instance)
         if not (instance.is_class_b and all(bounds[k] <= k + 1 for k in range(inp.m))):

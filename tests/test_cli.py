@@ -296,6 +296,12 @@ REFUSALS = {
     "10^400-10^400": (("--integrand", "f", "--reference", "10^400-10^400",
                        "--format", "json"), 3,
                       "invalid input: reference value must be finite, got nan"),
+    # A finite reference whose error is beyond the float range, in every format.
+    **{"-10^308 " + fmt: (("--integrand", "10^308*exp(-x)", "--m", "1", "--grid", "linear:1",
+                           "--nu-max", "1", "--reference=-10^308", "--format", fmt), 3,
+                          "invalid input: an error against the reference "
+                          "-1.0000000000000006e+308 is beyond the float range")
+       for fmt in ("json", "csv", "pretty")},
     # Checked once, by d_sequence, with its own text.
     "rho:1,2": (("--integrand", "f", "--exponents", "rho:1,2"), 3,
                 "invalid input: need 3 exponents, got 2"),

@@ -5,8 +5,6 @@ from dmint.bell import l_matrix
 from dmint.compose import (
     OdeCoefficients,
     compose_ode,
-    order_bounds,
-    rho_bounds,
     verify_b1_membership,
 )
 from dmint.expr import parse
@@ -64,39 +62,21 @@ class TestValidation:
 
 class TestOrderBounds:
     def test_demo_bounds(self):
-        bounds = order_bounds(demo_ode(), 2, [False, False, False])
-        assert bounds.r_m == -1
-        assert bounds.recursive == (1, -2, -1)
-        assert bounds.closed == (1, -2, -1)
-
-    def test_identity_degree_collapse(self):
-        ode = demo_ode()
-        bounds = order_bounds(ode, 1, [False, False, False])
-        # s = 1 makes s*(i_k - k) + k = i_k.
-        assert bounds.r_m == ode.i[-1]
-        assert bounds.closed == (1, 0, 1)
+        result = compose_ode(demo_ode(), X_SQUARED)
+        assert result.r_bound_recursive == (1, -2, -1)
+        assert result.r_bound_closed == (1, -2, -1)
 
     def test_first_order(self):
         ode = OdeCoefficients([R("x")])
         for s in (1, 2, 5):
-            bounds = order_bounds(ode, s, [False])
-            assert bounds.r_m == s * (1 - 1) + 1 == 1
+            result = compose_ode(ode, GeneralizedPolynomial({s: 1}))
+            assert result.s == s
+            assert result.r_bound_recursive == result.r_bound_closed == (s * (1 - 1) + 1,) == (1,)
 
     def test_zero_pattern_pruning(self):
-        ode = OdeCoefficients([None, R("1")])
-        bounds = order_bounds(ode, 2, [False, False])
+        result = compose_ode(OdeCoefficients([None, R("1")]), X_SQUARED)
         # p_1 absent: only r_2 - 2 feeds the k=1 bound.
-        assert bounds.r_m == -2
-        assert bounds.recursive == (-3, -2)
-
-
-class TestRhoBounds:
-    def test_maximal_case(self):
-        ode = OdeCoefficients([R("x"), R("x^2"), R("x^3")])
-        assert rho_bounds(ode) == (1, 2, 3)
-
-    def test_first_order(self):
-        assert rho_bounds(OdeCoefficients([R("x")])) == (1,)
+        assert result.r_bound_recursive == (-3, -2)
 
 
 class TestB1Membership:

@@ -19,8 +19,8 @@ PUBLIC_NAMES = (
     "GeneralizedPolynomial", "GeneralizedRational",
     "RationalParseError", "compose_poly", "parse_rational", "to_text",
     "l_matrix",
-    "B1Report", "CompositionResult", "OdeCoefficients", "OrderBounds",
-    "compose_ode", "order_bounds", "rho_bounds", "verify_b1_membership",
+    "B1Report", "CompositionResult", "OdeCoefficients",
+    "compose_ode", "rho_bounds", "verify_b1_membership",
     "ExprDomainError", "ExprSyntaxError", "derivatives", "evaluate", "parse",
     "CumulativeIntegrals", "QuadratureError", "SampleGrid", "cumulative",
     "grid_from_descriptor",
@@ -64,7 +64,7 @@ class TestPublicApi:
     @pytest.mark.parametrize("name", [
         "TableEntry", "ExtrapolationTable",
         "SampleGrid", "CumulativeIntegrals",
-        "CompositionResult", "OrderBounds", "B1Report",
+        "CompositionResult", "B1Report",
     ])
     def test_result_classes_carry_no_instance_dict(self, name):
         # Results are kept by the thousand; slots keep each one small.
@@ -85,14 +85,6 @@ REFUSALS = {
                                ValueError, "count must be at least 1"),
     "l_matrix(g, 0)": (lambda: dmint.l_matrix(dmint.GeneralizedPolynomial.variable(), 0),
                        ValueError, "m must be at least 1"),
-    "order_bounds(pattern of 2, m 1)": (
-        lambda: dmint.order_bounds(dmint.OdeCoefficients([dmint.parse_rational("x")]), 1,
-                                   [False, False]),
-        ValueError, "pi zero pattern must have length m"),
-    "order_bounds(pi_m zero)": (
-        lambda: dmint.order_bounds(dmint.OdeCoefficients([dmint.parse_rational("x")]), 1,
-                                   [True]),
-        ValueError, "pi_m never vanishes"),
     "GeneralizedPolynomial({0: 0.5})": (lambda: dmint.GeneralizedPolynomial({0: 0.5}),
                                         TypeError,
                                         "coefficients must be exact rationals, got 0.5"),

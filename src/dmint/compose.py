@@ -45,8 +45,7 @@ class OdeCoefficients:
     ``p[k-1]`` is either None (identically zero) or a GeneralizedRational;
     ``i[k-1]`` is the exact leading exponent of p_k when present.  p_m must
     be non-zero, and every non-zero p_k must have an integer-step expansion
-    with integer leading exponent.  ``is_class_b`` reports whether i_k <= k
-    holds for all non-zero coefficients.
+    with integer leading exponent.
     """
 
     __slots__ = ("p", "i")
@@ -81,10 +80,6 @@ class OdeCoefficients:
     @property
     def m(self) -> int:
         return len(self.p)
-
-    @property
-    def is_class_b(self) -> bool:
-        return all(ik <= k for k, ik in enumerate(self.i, start=1) if ik is not None)
 
     def __repr__(self):
         return "OdeCoefficients(m=%d, i=%r)" % (self.m, self.i)

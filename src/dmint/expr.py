@@ -25,10 +25,9 @@ lowered to an exact rational function by :mod:`dmint.symseries`.  This
 module imports neither numpy nor either of them, so the exact half of the
 package starts without numpy.
 
-The tree's generated ``==``, ``hash`` and ``repr`` recurse: at the default
-recursion limit they raise RecursionError on a flat sum of about 330 terms
-or more (``hash`` about 500), a chain every walk here reads in a loop.  The
-package compares, hashes and prints no user tree; compare by to_text.
+A long sum nests as deep as it is long; :func:`left_chain` walks such a
+chain in a loop for every reader of the tree: the jets, the rational
+lowering, the printer and ``BinOp``'s own ``==``, ``hash`` and ``repr``.
 """
 
 from __future__ import annotations
@@ -94,6 +93,22 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
+    # The dataclass's equality and repr text, for a chain of any length.
+    def _key(self):
+        first, ops = left_chain(self)
+        return first, tuple((op.op, op.right) for op in ops)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        first, ops = left_chain(self)
+        return "".join(["BinOp(op=%r, left=" % op.op for op in reversed(ops)] + [repr(first)]
+                       + [", right=%r)" % (op.right,) for op in ops])
+
 
 @dataclass(frozen=True)
 class Pow(Expr):
@@ -105,6 +120,15 @@ class Pow(Expr):
 class Call(Expr):
     func: str
     arg: Expr
+
+
+def left_chain(node: Expr) -> tuple[Expr, list[BinOp]]:
+    """A left-nested chain's first operand and its operations, innermost first."""
+    ops = []
+    while isinstance(node, BinOp):
+        ops.append(node)
+        node = node.left
+    return node, ops[::-1]
 
 
 # -- parsing -----------------------------------------------------------------
@@ -259,12 +283,7 @@ _BARE_EXPONENT_SUFFIX = re.compile(r"\^\d+$")
 
 
 def _render(node: Expr, context: int) -> str:
-    # A left-nested chain such as a long sum is walked in a loop, so its
-    # length is not bounded by the recursion limit.
-    chain = []
-    while isinstance(node, BinOp):
-        chain.append(node)
-        node = node.left
+    node, ops = left_chain(node)
     if isinstance(node, Num):
         text, prec = _render_number(node.value)
     elif isinstance(node, PiConst):
@@ -277,16 +296,11 @@ def _render(node: Expr, context: int) -> str:
         text, prec = "-" + _render(node.operand, _UNARY), _UNARY
     elif isinstance(node, Pow):
         e = node.exponent
-        if e.denominator == 1 and e >= 0:
-            suffix = "^%d" % e
-        elif e.denominator == 1:
-            suffix = "^(%d)" % e
-        else:
-            suffix = "^(%d/%d)" % (e.numerator, e.denominator)
+        suffix = ("^%s" if e.denominator == 1 and e >= 0 else "^(%s)") % e
         text, prec = _render(node.base, _ATOM) + suffix, _POWER
     else:
         raise TypeError("unknown node %r" % (node,))
-    for op in reversed(chain):
+    for op in ops:
         left = "(%s)" % text if prec < _PRECEDENCE[op.op] else text
         prec = _PRECEDENCE[op.op]
         right = _render(op.right, prec + 1)

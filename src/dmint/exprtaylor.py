@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .expr import BinOp, Call, Expr, Neg, Num, PiConst, Pow, Var, to_text
+from .expr import Call, Expr, Neg, Num, PiConst, Pow, Var, left_chain, to_text
 
 
 class ExprDomainError(ValueError):
@@ -257,13 +257,8 @@ def _jet_pow(u, e):
 def _jet_eval(node: Expr, x: np.ndarray) -> np.ndarray:
     # The operands first, outside the try: an operand's ExprDomainError
     # passes as it is, and what this node's one operation raises names it.
-    # A left-nested chain such as a long sum is walked in a loop, left
-    # operand, right operand, operation, so its length is not bounded by
-    # the recursion limit.
-    chain = []
-    while isinstance(node, BinOp):
-        chain.append(node)
-        node = node.left
+    # Along a chain: left operand, right operand, operation.
+    node, ops = left_chain(node)
     if isinstance(node, Var):
         value = x
     elif isinstance(node, (Num, PiConst)):
@@ -277,7 +272,7 @@ def _jet_eval(node: Expr, x: np.ndarray) -> np.ndarray:
         value = _named(node, _JET_OPS[node.func], _jet_eval(node.arg, x))
     else:
         raise TypeError("unknown node %r" % (node,))
-    for op in reversed(chain):
+    for op in ops:
         value = _named(op, _JET_OPS[op.op], value, _jet_eval(op.right, x))
     return value
 

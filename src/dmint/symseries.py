@@ -674,14 +674,10 @@ def _lower(node: expr.Expr):
     # to right.  A value stays a GeneralizedPolynomial until a quotient or
     # a negative power makes it a GeneralizedRational, so a sub-expression
     # is canonicalized only there; canonical form is unique, so the end
-    # result is the one an all-rational walk gives.  A left-nested chain
-    # such as a long sum is walked in a loop, so its length is not bounded
-    # by the recursion limit.  Work beyond the size budget is refused as
-    # ``<reason> in '<node>'``, naming the node whose own operation it is.
-    chain = []
-    while isinstance(node, expr.BinOp):
-        chain.append(node)
-        node = node.left
+    # result is the one an all-rational walk gives.  Work beyond the size
+    # budget is refused as ``<reason> in '<node>'``, naming the node whose
+    # own operation it is.
+    node, ops = expr.left_chain(node)
     where = node
     try:
         if isinstance(node, expr.Num):
@@ -705,7 +701,7 @@ def _lower(node: expr.Expr):
         else:
             raise RationalParseError(
                 "'%s' is not a rational function of x" % expr.to_text(node))
-        for op in reversed(chain):
+        for op in ops:
             rhs = _lower(op.right)
             where = op
             if op.op == "+":

@@ -282,6 +282,7 @@ def test_criterion_9_rho_bounds():
     ok = rho_bounds(ode) == identity.r_bound_closed == (1, 0, 1)
     for inp, instance, _ in compose_batch_odes():
         bounds = rho_bounds(instance)
-        if not (instance.is_class_b and all(bounds[k] <= k + 1 for k in range(inp.m))):
+        in_class_b = all(ik <= k for k, ik in enumerate(instance.i, start=1) if ik is not None)
+        if not (in_class_b and all(bounds[k] <= k + 1 for k in range(inp.m))):
             ok = False
     report(9, "tail exponent bounds", ok)

@@ -566,6 +566,13 @@ def test_flat_sum_of_any_length():
         assert dmint.evaluate(node, x0) == total
     text = source + "-" + source
     assert dmint.expr.to_text(dmint.parse(text)) == text
+    # The tree's own ==, hash and repr walk the chain too, and give the
+    # dataclass's equality and repr text.
+    assert dmint.parse(source) == node and hash(dmint.parse(source)) == hash(node)
+    assert repr(node).startswith("BinOp(op='+', left=BinOp(op='+', left=")
+    assert repr(dmint.parse("x+1-2")) == (
+        "BinOp(op='-', left=BinOp(op='+', left=Var(), right=Num(value=Fraction(1, 1))), "
+        "right=Num(value=Fraction(2, 1)))")
 
 
 def test_huge_integer_power_integrand_exit_3():

@@ -3,15 +3,15 @@
 Subcommands:
 
 * ``reproduce-table``: run the D^(3) transformation on the two demo
-  integrals and check the error decay against the published reference
-  values compiled in below.
+  integrals for nu = 0..10 and check the error decay against the published
+  reference values compiled in below.
 * ``compose``: transform ODE coefficients under a change of variable.
 * ``check-b1``: first-order membership test for a rational function.
 * ``accelerate``: run the transformation on a user-supplied integrand.
 
-Exit codes: 0 success, 1 tolerance failure, 2 parse error, 3 precondition
-violation (including exact work beyond the size budget), 4 numerical
-failure.  On non-zero exit nothing is written to stdout; a single
+Exit codes: 0 success, 1 tolerance failure, 2 parse error (of an option too),
+3 precondition violation (including exact work beyond the size budget), 4
+numerical failure.  On non-zero exit nothing is written to stdout; a single
 diagnostic line goes to stderr.  On exit 0, ``reproduce-table`` and
 ``accelerate`` write one stderr line only where a quadrature panel misses
 its tolerance after bisection, naming every such panel.
@@ -129,14 +129,6 @@ def _builtin_ast(name: str) -> expr.Expr:
     return expr.parse(BUILTIN_INTEGRANDS[name][0])
 
 
-def _run_demo_tables(nu_max: int):
-    from . import dtransform
-    names = ("f", "phi")
-    members = [(_builtin_ast(name), BUILTIN_INTEGRANDS[name][1]) for name in names]
-    tables = dtransform.d_sequences(members, 3, nu_max)
-    return dict(zip(names, tables))
-
-
 def _check_demo_tolerances(tables):
     """Return None if all tolerances hold, else a description of the
     first violated row."""
@@ -198,9 +190,11 @@ def _emit(lines: list[str], path: str | None):
 
 
 def _cmd_reproduce_table(args) -> int:
-    if not 0 <= args.nu_max <= 10:
-        raise ValueError("the reference table covers nu = 0..10")
-    tables = _run_demo_tables(args.nu_max)
+    from . import dtransform
+    # The published table: f and phi at m = 3 for nu = 0..10, in one sweep.
+    names = ("f", "phi")
+    members = [(_builtin_ast(name), BUILTIN_INTEGRANDS[name][1]) for name in names]
+    tables = dict(zip(names, dtransform.d_sequences(members, 3, 10)))
     failure = _check_demo_tolerances(tables)
     if failure is not None:
         raise ToleranceFailure(failure)
@@ -317,8 +311,15 @@ def _cmd_accelerate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors go to main's exit-code mapping, from subparsers too."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dmint",
         description="Accelerate infinite-range integrals and compose ODE "
                     "coefficient systems.")
@@ -326,10 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-table",
                        help="reproduce the demo error-decay table and check it")
-    p.add_argument("--nu-max", type=int, default=10)
     p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
     p.add_argument("--output", default=None)
-    p.set_defaults(handler="_cmd_reproduce_table")
+    p.set_defaults(handler=_cmd_reproduce_table)
 
     p = sub.add_parser("compose",
                        help="transform ODE coefficients under x -> g(x)")
@@ -339,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True,
                    help="integer-exponent polynomial; " + RATIONAL_TEXT_HELP)
     p.add_argument("--output", default=None)
-    p.set_defaults(handler="_cmd_compose")
+    p.set_defaults(handler=_cmd_compose)
 
     p = sub.add_parser("check-b1",
                        help="test f = p_1 f' membership for a rational function")
     p.add_argument("--f", required=True, help=RATIONAL_TEXT_HELP)
     p.add_argument("--output", default=None)
-    p.set_defaults(handler="_cmd_check_b1")
+    p.set_defaults(handler=_cmd_check_b1)
 
     p = sub.add_parser("accelerate",
                        help="extrapolate the integral of an integrand over [0, inf)")
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'friendly' or 'rho:e0,e1,...' with m entries")
     p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
     p.add_argument("--output", default=None)
-    p.set_defaults(handler="_cmd_accelerate")
+    p.set_defaults(handler=_cmd_accelerate)
     return parser
 
 
@@ -374,15 +374,13 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
     try:
-        # The handler is looked up by name on each call, so a function
-        # replaced on this module after the parser was built is the one run.
-        return globals()[args.handler](args)
+        args = _shared_parser().parse_args(argv)
+        return args.handler(args)
     except ToleranceFailure as exc:
         print("tolerance failure: %s" % exc, file=sys.stderr)
         return 1
-    except (symseries.RationalParseError, expr.ExprSyntaxError) as exc:
+    except (argparse.ArgumentError, symseries.RationalParseError, expr.ExprSyntaxError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
     except expr.SingularSystemError as exc:

@@ -39,15 +39,6 @@ class TestReproduceTable:
         assert sum(1 for r in rows if r["integrand"] == "f") == 11
         assert sum(1 for r in rows if r["integrand"] == "phi") == 11
 
-    def test_truncated_run(self, capsys):
-        code, out, err = run(capsys, "reproduce-table", "--nu-max", "4",
-                             "--format", "csv")
-        assert code == 0
-        rows = [r for r in csv.DictReader(io.StringIO(out)) if r["integrand"] == "f"]
-        assert len(rows) == 5
-        err4 = float(rows[4]["D_error"])
-        assert err4 == pytest.approx(5.70e-7, rel=0.05)
-
     def test_one_sweep_for_both_integrands(self, capsys):
         with dmint.collect_counts() as counts:
             assert run(capsys, "reproduce-table")[0] == 0
@@ -69,8 +60,7 @@ class TestReproduceTable:
 
     def test_unwritable_output_exit_3(self, capsys, tmp_path):
         target = tmp_path / "missing" / "table.txt"
-        code, out, err = run(capsys, "reproduce-table", "--nu-max", "1",
-                             "--output", str(target))
+        code, out, err = run(capsys, "reproduce-table", "--output", str(target))
         assert code == 3 and out == ""
         assert err.startswith("cannot write output: ") and err.count("\n") == 1
         assert str(target) in err and not target.exists()
@@ -106,10 +96,11 @@ class TestReproduceTable:
         assert code == 1 and out == ""
         assert err == "tolerance failure: %s\n" % detail
 
-    def test_nu_max_beyond_the_reference_exit_3(self, capsys):
-        code, out, err = run(capsys, "reproduce-table", "--nu-max", "11")
-        assert code == 3 and out == ""
-        assert err == "invalid input: the reference table covers nu = 0..10\n"
+    def test_nu_max_refused_exit_2(self, capsys):
+        # The table is the published one, nu = 0..10; argparse's refusal
+        # is returned as one line, not raised as SystemExit.
+        assert run(capsys, "reproduce-table", "--nu-max", "3") == (
+            2, "", "parse error: unrecognized arguments: --nu-max 3\n")
 
     def test_csv_and_json_agree(self, capsys):
         code, csv_out, _ = run(capsys, "reproduce-table", "--format", "csv")
@@ -319,6 +310,11 @@ REFUSALS = {
     "x^1/2*exp(-x)": (("--integrand", "x^1/2*exp(-x)", "--m", "1", "--grid", "linear:1.0",
                        "--nu-max", "2"), 2,
                       "parse error: ambiguous exponent: write x^(1/2) or (x^1)/2 (position 3)"),
+    # argparse's own refusals, returned by main with the same one line.
+    "--m x": (("--integrand", "exp(-x)", "--m", "x"), 2,
+              "parse error: argument --m: invalid int value: 'x'"),
+    "--tolerance": (("--integrand", "f", "--tolerance", "1e-9"), 2,
+                    "parse error: unrecognized arguments: --tolerance 1e-9"),
 }
 
 
@@ -646,19 +642,11 @@ class TestSharedParser:
         assert first[0] == 0 and first == second
 
     def test_defaults_restored_after_an_option(self, capsys):
-        code, out, err = run(capsys, "reproduce-table", "--nu-max", "2", "--format", "csv")
+        code, out, err = run(capsys, "reproduce-table", "--format", "csv")
         assert code == 0 and out.startswith("integrand,nu,")
         code, out, err = run(capsys, "reproduce-table")
         assert code == 0 and out.startswith("D^(3) transformation")
         assert len([line for line in out.splitlines() if line[:3].strip().isdigit()]) == 11
-
-    def test_handler_looked_up_at_call_time(self, capsys, monkeypatch):
-        assert run(capsys, "reproduce-table", "--nu-max", "1")[0] == 0
-        calls = []
-        monkeypatch.setattr(cli, "_cmd_reproduce_table",
-                            lambda args: calls.append(args.nu_max) or 0)
-        assert run(capsys, "reproduce-table", "--nu-max", "3") == (0, "", "")
-        assert calls == [3]
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
@@ -667,7 +655,7 @@ class TestSharedParser:
         # At most once per process: none if an earlier test parsed them.
         with dmint.collect_counts() as counts:
             for _ in range(3):
-                assert run(capsys, "reproduce-table", "--nu-max", "2")[0] == 0
+                assert run(capsys, "reproduce-table")[0] == 0
                 assert run(capsys, "accelerate", "--integrand", "f", "--nu-max", "2")[0] == 0
             builtin = counts["expr.parse"]
             dmint.parse("x")

@@ -100,6 +100,11 @@ REFUSALS = {
                  "rational-function powers must be integers"),
     "GeneralizedRational(0.5)": (lambda: dmint.GeneralizedRational(0.5), TypeError,
                                  "expected polynomial or exact scalar, got 0.5"),
+    "GeneralizedRational(1, 0)": (lambda: dmint.GeneralizedRational(1, 0), ZeroDivisionError,
+                                  "denominator is the zero function"),
+    "GeneralizedPolynomial().lead_exponent": (
+        lambda: dmint.GeneralizedPolynomial().lead_exponent, ValueError,
+        "the zero polynomial has no leading exponent"),
 }
 
 
@@ -209,8 +214,6 @@ COUPLING = {
         "setitem(exprtaylor.LIBM, name)",
         "test_libm::test_no_libm_call_bypasses_the_owner: setitem(exprtaylor.LIBM, name)",
         "test_libm::test_no_libm_call_bypasses_the_owner: setattr(math, name)"),
-    "the handler lookup by name that perfbench's tracer relies on": (
-        "test_cli::test_handler_looked_up_at_call_time: setattr(cli, '_cmd_reproduce_table')",),
     "a numeric kernel against its reference bit for bit, which no expression isolates": (
         "test_exprtaylor::<module>: _fsum",
         "test_quad::<module>: _RULE",

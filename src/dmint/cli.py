@@ -227,6 +227,12 @@ def _cmd_compose(args) -> int:
         lines.append("%s bounds: %s" % (name, ", ".join(
             "r_%d <= %d" % (k, bound) for k, bound in enumerate(bounds, start=1)
             if bound is not None)))
+    # The theorem needs f in B^(m): every non-zero p_k in A^(i_k) with i_k <= k.
+    beyond = [(k, i) for k, i in enumerate(ode.i, start=1) if i is not None and i > k]
+    if beyond:
+        k, i = beyond[0]
+        lines.append("note: p_%d is in A^(%d) and %d > %d, so the equation does not put f "
+                     "in B^(%d) and the theorem does not apply" % (k, i, i, k, ode.m))
     _emit(lines, args.output)
     return 0
 
@@ -323,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dmint",
         description="Accelerate infinite-range integrals and compose ODE "
                     "coefficient systems.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Optional to argparse, so that an unknown option is named before a
+    # missing command; main refuses the missing command itself.
+    sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("reproduce-table",
                        help="reproduce the demo error-decay table and check it")
@@ -375,7 +383,10 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        parser = _shared_parser()
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("the following arguments are required: command")
         return args.handler(args)
     except ToleranceFailure as exc:
         print("tolerance failure: %s" % exc, file=sys.stderr)

@@ -20,8 +20,8 @@ down in whole powers of x, both read exactly from the canonical pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bell import l_matrix
 from .symseries import (
@@ -81,12 +81,8 @@ class OdeCoefficients:
     def m(self) -> int:
         return len(self.p)
 
-    def __repr__(self):
-        return "OdeCoefficients(m=%d, i=%r)" % (self.m, self.i)
 
-
-@dataclass(frozen=True, slots=True)
-class CompositionResult:
+class CompositionResult(NamedTuple):
     """Composed coefficients pi_1..pi_m with exact orders and bounds.
 
     ``pi[k-1]`` is None when pi_k vanishes identically (decided by exact
@@ -107,10 +103,6 @@ class CompositionResult:
     r_bound_recursive: tuple[int | None, ...]
     r_bound_closed: tuple[int, ...]
     s: int
-
-    @property
-    def m(self) -> int:
-        return len(self.pi)
 
 
 def compose_ode(ode: OdeCoefficients, g) -> CompositionResult:
@@ -169,12 +161,13 @@ def rho_bounds(ode: OdeCoefficients) -> tuple[int, ...]:
 
     rhobar_k is k plus the largest i_n - n over the non-zero p_n with
     n >= k: the closed bounds at s = 1, so rhobar_k <= k in class B.
+    Kept public because the README names it as the source of the
+    ``--exponents rho:`` lists that ``accelerate`` takes.
     """
     return _closed_bounds(ode, 1)
 
 
-@dataclass(frozen=True, slots=True)
-class B1Report:
+class B1Report(NamedTuple):
     """Outcome of the first-order membership test for a rational function."""
 
     p1: GeneralizedRational

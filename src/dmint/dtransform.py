@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -228,8 +228,7 @@ def _exact_d(g, rhs, m, points) -> list[float]:
         previous = a
 
 
-@dataclass(frozen=True, slots=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     """One extrapolation step: the window nu and its value.
 
     ``f_value`` is the plain finite-range integral F(x_{j+m*nu}) over the
@@ -241,8 +240,7 @@ class TableEntry:
     f_value: float
 
 
-@dataclass(frozen=True, slots=True)
-class ExtrapolationTable:
+class ExtrapolationTable(NamedTuple):
     """Extrapolations D for nu = 0..nu_max plus grid and integrand context.
 
     ``unresolved_panels`` are the quadrature's panels whose bisected halves

@@ -27,13 +27,14 @@ package starts without numpy.
 
 A long sum nests as deep as it is long; :func:`left_chain` walks such a
 chain in a loop for every reader of the tree: the jets, the rational
-lowering, the printer and ``BinOp``'s own ``==``, ``hash`` and ``repr``.
+lowering and the printer.  The nodes are plain slotted records with no
+``==``, ``hash`` or ``repr`` of their own; a tree is compared through
+:func:`to_text`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._stats import count
@@ -64,62 +65,42 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "sinc")
 
 
 class Expr:
+    """A node of the tree.  Its fields are its ``__slots__``, which the
+    constructor takes in order: ``BinOp("+", left, right)``."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            setattr(self, name, value)
+
+
+class Num(Expr):
+    __slots__ = ("value",)  # a Fraction
+
+
+class PiConst(Expr):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Num(Expr):
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class PiConst(Expr):
-    pass
-
-
-@dataclass(frozen=True)
 class Var(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-    # The dataclass's equality and repr text, for a chain of any length.
-    def _key(self):
-        first, ops = left_chain(self)
-        return first, tuple((op.op, op.right) for op in ops)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        first, ops = left_chain(self)
-        return "".join(["BinOp(op=%r, left=" % op.op for op in reversed(ops)] + [repr(first)]
-                       + [", right=%r)" % (op.right,) for op in ops])
+    __slots__ = ("op", "left", "right")  # op is one of + - * /
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: Fraction
+    __slots__ = ("base", "exponent")  # the exponent is a Fraction
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = ("func", "arg")  # func is one of FUNCTIONS
 
 
 def left_chain(node: Expr) -> tuple[Expr, list[BinOp]]:
@@ -269,7 +250,9 @@ def has_variable(node: Expr) -> bool:
         node = stack.pop()
         if isinstance(node, Var):
             return True
-        stack.extend(child for child in vars(node).values() if isinstance(child, Expr))
+        if isinstance(node, Expr):
+            # The fields of a node; a Fraction or a name is skipped when popped.
+            stack.extend(getattr(node, name) for name in node.__slots__)
     return False
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,27 +36,32 @@ class QuadratureError(ValueError):
     or the panel whose sum leaves the float range."""
 
 
-@dataclass(frozen=True, slots=True)
 class SampleGrid:
     """Strictly increasing sample points x_0 < x_1 < ... with x_0 > 0.
 
     The point x_{-1} = 0 is implicit: the first panel is [0, x_0].
     ``descriptor`` records the generator (see :func:`grid_from_descriptor`).
+    Grids are equal when their points and descriptors are.
     """
 
-    points: tuple[float, ...]
-    descriptor: str = ""
+    __slots__ = ("points", "descriptor")
 
-    def __post_init__(self):
-        if not self.points:
+    def __init__(self, points: tuple[float, ...], descriptor: str = ""):
+        if not points:
             raise ValueError("a sample grid needs at least one point")
-        if not all(math.isfinite(p) for p in self.points):
+        if not all(math.isfinite(p) for p in points):
             raise ValueError("grid points must be finite")
-        if self.points[0] <= 0.0:
+        if points[0] <= 0.0:
             raise ValueError("the first grid point must be positive")
-        for a, b in zip(self.points, self.points[1:]):
+        for a, b in zip(points, points[1:]):
             if not b > a:
                 raise ValueError("grid points must be strictly increasing")
+        self.points = points
+        self.descriptor = descriptor
+
+    def __eq__(self, other):
+        return (isinstance(other, SampleGrid)
+                and (self.points, self.descriptor) == (other.points, other.descriptor))
 
 
 _DESCRIPTOR_RE = re.compile(r"^(linear|sqrtlinear):([-0-9.,eE+]+)$")
@@ -91,8 +96,7 @@ def grid_from_descriptor(descriptor: str, count: int) -> SampleGrid:
     return SampleGrid(points, descriptor)
 
 
-@dataclass(frozen=True, slots=True)
-class CumulativeIntegrals:
+class CumulativeIntegrals(NamedTuple):
     """Panel integrals chi_0..chi_L and their prefix sums F(x_0)..F(x_L).
 
     ``unresolved_panels`` holds (i, ratio) for each panel i whose bisected

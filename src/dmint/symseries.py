@@ -228,6 +228,7 @@ class GeneralizedPolynomial:
         return result
 
     def evaluate(self, x: float) -> float:
+        """The float value at x > 0; no command calls it, the tests check pi_k with it."""
         d = self.step_denominator
         return math.fsum(float(c) * x ** (n / d) for n, c in self.terms.items())
 
@@ -377,6 +378,7 @@ class GeneralizedRational:
                    for p in (self.numerator, self.denominator))
 
     def evaluate(self, x: float) -> float:
+        """The float value at x > 0; no command calls it, the tests check pi_k with it."""
         return self.numerator.evaluate(x) / self.denominator.evaluate(x)
 
     # -- arithmetic --------------------------------------------------------

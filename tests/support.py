@@ -7,6 +7,7 @@ import functools
 import hashlib
 import importlib.util
 import io
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,6 +95,17 @@ def reference_lower(node):
     if isinstance(node, expr.Call) and node.func == "sqrt":
         return _reference_monomial_power(reference_lower(node.arg), Fraction(1, 2))
     raise RationalParseError("'%s' is not a rational function of x" % expr.to_text(node))
+
+
+def tree_key(node):
+    """A parse tree as tuples of each node's class name and fields: equal for
+    structurally equal trees.  A left-nested chain is one flat tuple, so a
+    1500-term sum compares at the default recursion limit."""
+    first, ops = expr.left_chain(node)
+    key = (type(first).__name__,) + tuple(
+        tree_key(value) if isinstance(value, expr.Expr) else value
+        for value in (getattr(first, name) for name in first.__slots__))
+    return (key,) + tuple((op.op, tree_key(op.right)) for op in ops)
 
 
 def reference_parse_rational(text):
@@ -296,6 +308,69 @@ def exact_first_unknown(matrix, rhs) -> Fraction | None:
         tail = sum((rows[col][k] * x[k] for k in range(col + 1, n)), Fraction(0))
         x[col] = (rows[col][n] - tail) / rows[col][col]
     return x[0]
+
+
+# Generated command lines: argparse accepts each, and dmint may refuse it.
+POWERS = ("2", "3", "-1", "(1/2)", "(-3/2)", "(2/3)")
+
+
+def random_text(rng, depth, leaves, functions=()):
+    """Expression text of + - * /, integer and (p/q) powers and ``functions``
+    over ``leaves``; one text in ten loses its last character."""
+    def node(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        kind = rng.randrange(3 if functions else 2)
+        if kind == 0:
+            return "(%s)%s(%s)" % (node(depth - 1), rng.choice("+-*/"), node(depth - 1))
+        if kind == 1:
+            return "(%s)^%s" % (node(depth - 1), rng.choice(POWERS))
+        return "%s(%s)" % (rng.choice(functions), node(depth - 1))
+
+    text = node(depth)
+    return text[:-1] if rng.random() < 0.1 else text
+
+
+def random_argv(rng):
+    """One argument list that argparse accepts, for any of three commands."""
+    draw = rng.random()
+    if draw < 0.6:
+        integrand = random_text(rng, 3, ("x", "1", "2", "0.5", "pi"), expr.FUNCTIONS)
+        if rng.random() < 0.5:
+            integrand = "exp(-x)*" + integrand
+        argv = ["accelerate", "--integrand=" + integrand, "--m=%d" % rng.randint(1, 3),
+                "--nu-max=%d" % rng.randint(0, 8),
+                "--grid=" + rng.choice(("linear:1.0", "linear:1.6", "sqrtlinear:1.6",
+                                        "linear:-1", "cubic:1")),
+                "--format=" + rng.choice(("pretty", "csv", "json"))]
+        reference = rng.choice((None, "1", "pi/2", "10^400"))
+        return argv if reference is None else argv + ["--reference=" + reference]
+    if draw < 0.8:
+        return ["check-b1", "--f=" + random_text(rng, 3, ("x", "1", "2", "3"))]
+    p = ["--p=" + random_text(rng, 2, ("x", "1", "2")) for _ in range(rng.randint(1, 3))]
+    return ["compose", *p, "--g=" + rng.choice(("x", "x^2", "x+1", "2*x^2-x", "3", "0"))]
+
+
+def argv_corpus(seeds, count=300):
+    """Each of ``count`` :func:`random_argv` lists per seed, run through
+    ``cli.main`` in-process, as (argv, exit code, stdout, stderr)."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        for _ in range(count):
+            argv = random_argv(rng)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            yield argv, code, out.getvalue(), err.getvalue()
+
+
+def argv_corpus_digest(seeds, count=300) -> str:
+    """sha256 over :func:`argv_corpus`: one call on each of two source trees
+    tells whether any list's exit code or output differs between them."""
+    digest = hashlib.sha256()
+    for run in argv_corpus(seeds, count):
+        digest.update(repr(run).encode())
+    return digest.hexdigest()
 
 
 # The benchmark's workloads and the digests of the demo table and of the

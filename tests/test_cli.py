@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 import time
@@ -13,6 +12,8 @@ import pytest
 import dmint
 from dmint import cli
 from dmint.cli import main
+
+from support import argv_corpus, tree_key
 
 DEMO_P = ("--p=-(2*x^2+3)/(4*x)", "--p=-3/4", "--p=-x/8")
 
@@ -149,6 +150,20 @@ class TestCompose:
         assert code == 3 and out == ""
         assert err == ("invalid input: p_1 must have an integer-step expansion with "
                        "integer leading exponent, got leading exponent 1\n")
+
+    @pytest.mark.parametrize("argv, k, i, m", [
+        (("--p=x^3", "--g=x^2"), 1, 3, 1),
+        (("--p=0", "--p=x^3", "--g=x^2"), 2, 3, 2),
+        # i_1 = k + 1, one past the class-B limit.
+        (("--p=x^2", "--g=x"), 1, 2, 1),
+    ], ids=["p_1 in A^(3)", "p_2 in A^(3)", "p_1 in A^(2)"])
+    def test_input_outside_class_b_is_noted(self, capsys, argv, k, i, m):
+        code, out, err = run(capsys, "compose", *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == (
+            "note: p_%d is in A^(%d) and %d > %d, so the equation does not put f in B^(%d) "
+            "and the theorem does not apply" % (k, i, i, k, m))
+        assert out.count("note:") == 1
 
     def test_transcendental_coefficient_exit_2(self, capsys):
         code, out, err = run(capsys, "compose", "--p=sin(x)", "--g=x")
@@ -318,6 +333,14 @@ REFUSALS = {
 }
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("--bogus",), "parse error: unrecognized arguments: --bogus"),
+    ((), "parse error: the following arguments are required: command"),
+], ids=["--bogus", "no command"])
+def test_refusal_before_the_command(capsys, argv, line):
+    assert run(capsys, *argv) == (2, "", line + "\n")
+
+
 class TestAccelerate:
     @pytest.mark.parametrize("argv, code, line", REFUSALS.values(), ids=list(REFUSALS))
     def test_refusal(self, capsys, argv, code, line):
@@ -440,63 +463,16 @@ class TestOutputFormats:
         assert all(r["F_error"] is None for r in records)
 
 
-POWERS = ("2", "3", "-1", "(1/2)", "(-3/2)", "(2/3)")
-
-
-def random_text(rng, depth, leaves, functions=()):
-    """Expression text of + - * /, integer and (p/q) powers and ``functions``
-    over ``leaves``; one text in ten loses its last character."""
-    def node(depth):
-        if depth == 0 or rng.random() < 0.3:
-            return rng.choice(leaves)
-        kind = rng.randrange(3 if functions else 2)
-        if kind == 0:
-            return "(%s)%s(%s)" % (node(depth - 1), rng.choice("+-*/"), node(depth - 1))
-        if kind == 1:
-            return "(%s)^%s" % (node(depth - 1), rng.choice(POWERS))
-        return "%s(%s)" % (rng.choice(functions), node(depth - 1))
-
-    text = node(depth)
-    return text[:-1] if rng.random() < 0.1 else text
-
-
-def random_argv(rng):
-    """One argument list that argparse accepts, for any of three commands."""
-    draw = rng.random()
-    if draw < 0.6:
-        integrand = random_text(rng, 3, ("x", "1", "2", "0.5", "pi"), dmint.expr.FUNCTIONS)
-        if rng.random() < 0.5:
-            integrand = "exp(-x)*" + integrand
-        argv = ["accelerate", "--integrand=" + integrand, "--m=%d" % rng.randint(1, 3),
-                "--nu-max=%d" % rng.randint(0, 8),
-                "--grid=" + rng.choice(("linear:1.0", "linear:1.6", "sqrtlinear:1.6",
-                                        "linear:-1", "cubic:1")),
-                "--format=" + rng.choice(("pretty", "csv", "json"))]
-        reference = rng.choice((None, "1", "pi/2", "10^400"))
-        return argv if reference is None else argv + ["--reference=" + reference]
-    if draw < 0.8:
-        return ["check-b1", "--f=" + random_text(rng, 3, ("x", "1", "2", "3"))]
-    p = ["--p=" + random_text(rng, 2, ("x", "1", "2")) for _ in range(rng.randint(1, 3))]
-    return ["compose", *p, "--g=" + rng.choice(("x", "x^2", "x+1", "2*x^2-x", "3", "0"))]
-
-
-def test_every_run_keeps_the_exit_code_contract(capsys):
+def test_every_run_keeps_the_exit_code_contract():
     # About 300 generated runs of accelerate, check-b1 and compose: each
-    # exits 0..4 with no exception escaping main.  A refusal writes one
-    # stderr line and no stdout; a success writes at most the panel
-    # warning, and its JSON holds no NaN or Infinity.
+    # exits 0..4 with no exception escaping main (one would fail the test).
+    # A refusal writes one stderr line and no stdout; a success writes at
+    # most the panel warning, and its JSON holds no NaN or Infinity.
     def reject(constant):
         raise ValueError("JSON constant %s" % constant)
 
-    rng = random.Random(39)
     codes = set()
-    for _ in range(300):
-        argv = random_argv(rng)
-        try:
-            code = main(argv)
-        except Exception as exc:
-            pytest.fail("%r escaped main on %r" % (exc, argv))
-        out, err = capsys.readouterr()
+    for argv, code, out, err in argv_corpus([39]):
         codes.add(code)
         assert code in range(5), argv
         if code:
@@ -562,13 +538,11 @@ def test_flat_sum_of_any_length():
         assert dmint.evaluate(node, x0) == total
     text = source + "-" + source
     assert dmint.expr.to_text(dmint.parse(text)) == text
-    # The tree's own ==, hash and repr walk the chain too, and give the
-    # dataclass's equality and repr text.
-    assert dmint.parse(source) == node and hash(dmint.parse(source)) == hash(node)
-    assert repr(node).startswith("BinOp(op='+', left=BinOp(op='+', left=")
-    assert repr(dmint.parse("x+1-2")) == (
-        "BinOp(op='-', left=BinOp(op='+', left=Var(), right=Num(value=Fraction(1, 1))), "
-        "right=Num(value=Fraction(2, 1)))")
+    # The sum nests to the left, and the tests' tree key walks the chain too.
+    chain = dmint.parse("exp(-x)")
+    for _ in range(1499):
+        chain = dmint.expr.BinOp("+", chain, dmint.parse("exp(-x)"))
+    assert tree_key(node) == tree_key(chain)
 
 
 def test_huge_integer_power_integrand_exit_3():

@@ -22,27 +22,30 @@ from dmint.expr import (
 from dmint.exprtaylor import ExprDomainError, _fsum, derivatives, evaluate
 from dmint.quad import grid_from_descriptor
 
-from support import exact_poly_derivatives
+from support import exact_poly_derivatives, tree_key
+
+
+def parses_to(source, tree):
+    return tree_key(parse(source)) == tree_key(tree)
 
 
 class TestParsing:
     def test_sinc_squared_structure(self):
-        assert parse("(sin(x)/x)^2") == Pow(BinOp("/", Call("sin", Var()), Var()),
-                                            Fraction(2))
+        assert parses_to("(sin(x)/x)^2", Pow(BinOp("/", Call("sin", Var()), Var()), Fraction(2)))
 
     def test_demo_integrands(self):
-        assert parse("sin(x^2)^2/x^4") == BinOp(
+        assert parses_to("sin(x^2)^2/x^4", BinOp(
             "/", Pow(Call("sin", Pow(Var(), Fraction(2))), Fraction(2)),
-            Pow(Var(), Fraction(4)))
-        assert parse("1/(sqrt(x)+1)^3") == BinOp(
+            Pow(Var(), Fraction(4))))
+        assert parses_to("1/(sqrt(x)+1)^3", BinOp(
             "/", Num(Fraction(1)),
-            Pow(BinOp("+", Call("sqrt", Var()), Num(Fraction(1))), Fraction(3)))
+            Pow(BinOp("+", Call("sqrt", Var()), Num(Fraction(1))), Fraction(3))))
 
     def test_precedence(self):
-        assert parse("-x^2") == Neg(Pow(Var(), Fraction(2)))
-        assert parse("2*x+1") == BinOp("+", BinOp("*", Num(Fraction(2)), Var()),
-                                       Num(Fraction(1)))
-        assert parse("2*-x") == BinOp("*", Num(Fraction(2)), Neg(Var()))
+        assert parses_to("-x^2", Neg(Pow(Var(), Fraction(2))))
+        assert parses_to("2*x+1", BinOp("+", BinOp("*", Num(Fraction(2)), Var()),
+                                         Num(Fraction(1))))
+        assert parses_to("2*-x", BinOp("*", Num(Fraction(2)), Neg(Var())))
 
     def test_longest_match_exponent(self):
         # a bare p/q after ^ reads two ways, so it is refused ...
@@ -54,14 +57,14 @@ class TestParsing:
                 parse(source)
             assert str(info.value) == "ambiguous exponent: " + message
         # ... but not when the denominator is not a number
-        assert parse("x^2/x") == BinOp("/", Pow(Var(), Fraction(2)), Var())
-        assert parse("x^2/(3)") == BinOp("/", Pow(Var(), Fraction(2)), Num(Fraction(3)))
-        assert parse("x^(-3)") == Pow(Var(), Fraction(-3))
-        assert parse("x^-3") == Pow(Var(), Fraction(-3))
+        assert parses_to("x^2/x", BinOp("/", Pow(Var(), Fraction(2)), Var()))
+        assert parses_to("x^2/(3)", BinOp("/", Pow(Var(), Fraction(2)), Num(Fraction(3))))
+        assert parses_to("x^(-3)", Pow(Var(), Fraction(-3)))
+        assert parses_to("x^-3", Pow(Var(), Fraction(-3)))
 
     def test_pi_and_decimals(self):
-        assert parse("pi") == PiConst()
-        assert parse("0.25") == Num(Fraction(1, 4))
+        assert parses_to("pi", PiConst())
+        assert parses_to("0.25", Num(Fraction(1, 4)))
         assert evaluate(parse("2*sqrt(pi)/3"), 0.0) == pytest.approx(
             2 * math.sqrt(math.pi) / 3, rel=1e-15)
 
@@ -114,7 +117,7 @@ class TestPrintRoundTrip:
         rng = random.Random(42)
         for _ in range(1000):
             node = random_expr(rng, rng.randint(0, 4))
-            assert parse(to_text(node)) == node
+            assert parses_to(to_text(node), node)
 
 
 class TestDerivatives:

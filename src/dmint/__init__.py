@@ -2,7 +2,7 @@
 
 The package namespace is lazy (PEP 562): ``import dmint`` loads no
 submodule, and each name below loads its own module on first use.  The
-exact half (``symseries``, ``bell``, ``compose``) and the parser (``expr``)
+exact half (``symseries``, ``compose``) and the parser (``expr``)
 do not load numpy; the numeric names (jets, quadrature over the fixed
 32-point Gauss-Legendre rule, the D^(m) transformation) do.  The order of
 a rational function at infinity is ``GeneralizedRational.lead_exponent``
@@ -23,12 +23,12 @@ _EXPORTS = {
         "parse_rational",
         "to_text",
     ),
-    "bell": ("l_matrix",),
     "compose": (
         "B1Report",
         "CompositionResult",
         "OdeCoefficients",
         "compose_ode",
+        "l_matrix",
         "rho_bounds",
         "verify_b1_membership",
     ),

@@ -329,35 +329,36 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dmint",
         description="Accelerate infinite-range integrals and compose ODE "
                     "coefficient systems.")
-    # Optional to argparse, so that an unknown option is named before a
-    # missing command; main refuses the missing command itself.
+    # Nothing is required to argparse, so that an unknown option is named
+    # before a missing one.  Each command names its required options in
+    # ``required``, and main refuses them, or a missing command, itself.
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("reproduce-table",
                        help="reproduce the demo error-decay table and check it")
     p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
     p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_reproduce_table)
+    p.set_defaults(handler=_cmd_reproduce_table, required=())
 
     p = sub.add_parser("compose",
                        help="transform ODE coefficients under x -> g(x)")
-    p.add_argument("--p", action="append", required=True,
+    p.add_argument("--p", action="append",
                    help="coefficient p_k in order k=1..m; use 0 for absent; "
                         + RATIONAL_TEXT_HELP)
-    p.add_argument("--g", required=True,
+    p.add_argument("--g",
                    help="integer-exponent polynomial; " + RATIONAL_TEXT_HELP)
     p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_compose)
+    p.set_defaults(handler=_cmd_compose, required=("--p", "--g"))
 
     p = sub.add_parser("check-b1",
                        help="test f = p_1 f' membership for a rational function")
-    p.add_argument("--f", required=True, help=RATIONAL_TEXT_HELP)
+    p.add_argument("--f", help=RATIONAL_TEXT_HELP)
     p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_check_b1)
+    p.set_defaults(handler=_cmd_check_b1, required=("--f",))
 
     p = sub.add_parser("accelerate",
                        help="extrapolate the integral of an integrand over [0, inf)")
-    p.add_argument("--integrand", required=True,
+    p.add_argument("--integrand",
                    help="expression text or builtin name (f, phi); "
                         "write x^(1/2) or (x^1)/2, not x^1/2")
     p.add_argument("--m", type=int, default=3)
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'friendly' or 'rho:e0,e1,...' with m entries")
     p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
     p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_accelerate)
+    p.set_defaults(handler=_cmd_accelerate, required=("--integrand",))
     return parser
 
 
@@ -385,8 +386,10 @@ def main(argv=None) -> int:
     try:
         parser = _shared_parser()
         args = parser.parse_args(argv)
-        if args.command is None:
-            parser.error("the following arguments are required: command")
+        missing = [name for name in getattr(args, "required", ("command",))
+                   if getattr(args, name.lstrip("-")) is None]
+        if missing:
+            parser.error("the following arguments are required: " + ", ".join(missing))
         return args.handler(args)
     except ToleranceFailure as exc:
         print("tolerance failure: %s" % exc, file=sys.stderr)

@@ -2,9 +2,13 @@
 
 A function satisfying f(x) = sum_k p_k(x) f^(k)(x) composed with a
 polynomial-like g yields phi = f(g(x)) satisfying an equation of the same
-order, phi = sum_k pi_k(x) phi^(k)(x).  Writing L[n,k] for the Bell
-polynomial of the derivatives of g, the new coefficients solve the upper
-triangular system
+order, phi = sum_k pi_k(x) phi^(k)(x).  Writing L[n,k] for the partial
+(incomplete) Bell polynomial B_{n,k}(g', g'', ..., g^(n-k+1)), where
+
+    B_{n,k}(y_1, ..., y_{n-k+1}) = sum n!/prod(j_i!) * prod((y_i/i!)**j_i)
+
+over the non-negative multi-indices j with sum(j_i) == k and
+sum(i*j_i) == n, the new coefficients solve the upper triangular system
 
     p_k(g(x)) = sum_{n=k..m} pi_n(x) * L[n,k](x),   k = 1..m,
 
@@ -23,12 +27,36 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bell import l_matrix
 from .symseries import (
+    GeneralizedPolynomial,
     GeneralizedRational,
     compose_poly,
     substitution_polynomial,
 )
+
+
+def l_matrix(g: GeneralizedPolynomial, m: int) -> dict[tuple[int, int], GeneralizedPolynomial]:
+    """Table L[n,k] = B_{n,k}(g', g'', ..., g^(n-k+1)) for 1 <= k <= n <= m.
+
+    g must pass :func:`dmint.symseries.substitution_polynomial`, which
+    also asks for degree >= 1.  The entries are polynomials from the
+    recurrence that the chain rule gives for the derivatives of f(g(x)),
+    not from the enumeration of B_{n,k}, and equal B_{n,k} at the
+    derivatives of g exactly.  The diagonal satisfies L[k,k] = (g')**k.
+    Raises SizeBudgetError for work beyond the size budget.
+    """
+    g = substitution_polynomial(g)
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    # Differentiating f(g)^(n) = sum_k f^(k)(g) L[n,k] once more gives
+    # L[n+1,k] = L[n,k]' + g' L[n,k-1], from L[0,0] = 1.
+    gprime, zero = g.derivative(), GeneralizedPolynomial.zero()
+    row, table = [GeneralizedPolynomial.one()], {}
+    for n in range(1, m + 1):
+        row = [zero] + [(row[k].derivative() if k < n else zero) + gprime * row[k - 1]
+                        for k in range(1, n + 1)]
+        table.update({(n, k): row[k] for k in range(1, n + 1)})
+    return table
 
 
 def _integer_order(a: GeneralizedRational) -> int | None:

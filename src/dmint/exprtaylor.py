@@ -86,18 +86,11 @@ def _fsum(terms: np.ndarray):
     """``math.fsum`` over the rows of ``terms``, at each point (column).
 
     One term gives ``term + 0.0``, which is what fsum gives (it maps -0.0
-    to 0.0); no terms give 0.0.  Two terms whose sum is finite everywhere
-    give ``a + b + 0.0``: one IEEE addition is the correctly rounded sum
-    that fsum returns.  Any other case runs fsum, which raises on overflow
-    and on inf - inf.
+    to 0.0); no terms give 0.0.  More terms run fsum, which raises on
+    overflow and on inf - inf.
     """
     if len(terms) < 2:
         return terms[0] + 0.0 if len(terms) else 0.0
-    if len(terms) == 2:
-        total = terms[0] + terms[1]
-        if np.isfinite(total).all():
-            total += 0.0
-            return total
     return np.fromiter(map(math.fsum, terms.T.tolist()), float, terms.shape[1])
 
 

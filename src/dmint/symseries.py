@@ -394,24 +394,21 @@ class GeneralizedRational:
     __radd__ = __add__
 
     def __neg__(self):
-        # Negating the numerator keeps the pair canonical (same gcd, same
-        # monic denominator), so the result is built without reducing it.
-        result = object.__new__(GeneralizedRational)
-        result.numerator = -self.numerator
-        result.denominator = self.denominator
-        return result
+        return GeneralizedRational(-self.numerator, self.denominator)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return GeneralizedRational(
+            self.numerator * other.denominator - other.numerator * self.denominator,
+            self.denominator * other.denominator)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -666,6 +663,8 @@ def _monomial_power(base, exponent: Fraction) -> GeneralizedPolynomial:
     (n, c), = base.terms.items()
     q = exponent.denominator
     root = Fraction(_integer_root(c.numerator, q), _integer_root(c.denominator, q))
+    # Through GeneralizedRational, so that the size budget refuses a power
+    # like (4*x)^(1000000001/2); a Fraction power would build 2**(10**9).
     coeff = (GeneralizedRational(root) ** exponent.numerator).numerator.lead_coefficient
     e = Fraction(n, base.step_denominator) * exponent
     return GeneralizedPolynomial.monomial(coeff, e.numerator, e.denominator)

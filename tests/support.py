@@ -147,7 +147,7 @@ def assert_canonical(r: GeneralizedRational, num: GeneralizedPolynomial,
 
 
 # The partial Bell polynomials by enumeration of their multi-indices: the
-# oracle for the recurrence of dmint.bell.l_matrix and the jets' chain rule.
+# oracle for the recurrence of dmint.compose.l_matrix and the jets' chain rule.
 
 
 @dataclass(frozen=True)
@@ -332,6 +332,19 @@ def random_text(rng, depth, leaves, functions=()):
 
 
 def random_argv(rng):
+    """One argument list for any of three commands.  About one in twenty
+    carries the unknown option ``--bogus``, half of those in place of the
+    command's first option, which is a required one."""
+    argv = _accepted_argv(rng)
+    draw = rng.random()
+    if draw < 0.025:
+        argv[1] = "--bogus"
+    elif draw < 0.05:
+        argv.append("--bogus")
+    return argv
+
+
+def _accepted_argv(rng):
     """One argument list that argparse accepts, for any of three commands."""
     draw = rng.random()
     if draw < 0.6:

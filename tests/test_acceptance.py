@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from dmint import collect_counts, dtransform
-from dmint.bell import l_matrix
+from dmint.compose import l_matrix
 from dmint.cli import BUILTIN_INTEGRANDS
 from dmint.compose import OdeCoefficients, compose_ode, rho_bounds, verify_b1_membership
 from dmint.dtransform import d_sequence

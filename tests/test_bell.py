@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dmint.bell import l_matrix
+from dmint.compose import l_matrix
 from dmint.symseries import GeneralizedPolynomial, GeneralizedRational
 
 from support import bell_eval, enumerate_indices, random_int_poly
@@ -67,6 +67,7 @@ class TestLMatrix:
                 table = l_matrix(g, 8)
                 assert sorted(table) == [(n, k) for n in range(1, 9) for k in range(1, n + 1)]
                 for (n, k), value in table.items():
+                    assert type(value) is GeneralizedPolynomial
                     assert value == bell_eval(n, k, derivs[: n - k + 1])
 
     def test_rejects_bad_g(self):

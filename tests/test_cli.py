@@ -333,10 +333,16 @@ REFUSALS = {
 }
 
 
+# An unknown option is named before a missing command or required option.
 @pytest.mark.parametrize("argv, line", [
     (("--bogus",), "parse error: unrecognized arguments: --bogus"),
     ((), "parse error: the following arguments are required: command"),
-], ids=["--bogus", "no command"])
+    (("compose", "--bogus"), "parse error: unrecognized arguments: --bogus"),
+    (("check-b1", "--bogus"), "parse error: unrecognized arguments: --bogus"),
+    (("accelerate", "--bogus"), "parse error: unrecognized arguments: --bogus"),
+    (("compose", "--p", "x"), "parse error: the following arguments are required: --g"),
+], ids=["--bogus", "no command", "compose --bogus", "check-b1 --bogus", "accelerate --bogus",
+        "compose without --g"])
 def test_refusal_before_the_command(capsys, argv, line):
     assert run(capsys, *argv) == (2, "", line + "\n")
 

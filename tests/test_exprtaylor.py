@@ -19,7 +19,7 @@ from dmint.expr import (
     parse,
     to_text,
 )
-from dmint.exprtaylor import ExprDomainError, _fsum, derivatives, evaluate
+from dmint.exprtaylor import ExprDomainError, derivatives, evaluate
 from dmint.quad import grid_from_descriptor
 
 from support import exact_poly_derivatives, tree_key
@@ -344,72 +344,6 @@ class TestArrayDerivatives:
             self.assert_columns_match(node, points, count)
             compared += 1
         assert compared > 100 and failed > 20
-
-
-class TestTwoTermFsum:
-    """_fsum adds two terms with one IEEE addition; it must give fsum's bits."""
-
-    TINY = 5e-324
-    PAIRS = [
-        # Signed zeros: fsum returns +0.0 for every exact zero.
-        (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (1.5, -1.5), (-0.0, 3.0),
-        # Subnormals.
-        (TINY, TINY), (-TINY, TINY), (-TINY, -TINY), (2.2250738585072014e-308, -TINY),
-        (1e-310, 3e-310), (-1e-310, 2.2250738585072014e-308),
-        # Halfway ties, rounded to even.
-        (1.0, 2.0 ** -53), (1.0 + 2.0 ** -52, 2.0 ** -53), (-1.0, -(2.0 ** -53)),
-        (2.0 ** 53, 1.0), (2.0 ** 53 + 2.0, 1.0), (2.0 ** 53, -1.0), (3.0, 2.0 ** -52),
-        # Large cancellations.
-        (1e308, -1e308), (1.0 + 2.0 ** -52, -1.0), (1e16, -(1e16 - 2.0)),
-        (math.pi, -3.1415926535897927), (1.7976931348623157e308, -1.7976931348623155e308),
-        (8.98846567431158e307, -8.98846567431158e307 * (1 - 2.0 ** -53)),
-    ]
-
-    @staticmethod
-    def assert_fsum_bits(a, b):
-        got = _fsum(np.array([a, b]))
-        assert [v.hex() for v in got.tolist()] == [
-            math.fsum((x, y)).hex() for x, y in zip(a, b)]
-
-    def test_fixed_pairs(self):
-        a, b = zip(*self.PAIRS)
-        self.assert_fsum_bits(a, b)
-
-    def test_random_pairs(self):
-        rng = random.Random(14)
-        a, b = [], []
-        for _ in range(3000):
-            x = rng.choice((-1, 1)) * rng.random() * 2.0 ** rng.randint(-1074, 1022)
-            kind = rng.randrange(3)
-            if kind == 0:
-                y = rng.choice((-1, 1)) * rng.random() * 2.0 ** rng.randint(-1074, 1022)
-            elif kind == 1:  # near cancellation
-                y = -x * (1.0 + rng.choice((-1, 1)) * rng.randint(0, 8) * 2.0 ** -52)
-            else:  # a tie or near-tie below x's last bit
-                y = math.ulp(x) * rng.choice((0.5, -0.5, 0.25, 0.75, 1.5))
-            a.append(x)
-            b.append(y)
-        self.assert_fsum_bits(a, b)
-
-    def test_non_finite_terms_take_fsum(self):
-        a = [math.inf, -math.inf, math.nan, 1.0, math.inf]
-        b = [1.0, 2.0, 1.0, 2.0, math.inf]
-        with np.errstate(invalid="ignore"):
-            got = _fsum(np.array([a, b]))
-        assert [repr(v) for v in got.tolist()] == [
-            repr(math.fsum((x, y))) for x, y in zip(a, b)]
-
-    @pytest.mark.parametrize("a, b, error", [
-        (1e308, 1e308, OverflowError),
-        (-1.7976931348623157e308, -1e292, OverflowError),
-        (math.inf, -math.inf, ValueError),
-    ])
-    def test_errors_are_fsums(self, a, b, error):
-        with pytest.raises(error) as expected:
-            math.fsum((a, b))
-        with np.errstate(all="ignore"), pytest.raises(error) as got:
-            _fsum(np.array([[1.0, a], [2.0, b]]))
-        assert str(got.value) == str(expected.value)
 
 
 class TestDomainErrors:

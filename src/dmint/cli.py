@@ -233,6 +233,15 @@ def _cmd_compose(args) -> int:
         k, i = beyond[0]
         lines.append("note: p_%d is in A^(%d) and %d > %d, so the equation does not put f "
                      "in B^(%d) and the theorem does not apply" % (k, i, i, k, ode.m))
+        # Its conclusion, f(g) in B^(m), read from the orders found above.
+        beyond = [(k, r) for k, r in enumerate(result.r, start=1) if r is not None and r > k]
+        if beyond:
+            k, r = beyond[0]
+            lines.append("note: pi_%d is in A^(%d) and %d > %d, so the composed equation "
+                         "does not put f(g) in B^(%d)" % (k, r, r, k, ode.m))
+        else:
+            lines.append("note: every non-zero pi_k has r_k <= k, so the composed equation "
+                         "puts f(g) in B^(%d)" % ode.m)
     _emit(lines, args.output)
     return 0
 

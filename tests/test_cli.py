@@ -151,19 +151,22 @@ class TestCompose:
         assert err == ("invalid input: p_1 must have an integer-step expansion with "
                        "integer leading exponent, got leading exponent 1\n")
 
-    @pytest.mark.parametrize("argv, k, i, m", [
-        (("--p=x^3", "--g=x^2"), 1, 3, 1),
-        (("--p=0", "--p=x^3", "--g=x^2"), 2, 3, 2),
-        # i_1 = k + 1, one past the class-B limit.
-        (("--p=x^2", "--g=x"), 1, 2, 1),
+    @pytest.mark.parametrize("argv, k, i, m, r", [
+        (("--p=x^3", "--g=x^2"), 1, 3, 1, 5),
+        (("--p=0", "--p=x^3", "--g=x^2"), 2, 3, 2, 3),
+        # i_1 = k + 1, one past the class-B limit; g = x keeps pi_1 = p_1.
+        (("--p=x^2", "--g=x"), 1, 2, 1, 2),
     ], ids=["p_1 in A^(3)", "p_2 in A^(3)", "p_1 in A^(2)"])
-    def test_input_outside_class_b_is_noted(self, capsys, argv, k, i, m):
+    def test_input_outside_class_b_is_noted(self, capsys, argv, k, i, m, r):
+        # The conclusion names pi_1 on each row: r_1 = r > 1.
         code, out, err = run(capsys, "compose", *argv)
         assert (code, err) == (0, "")
-        assert out.splitlines()[-1] == (
+        assert out.splitlines()[-2:] == [
             "note: p_%d is in A^(%d) and %d > %d, so the equation does not put f in B^(%d) "
-            "and the theorem does not apply" % (k, i, i, k, m))
-        assert out.count("note:") == 1
+            "and the theorem does not apply" % (k, i, i, k, m),
+            "note: pi_1 is in A^(%d) and %d > 1, so the composed equation does not put "
+            "f(g) in B^(%d)" % (r, r, m)]
+        assert out.count("note:") == 2
 
     def test_transcendental_coefficient_exit_2(self, capsys):
         code, out, err = run(capsys, "compose", "--p=sin(x)", "--g=x")

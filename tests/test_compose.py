@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from dmint.symseries import (
     parse_rational,
 )
 
-from support import compose_batch_odes
+from support import compose_batch_odes, compose_series_digest
 
 R = parse_rational
 X_SQUARED = GeneralizedPolynomial({2: 1})
@@ -143,6 +145,20 @@ class TestRandomProperties:
             result = compose_ode(ode, X_POLY)
             assert result.pi == ode.p
             assert result.r == ode.i
+
+
+# compose_series_digest(range(4, 8)): every pi_k text of the series past
+# the batch's m <= 4.
+SERIES_DIGEST = "6db98da20995b1b60a5dfb6eb89fc32079279a472b76dc72e05b902eccaa7a2f"
+
+
+def test_series_past_the_batch():
+    # The series' work grows with m, so the bound on m = 4..7 bounds m = 7.
+    start = time.perf_counter()
+    digest = compose_series_digest(range(4, 8))
+    elapsed = time.perf_counter() - start
+    assert digest == SERIES_DIGEST
+    assert elapsed <= 6.0, "m = 4..7 took %.2f s" % elapsed
 
 
 BAD_G = {

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import hashlib
 import importlib.util
 import io
 import random
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
@@ -419,6 +421,26 @@ def compose_batch_odes():
         ode = OdeCoefficients([None if text == "0" else parse_rational(text)
                                for text in inp.p_text])
         yield inp, ode, parse_rational(inp.g_text)
+
+
+def compose_bytes_per_op(seed=1) -> float:
+    """The bytes that one round of the benchmark's compose batch keeps per
+    op: what tracemalloc still counts once the round's 200 ops are done
+    and their outputs (each op's pi_k texts and CompositionResult) are
+    held, as the benchmark holds every op's output to the end of its run.
+    Tracing makes the round several times slower."""
+    workload = benchmark_workloads().ComposeWorkload(seed)
+    workload.warmup()
+    batch = workload.next_round()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        outputs = [workload.run(inp) for inp in batch]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return kept / len(outputs)
 
 
 def compose_series(m):

@@ -19,7 +19,7 @@ from dmint.symseries import (
     parse_rational,
 )
 
-from support import compose_batch_odes, compose_series_digest
+from support import compose_batch_odes, compose_bytes_per_op, compose_series_digest
 
 R = parse_rational
 X_SQUARED = GeneralizedPolynomial({2: 1})
@@ -159,6 +159,16 @@ def test_series_past_the_batch():
     elapsed = time.perf_counter() - start
     assert digest == SERIES_DIGEST
     assert elapsed <= 6.0, "m = 4..7 took %.2f s" % elapsed
+
+
+def test_a_batch_round_keeps_few_bytes_per_op():
+    # The benchmark keeps every op's output to the end of its run, so its
+    # peak RSS grows by what each op's pi_k keep.  Stored as ints and one
+    # content per polynomial they keep 3.96 KB per op (Python 3.11,
+    # x86-64); as one Fraction per coefficient they kept 5.5 KB.  The
+    # bound leaves 14% for object sizes that differ on other versions.
+    kept = compose_bytes_per_op()
+    assert kept <= 4500, "%.0f bytes per op" % kept
 
 
 BAD_G = {

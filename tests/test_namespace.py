@@ -233,6 +233,10 @@ COUPLING = {
         "setitem(exprtaylor.LIBM, name)",
         "test_libm::test_no_libm_call_bypasses_the_owner: setitem(exprtaylor.LIBM, name)",
         "test_libm::test_no_libm_call_bypasses_the_owner: setattr(math, name)"),
+    "a contract broken on purpose, to show the breach fails fast instead of hanging": (
+        "test_symseries::test_a_divisor_off_the_monic_contract_fails_fast: _poly_divmod",
+        "test_symseries::test_a_divisor_off_the_monic_contract_fails_fast: "
+        "setattr(symseries, '_poly_divmod')"),
     "a numeric kernel against its reference bit for bit, which no expression isolates": (
         "test_quad::<module>: _RULE",
         "test_quad::<module>: _TAIL",

@@ -18,7 +18,7 @@ NAMES = (
     "dtransform.exact_sequences",  # sequences solved by the exact elimination
     "symseries.polynomial_products",
     "symseries.rational_products",  # each one two polynomial products
-    "symseries.canonical_pairs",  # numerator/denominator pairs reduced
+    "symseries.canonical_pairs",  # pairs handed to the gcd: two per product
 )
 
 _open = ContextVar("dmint_counts", default=None)

@@ -358,9 +358,7 @@ class GeneralizedRational:
     def __init__(self, numerator, denominator=None):
         num = _to_poly(numerator)
         den = GeneralizedPolynomial.one() if denominator is None else _to_poly(denominator)
-        num, den = _canonical_pair(num, den)
-        self.numerator = num
-        self.denominator = den
+        self.numerator, self.denominator = _normalized(*_reduced(num, den))
 
     # -- constructors ------------------------------------------------------
 
@@ -419,7 +417,7 @@ class GeneralizedRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return GeneralizedRational(-self.numerator, self.denominator)
+        return _rational(-self.numerator, self.denominator)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -440,8 +438,12 @@ class GeneralizedRational:
         if other is None:
             return NotImplemented
         count("symseries.rational_products")
-        return GeneralizedRational(self.numerator * other.numerator,
-                                   self.denominator * other.denominator)
+        # Henrici's rule: a/b * c/d reduces only its cross pairs (a, d) and
+        # (c, b).  a, b and c, d are coprime as canonical pairs, also on a
+        # finer common grid (Bezout), so a'c' and b'd' share no factor.
+        a, d = _reduced(self.numerator, other.denominator)
+        c, b = _reduced(other.numerator, self.denominator)
+        return _rational(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -451,8 +453,7 @@ class GeneralizedRational:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero function")
-        return GeneralizedRational(self.numerator * other.denominator,
-                                   self.denominator * other.numerator)
+        return self * _rational(other.denominator, other.numerator)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -466,13 +467,16 @@ class GeneralizedRational:
         if k < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of the zero function")
-            return GeneralizedRational(self.denominator, self.numerator) ** (-k)
+            return _rational(self.denominator, self.numerator) ** (-k)
         return _power(self, k, GeneralizedRational.one)
 
     def derivative(self) -> "GeneralizedRational":
+        # (num/den)' over den*den/h for h = gcd(den, den'), which holds
+        # p**(e-1) of each factor p**e of den: p divides den/h once and not
+        # den'/h, nor num, so not the new numerator, which is then reduced.
         num, den = self.numerator, self.denominator
-        return GeneralizedRational(num.derivative() * den - num * den.derivative(),
-                                   den * den)
+        den_h, dden_h = _reduced(den, den.derivative())
+        return _rational(num.derivative() * den_h - num * dden_h, den * den_h)
 
     # -- comparisons -------------------------------------------------------
 
@@ -508,30 +512,34 @@ def _coerce(value):
     if isinstance(value, GeneralizedRational):
         return value
     if isinstance(value, (int, Fraction, GeneralizedPolynomial)):
-        return GeneralizedRational(_to_poly(value))
+        return _rational(_to_poly(value), GeneralizedPolynomial.one())
     return None
 
 
-def _canonical_pair(num: GeneralizedPolynomial, den: GeneralizedPolynomial):
-    count("symseries.canonical_pairs")
-    if den.is_zero:
-        raise ZeroDivisionError("denominator is the zero function")
-    if num.is_zero:
-        return GeneralizedPolynomial.zero(), GeneralizedPolynomial.one()
+def _shifted(num: GeneralizedPolynomial, den: GeneralizedPolynomial):
+    # Both int maps on the pair's common grid 1/d, shifted by one power of x
+    # so that both are polynomials in t = x**(1/d) and at least one of them
+    # has a non-zero constant term.
     d = math.lcm(num.step_denominator, den.step_denominator)
     fn, fd = d // num.step_denominator, d // den.step_denominator
-    # Shift exponents so both are ordinary polynomials in t = x**(1/d) and
-    # at least one of them has a non-zero constant term.
     lo = min(min(num._ints) * fn, min(den._ints) * fd)
-    nt, cn = _rescaled(num._ints, fn, lo), num._content
-    dt, cd = _rescaled(den._ints, fd, lo), den._content
+    return d, _rescaled(num._ints, fn, lo), _rescaled(den._ints, fd, lo)
+
+
+def _reduced(num: GeneralizedPolynomial, den: GeneralizedPolynomial):
+    # num/g and den/g for g = gcd(num, den), both times one power of x, so
+    # their ratio is num/den's; a coprime pair comes back as it is.
+    count("symseries.canonical_pairs")
+    if num.is_zero or den.is_zero:
+        return num, den
+    d, nt, dt = _shifted(num, den)
     # When one side is a single term c*t**n the gcd is 1: after the shift
     # either n == 0 or the other side has a non-zero constant term, which
     # t**n does not divide.  The dense lists, as long as the degree, are
     # then skipped.  A dense list's length counts as its terms, and it is
     # bounded on bits only, so a sparse (x^600+1)/(x+1) is read.
     if len(nt) > 1 and len(dt) > 1:
-        for t, c in ((nt, cn), (dt, cd)):
+        for t, c in ((nt, num._content), (dt, den._content)):
             length = max(t) + 1
             _refuse_oversized("gcd list", length, _bits(c, t.values(), length), length, 0)
         a, b = ([Fraction(t.get(n, 0)) for n in range(max(t) + 1)] for t in (nt, dt))
@@ -540,13 +548,30 @@ def _canonical_pair(num: GeneralizedPolynomial, den: GeneralizedPolynomial):
             (a, ra), (b, rb) = _poly_divmod(a, g), _poly_divmod(b, g)
             if ra or rb:
                 raise ArithmeticError("inexact polynomial division during canonicalization")
-            a, b = (GeneralizedPolynomial(dict(enumerate(q))) for q in (a, b))
-            nt, dt, cn, cd = a._ints, b._ints, cn * a._content, cd * b._content
-    # Dividing both contents by the denominator's lead coefficient makes
-    # the denominator monic.
-    lead = cd * dt[max(dt)]
-    return (_polynomial(nt, cn / lead, d, primitive=True),
-            _polynomial(dt, cd / lead, d, primitive=True))
+            return tuple(GeneralizedPolynomial(dict(enumerate(q)), d).scaled(p._content)
+                         for q, p in ((a, num), (b, den)))
+    return num, den
+
+
+def _normalized(num: GeneralizedPolynomial, den: GeneralizedPolynomial):
+    # A coprime pair in canonical form: shifted to non-negative exponents,
+    # each side on its coarsest grid, and the denominator monic by dividing
+    # both contents by its lead coefficient.
+    if den.is_zero:
+        raise ZeroDivisionError("denominator is the zero function")
+    if num.is_zero:
+        return GeneralizedPolynomial.zero(), GeneralizedPolynomial.one()
+    d, nt, dt = _shifted(num, den)
+    lead = den.lead_coefficient
+    return (_polynomial(nt, num._content / lead, d, primitive=True),
+            _polynomial(dt, den._content / lead, d, primitive=True))
+
+
+def _rational(num: GeneralizedPolynomial, den: GeneralizedPolynomial) -> GeneralizedRational:
+    # The value num/den of a coprime pair, normalized with no gcd.
+    r = object.__new__(GeneralizedRational)
+    r.numerator, r.denominator = _normalized(num, den)
+    return r
 
 
 def substitution_polynomial(g) -> GeneralizedPolynomial:
@@ -583,7 +608,9 @@ def compose_poly(a: GeneralizedRational, g: GeneralizedPolynomial) -> Generalize
     Raises SizeBudgetError for a result beyond the size budget.
     """
     g = substitution_polynomial(g)
-    return GeneralizedRational(a.numerator.substitute(g), a.denominator.substitute(g))
+    # N(g) and D(g) are coprime as N and D are: u*N + v*D = 1 gives
+    # u(g)*N(g) + v(g)*D(g) = 1.
+    return _rational(a.numerator.substitute(g), a.denominator.substitute(g))
 
 
 # -- text format -------------------------------------------------------------

@@ -17,7 +17,7 @@ from math import factorial, lcm
 from pathlib import Path
 
 from dmint import cli, expr, symseries
-from dmint.compose import OdeCoefficients, compose_ode
+from dmint.compose import OdeCoefficients, compose_ode, verify_b1_membership
 from dmint.symseries import (
     GeneralizedPolynomial,
     GeneralizedRational,
@@ -462,6 +462,19 @@ def compose_series_digest(ms) -> str:
         texts = ["0" if pik is None else symseries.to_text(pik)
                  for pik in compose_ode(ode, g).pi]
         digest.update(("m=%d: %s\n" % (m, ", ".join(texts))).encode())
+    return digest.hexdigest()
+
+
+def b1_series_digest(ns) -> str:
+    """sha256 over the four fields of :func:`dmint.compose.verify_b1_membership`
+    on f = (x^n+x+1)/(x^(n-1)+2), parsed from its text, at each n of ``ns``:
+    the one-call check of check-b1's growth in degree on two source trees."""
+    digest = hashlib.sha256()
+    for n in ns:
+        report = verify_b1_membership(parse_rational("(x^%d+x+1)/(x^%d+2)" % (n, n - 1)))
+        digest.update(("n=%d: %s, %s, %s, %s\n" % (
+            n, symseries.to_text(report.p1), report.gamma, report.integer_step,
+            report.member)).encode())
     return digest.hexdigest()
 
 

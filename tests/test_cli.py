@@ -580,8 +580,8 @@ BUDGET = "beyond 500 terms or 1000000 bits)"
     (("compose", "--p=x^1000000000", "--g=x+1"), 3,
      "invalid input: product too large (about 513 terms and 266760 coefficient bits, "
      + BUDGET),
-    # The substituted numerator and denominator share a gcd list 2*10^7 long.
-    (("compose", "--p=(x^2+1)/(x+1)", "--g=x^10000000+1"), 3,
+    # pi_1's substituted numerator meets g' in a gcd list 2*10^7 long.
+    (("compose", "--p=(x^2+1)/(x+1)", "--g=x^10000000+x"), 3,
      "invalid input: gcd list too large (about 20000001 terms and 520000026 "
      "coefficient bits, " + BUDGET),
     (("check-b1", "--f=(x^10000000+1)/(x+1)"), 2,
@@ -594,6 +594,20 @@ def test_exact_work_beyond_the_budget(argv, code, err):
     # line; unbounded, each of these runs for minutes.
     result = run_fresh(*argv, timeout=10)
     assert (result.returncode, result.stdout, result.stderr) == (code, "", err + "\n")
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    # The substituted pair is coprime as (x^2+1, x+1) is, and pi_1 meets
+    # only the monomial g', so no gcd list is built.
+    (("compose", "--p=(x^2+1)/(x+1)", "--g=x^10000000+1"),
+     "pi_1 = (x^20000000+2*x^10000000+2)/(10000000*x^19999999+20000000*x^9999999)"),
+    # f' reduces gcd(den, den') = (x+2)^299 and squares no denominator.
+    (("check-b1", "--f=(x+1)^300/(x+2)^300"), "p_1 = (x^2+3*x+2)/300"),
+], ids=["compose-coprime-substitution", "check-b1-repeated-factor"])
+def test_exact_work_within_the_budget(capsys, argv, first_line):
+    # Each was once refused as work beyond the budget.
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.splitlines()[0] == first_line
 
 
 @pytest.mark.parametrize("argv", [

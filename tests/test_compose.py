@@ -19,7 +19,12 @@ from dmint.symseries import (
     parse_rational,
 )
 
-from support import compose_batch_odes, compose_bytes_per_op, compose_series_digest
+from support import (
+    b1_series_digest,
+    compose_batch_odes,
+    compose_bytes_per_op,
+    compose_series_digest,
+)
 
 R = parse_rational
 X_SQUARED = GeneralizedPolynomial({2: 1})
@@ -159,6 +164,21 @@ def test_series_past_the_batch():
     elapsed = time.perf_counter() - start
     assert digest == SERIES_DIGEST
     assert elapsed <= 6.0, "m = 4..7 took %.2f s" % elapsed
+
+
+# b1_series_digest((100, 200, 400)): check-b1's four fields at three degrees.
+B1_SERIES_DIGEST = "140be3330f1fbfcfa6809504cc31b3a2eee31f9c13722df43838b7e3c74d0a5b"
+
+
+def test_b1_series_in_degree():
+    # f' reduces only gcd(den, den') and f/f' only its two cross pairs, so
+    # no gcd of degree 2n is taken: 0.06-0.09 s on x86-64, where reducing
+    # the products took 4.7-5.2 s.
+    start = time.perf_counter()
+    digest = b1_series_digest((100, 200, 400))
+    elapsed = time.perf_counter() - start
+    assert digest == B1_SERIES_DIGEST
+    assert elapsed <= 1.0, "n = 100, 200, 400 took %.2f s" % elapsed
 
 
 def test_a_batch_round_keeps_few_bytes_per_op():
